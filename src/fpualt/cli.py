@@ -6,9 +6,10 @@ Verbs:
   analyze <system-file>   coupling-structure report for a saved system
   equilibria <system-file>  Newton search for static points
 
-Exit codes: 0 success, 1 usage/config error, 2 divergence detected,
-3 assertion failure inside a sweep.  The default output directory is
-$FPUALT_OUT_DIR, falling back to ./fpualt_out.
+Exit codes: 0 success, 1 usage/config error or a system the analysis
+refuses (degenerate spectrum, square-pattern violation), 2 divergence
+detected, 3 assertion failure inside a sweep.  The default output
+directory is $FPUALT_OUT_DIR, falling back to ./fpualt_out.
 """
 
 import argparse
@@ -17,9 +18,10 @@ import sys
 from pathlib import Path
 
 from . import __version__
+from .coupling import PatternViolationError
 from .scenarios import (ScenarioError, analysis_report, equilibria_report,
                         run_scenario, sweep_odd_p, sweep_report_text)
-from .spectral import load_system
+from .spectral import DegenerateSpectrumError, load_system
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -114,7 +116,8 @@ def main(argv=None) -> int:
             print(text, end="")
             print(f"wrote {out}")
             return EXIT_OK
-    except (ScenarioError, FileNotFoundError, ValueError) as exc:
+    except (ScenarioError, FileNotFoundError, ValueError,
+            DegenerateSpectrumError, PatternViolationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     return EXIT_USAGE

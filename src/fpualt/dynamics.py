@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chain import FullChainSystem, FullState, hamiltonian
-from .reduction import ReducedSystem, ReducedState, reduced_energy
-from .spectral import QuasiHarmonicSystem
+from .reduction import ReducedSystem, ReducedState, reduced_energy, reduced_field
+from .spectral import QuasiHarmonicSystem, qh_field
 
 # --- Runge-Kutta tableau (order 8 propagation, 12 stages) ------------------
 
@@ -174,24 +174,12 @@ def acceleration_function(system):
 
         return accel
     if isinstance(system, ReducedSystem):
-        k = system.stiffness
-        w = system.w
-        alpha = system.alpha
+        force, _ = reduced_field(system)
         masses = system.masses
-
-        def accel(q):
-            return (-k @ q + alpha * np.einsum("ijk,j,k->i", w, q, q)) / masses
-
-        return accel
+        return lambda q: force(q) / masses
     if isinstance(system, QuasiHarmonicSystem):
-        lam = system.lambdas
-        b = system.bilinear
-        alpha = system.alpha
-
-        def accel(x):
-            return -lam * x + alpha * np.einsum("ijk,j,k->i", b, x, x)
-
-        return accel
+        rhs, _ = qh_field(system)
+        return rhs
     if isinstance(system, CartoonSystem):
         return lambda u: _cartoon_accel(system, u)
     raise TypeError(f"unsupported system type {type(system).__name__}")
@@ -530,29 +518,11 @@ IMAG_CLASSIFY_REL = 1e-8
 
 
 def _static_functions(system, alpha):
-    """Return (F, J) with F(u) = 0 the static equations, J its Jacobian."""
+    """Return (F, J, d) with F(u) = 0 the static equations, J its Jacobian."""
     if isinstance(system, ReducedSystem):
-        a = system.alpha if alpha is None else alpha
-        k, w = system.stiffness, system.w
-
-        def fun(q):
-            return -k @ q + a * np.einsum("ijk,j,k->i", w, q, q)
-
-        def jac(q):
-            return -k + 2.0 * a * np.einsum("ijk,k->ij", w, q)
-
-        return fun, jac, system.dof
+        return (*reduced_field(system, alpha), system.dof)
     if isinstance(system, QuasiHarmonicSystem):
-        a = system.alpha if alpha is None else alpha
-        lam, b = system.lambdas, system.bilinear
-
-        def fun(x):
-            return -lam * x + a * np.einsum("ijk,j,k->i", b, x, x)
-
-        def jac(x):
-            return np.diag(-lam) + 2.0 * a * np.einsum("ijk,k->ij", b, x)
-
-        return fun, jac, system.dof
+        return (*qh_field(system, alpha), system.dof)
     raise TypeError(
         f"equilibrium search supports reduced and quasi-harmonic systems, "
         f"not {type(system).__name__}")

@@ -5,15 +5,19 @@ For odd p the periodic chain has invariant manifolds on which
     q_p = q_{2p} = 0,   q_{2p-i} = -q_i   (1 <= i <= p-1),
 
 and the same relations for velocities.  On such a manifold the dynamics
-is that of a fixed-end FPU chain with p-1 particles: masses alternate
-1, 1/a, the linear part is the standard tridiagonal stiffness, and the
-cubic spring terms contribute the quadratic vector
+is that of a fixed-end FPU chain with p-1 particles and p bonds: masses
+alternate 1, 1/a, and with the virtual boundary values q_0 = q_p = 0 the
+bond extensions are e = D q, (D q)_b = q_{b+1} - q_b for b = 0 .. p-1,
+where D is the p x (p-1) bond-difference operator.  The linear part is
+K = D^T D, the standard tridiagonal stiffness, and the cubic spring
+terms contribute the quadratic vector
 
-    N(q)_i = q_{i+1}^2 - 2 q_i q_{i+1} + 2 q_{i-1} q_i - q_{i-1}^2
+    N(q) = -D^T (D q)^2,   i.e.  N_i = e_i^2 - e_{i-1}^2
+         = q_{i+1}^2 - 2 q_i q_{i+1} + 2 q_{i-1} q_i - q_{i-1}^2,
 
-with the virtual boundary values q_0 = q_p = 0.  The equations of motion
-are M qdd + K q = alpha N(q), which is exactly minus the gradient of the
-fixed-end potential sum_i V(q_{i+1} - q_i); that potential provides an
+evaluated as two mat-vecs with the p x (p-1) operator.  The equations of
+motion are M qdd + K q = alpha N(q), which is exactly minus the gradient
+of the fixed-end potential sum_b V(e_b); that potential provides an
 exact conserved energy for the reduced flow.
 """
 
@@ -28,9 +32,9 @@ from .chain import FullChainSystem, FullState, eval_accel_full
 class ReducedSystem:
     """Fixed-end reduced system with p-1 particles.
 
-    The quadratic tensor ``w`` stores the symmetric bilinear forms of the
-    alpha-free nonlinearity: N(q)_i = q . w[i] . q.  ``alpha`` multiplies
-    at evaluation time, which allows alpha sweeps without rebuilding.
+    ``bonds`` is the bond-difference operator D, which carries the
+    alpha-free nonlinearity N(q) = -D^T (D q)^2.  ``alpha`` multiplies at
+    evaluation time, which allows alpha sweeps without rebuilding.
     """
 
     p: int
@@ -38,7 +42,7 @@ class ReducedSystem:
     alpha: float
     masses: np.ndarray          # diagonal of M, pattern 1, 1/a, 1, ...
     stiffness: np.ndarray       # K, tridiagonal (2 on diag, -1 off)
-    w: np.ndarray               # (p-1, p-1, p-1), symmetric in last two axes
+    bonds: np.ndarray           # D, (p, p-1): (D q)_b = q_{b+1} - q_b
 
     @property
     def dof(self):
@@ -69,23 +73,9 @@ def build_reduced(p: int, a: float, alpha: float = 1.0) -> ReducedSystem:
     masses = np.empty(d)
     masses[0::2] = 1.0
     masses[1::2] = 1.0 / a
-    k = 2.0 * np.eye(d)
-    for i in range(d - 1):
-        k[i, i + 1] = -1.0
-        k[i + 1, i] = -1.0
-
-    # Row i (0-based) of the quadratic vector, boundary terms dropped.
-    w = np.zeros((d, d, d))
-    for i in range(d):
-        if i + 1 < d:
-            w[i, i + 1, i + 1] += 1.0          # q_{i+1}^2
-            w[i, i, i + 1] -= 1.0              # -2 q_i q_{i+1}
-            w[i, i + 1, i] -= 1.0
-        if i - 1 >= 0:
-            w[i, i - 1, i] += 1.0              # +2 q_{i-1} q_i
-            w[i, i, i - 1] += 1.0
-            w[i, i - 1, i - 1] -= 1.0          # -q_{i-1}^2
-    return ReducedSystem(p=p, a=a, alpha=alpha, masses=masses, stiffness=k, w=w)
+    bonds = np.eye(p, d) - np.eye(p, d, k=-1)
+    return ReducedSystem(p=p, a=a, alpha=alpha, masses=masses,
+                         stiffness=bonds.T @ bonds, bonds=bonds)
 
 
 def _check_dim(sys: ReducedSystem, state: ReducedState):
@@ -94,18 +84,38 @@ def _check_dim(sys: ReducedSystem, state: ReducedState):
 
 
 def quadratic_vector(sys: ReducedSystem, q):
-    """N(q), the alpha-free quadratic part of the right-hand side."""
+    """N(q) = -D^T (D q)^2, the alpha-free quadratic part of the force."""
     q = np.asarray(q, dtype=float)
-    return np.einsum("ijk,j,k->i", sys.w, q, q)
+    return -(sys.bonds.T @ (sys.bonds @ q) ** 2)
+
+
+def reduced_field(sys: ReducedSystem, alpha=None):
+    """Return (force, jac): q -> -K q + alpha N(q) and its Jacobian.
+
+    With K = D^T D the force is -D^T (e + alpha e^2), e = D q.  The
+    acceleration is force(q) / masses; force(q) = 0 are the static
+    equations.
+    """
+    if alpha is None:
+        alpha = sys.alpha
+    bonds = sys.bonds
+    bonds_t = bonds.T
+
+    def force(q):
+        e = bonds @ q
+        return -(bonds_t @ (e + alpha * e * e))
+
+    def jac(q):
+        return -(bonds_t * (1.0 + 2.0 * alpha * (bonds @ q))) @ bonds
+
+    return force, jac
 
 
 def eval_accel_reduced(sys: ReducedSystem, state: ReducedState, alpha=None):
     """qdd = M^{-1} (-K q + alpha N(q))."""
     _check_dim(sys, state)
-    if alpha is None:
-        alpha = sys.alpha
-    rhs = -sys.stiffness @ state.q + alpha * quadratic_vector(sys, state.q)
-    return rhs / sys.masses
+    force, _ = reduced_field(sys, alpha)
+    return force(state.q) / sys.masses
 
 
 def reduced_potential(sys: ReducedSystem, q, alpha=None) -> float:

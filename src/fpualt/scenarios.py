@@ -296,6 +296,7 @@ def run_scenario(scenario, out_dir, overrides=None) -> RunResult:
         "t_reached": tr.t_reached,
         "n_steps": tr.n_steps,
         "n_rejected": tr.n_rejected,
+        "n_rhs": tr.n_rhs,
         "energy_drift": drift,
         "wall_time_s": wall,
         "outputs": files,

@@ -9,9 +9,18 @@ one acoustic and one optical eigenvalue
 so that every pair sums to 2 + 2a exactly.  Diagonalising in the
 mass-weighted symmetric form avoids the small-a ill-conditioning of the
 raw eigenvector matrix.  Substituting q = T x into the quadratic vector
-and premultiplying by T^{-1} M^{-1} yields the quasi-harmonic system
+N(q) = -D^T (D q)^2 and premultiplying by T^{-1} M^{-1} yields the
+quasi-harmonic system
 
-    xdd_i + lambda_i x_i = alpha * sum_{j<=k} c_{i,jk} x_j x_k.
+    xdd_i + lambda_i x_i = alpha * sum_{j<=k} c_{i,jk} x_j x_k
+                         = alpha * (F (G x)^2)_i,
+
+with the bond factors G = D T (modes -> bond extensions, p x (p-1)) and
+F = -T^{-1} M^{-1} D^T ((p-1) x p).  Systems built here carry G and F and
+evaluate the right-hand side as two small mat-vecs.  The coupling tensor
+B_{i,jk} = sum_b F_{ib} G_{bj} G_{bk} is formed from the same factors for
+the structure analysis and the system files; systems that carry only a
+tensor (tables read from files, extracted subsystems) contract it instead.
 
 Modes are kept in pair order: (acoustic, optical) for j = 1, 2, ...
 """
@@ -132,7 +141,9 @@ class QuasiHarmonicSystem:
     xdd_i = -lambda_i x_i + alpha * x . B_i . x; the printed (monomial)
     coefficient of x_j x_k with j < k is 2 B_i[j, k], and B_i[j, j] for
     the squares.  Entries below the relative drop threshold are stored
-    as exact zeros.
+    as exact zeros.  Systems built by :func:`to_quasi_harmonic` also
+    carry the bond factors ``g`` (G = D T) and ``f`` (F = -T^{-1} M^{-1}
+    D^T) with C(x, x) = F (G x)^2, which the right-hand side uses.
     """
 
     lambdas: np.ndarray
@@ -144,6 +155,8 @@ class QuasiHarmonicSystem:
     basis: ModalBasis = None
     reduced: ReducedSystem = None
     name: str = ""
+    g: np.ndarray = None          # (p, d) bond factor G, or None
+    f: np.ndarray = None          # (d, p) bond factor F, or None
 
     @property
     def dof(self):
@@ -182,17 +195,47 @@ def to_quasi_harmonic(sys: ReducedSystem, basis: ModalBasis = None,
         basis = eigendecompose(sys)
     if basis.t.shape[0] != sys.dof:
         raise ValueError("basis dimension does not match the system")
-    a_rows = basis.t_inv * (1.0 / sys.masses)[None, :]   # T^{-1} M^{-1}
-    b = np.einsum("ir,rab,aj,bk->ijk", a_rows, sys.w, basis.t, basis.t,
-                  optimize=True)
+    g = sys.bonds @ basis.t
+    f = -(basis.t_inv * (1.0 / sys.masses)[None, :]) @ sys.bonds.T
+    p, d = g.shape
+    b = (f @ (g[:, :, None] * g[:, None, :]).reshape(p, d * d)).reshape(d, d, d)
     b = 0.5 * (b + b.transpose(0, 2, 1))
     cutoff = DROP_THRESHOLD_REL * np.abs(b).max()
     b[np.abs(b) < cutoff] = 0.0
     return QuasiHarmonicSystem(
         lambdas=basis.lambdas.copy(), bilinear=b, labels=basis.labels,
         alpha=sys.alpha, a=sys.a, p=sys.p, basis=basis, reduced=sys,
-        name=name or f"p{sys.p}",
+        name=name or f"p{sys.p}", g=g, f=f,
     )
+
+
+def qh_field(sys: QuasiHarmonicSystem, alpha=None):
+    """Return (rhs, jac): x -> -Lambda x + alpha C(x, x) and its Jacobian.
+
+    C(x, x) = F (G x)^2 when the system carries bond factors; otherwise
+    the coupling tensor is contracted, C(x, x)_i = x . B_i . x.
+    """
+    if alpha is None:
+        alpha = sys.alpha
+    lam = sys.lambdas
+    if sys.g is not None:
+        g, f = sys.g, sys.f
+
+        def rhs(x):
+            return alpha * (f @ (g @ x) ** 2) - lam * x
+
+        def jac(x):
+            return np.diag(-lam) + 2.0 * alpha * (f * (g @ x)) @ g
+    else:
+        b = sys.bilinear
+
+        def rhs(x):
+            return alpha * np.einsum("ijk,j,k->i", b, x, x) - lam * x
+
+        def jac(x):
+            return np.diag(-lam) + 2.0 * alpha * np.einsum("ijk,k->ij", b, x)
+
+    return rhs, jac
 
 
 def eval_qh_rhs(sys: QuasiHarmonicSystem, x, alpha=None):
@@ -200,9 +243,8 @@ def eval_qh_rhs(sys: QuasiHarmonicSystem, x, alpha=None):
     x = np.asarray(x, dtype=float)
     if x.size != sys.dof:
         raise ValueError(f"state has {x.size} modes, system has {sys.dof}")
-    if alpha is None:
-        alpha = sys.alpha
-    return -sys.lambdas * x + alpha * np.einsum("ijk,j,k->i", sys.bilinear, x, x)
+    rhs, _ = qh_field(sys, alpha)
+    return rhs(x)
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fpualt import (ScenarioError, build_reduced, parse_scenario, run_scenario,
-                    save_system, sweep_odd_p, sweep_report_text,
-                    to_quasi_harmonic)
+from fpualt import (PatternViolationError, ScenarioError, build_reduced,
+                    parse_scenario, run_scenario, save_system, sweep_odd_p,
+                    sweep_report_text, to_quasi_harmonic)
 from fpualt.cli import main
 
-from conftest import SCENARIO_DIR
+from conftest import BOUNDED_SCENARIOS, SCENARIO_DIR
 
 
 class TestScenarioParsing:
@@ -66,6 +66,15 @@ class TestRunScenario:
         assert man["energy_drift"] <= 1e-8
         assert man["integrator"]["abs_tol"] == 1e-10
         assert "mode_scales" in man["reference_frame"]
+
+    def test_manifest_counts_rhs_calls(self, scenario_results):
+        # one call at the start, one for the initial-step heuristic, and
+        # 12 per attempted step of the 12-stage FSAL tableau
+        for name in BOUNDED_SCENARIOS:
+            res = scenario_results[name]
+            man = json.loads(Path(res.files[-1]).read_text())
+            assert man["n_rhs"] == res.trajectory.n_rhs, name
+            assert man["n_rhs"] == 2 + 12 * (man["n_steps"] + man["n_rejected"]), name
 
     def test_csv_shape_and_header(self, scenario_results):
         res = scenario_results["fig_p3_forcing"]
@@ -144,6 +153,28 @@ class TestCli:
         code = main(["run", str(tmp_path / "ghost.scn"), "--out-dir", str(tmp_path)])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_degenerate_spectrum_is_usage_error(self, tmp_path, capsys):
+        # a = 1e-13 collapses the acoustic eigenvalues below resolution
+        scn = tmp_path / "degenerate.scn"
+        scn.write_text("[system]\nkind = quasiharmonic\np = 5\na = 1e-13\n"
+                       "[initial]\nx2 = 0.1\n[integrate]\nt_end = 1\n")
+        assert main(["run", str(scn), "--out-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: eigenvalue gap")
+        assert "Traceback" not in err
+        assert main(["sweep", "--pmax", "5", "--a", "1e-13",
+                     "--out-dir", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("error: eigenvalue gap")
+
+    def test_pattern_violation_is_usage_error(self, tmp_path, capsys,
+                                              monkeypatch):
+        def violate(**kwargs):
+            raise PatternViolationError("squares of pair 1 occur nowhere")
+
+        monkeypatch.setattr("fpualt.cli.sweep_odd_p", violate)
+        assert main(["sweep", "--pmax", "5", "--out-dir", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == "error: squares of pair 1 occur nowhere\n"
 
     def test_divergence_exit(self, tmp_path):
         code = main(["run", str(SCENARIO_DIR / "fig_p3_divergent.scn"),

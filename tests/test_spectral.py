@@ -106,7 +106,7 @@ class TestEigendecompose:
         # a synthetic system whose linear part has a double eigenvalue
         d = 4
         sys = ReducedSystem(p=5, a=0.01, alpha=1.0, masses=np.ones(d),
-                            stiffness=np.eye(d), w=np.zeros((d, d, d)))
+                            stiffness=np.eye(d), bonds=np.zeros((d + 1, d)))
         with pytest.raises(DegenerateSpectrumError):
             eigendecompose(sys)
 
