@@ -19,7 +19,7 @@ from .coupling import (CycleDecomposition, InvariantCandidate,
                        enumerate_invariant_candidates, excitation_digraph,
                        extract_subsystem, jan_check, map_reference_state,
                        map_to_reference_frame, scaling_equivalence, square_map)
-from .dynamics import (CartoonSystem, ClosedFormResponse, EquilibriumReport,
+from .dynamics import (ClosedFormResponse, EquilibriumReport,
                        IntegratorConfig, ModeActionSeries, Trajectory,
                        cartoon_system, classify_equilibrium, energy_drift,
                        find_equilibria, first_order_response, integrate,

@@ -32,6 +32,16 @@ class ChainParams:
     beta: float = 0.0
 
 
+def spring_potential(z, alpha, beta=0.0):
+    """V(z) = z^2/2 + alpha z^3/3 + beta z^4/4, elementwise."""
+    return 0.5 * z * z + (alpha / 3.0) * z**3 + (beta / 4.0) * z**4
+
+
+def _bond_extensions(q):
+    """q_{j+1} - q_j for all bonds of each row, the periodic wrap bond last."""
+    return np.roll(q, -1, axis=-1) - q
+
+
 @dataclass(frozen=True)
 class FullChainSystem:
     """A periodic alternating-mass chain, immutable after construction."""
@@ -43,20 +53,36 @@ class FullChainSystem:
     def n_particles(self):
         return self.masses.size
 
+    dof = n_particles
+
     def potential(self, z):
         """Spring potential V(z) applied elementwise."""
-        p = self.params
-        return 0.5 * z * z + (p.alpha / 3.0) * z**3 + (p.beta / 4.0) * z**4
+        return spring_potential(z, self.params.alpha, self.params.beta)
 
     def dpotential(self, z):
         """V'(z) applied elementwise."""
         p = self.params
         return z + p.alpha * z * z + p.beta * z**3
 
+    def accel(self, q):
+        """Accelerations m_j qdd_j = V'(q_{j+1}-q_j) - V'(q_j-q_{j-1})."""
+        f = self.dpotential(_bond_extensions(q))
+        return (f - np.roll(f, 1)) / self.masses
+
+    def energy(self, states):
+        """Total energy sum m_j v_j^2 / 2 + sum V over the ring bonds.
+
+        Vectorised over rows [q, v] of ``states``.
+        """
+        n = self.dof
+        kinetic = 0.5 * np.sum(self.masses * states[..., n:] ** 2, axis=-1)
+        return kinetic + np.sum(self.potential(_bond_extensions(states[..., :n])),
+                                axis=-1)
+
 
 @dataclass
-class FullState:
-    """Displacements and velocities of all N particles."""
+class State:
+    """Displacements and velocities of a chain or of a reduced system."""
 
     q: np.ndarray
     v: np.ndarray
@@ -69,6 +95,9 @@ class FullState:
                 f"q and v must be 1-d arrays of equal length, got shapes "
                 f"{self.q.shape} and {self.v.shape}"
             )
+
+
+FullState = State
 
 
 def build_chain(params: ChainParams) -> FullChainSystem:
@@ -95,24 +124,16 @@ def _check_dim(sys: FullChainSystem, state: FullState):
         )
 
 
-def bond_extensions(sys: FullChainSystem, q):
-    """q_{j+1} - q_j for all bonds, with the periodic wrap bond last."""
-    q = np.asarray(q, dtype=float)
-    return np.roll(q, -1) - q
-
-
 def eval_accel_full(sys: FullChainSystem, state: FullState):
     """Accelerations m_j qdd_j = V'(q_{j+1}-q_j) - V'(q_j-q_{j-1})."""
     _check_dim(sys, state)
-    f = sys.dpotential(bond_extensions(sys, state.q))
-    return (f - np.roll(f, 1)) / sys.masses
+    return sys.accel(state.q)
 
 
 def hamiltonian(sys: FullChainSystem, state: FullState) -> float:
     """Total energy: sum m_j v_j^2 / 2 + sum V over the ring bonds."""
     _check_dim(sys, state)
-    kinetic = 0.5 * np.sum(sys.masses * state.v**2)
-    return float(kinetic + np.sum(sys.potential(bond_extensions(sys, state.q))))
+    return float(sys.energy(np.concatenate([state.q, state.v])))
 
 
 def total_momentum(sys: FullChainSystem, state: FullState) -> float:

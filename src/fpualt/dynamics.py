@@ -10,16 +10,21 @@ bit-reproducible for fixed inputs.
 Unbounded solutions are a genuine feature of these cubic systems:
 integration terminates with a divergence report (never an exception)
 once the state norm passes the cutoff or the step size underflows.
+
+Nothing here branches on the kind of system.  Every system (full chain,
+reduced, quasi-harmonic) has ``dof``, ``accel(q)`` and a vectorised
+``energy(states)``; reduced and quasi-harmonic systems also give the
+static field used by the equilibrium census.  The two cartoon models
+are quasi-harmonic systems with fixed tensors.
 """
 
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import FullChainSystem, FullState, hamiltonian
-from .reduction import ReducedSystem, ReducedState, reduced_energy, reduced_field
-from .spectral import QuasiHarmonicSystem, qh_field
+from .spectral import QuasiHarmonicSystem
 
 # --- Runge-Kutta tableau (order 8 propagation, 12 stages) ------------------
 
@@ -91,139 +96,78 @@ _MAX_GROWTH = 5.0
 _MIN_SHRINK = 0.2
 
 
-@dataclass(frozen=True)
-class CartoonSystem:
+# Cartoon id -> (default frequencies, couplings B_{i,jk} set on every
+# permutation of the 0-based index triple).  The forces are the
+# gradients of -x^2 y / 2 and of -0.2 xyz - 0.25 (y z^2 + y^2 z).
+_CARTOONS = {
+    1: ((0.1, 1.0), {(0, 0, 1): 0.5}),
+    2: ((0.1, 1.0, 1.05), {(0, 1, 2): 0.1, (1, 2, 2): 0.25, (1, 1, 2): 0.25}),
+}
+
+
+def cartoon_system(cid: int, omegas=None) -> QuasiHarmonicSystem:
     """Small coupled-oscillator models illustrating mixed-term forcing.
 
     cid=1 is the two-oscillator system  xdd + w1^2 x = x y,
     ydd + w2^2 y = x^2 / 2.  cid=2 is the three-oscillator system with
     the 0.2 / 0.25 couplings where the two fast modes are in detuned
-    resonance and strongly force the slow one.
+    resonance and strongly force the slow one.  Both are quasi-harmonic
+    systems with lambda = omega^2, alpha = 1 and a fixed, fully
+    symmetric tensor.
     """
-
-    cid: int
-    omegas: tuple
-
-    @property
-    def dof(self):
-        return len(self.omegas)
-
-    @property
-    def lambdas(self):
-        return np.array([w * w for w in self.omegas])
-
-
-def cartoon_system(cid: int, omegas=None) -> CartoonSystem:
-    if cid == 1:
-        omegas = (0.1, 1.0) if omegas is None else omegas
-        if len(omegas) != 2:
-            raise ValueError("cartoon 1 has two oscillators")
-    elif cid == 2:
-        omegas = (0.1, 1.0, 1.05) if omegas is None else omegas
-        if len(omegas) != 3:
-            raise ValueError("cartoon 2 has three oscillators")
-    else:
+    if cid not in _CARTOONS:
         raise ValueError(f"cartoon id must be 1 or 2, got {cid}")
-    return CartoonSystem(cid=cid, omegas=tuple(float(w) for w in omegas))
+    default, couplings = _CARTOONS[cid]
+    omegas = default if omegas is None else omegas
+    d = len(default)
+    if len(omegas) != d:
+        raise ValueError(f"cartoon {cid} has {('two', 'three')[cid - 1]} oscillators")
+    b = np.zeros((d, d, d))
+    for index, value in couplings.items():
+        for perm in itertools.permutations(index):
+            b[perm] = value
+    return QuasiHarmonicSystem(
+        lambdas=np.array([float(w) * float(w) for w in omegas]), bilinear=b,
+        labels=(None,) * d, alpha=1.0, name=f"cartoon{cid}")
 
 
-def _cartoon_accel(sys: CartoonSystem, u):
-    w2 = sys.lambdas
-    if sys.cid == 1:
-        x, y = u
-        return np.array([-w2[0] * x + x * y,
-                         -w2[1] * y + 0.5 * x * x])
-    x, y, z = u
-    return np.array([
-        -w2[0] * x + 0.2 * y * z,
-        -w2[1] * y + 0.2 * x * z + 0.25 * (z * z + 2.0 * y * z),
-        -w2[2] * z + 0.2 * x * y + 0.25 * (y * y + 2.0 * y * z),
-    ])
-
-
-def _cartoon_energy(sys: CartoonSystem, u, v):
-    w2 = sys.lambdas
-    h = 0.5 * float(np.sum(v * v) + np.sum(w2 * u * u))
-    if sys.cid == 1:
-        x, y = u
-        return h - 0.5 * x * x * y
-    x, y, z = u
-    return h - 0.2 * x * y * z - 0.25 * (y * z * z + y * y * z)
-
-
-# --- system dispatch --------------------------------------------------------
+# --- the system interface -----------------------------------------------------
+# Every system kind has ``dof``, ``accel(q)`` and ``energy(states)``
+# (vectorised over rows [q, v]; None for quasi-harmonic systems without
+# an exact invariant).  Reduced and quasi-harmonic systems also expose
+# ``static_field(alpha)`` -> (F, J) and ``masses``: F = 0 are the static
+# equations and J / masses is the acceleration Jacobian.  The three
+# functions below only name these members; perfbench/ imports them.
 
 
 def system_dof(system) -> int:
-    if isinstance(system, FullChainSystem):
-        return system.n_particles
-    if isinstance(system, (ReducedSystem, QuasiHarmonicSystem, CartoonSystem)):
-        return system.dof
-    raise TypeError(f"unsupported system type {type(system).__name__}")
+    return system.dof
 
 
 def acceleration_function(system):
     """Position -> acceleration map of the second-order system."""
-    if isinstance(system, FullChainSystem):
-        masses = system.masses
-        dpot = system.dpotential
-
-        def accel(q):
-            f = dpot(np.roll(q, -1) - q)
-            return (f - np.roll(f, 1)) / masses
-
-        return accel
-    if isinstance(system, ReducedSystem):
-        force, _ = reduced_field(system)
-        masses = system.masses
-        return lambda q: force(q) / masses
-    if isinstance(system, QuasiHarmonicSystem):
-        rhs, _ = qh_field(system)
-        return rhs
-    if isinstance(system, CartoonSystem):
-        return lambda u: _cartoon_accel(system, u)
-    raise TypeError(f"unsupported system type {type(system).__name__}")
+    return system.accel
 
 
 def energy_function(system):
-    """State-vector -> energy map, or None if no exact energy is known.
+    """State-vector -> energy map, or None if no exact energy is known."""
+    return system.energy
 
-    Quasi-harmonic systems built by the pipeline pull the reduced energy
-    back through the modal matrix; systems loaded from coefficient files
-    carry no exact invariant.
-    """
-    if isinstance(system, FullChainSystem):
-        n = system.n_particles
-        return lambda y: hamiltonian(system, FullState(y[:n], y[n:]))
-    if isinstance(system, ReducedSystem):
-        d = system.dof
-        return lambda y: reduced_energy(system, ReducedState(y[:d], y[d:]))
-    if isinstance(system, QuasiHarmonicSystem):
-        if system.basis is None or system.reduced is None:
-            return None
-        d = system.dof
-        t = system.basis.t
-        red = system.reduced
 
-        def energy(y):
-            return reduced_energy(red, ReducedState(t @ y[:d], t @ y[d:]))
-
-        return energy
-    if isinstance(system, CartoonSystem):
-        d = system.dof
-        return lambda y: _cartoon_energy(system, y[:d], y[d:])
-    raise TypeError(f"unsupported system type {type(system).__name__}")
+def has_modal_coordinates(system) -> bool:
+    """True if the coordinates are decoupled linear modes (quasi-harmonic)."""
+    return isinstance(system, QuasiHarmonicSystem)
 
 
 def as_state_vector(system, state) -> np.ndarray:
-    """Accept FullState/ReducedState/(q, v)/flat vector and return [q, v]."""
+    """Accept a State, a (q, v) pair or a flat vector and return [q, v]."""
     if hasattr(state, "q") and hasattr(state, "v"):
         vec = np.concatenate([np.asarray(state.q, float), np.asarray(state.v, float)])
     elif isinstance(state, (tuple, list)) and len(state) == 2:
         vec = np.concatenate([np.asarray(state[0], float), np.asarray(state[1], float)])
     else:
         vec = np.asarray(state, dtype=float).ravel()
-    d = system_dof(system)
+    d = system.dof
     if vec.size != 2 * d:
         raise ValueError(f"state vector has length {vec.size}, expected {2 * d}")
     return vec
@@ -320,8 +264,8 @@ def integrate(system, state0, cfg: IntegratorConfig) -> Trajectory:
     ``status``/``message`` rather than raising.
     """
     cfg.validate()
-    accel = acceleration_function(system)
-    d = system_dof(system)
+    accel = system.accel
+    d = system.dof
 
     def f(y):
         return np.concatenate([y[d:], accel(y[:d])])
@@ -431,8 +375,8 @@ def integrate(system, state0, cfg: IntegratorConfig) -> Trajectory:
 
 def integrate_fixed_step(system, state0, h: float, t_end: float) -> Trajectory:
     """Fixed-step variant of the same tableau (for order verification)."""
-    accel = acceleration_function(system)
-    d = system_dof(system)
+    accel = system.accel
+    d = system.dof
 
     def f(y):
         return np.concatenate([y[d:], accel(y[:d])])
@@ -466,12 +410,12 @@ class ModeActionSeries:
 
 
 def mode_actions(system, trajectory: Trajectory) -> ModeActionSeries:
-    """Actions along a quasi-harmonic or cartoon trajectory.
+    """Actions along a quasi-harmonic (or cartoon) trajectory.
 
     Requires diagonal coordinates; raise for chain/reduced trajectories,
     whose coordinates mix the modes.
     """
-    if not isinstance(system, (QuasiHarmonicSystem, CartoonSystem)):
+    if not has_modal_coordinates(system):
         raise TypeError(
             "mode actions require diagonal (quasi-harmonic or cartoon) "
             f"coordinates, not {type(system).__name__}")
@@ -482,13 +426,16 @@ def mode_actions(system, trajectory: Trajectory) -> ModeActionSeries:
                             actions=0.5 * (v**2 + lam[None, :] * x**2))
 
 
+def relative_drift(energies) -> float:
+    """max_t |E(t) - E(0)| / max(|E(0)|, 1e-12)."""
+    return float(np.abs(energies - energies[0]).max() / max(abs(energies[0]), 1e-12))
+
+
 def energy_drift(system, trajectory: Trajectory) -> float:
-    """max_t |E(t) - E(0)| / max(|E(0)|, 1e-12) over the sampled states."""
-    efun = energy_function(system)
-    if efun is None:
+    """Relative drift of the exact energy over the sampled states."""
+    if system.energy is None:
         raise ValueError("system has no exact energy function")
-    e = np.array([efun(y) for y in trajectory.states])
-    return float(np.abs(e - e[0]).max() / max(abs(e[0]), 1e-12))
+    return relative_drift(system.energy(trajectory.states))
 
 
 # --- equilibria ---------------------------------------------------------------
@@ -517,29 +464,6 @@ class EquilibriumReport:
 IMAG_CLASSIFY_REL = 1e-8
 
 
-def _static_functions(system, alpha):
-    """Return (F, J, d) with F(u) = 0 the static equations, J its Jacobian."""
-    if isinstance(system, ReducedSystem):
-        return (*reduced_field(system, alpha), system.dof)
-    if isinstance(system, QuasiHarmonicSystem):
-        return (*qh_field(system, alpha), system.dof)
-    raise TypeError(
-        f"equilibrium search supports reduced and quasi-harmonic systems, "
-        f"not {type(system).__name__}")
-
-
-def _dynamic_jacobian(system, point, alpha):
-    """Jacobian of the first-order flow at a static point."""
-    _, jac, d = _static_functions(system, alpha)
-    g = jac(point)
-    if isinstance(system, ReducedSystem):
-        g = g / system.masses[:, None]
-    j = np.zeros((2 * d, 2 * d))
-    j[:d, d:] = np.eye(d)
-    j[d:, :d] = g
-    return j
-
-
 def find_equilibria(system, alpha=None, box_halfwidth=4.0, grid_per_dim=9,
                     max_dim=6, newton_steps=50, dedup_tol=1e-8,
                     residual_tol=1e-12):
@@ -550,7 +474,8 @@ def find_equilibria(system, alpha=None, box_halfwidth=4.0, grid_per_dim=9,
     The count is bounded by the Bezout number 2^d of the quadratic
     static system.
     """
-    fun, jac, d = _static_functions(system, alpha)
+    fun, jac = system.static_field(alpha)
+    d = system.dof
     if d > max_dim:
         raise ValueError(
             f"exhaustive grid search limited to dimension {max_dim} "
@@ -590,12 +515,16 @@ def classify_equilibrium(system, point, alpha=None) -> EquilibriumReport:
     quadruples); one is counted pure-imaginary when |Re| is below
     1e-8 of the largest magnitude.
     """
-    fun, _, d = _static_functions(system, alpha)
+    fun, jac = system.static_field(alpha)
+    d = system.dof
     point = np.asarray(point, dtype=float)
     residual = float(np.abs(fun(point)).max())
     if residual > 1e-10:
         raise ValueError(f"point is not an equilibrium (residual {residual:.3e})")
-    eig = np.linalg.eigvals(_dynamic_jacobian(system, point, alpha))
+    flow = np.zeros((2 * d, 2 * d))
+    flow[:d, d:] = np.eye(d)
+    flow[d:, :d] = jac(point) / system.masses[:, None]
+    eig = np.linalg.eigvals(flow)
     eig = np.array(sorted(eig, key=lambda z: (round(z.real, 12), z.imag)))
     thr = IMAG_CLASSIFY_REL * max(np.abs(eig).max(initial=0.0), 1e-30)
     n_center = int(np.sum(np.abs(eig.real) <= thr))

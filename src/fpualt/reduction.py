@@ -22,10 +22,11 @@ exact conserved energy for the reduced flow.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .chain import FullChainSystem, FullState, eval_accel_full
+from .chain import FullChainSystem, State, eval_accel_full, spring_potential
 
 
 @dataclass(frozen=True)
@@ -48,19 +49,25 @@ class ReducedSystem:
     def dof(self):
         return self.p - 1
 
+    def static_field(self, alpha=None):
+        """The force and its Jacobian, see :func:`reduced_field`."""
+        return reduced_field(self, alpha)
 
-@dataclass
-class ReducedState:
-    """Displacements and velocities of the p-1 reduced coordinates."""
+    @cached_property
+    def accel(self):
+        """The map q -> qdd = M^{-1} force(q), built once per system."""
+        force, _ = reduced_field(self)
+        masses = self.masses
+        return lambda q: force(q) / masses
 
-    q: np.ndarray
-    v: np.ndarray
+    def energy(self, states):
+        """Conserved energy sum M_i v_i^2 / 2 + U(q), vectorised over rows [q, v]."""
+        d = self.dof
+        kinetic = 0.5 * np.sum(self.masses * states[..., d:] ** 2, axis=-1)
+        return kinetic + reduced_potential(self, states[..., :d])
 
-    def __post_init__(self):
-        self.q = np.asarray(self.q, dtype=float)
-        self.v = np.asarray(self.v, dtype=float)
-        if self.q.shape != self.v.shape or self.q.ndim != 1:
-            raise ValueError("q and v must be 1-d arrays of equal length")
+
+ReducedState = State
 
 
 def build_reduced(p: int, a: float, alpha: float = 1.0) -> ReducedSystem:
@@ -114,26 +121,24 @@ def reduced_field(sys: ReducedSystem, alpha=None):
 def eval_accel_reduced(sys: ReducedSystem, state: ReducedState, alpha=None):
     """qdd = M^{-1} (-K q + alpha N(q))."""
     _check_dim(sys, state)
-    force, _ = reduced_field(sys, alpha)
-    return force(state.q) / sys.masses
+    return sys.static_field(alpha)[0](state.q) / sys.masses
 
 
-def reduced_potential(sys: ReducedSystem, q, alpha=None) -> float:
-    """Fixed-end potential sum_{i=0}^{p-1} V(q_{i+1} - q_i), q_0 = q_p = 0."""
+def reduced_potential(sys: ReducedSystem, q, alpha=None):
+    """Fixed-end potential sum_{b=0}^{p-1} V(q_{b+1} - q_b), q_0 = q_p = 0."""
     if alpha is None:
         alpha = sys.alpha
-    dq = np.diff(np.asarray(q, dtype=float), prepend=0.0, append=0.0)
-    return float(np.sum(0.5 * dq * dq + (alpha / 3.0) * dq**3))
+    e = np.asarray(q, dtype=float) @ sys.bonds.T
+    return np.sum(spring_potential(e, alpha), axis=-1)
 
 
 def reduced_energy(sys: ReducedSystem, state: ReducedState) -> float:
     """Conserved energy sum M_i v_i^2 / 2 + U(q) of the reduced flow."""
     _check_dim(sys, state)
-    kinetic = 0.5 * np.sum(sys.masses * state.v**2)
-    return float(kinetic) + reduced_potential(sys, state.q)
+    return float(sys.energy(np.concatenate([state.q, state.v])))
 
 
-def lift_symmetric(state: ReducedState) -> FullState:
+def lift_symmetric(state: ReducedState) -> State:
     """Lift a reduced state to the symmetric 2p-particle state.
 
     Positions p and 2p are zero and the second half mirrors the first
@@ -143,7 +148,7 @@ def lift_symmetric(state: ReducedState) -> FullState:
     def lift(x):
         return np.concatenate([x, [0.0], -x[::-1], [0.0]])
 
-    return FullState(q=lift(state.q), v=lift(state.v))
+    return State(q=lift(state.q), v=lift(state.v))
 
 
 def symmetry_residual(sys: FullChainSystem, state: ReducedState) -> float:

@@ -21,8 +21,9 @@ from .coupling import (PatternViolationError, cycle_decomposition,
                        enumerate_invariant_candidates, excitation_digraph,
                        jan_check, map_reference_state, map_to_reference_frame,
                        scaling_equivalence, square_map)
-from .dynamics import (IntegratorConfig, cartoon_system, energy_function,
-                       find_equilibria, integrate, mode_actions, system_dof)
+from .dynamics import (IntegratorConfig, cartoon_system, find_equilibria,
+                       has_modal_coordinates, integrate, mode_actions,
+                       relative_drift)
 from .refdata import load_reference, reference_for
 from .reduction import build_reduced
 from .spectral import to_quasi_harmonic
@@ -171,7 +172,7 @@ def _build_system(scen: Scenario):
 
 def _resolve_initial(scen: Scenario, system):
     """Initial state vector plus (fit, reference) when frame = ref:<table>."""
-    d = system_dof(system)
+    d = system.dof
 
     def fill(d_, entries):
         vec = np.zeros(d_)
@@ -254,25 +255,19 @@ def run_scenario(scenario, out_dir, overrides=None) -> RunResult:
                 labels=[f"x{j + 1}" for j in range(ref.dof)],
                 title=f"{scen.name} (reference frame)", xlabel="t", ylabel="x")
 
-    if "actions" in scen.outputs:
-        try:
-            series = mode_actions(system, tr)
-        except TypeError:
-            series = None
-        if series is not None:
-            actions_csv(emit(f"{scen.name}_actions.csv"), series)
-            write_svg_lines(
-                emit(f"{scen.name}_actions.svg"), series.times,
-                [series.actions[:, j] for j in range(series.actions.shape[1])],
-                labels=[f"E{j + 1}" for j in range(series.actions.shape[1])],
-                title=f"{scen.name}: mode actions", xlabel="t", ylabel="E")
+    if "actions" in scen.outputs and has_modal_coordinates(system):
+        series = mode_actions(system, tr)
+        actions_csv(emit(f"{scen.name}_actions.csv"), series)
+        write_svg_lines(
+            emit(f"{scen.name}_actions.svg"), series.times,
+            [series.actions[:, j] for j in range(series.actions.shape[1])],
+            labels=[f"E{j + 1}" for j in range(series.actions.shape[1])],
+            title=f"{scen.name}: mode actions", xlabel="t", ylabel="E")
 
     drift = None
-    efun = energy_function(system)
-    if efun is not None:
-        energies = np.array([efun(y) for y in tr.states])
-        drift = float(np.abs(energies - energies[0]).max()
-                      / max(abs(energies[0]), 1e-12))
+    if system.energy is not None:
+        energies = system.energy(tr.states)
+        drift = relative_drift(energies)
         if "energy" in scen.outputs:
             energy_csv(emit(f"{scen.name}_energy.csv"), tr.times, energies)
 

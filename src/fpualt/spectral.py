@@ -20,16 +20,25 @@ F = -T^{-1} M^{-1} D^T ((p-1) x p).  Systems built here carry G and F and
 evaluate the right-hand side as two small mat-vecs.  The coupling tensor
 B_{i,jk} = sum_b F_{ib} G_{bj} G_{bk} is formed from the same factors for
 the structure analysis and the system files; systems that carry only a
-tensor (tables read from files, extracted subsystems) contract it instead.
+tensor (tables read from files, extracted subsystems, the cartoon models
+of :mod:`fpualt.dynamics`) contract it instead.
+
+The modal coordinates have unit mass (T^T M T = I), so the energy is
+|v|^2/2 plus a potential read off the system itself: sum_b V((G x)_b)
+with bond factors, and (sum lambda x^2)/2 - (alpha/3) B(x, x, x) for a
+tensor that is fully symmetric.  Printed tables, whose tensors are not
+symmetric, carry no exact energy.
 
 Modes are kept in pair order: (acoustic, optical) for j = 1, 2, ...
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
+from .chain import spring_potential
 from .linalg import jacobi_eigh
 from .reduction import ReducedSystem
 
@@ -143,7 +152,9 @@ class QuasiHarmonicSystem:
     the squares.  Entries below the relative drop threshold are stored
     as exact zeros.  Systems built by :func:`to_quasi_harmonic` also
     carry the bond factors ``g`` (G = D T) and ``f`` (F = -T^{-1} M^{-1}
-    D^T) with C(x, x) = F (G x)^2, which the right-hand side uses.
+    D^T) with C(x, x) = F (G x)^2, which the right-hand side and the
+    energy use.  ``basis`` and ``reduced`` record where the system came
+    from; nothing here evaluates through them.
     """
 
     lambdas: np.ndarray
@@ -162,6 +173,53 @@ class QuasiHarmonicSystem:
     def dof(self):
         return self.lambdas.size
 
+    @property
+    def masses(self):
+        """Unit masses: the modal coordinates are M-orthonormal."""
+        return np.ones(self.dof)
+
+    def static_field(self, alpha=None):
+        """The right-hand side and its Jacobian, see :func:`qh_field`."""
+        return qh_field(self, alpha)
+
+    @cached_property
+    def accel(self):
+        """The map x -> xdd = -Lambda x + alpha C(x, x), built once per system."""
+        return qh_field(self)[0]
+
+    @cached_property
+    def energy(self):
+        """Energy map of rows [x, v], vectorised, or None if none is known.
+
+        With bond factors the energy is |v|^2/2 + sum_b V((G x)_b), exact
+        because T^T M T = I.  A tensor that is fully symmetric within
+        DROP_THRESHOLD_REL is the gradient of a cubic potential, so the
+        energy is (|v|^2 + sum lambda x^2)/2 - (alpha/3) B(x, x, x).  Other
+        tensors (the printed tables) carry no exact invariant: None.
+        """
+        d, alpha = self.dof, self.alpha
+        if self.g is not None:
+            g_t = self.g.T
+
+            def energy(y):
+                potential = spring_potential(y[..., :d] @ g_t, alpha)
+                return (0.5 * np.sum(y[..., d:] ** 2, axis=-1)
+                        + np.sum(potential, axis=-1))
+
+            return energy
+        b, lam = self.bilinear, self.lambdas
+        tol = DROP_THRESHOLD_REL * np.abs(b).max(initial=0.0)
+        if any(np.abs(b - b.transpose(axes)).max(initial=0.0) > tol
+               for axes in ((1, 0, 2), (0, 2, 1))):
+            return None
+
+        def energy(y):
+            x, v = y[..., :d], y[..., d:]
+            cubic = np.sum(x * np.einsum("ijk,...j,...k->...i", b, x, x), axis=-1)
+            return 0.5 * np.sum(v * v + lam * x * x, axis=-1) - (alpha / 3.0) * cubic
+
+        return energy
+
     def monomial(self, i: int, j: int, k: int) -> float:
         """Coefficient of the monomial x_j x_k in equation i (1-based)."""
         j, k = min(j, k), max(j, k)
@@ -169,14 +227,15 @@ class QuasiHarmonicSystem:
         return mult * self.bilinear[i - 1, j - 1, k - 1]
 
     def monomial_entries(self, threshold=0.0):
-        """Yield (i, j, k, coeff) with j <= k, 1-based, |coeff| > threshold."""
-        d = self.dof
-        for i in range(d):
-            for j in range(d):
-                for k in range(j, d):
-                    c = self.bilinear[i, j, k] * (1.0 if j == k else 2.0)
-                    if abs(c) > threshold:
-                        yield i + 1, j + 1, k + 1, c
+        """(i, j, k, coeff) with j <= k, 1-based, |coeff| > threshold.
+
+        Ordered lexicographically by (i, j, k).
+        """
+        j, k = np.triu_indices(self.dof)
+        coeff = self.bilinear[:, j, k] * np.where(j == k, 1.0, 2.0)
+        i, pair = np.nonzero(np.abs(coeff) > threshold)
+        return zip((i + 1).tolist(), (j[pair] + 1).tolist(),
+                   (k[pair] + 1).tolist(), coeff[i, pair].tolist())
 
     def tensor_scale(self) -> float:
         """Largest monomial magnitude; reference for relative thresholds."""
@@ -243,8 +302,7 @@ def eval_qh_rhs(sys: QuasiHarmonicSystem, x, alpha=None):
     x = np.asarray(x, dtype=float)
     if x.size != sys.dof:
         raise ValueError(f"state has {x.size} modes, system has {sys.dof}")
-    rhs, _ = qh_field(sys, alpha)
-    return rhs(x)
+    return sys.static_field(alpha)[0](x)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from fpualt import (IntegratorConfig, QuasiHarmonicSystem, ReducedState,
                     integrate, integrate_fixed_step, load_reference,
                     mode_actions)
 from fpualt.dynamics import energy_function
+from fpualt.reduction import reduced_field
 
 
 def single_mode(lam=1.0):
@@ -189,8 +190,7 @@ class TestEquilibria:
         # rows by integer amounts (static residuals (0,-6,-4,0) and
         # (0,-6,0,0)) and are correctly absent.
         red, _, _ = systems[5]
-        from fpualt.dynamics import _static_functions
-        fun, _, _ = _static_functions(red, None)
+        fun, _ = reduced_field(red)
         reports = find_equilibria(red)
         assert len(reports) == 16
         points = {tuple(np.round(r.point, 8)) for r in reports}

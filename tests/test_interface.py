@@ -1,0 +1,178 @@
+"""The one system interface: ``dof``, ``accel(q)`` and ``energy(states)``.
+
+Every system kind (full chain, reduced, quasi-harmonic, cartoon) has a
+single right-hand side and a vectorised energy; the public ``eval_*`` and
+energy entry points delegate to them.  Cartoons are quasi-harmonic
+systems with fixed, fully symmetric tensors.
+"""
+
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+from fpualt import (ChainParams, FullState, IntegratorConfig, ReducedState,
+                    build_chain, cartoon_system, energy_drift,
+                    eval_accel_full, eval_accel_reduced, eval_qh_rhs,
+                    extract_subsystem, hamiltonian, integrate, load_reference,
+                    reduced_energy, run_scenario)
+from fpualt.spectral import QuasiHarmonicSystem
+
+from conftest import REPO, SCENARIO_DIR
+
+INTERFACE_SYSTEMS = ("full6", "reduced5", "qh5", "qh47", "p3_full",
+                     "cartoon1", "cartoon2")
+
+
+def _full_entry(system, y):
+    d = system.dof
+    return eval_accel_full(system, FullState(y[:d], y[d:]))
+
+
+def _reduced_entry(system, y):
+    d = system.dof
+    return eval_accel_reduced(system, ReducedState(y[:d], y[d:]))
+
+
+def _qh_entry(system, y):
+    return eval_qh_rhs(system, y[:system.dof])
+
+
+@pytest.fixture(scope="module")
+def interface_systems(systems):
+    """Name -> (system, the public eval_* entry point of its kind)."""
+    return {
+        "full6": (build_chain(ChainParams(n_pairs=3, a=0.01)), _full_entry),
+        "reduced5": (systems[5][0], _reduced_entry),
+        "qh5": (systems[5][2], _qh_entry),
+        "qh47": (systems[47][2], _qh_entry),
+        "p3_full": (load_reference("p3_full"), _qh_entry),
+        "cartoon1": (cartoon_system(1), _qh_entry),
+        "cartoon2": (cartoon_system(2), _qh_entry),
+    }
+
+
+def _states(system, rng, n=7, amp=0.2):
+    return rng.uniform(-amp, amp, (n, 2 * system.dof))
+
+
+@pytest.mark.parametrize("name", INTERFACE_SYSTEMS)
+def test_accel_is_the_eval_entry_point(name, interface_systems, rng):
+    system, entry = interface_systems[name]
+    for y in _states(system, rng):
+        assert np.array_equal(system.accel(y[:system.dof]), entry(system, y))
+
+
+@pytest.mark.parametrize("name", INTERFACE_SYSTEMS)
+def test_energy_is_vectorised_over_rows(name, interface_systems, rng):
+    system, _ = interface_systems[name]
+    if system.energy is None:
+        assert name == "p3_full"
+        return
+    states = _states(system, rng)
+    rows = np.array([system.energy(y) for y in states])
+    batch = system.energy(states)
+    assert batch.shape == (len(states),)
+    assert np.abs(batch - rows).max() <= 1e-14 * np.abs(rows).max()
+
+
+def test_legacy_energies_delegate(interface_systems, rng):
+    for name, legacy in (("full6", hamiltonian), ("reduced5", reduced_energy)):
+        system, _ = interface_systems[name]
+        d = system.dof
+        for y in _states(system, rng):
+            assert legacy(system, FullState(y[:d], y[d:])) == system.energy(y)
+
+
+@pytest.mark.parametrize("name", ("qh5", "qh47"))
+def test_bond_energy_matches_pull_back(name, interface_systems, rng):
+    # T^T M T = I and U(q) = sum_b V((D q)_b): the modal energy equals the
+    # reduced energy of the state q = T x, v_q = T v
+    qh, _ = interface_systems[name]
+    t, d = qh.basis.t, qh.dof
+    for y in _states(qh, rng, amp=0.05):
+        pulled = reduced_energy(qh.reduced, ReducedState(t @ y[:d], t @ y[d:]))
+        assert qh.energy(y) == pytest.approx(pulled, rel=1e-12)
+
+
+def test_symmetric_tensor_energy_matches_bond_energy(interface_systems, rng):
+    # the pipeline tensor is fully symmetric, so the tensor rule gives the
+    # same energy as the bond factors
+    qh, _ = interface_systems["qh5"]
+    tensor_only = QuasiHarmonicSystem(lambdas=qh.lambdas, bilinear=qh.bilinear,
+                                      labels=qh.labels, alpha=qh.alpha)
+    states = _states(qh, rng)
+    assert np.abs(tensor_only.energy(states) - qh.energy(states)).max() <= 1e-14
+
+
+@pytest.mark.parametrize("cid, potential", [
+    (1, lambda x, lam: 0.5 * np.dot(lam, x * x) - 0.5 * x[0] ** 2 * x[1]),
+    (2, lambda x, lam: 0.5 * np.dot(lam, x * x) - 0.2 * x[0] * x[1] * x[2]
+     - 0.25 * (x[1] * x[2] ** 2 + x[1] ** 2 * x[2])),
+])
+def test_cartoon_force_is_minus_gradient(cid, potential, rng):
+    car = cartoon_system(cid)
+    h = 1e-5
+    for _ in range(5):
+        x = rng.uniform(-0.5, 0.5, car.dof)
+        grad = np.array([(potential(x + h * e, car.lambdas)
+                          - potential(x - h * e, car.lambdas)) / (2 * h)
+                         for e in np.eye(car.dof)])
+        assert np.abs(car.accel(x) + grad).max() <= 1e-9
+        y = np.concatenate([x, np.zeros(car.dof)])
+        assert car.energy(y) == pytest.approx(potential(x, car.lambdas), abs=1e-15)
+
+
+def test_invariant_subsystem_conserves_energy(systems):
+    sub = extract_subsystem(systems[9][2], (5, 6))
+    tr = integrate(sub, np.array([0.05, 0.1, 0.0, 0.0]),
+                   IntegratorConfig(t_end=100.0))
+    assert tr.ok
+    assert energy_drift(sub, tr) <= 1e-8
+
+
+def _monomial_loop(qh, threshold):
+    d = qh.dof
+    for i in range(d):
+        for j in range(d):
+            for k in range(j, d):
+                c = qh.bilinear[i, j, k] * (1.0 if j == k else 2.0)
+                if abs(c) > threshold:
+                    yield i + 1, j + 1, k + 1, c
+
+
+@pytest.mark.parametrize("which", ("p9", "p5_full"))
+@pytest.mark.parametrize("rel", (0.0, 1e-3))
+def test_monomial_entries_match_loop(which, rel, systems):
+    qh = systems[9][2] if which == "p9" else load_reference("p5_full")
+    threshold = rel * qh.tensor_scale()
+    assert list(qh.monomial_entries(threshold)) == list(_monomial_loop(qh, threshold))
+
+
+def test_actions_skipped_only_without_modal_coordinates(tmp_path, monkeypatch):
+    scn = tmp_path / "red.scn"
+    scn.write_text("[system]\nkind = reduced\np = 3\n[initial]\nq1 = 0.1\n"
+                   "[integrate]\nt_end = 2\n[outputs]\ntrajectory = true\n"
+                   "actions = true\n")
+    res = run_scenario(scn, tmp_path / "out")
+    assert not any(f.endswith("_actions.csv") for f in res.files)
+
+    # an error raised inside mode_actions is not mistaken for the skip
+    def broken(system, trajectory):
+        raise TypeError("inside mode_actions")
+
+    monkeypatch.setattr("fpualt.scenarios.mode_actions", broken)
+    with pytest.raises(TypeError, match="inside mode_actions"):
+        run_scenario(SCENARIO_DIR / "cartoon_bounded.scn", tmp_path / "out",
+                     overrides={"t_end": 2.0})
+
+
+def test_benchmark_modules_import():
+    # the benchmark imports these public names; removing one must fail here
+    code = ("import sys; sys.path[:0] = [sys.argv[1], sys.argv[2]]; "
+            "import common, wl_scenarios, wl_ensemble, wl_structure")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(REPO / "src"), str(REPO / "perfbench")],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
