@@ -9,6 +9,15 @@ V(Y) = {x_i = xdot_i = 0 for i in Y}; whether a candidate is actually
 invariant depends on the mixed quadratic terms and is decided here
 directly from the tensor.
 
+A coefficient is present iff its magnitude exceeds ``tau_rel`` times
+the largest monomial magnitude, and ``tau_rel`` defaults to 0: present
+means nonzero.  That is exact for systems built by
+:func:`fpualt.spectral.to_quasi_harmonic`, which store the entries the
+sine-mode selection rule forbids, and those that cancel to round-off,
+as exact zeros, and for tables read from files, whose absent entries
+are not printed.  A positive ``tau_rel`` still ignores small entries
+when asked to.
+
 Mode and pair indices in this module's public objects are 1-based,
 matching every printed report; array storage stays 0-based.
 """
@@ -19,11 +28,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .spectral import QuasiHarmonicSystem
-
-# Genuine square couplings decay with p and bottom out near 2.5e-9 of the
-# largest tensor entry at p=47 (a=0.01, M-normalised modes), while entries
-# that vanish identically compute to <= ~1e-11.  The default sits in that gap.
-PRESENCE_THRESHOLD_REL = 1e-10
 
 
 class PatternViolationError(RuntimeError):
@@ -81,11 +85,12 @@ def _modes_of_pair(i):
 
 
 def square_map(sys: QuasiHarmonicSystem,
-               tau_rel: float = PRESENCE_THRESHOLD_REL) -> SquareMap:
+               tau_rel: float = 0.0) -> SquareMap:
     """Locate every forcing square and extract the pair permutation rho.
 
     A coefficient counts as present iff its magnitude exceeds
-    ``tau_rel`` times the largest tensor magnitude.  Raises
+    ``tau_rel`` times the largest tensor magnitude (by default: iff it
+    is nonzero).  Raises
     PatternViolationError when the squares of some pair do not occupy
     exactly the two equations of exactly one pair.
     """
@@ -94,7 +99,7 @@ def square_map(sys: QuasiHarmonicSystem,
         raise ValueError("square analysis needs an even number of modes "
                          f"(built from odd p), got {d}")
     npairs = d // 2
-    thresh = tau_rel * sys.tensor_scale()
+    thresh = tau_rel * sys.tensor_scale() if tau_rel else 0.0
 
     rho, evidence = {}, {}
     for i in range(1, npairs + 1):
@@ -164,7 +169,7 @@ def cycle_decomposition(rho: dict) -> CycleDecomposition:
 
 
 def check_invariance(sys: QuasiHarmonicSystem, frozen_modes,
-                     tau_rel: float = PRESENCE_THRESHOLD_REL) -> InvariantCandidate:
+                     tau_rel: float = 0.0) -> InvariantCandidate:
     """Decide whether V(Y) is invariant for an arbitrary mode set Y.
 
     Y (1-based) is invariant iff no equation of a frozen mode contains a
@@ -188,14 +193,14 @@ def check_invariance(sys: QuasiHarmonicSystem, frozen_modes,
         r, jj, kk = np.unravel_index(np.argmax(mags), mags.shape)
         i1, j1, k1 = int(frozen0[r]) + 1, int(kept0[jj]) + 1, int(kept0[kk]) + 1
         worst = (i1, min(j1, k1), max(j1, k1), sys.monomial(i1, j1, k1))
-    invariant = max_violation <= tau_rel * sys.tensor_scale()
+    invariant = max_violation <= (tau_rel * sys.tensor_scale() if tau_rel else 0.0)
     return InvariantCandidate(frozen_modes=frozen, kept_modes=kept,
                               invariant=invariant, max_violation=max_violation,
                               worst_entry=worst)
 
 
 def enumerate_invariant_candidates(sys: QuasiHarmonicSystem,
-                                   tau_rel: float = PRESENCE_THRESHOLD_REL):
+                                   tau_rel: float = 0.0):
     """Test every pair-structured Y formed as a union of cycles of rho.
 
     Returns the full list of candidates (nonempty, proper) with their
@@ -215,7 +220,7 @@ def enumerate_invariant_candidates(sys: QuasiHarmonicSystem,
 
 
 def extract_subsystem(sys: QuasiHarmonicSystem, kept_modes,
-                      tau_rel: float = PRESENCE_THRESHOLD_REL) -> QuasiHarmonicSystem:
+                      tau_rel: float = 0.0) -> QuasiHarmonicSystem:
     """Restrict the system to ``kept_modes`` (1-based).
 
     The complement must pass :func:`check_invariance`; restriction of a
@@ -322,7 +327,7 @@ def _solve_signs_gf2(rows, rhs, n):
 def scaling_equivalence(source: QuasiHarmonicSystem,
                         ref: QuasiHarmonicSystem,
                         lambda_tol: float = 1e-4,
-                        tau_rel: float = PRESENCE_THRESHOLD_REL) -> ScalingFit:
+                        tau_rel: float = 0.0) -> ScalingFit:
     """Fit per-mode scale factors mapping ``source`` onto ``ref``.
 
     Under x_i -> s_i x_i a coupling entry transforms as

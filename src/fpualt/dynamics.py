@@ -462,6 +462,7 @@ class EquilibriumReport:
 
 
 IMAG_CLASSIFY_REL = 1e-8
+_NEWTON_CHUNK = 4096     # seeds per batch; bounds memory at d = 6 (9^6 seeds)
 
 
 def find_equilibria(system, alpha=None, box_halfwidth=4.0, grid_per_dim=9,
@@ -469,9 +470,10 @@ def find_equilibria(system, alpha=None, box_halfwidth=4.0, grid_per_dim=9,
                     residual_tol=1e-12):
     """All equilibria reachable by Newton from a regular grid of seeds.
 
-    Seeds fill [-box_halfwidth, box_halfwidth]^d; non-convergent seeds
-    are dropped silently, converged points deduplicated and classified.
-    The count is bounded by the Bezout number 2^d of the quadratic
+    Seeds fill [-box_halfwidth, box_halfwidth]^d and are iterated
+    together, a batch of rows at a time; non-convergent seeds are
+    dropped silently, converged points deduplicated in seed order and
+    classified.  The count is bounded by the Bezout number 2^d of the quadratic
     static system.
     """
     fun, jac = system.static_field(alpha)
@@ -481,31 +483,52 @@ def find_equilibria(system, alpha=None, box_halfwidth=4.0, grid_per_dim=9,
             f"exhaustive grid search limited to dimension {max_dim} "
             f"(got {d}); raise max_dim explicitly for larger systems")
     axis = np.linspace(-box_halfwidth, box_halfwidth, grid_per_dim)
+    seeds = np.stack(np.meshgrid(*([axis] * d), indexing="ij"), -1).reshape(-1, d)
+    points = np.concatenate([_newton_rows(fun, jac, seeds[i:i + _NEWTON_CHUNK],
+                                          newton_steps)
+                             for i in range(0, len(seeds), _NEWTON_CHUNK)]
+                            or [seeds])   # no seeds (grid_per_dim=0): none found
+    points = points[np.abs(fun(points)).max(axis=1, initial=0.0) <= residual_tol]
     found = []
-    for seed in np.stack(np.meshgrid(*([axis] * d), indexing="ij"), -1).reshape(-1, d):
-        x = seed.copy()
-        converged = False
-        for _ in range(newton_steps):
-            fx = fun(x)
-            try:
-                step = np.linalg.solve(jac(x), -fx)
-            except np.linalg.LinAlgError:
-                break
-            x = x + step
-            if not np.all(np.isfinite(x)) or np.abs(x).max() > 1e3:
-                break
-            if np.abs(step).max() <= 1e-13:
-                converged = True
-                break
-        if not converged:
-            continue
-        if float(np.abs(fun(x)).max()) > residual_tol:
-            continue
-        if any(np.abs(x - g).max() <= dedup_tol for g in found):
-            continue
-        found.append(x)
+    while len(points):   # keep the earliest seed's point, drop those within dedup_tol
+        found.append(points[0])
+        points = points[np.abs(points - points[0]).max(axis=1) > dedup_tol]
     found.sort(key=lambda p: tuple(np.round(p, 9)))
     return [classify_equilibrium(system, p, alpha=alpha) for p in found]
+
+
+def _newton_rows(fun, jac, x, newton_steps):
+    """Newton on every row of x at once; returns the converged rows in order.
+
+    A row stops when its step is <= 1e-13 (converged) or when its
+    Jacobian is singular, its iterate is not finite or exceeds 1e3 in
+    magnitude (dropped).
+    """
+    x = x.copy()
+    active = np.ones(len(x), dtype=bool)
+    converged = np.zeros(len(x), dtype=bool)
+    for _ in range(newton_steps):
+        idx = np.flatnonzero(active)
+        if not idx.size:
+            break
+        xa = x[idx]
+        rhs, jacs = -fun(xa)[..., None], jac(xa)
+        try:
+            step = np.linalg.solve(jacs, rhs)[..., 0]
+        except np.linalg.LinAlgError:   # solve row by row; NaN drops singular rows
+            step = np.full(xa.shape, np.nan)
+            for r in range(len(idx)):
+                try:
+                    step[r] = np.linalg.solve(jacs[r], rhs[r])[:, 0]
+                except np.linalg.LinAlgError:
+                    pass
+        xa = xa + step
+        x[idx] = xa
+        bad = ~np.all(np.isfinite(xa), axis=1) | (np.abs(xa).max(axis=1) > 1e3)
+        done = ~bad & (np.abs(step).max(axis=1) <= 1e-13)
+        converged[idx[done]] = True
+        active[idx[bad | done]] = False
+    return x[converged]
 
 
 def classify_equilibrium(system, point, alpha=None) -> EquilibriumReport:

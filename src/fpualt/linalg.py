@@ -1,10 +1,11 @@
 """Dense symmetric eigensolver (cyclic Jacobi).
 
-All eigenproblems in this package are small (dimension <= ~100) and
-symmetric after mass-weighting, so a classical Jacobi iteration is both
-simple and fully deterministic across platforms.  Accuracy is at the
-level of machine epsilon times the matrix norm, which the spectral
-module relies on.
+Used for the linear spectrum of the full chain
+(:func:`fpualt.chain.linear_spectrum_full`); the reduced system's modal
+basis is closed form (:mod:`fpualt.spectral`).  The eigenproblem is small
+and symmetric after mass-weighting, so a classical Jacobi iteration is
+both simple and fully deterministic across platforms.  Accuracy is at
+the level of machine epsilon times the matrix norm.
 """
 
 import numpy as np

@@ -101,7 +101,7 @@ def reduced_field(sys: ReducedSystem, alpha=None):
 
     With K = D^T D the force is -D^T (e + alpha e^2), e = D q.  The
     acceleration is force(q) / masses; force(q) = 0 are the static
-    equations.
+    equations.  Both maps take one state (d,) or rows (n, d).
     """
     if alpha is None:
         alpha = sys.alpha
@@ -109,11 +109,12 @@ def reduced_field(sys: ReducedSystem, alpha=None):
     bonds_t = bonds.T
 
     def force(q):
-        e = bonds @ q
-        return -(bonds_t @ (e + alpha * e * e))
+        e = bonds @ q.T
+        return -(bonds_t @ (e + alpha * e * e)).T
 
     def jac(q):
-        return -(bonds_t * (1.0 + 2.0 * alpha * (bonds @ q))) @ bonds
+        e = (bonds @ q.T).T
+        return -(bonds_t * (1.0 + 2.0 * alpha * e[..., None, :])) @ bonds
 
     return force, jac
 

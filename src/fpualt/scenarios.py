@@ -317,10 +317,8 @@ def _fmt(x, digits=17):
     return f"{x:.{digits - 1}e}"
 
 
-def analysis_report(sys, tau_rel=None) -> str:
+def analysis_report(sys, tau_rel=0.0) -> str:
     """Human-readable structure report for one quasi-harmonic system."""
-    from .coupling import PRESENCE_THRESHOLD_REL
-    tau = PRESENCE_THRESHOLD_REL if tau_rel is None else tau_rel
     lines = [f"system: {sys.name or 'quasi-harmonic'}  "
              f"(p={sys.p}, a={sys.a!r}, alpha={sys.alpha!r}, modes={sys.dof})"]
     lines.append("modes (1-based, pair order unless loaded from file):")
@@ -328,7 +326,7 @@ def analysis_report(sys, tau_rel=None) -> str:
         tag = f"{lab.kind:<9s} pair {lab.pair}" if lab else "?"
         lines.append(f"  x{i:<3d} lambda = {_fmt(lam, 12)}   {tag}")
     try:
-        sq = square_map(sys, tau)
+        sq = square_map(sys, tau_rel)
     except PatternViolationError as exc:
         lines.append(f"forcing squares: PATTERN VIOLATION: {exc}")
         return "\n".join(lines) + "\n"
@@ -343,7 +341,7 @@ def analysis_report(sys, tau_rel=None) -> str:
     edges = excitation_digraph(sq)
     lines.append("cross-group excitation: "
                  + "  ".join(f"x{a}->x{b}" for a, b in edges))
-    cands = enumerate_invariant_candidates(sys, tau)
+    cands = enumerate_invariant_candidates(sys, tau_rel)
     inv = [c for c in cands if c.invariant]
     lines.append(f"invariant candidate sets (unions of cycles): {len(cands)} tested, "
                  f"{len(inv)} invariant")
@@ -422,7 +420,7 @@ class SweepReport:
 
 
 def sweep_odd_p(p_max: int = 47, a: float = 0.01, alpha: float = 1.0,
-                tau_rel=None) -> SweepReport:
+                tau_rel=0.0) -> SweepReport:
     """Reduction -> spectral -> coupling analysis for every odd p <= p_max.
 
     Assertion failures (square pattern, the min(2i, p-2i) formula, and
@@ -432,14 +430,12 @@ def sweep_odd_p(p_max: int = 47, a: float = 0.01, alpha: float = 1.0,
     if p_max > 199:
         raise ValueError("sweep guard: p_max must be <= 199 for desk-scale "
                          f"runtime, got {p_max}")
-    from .coupling import PRESENCE_THRESHOLD_REL
-    tau = PRESENCE_THRESHOLD_REL if tau_rel is None else tau_rel
     rows = []
     for p in range(3, p_max + 1, 2):
         sys = to_quasi_harmonic(build_reduced(p, a, alpha))
         failures = []
         try:
-            sq = square_map(sys, tau)
+            sq = square_map(sys, tau_rel)
         except PatternViolationError as exc:
             rows.append(SweepRow(p=p, lambdas=sys.lambdas, rho={}, cycles=(),
                                  jan_ok=False, invariants=[],
@@ -453,7 +449,7 @@ def sweep_odd_p(p_max: int = 47, a: float = 0.01, alpha: float = 1.0,
             failures.append(f"rho disagrees with min(2i, p-2i) at "
                             f"{[i for i, v in jc.items() if not v[2]]}")
         cyc = cycle_decomposition(sq.rho).cycles
-        inv = [c for c in enumerate_invariant_candidates(sys, tau) if c.invariant]
+        inv = [c for c in enumerate_invariant_candidates(sys, tau_rel) if c.invariant]
         opt_to_ac = any(r % 2 == 1 and m % 2 == 0 for i in sq.evidence
                         for (r, m, _) in sq.evidence[i])
         ac_to_opt = any(r % 2 == 0 and m % 2 == 1 for i in sq.evidence

@@ -6,11 +6,13 @@ one acoustic and one optical eigenvalue
 
     lambda = (1+a) -/+ sqrt((1+a)^2 - 4 a sin^2(pi j / p)),
 
-so that every pair sums to 2 + 2a exactly.  Diagonalising in the
-mass-weighted symmetric form avoids the small-a ill-conditioning of the
-raw eigenvector matrix.  Substituting q = T x into the quadratic vector
-N(q) = -D^T (D q)^2 and premultiplying by T^{-1} M^{-1} yields the
-quasi-harmonic system
+so that every pair sums to 2 + 2a exactly.  The eigenvectors are closed
+form too: in the mass-weighted symmetric form M^{-1/2} K M^{-1/2} each is
+the sine mode sin(pi j n / p) times the block's eigenvector, one
+amplitude on the odd and one on the even sites, which avoids the small-a
+ill-conditioning of the raw eigenvector matrix.  Substituting q = T x
+into the quadratic vector N(q) = -D^T (D q)^2 and premultiplying by
+T^{-1} M^{-1} yields the quasi-harmonic system
 
     xdd_i + lambda_i x_i = alpha * sum_{j<=k} c_{i,jk} x_j x_k
                          = alpha * (F (G x)^2)_i,
@@ -22,6 +24,15 @@ B_{i,jk} = sum_b F_{ib} G_{bj} G_{bk} is formed from the same factors for
 the structure analysis and the system files; systems that carry only a
 tensor (tables read from files, extracted subsystems, the cartoon models
 of :mod:`fpualt.dynamics`) contract it instead.
+
+Products of three modes sum to zero over the bonds unless the pair
+indices I, J, K satisfy I + J + K = p or one is the sum of the other
+two.  Built systems store every other entry as an exact zero, and
+also zero allowed entries that cancel to round-off (below
+DROP_THRESHOLD_REL of the largest entry, as at a = 1), so the structure
+analysis reads presence as "nonzero".  (At a = 0.01 and p <= 199 the
+allowed entries stay above 3e-12 of the largest one, while the
+forbidden ones compute to below 2e-14 before they are zeroed.)
 
 The modal coordinates have unit mass (T^T M T = I), so the energy is
 |v|^2/2 plus a potential read off the system itself: sum_b V((G x)_b)
@@ -39,7 +50,6 @@ from functools import cached_property
 import numpy as np
 
 from .chain import spring_potential
-from .linalg import jacobi_eigh
 from .reduction import ReducedSystem
 
 
@@ -102,44 +112,62 @@ def pair_labels(p: int):
 
 
 def eigendecompose(sys: ReducedSystem, match_tol=1e-9) -> ModalBasis:
-    """Diagonalise the reduced linear part and order modes canonically.
+    """Closed-form modal basis of the reduced linear part, in pair order.
 
-    Solves the symmetric similarity M^{-1/2} K M^{-1/2} by cyclic
-    Jacobi, matches each computed eigenvalue to its closed-form pair
-    value, and fixes signs and M-weighted normalisation.  Raises
-    DegenerateSpectrumError if eigenvalues collide within ``match_tol``
-    instead of silently picking an order.
+    Mode (j, acoustic/optical) of the mass-weighted form
+    S = M^{-1/2} K M^{-1/2} is the sine mode sin(pi j n / p) on sites
+    n = 1 .. p-1, weighted by the amplitudes (A, B) of the symmetric
+    block [[2, -2 sqrt(a) c_j], [-2 sqrt(a) c_j, 2a]], c_j = cos(pi j / p):
+    A on the odd sites (mass 1), B on the even sites (mass 1/a).  The
+    eigenvalues are :func:`all_pair_eigenvalues`.  T = M^{-1/2} U has
+    unit M-weighted columns with the dominant component positive; where
+    components tie in magnitude (at composite p), the first one counts.
+
+    Raises DegenerateSpectrumError if eigenvalues collide within
+    ``match_tol``, or if the basis does not diagonalise the system's own
+    S to ``match_tol`` relative to the largest eigenvalue (a system the
+    closed form does not describe).
     """
-    analytic = all_pair_eigenvalues(sys.a, sys.p)
+    p, a = sys.p, sys.a
+    analytic = all_pair_eigenvalues(a, p)
     gaps = np.diff(np.sort(analytic))
     if gaps.size and gaps.min() < 2.0 * match_tol:
         raise DegenerateSpectrumError(
             f"eigenvalue gap {gaps.min():.3e} below resolution for "
-            f"p={sys.p}, a={sys.a}"
+            f"p={p}, a={a}"
         )
+
+    j = np.arange(1, (p - 1) // 2 + 1)
+    # Block eigenvectors from the rotation angle, tan(2 theta) =
+    # 2 S_12 / (S_11 - S_22): (cos, sin) belongs to the larger (optical)
+    # eigenvalue, (-sin, cos) to the smaller (acoustic).
+    theta = 0.5 * np.arctan2(-4.0 * math.sqrt(a) * np.cos(np.pi * j / p),
+                             2.0 - 2.0 * a)
+    cos, sin = np.cos(theta), np.sin(theta)
+    amp_odd = np.stack([-sin, cos], axis=1).ravel()     # pair order
+    amp_even = np.stack([cos, sin], axis=1).ravel()
+    n = np.arange(1, p)
+    sines = np.sin(np.pi * np.outer(n, np.repeat(j, 2)) / p)
+    u = sines * np.where((n % 2 == 1)[:, None], amp_odd, amp_even)
+    u /= np.linalg.norm(u, axis=0)
 
     dm = 1.0 / np.sqrt(sys.masses)
     s = dm[:, None] * sys.stiffness * dm[None, :]
-    w, u = jacobi_eigh(s)
-
-    # Match computed to analytic values: both sorted ascending align 1:1.
-    order_comp = np.argsort(w)
-    rank_of_pair = np.argsort(np.argsort(analytic))
-    perm = order_comp[rank_of_pair]
-    if np.abs(w[perm] - analytic).max() > match_tol:
+    residual = np.abs(s @ u - u * analytic).max()
+    if residual > match_tol * analytic.max():
         raise DegenerateSpectrumError(
-            "computed eigenvalues do not match the closed-form pair values "
-            f"(worst deviation {np.abs(w[perm] - analytic).max():.3e})"
+            "the closed-form sine modes do not diagonalise this system "
+            f"(residual {residual:.3e})"
         )
 
-    u = u[:, perm]
     t = dm[:, None] * u                      # columns have unit M-norm
-    dominant = np.argmax(np.abs(t), axis=0)
+    mag = np.abs(t)   # first component within round-off of the column max
+    dominant = np.argmax(mag >= (1.0 - 1e-12) * mag.max(axis=0), axis=0)
     signs = np.where(t[dominant, np.arange(t.shape[1])] < 0, -1.0, 1.0)
     t = t * signs
     t_inv = (u * signs).T * np.sqrt(sys.masses)[None, :]
-    return ModalBasis(lambdas=w[perm].copy(), t=t, t_inv=t_inv,
-                      labels=pair_labels(sys.p))
+    return ModalBasis(lambdas=analytic, t=t, t_inv=t_inv,
+                      labels=pair_labels(p))
 
 
 @dataclass(frozen=True)
@@ -149,10 +177,10 @@ class QuasiHarmonicSystem:
     ``bilinear[i]`` is the symmetric matrix B_i with
     xdd_i = -lambda_i x_i + alpha * x . B_i . x; the printed (monomial)
     coefficient of x_j x_k with j < k is 2 B_i[j, k], and B_i[j, j] for
-    the squares.  Entries below the relative drop threshold are stored
-    as exact zeros.  Systems built by :func:`to_quasi_harmonic` also
-    carry the bond factors ``g`` (G = D T) and ``f`` (F = -T^{-1} M^{-1}
-    D^T) with C(x, x) = F (G x)^2, which the right-hand side and the
+    the squares.  In systems built by :func:`to_quasi_harmonic` the
+    entries the selection rule forbids are exact zeros, and the system
+    also carries the bond factors ``g`` (G = D T) and ``f`` (F = -T^{-1}
+    M^{-1} D^T) with C(x, x) = F (G x)^2, which the right-hand side and the
     energy use.  ``basis`` and ``reduced`` record where the system came
     from; nothing here evaluates through them.
     """
@@ -244,12 +272,34 @@ class QuasiHarmonicSystem:
         return float(np.abs(self.bilinear * mult[None, :, :]).max())
 
 
-DROP_THRESHOLD_REL = 1e-12   # pure round-off, far below physical couplings
+# Pure round-off relative to the largest entry, far below any physical
+# coupling: built tensors drop smaller entries, and the cubic-potential
+# energy of tensor-only systems tests full symmetry to this tolerance.
+DROP_THRESHOLD_REL = 1e-12
+
+
+def selection_rule(pairs, p: int) -> np.ndarray:
+    """Boolean mask of the entries (i, j, k) a sine-mode basis allows.
+
+    ``pairs`` holds the 1-based pair index of every mode.  An entry can
+    be nonzero only if its pair indices I, J, K satisfy I + J + K = p or
+    one of them is the sum of the other two; every other entry of the
+    coupling tensor vanishes identically.
+    """
+    i, j, k = np.ix_(pairs, pairs, pairs)
+    return (i + j + k == p) | (i == j + k) | (j == i + k) | (k == i + j)
 
 
 def to_quasi_harmonic(sys: ReducedSystem, basis: ModalBasis = None,
                       name: str = "") -> QuasiHarmonicSystem:
-    """Pull the reduced quadratic vector back through the modal basis."""
+    """Pull the reduced quadratic vector back through the modal basis.
+
+    Entries that :func:`selection_rule` forbids, and entries below
+    ``DROP_THRESHOLD_REL`` of the largest one, are stored as exact zeros,
+    so a coupling is present iff it is nonzero.  The cutoff matters where
+    the rule allows an entry that still cancels, as at a = 1, where it
+    computes to round-off.
+    """
     if basis is None:
         basis = eigendecompose(sys)
     if basis.t.shape[0] != sys.dof:
@@ -260,7 +310,7 @@ def to_quasi_harmonic(sys: ReducedSystem, basis: ModalBasis = None,
     b = (f @ (g[:, :, None] * g[:, None, :]).reshape(p, d * d)).reshape(d, d, d)
     b = 0.5 * (b + b.transpose(0, 2, 1))
     cutoff = DROP_THRESHOLD_REL * np.abs(b).max()
-    b[np.abs(b) < cutoff] = 0.0
+    b[(np.abs(b) < cutoff) | ~selection_rule([lab.pair for lab in basis.labels], sys.p)] = 0.0
     return QuasiHarmonicSystem(
         lambdas=basis.lambdas.copy(), bilinear=b, labels=basis.labels,
         alpha=sys.alpha, a=sys.a, p=sys.p, basis=basis, reduced=sys,
@@ -272,7 +322,9 @@ def qh_field(sys: QuasiHarmonicSystem, alpha=None):
     """Return (rhs, jac): x -> -Lambda x + alpha C(x, x) and its Jacobian.
 
     C(x, x) = F (G x)^2 when the system carries bond factors; otherwise
-    the coupling tensor is contracted, C(x, x)_i = x . B_i . x.
+    the coupling tensor is contracted, C(x, x)_i = x . B_i . x.  Both
+    maps take one state (d,) or rows (n, d) and return (d,) / (d, d) or
+    (n, d) / (n, d, d).
     """
     if alpha is None:
         alpha = sys.alpha
@@ -281,18 +333,19 @@ def qh_field(sys: QuasiHarmonicSystem, alpha=None):
         g, f = sys.g, sys.f
 
         def rhs(x):
-            return alpha * (f @ (g @ x) ** 2) - lam * x
+            return alpha * (f @ (g @ x.T) ** 2).T - lam * x
 
         def jac(x):
-            return np.diag(-lam) + 2.0 * alpha * (f * (g @ x)) @ g
+            gx = (g @ x.T).T
+            return np.diag(-lam) + 2.0 * alpha * (f * gx[..., None, :]) @ g
     else:
         b = sys.bilinear
 
         def rhs(x):
-            return alpha * np.einsum("ijk,j,k->i", b, x, x) - lam * x
+            return alpha * np.einsum("ijk,...j,...k->...i", b, x, x) - lam * x
 
         def jac(x):
-            return np.diag(-lam) + 2.0 * alpha * np.einsum("ijk,k->ij", b, x)
+            return np.diag(-lam) + 2.0 * alpha * np.einsum("ijk,...k->...ij", b, x)
 
     return rhs, jac
 

@@ -35,6 +35,17 @@ class TestSquareMap:
         with pytest.raises(PatternViolationError):
             square_map(systems[5][2], tau_rel=10.0)
 
+    def test_monatomic_chain_violates_pattern(self):
+        # At a = 1 the squares of pair 1 force only the acoustic equation
+        # of pair 2.  The optical entry, which the selection rule allows,
+        # cancels to round-off (~1e-16 relative) and is stored as zero.
+        qh = to_quasi_harmonic(build_reduced(5, 1.0, 1.0))
+        assert np.all(qh.bilinear[2, [0, 1], [0, 1]] != 0.0)
+        assert np.all(qh.bilinear[3, [0, 1], [0, 1]] == 0.0)
+        with pytest.raises(PatternViolationError,
+                           match="pair 1 do not fill both equations of pair 2"):
+            square_map(qh)
+
     def test_odd_mode_count_rejected(self, systems):
         with pytest.raises(ValueError, match="even number"):
             square_map(extract_subsystem(systems[3][2], (1, 2)).__class__(

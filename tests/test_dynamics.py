@@ -212,6 +212,61 @@ class TestEquilibria:
             classify_equilibrium(red, np.array([0.5, 0.5]))
 
 
+def _newton_per_seed(system, box_halfwidth=4.0, grid_per_dim=9):
+    """The equilibrium search one seed at a time, as a reference."""
+    fun, jac = system.static_field()
+    d = system.dof
+    axis = np.linspace(-box_halfwidth, box_halfwidth, grid_per_dim)
+    found = []
+    for seed in np.stack(np.meshgrid(*([axis] * d), indexing="ij"), -1).reshape(-1, d):
+        x = seed.copy()
+        converged = False
+        for _ in range(50):
+            try:
+                step = np.linalg.solve(jac(x), -fun(x))
+            except np.linalg.LinAlgError:
+                break
+            x = x + step
+            if not np.all(np.isfinite(x)) or np.abs(x).max() > 1e3:
+                break
+            if np.abs(step).max() <= 1e-13:
+                converged = True
+                break
+        if (converged and np.abs(fun(x)).max() <= 1e-12
+                and all(np.abs(x - g).max() > 1e-8 for g in found)):
+            found.append(x)
+    found.sort(key=lambda p: tuple(np.round(p, 9)))
+    return np.array(found)
+
+
+class TestBatchedNewton:
+    @pytest.mark.parametrize("p, kind, grid", [(3, "reduced", 9), (3, "qh", 9),
+                                               (5, "reduced", 5), (5, "qh", 5)])
+    def test_matches_per_seed_search(self, systems, p, kind, grid):
+        red, _, qh = systems[p]
+        system = red if kind == "reduced" else qh
+        expected = _newton_per_seed(system, grid_per_dim=grid)
+        got = np.array([r.point for r in find_equilibria(system, grid_per_dim=grid)])
+        assert got.shape == expected.shape
+        assert np.abs(got - expected).max() <= 1e-12
+
+    def test_no_seeds_finds_nothing(self, systems):
+        red, _, qh = systems[3]
+        assert find_equilibria(red, grid_per_dim=0) == []
+        assert find_equilibria(qh, grid_per_dim=0) == []
+
+    def test_singular_seed_dropped(self):
+        # xdd = x^2 - x: the Jacobian 2x - 1 is singular at the seed 0.5,
+        # which is dropped; the seeds around it still find 0 and 1.
+        sys = QuasiHarmonicSystem(lambdas=np.array([1.0]),
+                                  bilinear=np.ones((1, 1, 1)),
+                                  labels=(None,), alpha=1.0)
+        fun, jac = sys.static_field()
+        assert jac(np.array([0.5]))[0, 0] == 0.0
+        reports = find_equilibria(sys, box_halfwidth=1.0, grid_per_dim=5)
+        assert [float(r.point[0]) for r in reports] == [0.0, 1.0]
+
+
 class TestFirstOrderResponse:
     def test_reference_system_mean_level(self):
         ref = load_reference("p3_full")

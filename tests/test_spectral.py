@@ -9,7 +9,7 @@ from fpualt import (DegenerateSpectrumError, IntegratorConfig, ReducedState,
                     save_system, to_quasi_harmonic)
 from fpualt.linalg import jacobi_eigh
 from fpualt.reduction import ReducedSystem
-from fpualt.spectral import all_pair_eigenvalues
+from fpualt.spectral import all_pair_eigenvalues, selection_rule
 
 
 class TestJacobi:
@@ -91,7 +91,8 @@ class TestEigendecompose:
         # M-weighted unit columns, dominant entry positive
         mnorm = np.einsum("ij,i,ij->j", basis.t, sys.masses, basis.t)
         assert np.abs(mnorm - 1).max() <= 1e-12
-        dominant = np.argmax(np.abs(basis.t), axis=0)
+        mag = np.abs(basis.t)
+        dominant = np.argmax(mag >= (1.0 - 1e-12) * mag.max(axis=0), axis=0)
         assert np.all(basis.t[dominant, np.arange(d)] > 0)
         # exact inverse
         assert np.abs(basis.t @ basis.t_inv - np.eye(d)).max() <= 1e-12
@@ -101,6 +102,56 @@ class TestEigendecompose:
         basis = eigendecompose(build_reduced(3, 0.01, 1.0))
         assert basis.lambdas[0] == pytest.approx(0.0149623, abs=5e-8)
         assert basis.lambdas[1] == pytest.approx(2.0050377, abs=5e-8)
+
+    @pytest.mark.parametrize("p", [3, 9, 47, 99, 199])
+    def test_closed_form_against_lapack(self, p):
+        # The closed-form sine-mode basis diagonalises S = M^{-1/2} K M^{-1/2}
+        # to round-off (measured <= 7.2e-16 conjugation, 6.2e-15
+        # orthonormality at p = 199) and spans the same eigenvectors as
+        # LAPACK's, one per distinct eigenvalue.
+        sys = build_reduced(p, 0.01, 1.0)
+        basis = eigendecompose(sys)
+        d = p - 1
+        assert np.array_equal(basis.lambdas, all_pair_eigenvalues(0.01, p))
+        minvk = (1.0 / sys.masses)[:, None] * sys.stiffness
+        assert np.abs(minvk @ basis.t - basis.t * basis.lambdas).max() <= 1e-14
+        gram = basis.t.T @ (sys.masses[:, None] * basis.t)
+        assert np.abs(gram - np.eye(d)).max() <= 1e-13
+        assert np.abs(basis.t_inv @ basis.t - np.eye(d)).max() <= 1e-13
+        mag = np.abs(basis.t)
+        dominant = np.argmax(mag >= (1.0 - 1e-12) * mag.max(axis=0), axis=0)
+        assert np.all(basis.t[dominant, np.arange(d)] > 0)
+
+        dm = 1.0 / np.sqrt(sys.masses)
+        w, v = np.linalg.eigh(dm[:, None] * sys.stiffness * dm[None, :])
+        order = np.argsort(basis.lambdas)
+        assert np.abs(w - basis.lambdas[order]).max() <= 1e-13
+        u = basis.t[:, order] / dm[:, None]          # the orthonormal S-basis
+        overlap = np.abs(np.einsum("ij,ij->j", u, v))
+        assert np.abs(overlap - 1.0).max() <= 1e-8
+
+    def test_sign_rule_breaks_exact_ties(self):
+        # At p = 15 the sine modes of pairs 3, 5 and 6 have components
+        # equal in magnitude and opposite in sign; the first one (lowest
+        # site) is made positive, whatever the last bit of np.sin says.
+        basis = eigendecompose(build_reduced(15, 0.01, 1.0))
+        mag = np.abs(basis.t)
+        near = mag >= (1.0 - 1e-12) * mag.max(axis=0)
+        tied = np.flatnonzero(near.sum(axis=0) > 1)
+        assert set(tied // 2 + 1) == {3, 5, 6}
+        first = np.argmax(near, axis=0)
+        assert np.all(basis.t[first, np.arange(14)] > 0)
+        assert any(np.any(basis.t[near[:, c], c] < 0) for c in tied)
+
+    def test_unfitting_system_refused(self):
+        # Same p and a, but a stiffness the sine modes do not diagonalise:
+        # the eigenvalue gaps are fine, the conjugation residual is not.
+        sys = build_reduced(5, 0.01, 1.0)
+        bent = ReducedSystem(p=5, a=0.01, alpha=1.0, masses=sys.masses,
+                             stiffness=sys.stiffness + 0.01 * np.eye(4),
+                             bonds=sys.bonds)
+        with pytest.raises(DegenerateSpectrumError, match="do not diagonalise"):
+            eigendecompose(bent)
 
     def test_degenerate_spectrum_refused(self):
         # a synthetic system whose linear part has a double eigenvalue
@@ -159,6 +210,30 @@ class TestQuasiHarmonic:
         assert tr_q.ok and tr_x.ok
         q_from_x = tr_x.positions() @ basis.t.T
         assert np.abs(q_from_x - tr_q.positions()).max() <= 1e-7
+
+
+class TestSelectionRule:
+    @pytest.mark.parametrize("p", [3, 5, 9, 15, 45, 47, 91, 93, 97, 99, 149, 199])
+    def test_unmasked_tensor_obeys_rule(self, p):
+        # Before masking, the entries the rule forbids are round-off
+        # (measured <= 1.6e-14 of the largest entry) and the allowed ones
+        # are genuine couplings (measured >= 3.7e-12, at p = 199).
+        sys = build_reduced(p, 0.01, 1.0)
+        basis = eigendecompose(sys)
+        g = sys.bonds @ basis.t
+        f = -(basis.t_inv / sys.masses[None, :]) @ sys.bonds.T
+        d = p - 1
+        b = (f @ (g[:, :, None] * g[:, None, :]).reshape(p, d * d)).reshape(d, d, d)
+        allowed = selection_rule([lab.pair for lab in basis.labels], p)
+        scale = np.abs(b).max()
+        assert np.abs(b[~allowed]).max(initial=0.0) <= 1e-13 * scale
+        assert np.abs(b[allowed]).min() >= 1e-12 * scale
+
+    @pytest.mark.parametrize("p", [3, 9, 21, 47, 99, 199])
+    def test_built_tensor_is_exactly_the_rule(self, p):
+        qh = to_quasi_harmonic(build_reduced(p, 0.01, 1.0))
+        allowed = selection_rule([lab.pair for lab in qh.labels], p)
+        assert np.array_equal(qh.bilinear != 0.0, allowed)
 
 
 class TestSystemFiles:
