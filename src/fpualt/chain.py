@@ -9,13 +9,17 @@ with unit masses at odd positions (1-based) and large masses ``m = 1/a``
 at even positions.  Small ``a`` splits the linear spectrum into a
 low-frequency acoustic group of size O(a) and a high-frequency optical
 group near 2.
+
+Everything is evaluated in bond space, as for the reduced system: with
+the periodic N x N bond operator D, (D q)_b = q_{b+1} - q_b and the wrap
+bond q_1 - q_N last, the bond extensions are e = D q, the force is
+-D^T V'(e), the energy sums V(e) and the stiffness is K = D^T D.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-
-from .linalg import jacobi_eigh
 
 
 @dataclass(frozen=True)
@@ -37,9 +41,23 @@ def spring_potential(z, alpha, beta=0.0):
     return 0.5 * z * z + (alpha / 3.0) * z**3 + (beta / 4.0) * z**4
 
 
-def _bond_extensions(q):
-    """q_{j+1} - q_j for all bonds of each row, the periodic wrap bond last."""
-    return np.roll(q, -1, axis=-1) - q
+def bond_force(bonds, alpha, beta=0.0):
+    """The map q -> -D^T V'(D q), the force of the bond potential sum_b V((D q)_b).
+
+    ``bonds`` is D.  The map takes one state (d,) or rows (n, d).  The
+    quartic term is skipped when ``beta`` is 0, so alpha-FPU systems
+    (every reduced system) neither pay for it nor change a bit.
+    """
+    bonds_t = bonds.T
+
+    def force(q):
+        e = bonds @ q.T
+        f = e + alpha * e * e
+        if beta:
+            f = f + beta * e**3
+        return -(bonds_t @ f).T
+
+    return force
 
 
 @dataclass(frozen=True)
@@ -55,19 +73,24 @@ class FullChainSystem:
 
     dof = n_particles
 
-    def potential(self, z):
-        """Spring potential V(z) applied elementwise."""
-        return spring_potential(z, self.params.alpha, self.params.beta)
+    @cached_property
+    def bonds(self):
+        """D, the periodic N x N bond operator: (D q)_b = q_{b+1} - q_b, wrap bond last."""
+        n = self.n_particles
+        bonds = np.eye(n, k=1) - np.eye(n)
+        bonds[-1, 0] = 1.0
+        return bonds
 
-    def dpotential(self, z):
-        """V'(z) applied elementwise."""
-        p = self.params
-        return z + p.alpha * z * z + p.beta * z**3
+    @cached_property
+    def accel(self):
+        """The map q -> qdd = -M^{-1} D^T V'(D q), built once per system.
 
-    def accel(self, q):
-        """Accelerations m_j qdd_j = V'(q_{j+1}-q_j) - V'(q_j-q_{j-1})."""
-        f = self.dpotential(_bond_extensions(q))
-        return (f - np.roll(f, 1)) / self.masses
+        Row j reads m_j qdd_j = V'(q_{j+1}-q_j) - V'(q_j-q_{j-1}); the map
+        takes one state (N,) or rows (n, N).
+        """
+        force = bond_force(self.bonds, self.params.alpha, self.params.beta)
+        masses = self.masses
+        return lambda q: force(q) / masses
 
     def energy(self, states):
         """Total energy sum m_j v_j^2 / 2 + sum V over the ring bonds.
@@ -76,8 +99,9 @@ class FullChainSystem:
         """
         n = self.dof
         kinetic = 0.5 * np.sum(self.masses * states[..., n:] ** 2, axis=-1)
-        return kinetic + np.sum(self.potential(_bond_extensions(states[..., :n])),
-                                axis=-1)
+        e = states[..., :n] @ self.bonds.T
+        p = self.params
+        return kinetic + np.sum(spring_potential(e, p.alpha, p.beta), axis=-1)
 
 
 @dataclass
@@ -143,25 +167,19 @@ def total_momentum(sys: FullChainSystem, state: FullState) -> float:
 
 
 def stiffness_full(sys: FullChainSystem):
-    """Stiffness matrix of the linearisation about the origin (periodic)."""
-    n = sys.n_particles
-    k = 2.0 * np.eye(n)
-    idx = np.arange(n)
-    k[idx, (idx + 1) % n] = -1.0
-    k[idx, (idx - 1) % n] = -1.0
-    return k
+    """Stiffness matrix K = D^T D of the linearisation about the origin (periodic)."""
+    return sys.bonds.T @ sys.bonds
 
 
 def linear_spectrum_full(sys: FullChainSystem):
     """Eigenvalues omega^2 of the linearised chain, sorted descending.
 
-    Computed from the symmetric matrix M^{-1/2} K M^{-1/2}; includes the
-    zero eigenvalue of the momentum mode (up to round-off).
+    Computed by LAPACK from the symmetric matrix M^{-1/2} K M^{-1/2};
+    includes the zero eigenvalue of the momentum mode (up to round-off).
     """
     d = 1.0 / np.sqrt(sys.masses)
     s = d[:, None] * stiffness_full(sys) * d[None, :]
-    w, _ = jacobi_eigh(s)
-    return np.sort(w)[::-1]
+    return np.linalg.eigvalsh(s)[::-1]
 
 
 def embed_state(state: FullState, k: int) -> FullState:

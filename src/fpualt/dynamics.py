@@ -5,7 +5,10 @@ The integrator is an explicit 12-stage Runge-Kutta method of order 8
 with the companion 5th/3rd-order embedded error estimate and a PI step
 controller (safety 0.9, growth capped at 5x).  Output samples land
 exactly on the requested time grid by clipping the step, so results are
-bit-reproducible for fixed inputs.
+bit-reproducible for fixed inputs.  Each stage writes [v, accel(q)]
+straight into its row of a preallocated stage array, and the stages are
+checked for finiteness once per step.  A trajectory records its step,
+rejection and right-hand-side counts and the range of accepted steps.
 
 Unbounded solutions are a genuine feature of these cubic systems:
 integration terminates with a divergence report (never an exception)
@@ -88,6 +91,7 @@ _RK_A = np.array([
 ])
 
 _N_STAGES = 12
+_RK_A_ROWS = tuple(_RK_A[s, :s] for s in range(_N_STAGES))
 _ERROR_EXPONENT = 1.0 / 8.0      # embedded order 7 -> 1/(q+1)
 _PI_ALPHA = 0.095                # 1/8 - 0.75 * beta, the standard PI pairing
 _PI_BETA = 0.04
@@ -221,6 +225,9 @@ class Trajectory:
     n_steps: int = 0
     n_rejected: int = 0
     n_rhs: int = 0
+    h_min: float | None = None      # accepted step sizes; None without steps
+    h_median: float | None = None
+    h_max: float | None = None
 
     @property
     def ok(self):
@@ -240,14 +247,15 @@ class Trajectory:
         return self.states[-1].copy()
 
 
-def _initial_step(f, y0, f0, atol, rtol, t_span):
+def _initial_step(accel, y0, f0, atol, rtol, t_span):
     """Conservative automatic initial step (Hairer's starting heuristic)."""
     scale = atol + rtol * np.abs(y0)
     d0 = float(np.sqrt(np.mean((y0 / scale) ** 2)))
     d1 = float(np.sqrt(np.mean((f0 / scale) ** 2)))
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     y1 = y0 + h0 * f0
-    f1 = f(y1)
+    f1 = np.empty_like(y1)
+    _derivative(accel, y1, f1)
     d2 = float(np.sqrt(np.mean(((f1 - f0) / scale) ** 2))) / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -256,29 +264,58 @@ def _initial_step(f, y0, f0, atol, rtol, t_span):
     return min(100.0 * h0, h1, t_span)
 
 
+def _derivative(accel, y, out):
+    """Write the first-order derivative [v, accel(q)] of y = [q, v] into out."""
+    d = y.size // 2
+    out[:d] = y[d:]
+    out[d:] = accel(y[:d])
+
+
+def _stage_sums(k):
+    """The views k[:s].T for s = 0 .. len(k), built once per run."""
+    return [k[:s].T for s in range(len(k) + 1)]
+
+
+def _rk_stages(accel, y, h, k, sums):
+    """Fill stages 1..11 of ``k`` for a step h from y, given k[0] = f(y).
+
+    ``sums`` are the views of :func:`_stage_sums`.  Each stage writes its
+    velocity and acceleration straight into its row of ``k``.  Returns
+    the order-8 solution y + h sum_s b_s k_s.
+    """
+    d = y.size // 2
+    for s in range(1, _N_STAGES):
+        ys = y + h * (sums[s] @ _RK_A_ROWS[s])
+        k[s, :d] = ys[d:]
+        k[s, d:] = accel(ys[:d])
+    return y + h * (sums[_N_STAGES] @ _RK_B)
+
+
 def integrate(system, state0, cfg: IntegratorConfig) -> Trajectory:
     """Integrate a second-order system, sampling every ``sample_dt``.
 
     Deterministic for fixed inputs.  Divergence (state norm above the
     cutoff) and step-size underflow terminate early with a report in
-    ``status``/``message`` rather than raising.
+    ``status``/``message`` rather than raising.  Every attempted step
+    evaluates all 12 stages and the derivative at its end point, then
+    checks them for finiteness once; a non-finite step is rejected and
+    retried 5x shorter.  So ``n_rhs == 2 + 12 (n_steps + n_rejected)``.
     """
     cfg.validate()
     accel = system.accel
     d = system.dof
 
-    def f(y):
-        return np.concatenate([y[d:], accel(y[:d])])
-
     y = as_state_vector(system, state0)
     t = 0.0
     times = [0.0]
     states = [y.copy()]
-    n_rhs = 1
-    f_cur = f(y)
+    k = np.empty((_N_STAGES + 1, 2 * d))   # k[0] = f(y); k[12] = f(y_new)
+    sums, k_t = _stage_sums(k), k.T
+    _derivative(accel, y, k[0])
 
     sample_idx = 1
     eps_t = 1e-12 * max(1.0, cfg.t_end)
+    min_step_rel = 16.0 * np.finfo(float).eps
 
     def next_target():
         ts = sample_idx * cfg.sample_dt
@@ -286,22 +323,22 @@ def integrate(system, state0, cfg: IntegratorConfig) -> Trajectory:
 
     # h_free is the controller's preferred step; clipping a step to land
     # on a sample time must not shrink that preference.
-    h_free = _initial_step(f, y, f_cur, cfg.abs_tol, cfg.rel_tol, cfg.t_end)
-    n_rhs += 1
+    h_free = _initial_step(accel, y, k[0], cfg.abs_tol, cfg.rel_tol, cfg.t_end)
     h_free = min(h_free, cfg.max_step)
 
     err_prev = 1e-4
-    n_steps = n_rejected = 0
+    n_attempts = 0
+    accepted_h = []
     status, message = "ok", ""
-    k = np.empty((_N_STAGES + 1, 2 * d))
 
     while t < cfg.t_end - eps_t:
-        if not np.all(np.isfinite(y)) or np.abs(y).max() > cfg.divergence_norm:
+        ymax = np.abs(y).max()
+        if not ymax <= cfg.divergence_norm:     # NaN fails too
             status = "diverged"
-            message = (f"state norm {np.abs(y).max():.3e} exceeded "
+            message = (f"state norm {ymax:.3e} exceeded "
                        f"{cfg.divergence_norm:.1e} at t={t:.6g}")
             break
-        if h_free < 16.0 * np.finfo(float).eps * max(abs(t), 1.0):
+        if h_free < min_step_rel * max(abs(t), 1.0):
             status = "step_underflow"
             message = f"step size underflow (h={h_free:.3e}) at t={t:.6g}"
             break
@@ -310,37 +347,25 @@ def integrate(system, state0, cfg: IntegratorConfig) -> Trajectory:
         landing = t + h_free >= target - eps_t
         h = target - t if landing else h_free
 
-        k[0] = f_cur
-        finite = True
-        for s in range(1, _N_STAGES):
-            ys = y + h * (k[:s].T @ _RK_A[s, :s])
-            k[s] = f(ys)
-            if not np.all(np.isfinite(k[s])):
-                finite = False
-                break
-        n_rhs += _N_STAGES - 1
-        if finite:
-            y_new = y + h * (k[:_N_STAGES].T @ _RK_B)
-            k[_N_STAGES] = f(y_new)
-            n_rhs += 1
-            finite = np.all(np.isfinite(y_new)) and np.all(np.isfinite(k[_N_STAGES]))
-        if not finite:
-            n_rejected += 1
+        n_attempts += 1
+        y_new = _rk_stages(accel, y, h, k, sums)
+        _derivative(accel, y_new, k[_N_STAGES])
+        if not np.isfinite(k).all():    # a non-finite stage or y_new shows here
             h_free = h * _MIN_SHRINK
             continue
 
         scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-        err5 = (k.T @ _RK_E5) / scale
-        err3 = (k.T @ _RK_E3) / scale
+        err5 = (k_t @ _RK_E5) / scale
+        err3 = (k_t @ _RK_E3) / scale
         n5 = float(np.dot(err5, err5))
         n3 = float(np.dot(err3, err3))
         denom = n5 + 0.01 * n3
         err_norm = 0.0 if denom <= 0.0 else abs(h) * n5 / math.sqrt(denom * len(scale))
 
         if err_norm <= 1.0:
-            n_steps += 1
+            accepted_h.append(h)
             y = y_new
-            f_cur = k[_N_STAGES].copy()
+            k[0] = k[_N_STAGES]
             if landing:
                 if abs(target - sample_idx * cfg.sample_dt) <= eps_t:
                     sample_idx += 1
@@ -358,7 +383,6 @@ def integrate(system, state0, cfg: IntegratorConfig) -> Trajectory:
             proposed = min(h * factor, cfg.max_step)
             h_free = max(proposed, h_free) if landing else proposed
         else:
-            n_rejected += 1
             h_free = h * min(1.0, max(_MIN_SHRINK,
                                       _SAFETY * err_norm ** (-_ERROR_EXPONENT)))
 
@@ -366,36 +390,48 @@ def integrate(system, state0, cfg: IntegratorConfig) -> Trajectory:
         times.append(t)
         states.append(y.copy())
 
+    n_steps = len(accepted_h)
     return Trajectory(
         times=np.array(times), states=np.array(states), status=status,
         t_reached=float(t), message=message, n_steps=n_steps,
-        n_rejected=n_rejected, n_rhs=n_rhs,
+        n_rejected=n_attempts - n_steps, n_rhs=2 + _N_STAGES * n_attempts,
+        **_step_size_summary(accepted_h),
     )
+
+
+def _step_size_summary(steps):
+    """h_min, h_median and h_max of the accepted steps; None without steps.
+
+    Plain Python: the first np.median call of a process adds about 1 MB
+    to its resident memory.
+    """
+    if not steps:
+        return {}
+    steps = sorted(steps)
+    mid = len(steps) // 2
+    median = steps[mid] if len(steps) % 2 else (steps[mid - 1] + steps[mid]) / 2
+    return {"h_min": float(steps[0]), "h_median": float(median),
+            "h_max": float(steps[-1])}
 
 
 def integrate_fixed_step(system, state0, h: float, t_end: float) -> Trajectory:
     """Fixed-step variant of the same tableau (for order verification)."""
     accel = system.accel
-    d = system.dof
-
-    def f(y):
-        return np.concatenate([y[d:], accel(y[:d])])
-
     y = as_state_vector(system, state0)
     n = int(round(t_end / h))
     times = [0.0]
     states = [y.copy()]
+    k = np.empty((_N_STAGES, y.size))
+    sums = _stage_sums(k)
     for i in range(n):
-        k = np.empty((_N_STAGES, 2 * d))
-        k[0] = f(y)
-        for s in range(1, _N_STAGES):
-            k[s] = f(y + h * (k[:s].T @ _RK_A[s, :s]))
-        y = y + h * (k.T @ _RK_B)
+        _derivative(accel, y, k[0])
+        y = _rk_stages(accel, y, h, k, sums)
         times.append((i + 1) * h)
         states.append(y.copy())
     return Trajectory(times=np.array(times), states=np.array(states),
                       status="ok", t_reached=float(times[-1]),
-                      n_steps=n, n_rhs=n * _N_STAGES)
+                      n_steps=n, n_rhs=n * _N_STAGES,
+                      **_step_size_summary([h] * n))
 
 
 # --- diagnostics -------------------------------------------------------------

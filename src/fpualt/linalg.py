@@ -1,8 +1,9 @@
 """Dense symmetric eigensolver (cyclic Jacobi).
 
-Used for the linear spectrum of the full chain
-(:func:`fpualt.chain.linear_spectrum_full`); the reduced system's modal
-basis is closed form (:mod:`fpualt.spectral`).  The eigenproblem is small
+No module of the package calls it any more: the full chain's linear
+spectrum uses LAPACK (:func:`fpualt.chain.linear_spectrum_full`) and the
+reduced system's modal basis is closed form (:mod:`fpualt.spectral`).  It
+is kept for the benchmark's solver probe.  The eigenproblem is small
 and symmetric after mass-weighting, so a classical Jacobi iteration is
 both simple and fully deterministic across platforms.  Accuracy is at
 the level of machine epsilon times the matrix norm.

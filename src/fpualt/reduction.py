@@ -26,7 +26,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .chain import FullChainSystem, State, eval_accel_full, spring_potential
+from .chain import (FullChainSystem, State, bond_force, eval_accel_full,
+                    spring_potential)
 
 
 @dataclass(frozen=True)
@@ -99,7 +100,8 @@ def quadratic_vector(sys: ReducedSystem, q):
 def reduced_field(sys: ReducedSystem, alpha=None):
     """Return (force, jac): q -> -K q + alpha N(q) and its Jacobian.
 
-    With K = D^T D the force is -D^T (e + alpha e^2), e = D q.  The
+    With K = D^T D the force is -D^T (e + alpha e^2), e = D q, the same
+    bond-space map as the full chain's (:func:`fpualt.chain.bond_force`).  The
     acceleration is force(q) / masses; force(q) = 0 are the static
     equations.  Both maps take one state (d,) or rows (n, d).
     """
@@ -108,15 +110,11 @@ def reduced_field(sys: ReducedSystem, alpha=None):
     bonds = sys.bonds
     bonds_t = bonds.T
 
-    def force(q):
-        e = bonds @ q.T
-        return -(bonds_t @ (e + alpha * e * e)).T
-
     def jac(q):
         e = (bonds @ q.T).T
         return -(bonds_t * (1.0 + 2.0 * alpha * e[..., None, :])) @ bonds
 
-    return force, jac
+    return bond_force(bonds, alpha), jac
 
 
 def eval_accel_reduced(sys: ReducedSystem, state: ReducedState, alpha=None):

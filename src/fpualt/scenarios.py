@@ -292,6 +292,9 @@ def run_scenario(scenario, out_dir, overrides=None) -> RunResult:
         "n_steps": tr.n_steps,
         "n_rejected": tr.n_rejected,
         "n_rhs": tr.n_rhs,
+        "h_min": tr.h_min,
+        "h_median": tr.h_median,
+        "h_max": tr.h_max,
         "energy_drift": drift,
         "wall_time_s": wall,
         "outputs": files,

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from fpualt import (ChainParams, FullState, IntegratorConfig, build_chain,
-                    embed_chain, embed_state, eval_accel_full, hamiltonian,
-                    integrate, linear_spectrum_full, total_momentum)
+from fpualt import (ChainParams, FullState, IntegratorConfig, ReducedState,
+                    build_chain, embed_chain, embed_state, eval_accel_full,
+                    hamiltonian, integrate, linear_spectrum_full,
+                    symmetry_residual, total_momentum)
 from fpualt.chain import stiffness_full
+from fpualt.dynamics import relative_drift
 
 
 def chain6():
@@ -132,6 +134,70 @@ class TestSpectrum:
         s = d[:, None] * stiffness_full(sys) * d[None, :]
         ref = np.sort(np.linalg.eigvalsh(s))[::-1]
         assert np.abs(linear_spectrum_full(sys) - ref).max() <= 1e-12
+
+
+def _roll_accel(sys, q, alpha, beta):
+    # textbook form: m_j qdd_j = V'(q_{j+1} - q_j) - V'(q_j - q_{j-1})
+    e = np.roll(q, -1, axis=-1) - q
+    f = e + alpha * e**2 + beta * e**3
+    return (f - np.roll(f, 1, axis=-1)) / sys.masses
+
+
+def _roll_energy(sys, states, alpha, beta):
+    n = sys.n_particles
+    q, v = states[..., :n], states[..., n:]
+    e = np.roll(q, -1, axis=-1) - q
+    pot = e**2 / 2 + alpha * e**3 / 3 + beta * e**4 / 4
+    return 0.5 * np.sum(sys.masses * v**2, axis=-1) + np.sum(pot, axis=-1)
+
+
+class TestBondSpace:
+    """The bond-operator forms against the np.roll expressions written out here."""
+
+    @pytest.mark.parametrize("n_particles", [4, 6, 10])
+    @pytest.mark.parametrize("beta", [0.0, 0.5])
+    def test_accel_and_energy_match_roll_form(self, n_particles, beta, rng):
+        sys = build_chain(ChainParams(n_particles // 2, 0.01, 1.0, beta))
+        n = n_particles
+        states = np.concatenate([rng.uniform(-0.6, 0.6, (7, n)),
+                                 rng.uniform(-0.1, 0.1, (7, n))], axis=1)
+        for rows in (states[0], states):
+            q = rows[..., :n]
+            ref = _roll_accel(sys, q, 1.0, beta)
+            e = np.abs(np.roll(q, -1, axis=-1) - q)
+            scale = np.max((e + e**2 + beta * e**3) / sys.masses)
+            assert sys.accel(q).shape == q.shape
+            assert np.abs(sys.accel(q) - ref).max() <= 1e-14 * scale
+            ref_e = _roll_energy(sys, rows, 1.0, beta)
+            assert np.shape(sys.energy(rows)) == np.shape(ref_e)
+            assert np.abs(sys.energy(rows) - ref_e).max() <= 1e-14 * np.abs(ref_e).max()
+
+    @pytest.mark.parametrize("n_pairs", [2, 3, 5])
+    def test_bond_operator_and_stiffness(self, n_pairs):
+        sys = build_chain(ChainParams(n_pairs, 0.01, 1.0))
+        n = 2 * n_pairs
+        q = np.arange(1.0, n + 1) ** 2
+        assert np.array_equal(sys.bonds @ q, np.roll(q, -1) - q)   # wrap bond last
+        periodic = 2.0 * np.eye(n)
+        idx = np.arange(n)
+        periodic[idx, (idx + 1) % n] = periodic[idx, (idx - 1) % n] = -1.0
+        assert np.array_equal(stiffness_full(sys), sys.bonds.T @ sys.bonds)
+        assert np.array_equal(stiffness_full(sys), periodic)
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_symmetric_subspace_invariant(self, p, rng):
+        chain = build_chain(ChainParams(p, 0.01, 1.0))
+        for _ in range(20):
+            st = ReducedState(rng.uniform(-0.5, 0.5, p - 1), np.zeros(p - 1))
+            assert symmetry_residual(chain, st) <= 1e-14
+
+    def test_beta_chain_conserves_energy(self, rng):
+        sys = build_chain(ChainParams(3, 0.01, 1.0, 0.5))
+        y0 = np.concatenate([rng.uniform(-0.1, 0.1, 6), rng.uniform(-0.01, 0.01, 6)])
+        tr = integrate(sys, y0, IntegratorConfig(t_end=200.0, abs_tol=1e-12,
+                                                 rel_tol=1e-12))
+        assert tr.ok
+        assert relative_drift(sys.energy(tr.states)) <= 1e-8
 
 
 class TestEmbedding:

@@ -8,7 +8,7 @@ from fpualt import (IntegratorConfig, QuasiHarmonicSystem, ReducedState,
                     energy_drift, find_equilibria, first_order_response,
                     integrate, integrate_fixed_step, load_reference,
                     mode_actions)
-from fpualt.dynamics import energy_function
+from fpualt.dynamics import _RK_C, energy_function
 from fpualt.reduction import reduced_field
 
 
@@ -102,6 +102,58 @@ class TestDivergence:
         tr = integrate(red, np.array([1.00754, 2.0, 0.0, 0.0]),
                        IntegratorConfig(t_end=400.0, divergence_norm=1e3))
         assert tr.status == "diverged" and np.abs(tr.states[-1]).max() >= 1e3
+
+
+class _Wall:
+    """A free particle whose acceleration is NaN from q = 1 on; it records every call."""
+
+    dof = 1
+
+    def __init__(self):
+        self.calls = []
+
+    def accel(self, q):
+        self.calls.append(float(q[0]))
+        return np.where(q < 1.0, 0.0, np.nan)
+
+
+class TestNonFiniteSteps:
+    def test_wall_steps_rejected_and_counted(self):
+        wall = _Wall()
+        tr = integrate(wall, np.array([0.0, 1.0]), IntegratorConfig(t_end=5.0, sample_dt=5.0))
+        # the run stops at the wall with a report, not an exception
+        assert tr.status == "step_underflow" and "underflow" in tr.message
+        assert 0.99 < tr.t_reached <= 1.0
+        assert np.all(tr.states[:, 0] < 1.0) and np.all(np.isfinite(tr.states))
+        # two calls before the first step, then 12 per attempt
+        assert tr.n_rhs == len(wall.calls) == 2 + 12 * (tr.n_steps + tr.n_rejected)
+        attempts = np.array(wall.calls[2:]).reshape(-1, 12)
+        rejected = np.any(attempts >= 1.0, axis=1)
+        assert rejected.sum() == tr.n_rejected > 0
+        # stage 1 sits at c_1 h and stage 11 at h past the step's start
+        h = (attempts[:, 10] - attempts[:, 0]) / (_RK_C[11] - _RK_C[1])
+        after = np.flatnonzero(rejected[:-1] & (h[:-1] > 1e-4))
+        assert after.size > 0
+        assert np.allclose(h[after + 1], 0.2 * h[after], rtol=1e-9, atol=0.0)
+
+
+class TestStepSizes:
+    def test_accepted_step_range(self):
+        tr = integrate(single_mode(), np.array([1.0, 0.0]),
+                       IntegratorConfig(t_end=20.0, max_step=0.05))
+        # a step that lands on a sample may overshoot by the landing
+        # tolerance 1e-12 * t_end
+        assert 0.0 < tr.h_min <= tr.h_median <= tr.h_max <= 0.05 + 1e-12 * 20.0
+        assert tr.n_steps >= 20.0 / 0.05
+
+    def test_fixed_step_range(self):
+        tr = integrate_fixed_step(single_mode(), np.array([1.0, 0.0]), 0.25, 5.0)
+        assert tr.h_min == tr.h_median == tr.h_max == 0.25
+
+    def test_no_step_taken(self):
+        tr = integrate(single_mode(), np.array([2e8, 0.0]), IntegratorConfig(t_end=1.0))
+        assert tr.status == "diverged" and tr.n_steps == 0
+        assert tr.h_min is tr.h_median is tr.h_max is None
 
 
 class TestActionsAndEnergy:

@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -75,6 +76,18 @@ class TestRunScenario:
             man = json.loads(Path(res.files[-1]).read_text())
             assert man["n_rhs"] == res.trajectory.n_rhs, name
             assert man["n_rhs"] == 2 + 12 * (man["n_steps"] + man["n_rejected"]), name
+
+    def test_manifest_step_sizes(self, scenario_results):
+        for name in BOUNDED_SCENARIOS:
+            res = scenario_results[name]
+            man = json.loads(Path(res.files[-1]).read_text())
+            h = [man["h_min"], man["h_median"], man["h_max"]]
+            assert h == [res.trajectory.h_min, res.trajectory.h_median,
+                         res.trajectory.h_max], name
+            assert all(math.isfinite(x) and x > 0 for x in h), name
+            # no scenario sets max_step; landing on samples caps every step
+            assert h[0] <= h[1] <= h[2] <= res.scenario.config().max_step, name
+            assert h[2] <= man["integrator"]["sample_dt"], name
 
     def test_csv_shape_and_header(self, scenario_results):
         res = scenario_results["fig_p3_forcing"]
