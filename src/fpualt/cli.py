@@ -6,6 +6,9 @@ Verbs:
   analyze <system-file>   coupling-structure report for a saved system
   equilibria <system-file>  Newton search for static points
 
+The global flag -v logs progress (each p of a sweep, with its wall
+time and candidate count) to stderr; the files written do not change.
+
 Exit codes: 0 success, 1 usage/config error or a system the analysis
 refuses (degenerate spectrum, square-pattern violation), 2 divergence
 detected, 3 assertion failure inside a sweep.  The default output
@@ -13,6 +16,7 @@ directory is $FPUALT_OUT_DIR, falling back to ./fpualt_out.
 """
 
 import argparse
+import logging
 import os
 import sys
 from pathlib import Path
@@ -28,6 +32,8 @@ EXIT_USAGE = 1
 EXIT_DIVERGED = 2
 EXIT_SWEEP_FAIL = 3
 
+_LOG = logging.getLogger("fpualt")
+
 
 def _default_out_dir():
     return os.environ.get("FPUALT_OUT_DIR", "fpualt_out")
@@ -39,6 +45,8 @@ def build_parser():
         description="Alternating-mass FPU chains: experiments and "
                     "coupling-structure analysis.")
     parser.add_argument("--version", action="version", version=__version__)
+    parser.add_argument("-v", "--verbose", action="store_true",
+                        help="log progress to stderr")
     sub = parser.add_subparsers(dest="verb", required=True)
 
     run = sub.add_parser("run", help="run a scenario file")
@@ -74,6 +82,10 @@ def _out_dir(args):
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    progress = logging.StreamHandler(sys.stderr) if args.verbose else None
+    if progress:
+        _LOG.addHandler(progress)
+        _LOG.setLevel(logging.INFO)
     try:
         if args.verb == "run":
             overrides = {k: v for k, v in (
@@ -120,6 +132,10 @@ def main(argv=None) -> int:
             DegenerateSpectrumError, PatternViolationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        if progress:
+            _LOG.removeHandler(progress)
+            _LOG.setLevel(logging.NOTSET)
     return EXIT_USAGE
 
 

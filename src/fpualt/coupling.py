@@ -7,16 +7,16 @@ permutation rho obeys rho(i) = min(2i, p - 2i) in every tested case.
 Unions of cycles of rho are the only candidates for invariant sets
 V(Y) = {x_i = xdot_i = 0 for i in Y}; whether a candidate is actually
 invariant depends on the mixed quadratic terms and is decided here
-directly from the tensor.
+directly from the tensor.  :func:`enumerate_invariant_candidates` reads
+every union's verdict from one cycle coupling table, built in a single
+pass over the tensor's nonzeros; :func:`check_invariance` is the
+mode-level test for an arbitrary Y.
 
-A coefficient is present iff its magnitude exceeds ``tau_rel`` times
-the largest monomial magnitude, and ``tau_rel`` defaults to 0: present
-means nonzero.  That is exact for systems built by
-:func:`fpualt.spectral.to_quasi_harmonic`, which store the entries the
-sine-mode selection rule forbids, and those that cancel to round-off,
-as exact zeros, and for tables read from files, whose absent entries
-are not printed.  A positive ``tau_rel`` still ignores small entries
-when asked to.
+A coefficient is present iff it is nonzero.  That is exact for systems
+built by :func:`fpualt.spectral.to_quasi_harmonic`, which store the
+entries the sine-mode selection rule forbids, and those that cancel to
+round-off, as exact zeros, and for tables read from files, whose absent
+entries are not printed.
 
 Mode and pair indices in this module's public objects are 1-based,
 matching every printed report; array storage stays 0-based.
@@ -44,13 +44,12 @@ class SquareMap:
 
     ``rho[i]`` is the unique pair whose two equations contain both
     squares of pair i; ``evidence[i]`` lists (equation, square_mode,
-    coefficient) for every occurrence above threshold.
+    coefficient) for every nonzero occurrence.
     """
 
     p: int
     rho: dict
     evidence: dict
-    threshold: float
 
 
 @dataclass(frozen=True)
@@ -84,13 +83,10 @@ def _modes_of_pair(i):
     return (2 * i - 1, 2 * i)
 
 
-def square_map(sys: QuasiHarmonicSystem,
-               tau_rel: float = 0.0) -> SquareMap:
+def square_map(sys: QuasiHarmonicSystem) -> SquareMap:
     """Locate every forcing square and extract the pair permutation rho.
 
-    A coefficient counts as present iff its magnitude exceeds
-    ``tau_rel`` times the largest tensor magnitude (by default: iff it
-    is nonzero).  Raises
+    A coefficient counts as present iff it is nonzero.  Raises
     PatternViolationError when the squares of some pair do not occupy
     exactly the two equations of exactly one pair.
     """
@@ -99,7 +95,6 @@ def square_map(sys: QuasiHarmonicSystem,
         raise ValueError("square analysis needs an even number of modes "
                          f"(built from odd p), got {d}")
     npairs = d // 2
-    thresh = tau_rel * sys.tensor_scale() if tau_rel else 0.0
 
     rho, evidence = {}, {}
     for i in range(1, npairs + 1):
@@ -107,7 +102,7 @@ def square_map(sys: QuasiHarmonicSystem,
         eq_sets = []
         for m in _modes_of_pair(i):
             coeffs = sys.bilinear[:, m - 1, m - 1]
-            present = {int(r) + 1 for r in np.nonzero(np.abs(coeffs) > thresh)[0]}
+            present = {int(r) + 1 for r in np.flatnonzero(coeffs)}
             eq_sets.append(present)
             ev.extend((r, m, float(coeffs[r - 1])) for r in sorted(present))
         occupied = eq_sets[0] | eq_sets[1]
@@ -124,7 +119,7 @@ def square_map(sys: QuasiHarmonicSystem,
                 f"optical square in {sorted(eq_sets[1])}", ev)
         rho[i] = j
         evidence[i] = ev
-    return SquareMap(p=sys.p, rho=rho, evidence=evidence, threshold=thresh)
+    return SquareMap(p=sys.p, rho=rho, evidence=evidence)
 
 
 def jan_formula(p: int, i: int) -> int:
@@ -168,8 +163,23 @@ def cycle_decomposition(rho: dict) -> CycleDecomposition:
     return CycleDecomposition(cycles=tuple(cycles))
 
 
-def check_invariance(sys: QuasiHarmonicSystem, frozen_modes,
-                     tau_rel: float = 0.0) -> InvariantCandidate:
+def _verdict(sys, frozen, kept, max_violation, worst_flat):
+    """The InvariantCandidate for V(Y) from its largest violation.
+
+    ``worst_flat`` is the flat tensor index of the first (i, j, k) that
+    reaches ``max_violation``; it is ignored when the violation is 0.
+    """
+    worst = None
+    if max_violation > 0.0:
+        i, jk = divmod(int(worst_flat), sys.dof ** 2)
+        j, k = sorted(divmod(jk, sys.dof))
+        worst = (i + 1, j + 1, k + 1, sys.monomial(i + 1, j + 1, k + 1))
+    return InvariantCandidate(frozen_modes=frozen, kept_modes=kept,
+                              invariant=max_violation == 0.0,
+                              max_violation=max_violation, worst_entry=worst)
+
+
+def check_invariance(sys: QuasiHarmonicSystem, frozen_modes) -> InvariantCandidate:
     """Decide whether V(Y) is invariant for an arbitrary mode set Y.
 
     Y (1-based) is invariant iff no equation of a frozen mode contains a
@@ -187,40 +197,89 @@ def check_invariance(sys: QuasiHarmonicSystem, frozen_modes,
     block = sys.bilinear[np.ix_(frozen0, kept0, kept0)]
     mult = np.where(np.eye(len(kept0), dtype=bool), 1.0, 2.0)
     mags = np.abs(block) * mult[None, :, :]
-    max_violation = float(mags.max(initial=0.0))
-    worst = None
-    if max_violation > 0.0:
-        r, jj, kk = np.unravel_index(np.argmax(mags), mags.shape)
-        i1, j1, k1 = int(frozen0[r]) + 1, int(kept0[jj]) + 1, int(kept0[kk]) + 1
-        worst = (i1, min(j1, k1), max(j1, k1), sys.monomial(i1, j1, k1))
-    invariant = max_violation <= (tau_rel * sys.tensor_scale() if tau_rel else 0.0)
-    return InvariantCandidate(frozen_modes=frozen, kept_modes=kept,
-                              invariant=invariant, max_violation=max_violation,
-                              worst_entry=worst)
+    r, jj, kk = np.unravel_index(np.argmax(mags), mags.shape)
+    worst_flat = np.ravel_multi_index((frozen0[r], kept0[jj], kept0[kk]),
+                                      sys.bilinear.shape)
+    return _verdict(sys, frozen, kept, float(mags.max(initial=0.0)), worst_flat)
 
 
-def enumerate_invariant_candidates(sys: QuasiHarmonicSystem,
-                                   tau_rel: float = 0.0):
+def _cycle_table(sys: QuasiHarmonicSystem, cycle_of):
+    """The cycle coupling table, from one pass over the tensor's nonzeros.
+
+    ``cycle_of[m]`` is the cycle of 0-based mode m.  Entry [A, B, C] of
+    the first (c, c, c) array is the largest monomial magnitude |B_ijk|
+    (twice that for j != k) over the equations i of the modes of cycle A
+    and the modes j, k of cycles B and C; the second array holds the
+    flat tensor index of the lexicographically first (i, j, k) reaching
+    it.  Blocks without a nonzero entry hold 0 and the tensor size.
+    """
+    c = int(cycle_of.max()) + 1
+    b = sys.bilinear.ravel()
+    flat = np.flatnonzero(b)
+    i, j, k = np.unravel_index(flat, sys.bilinear.shape)
+    mags = np.abs(b[flat]) * np.where(j == k, 1.0, 2.0)
+    block = (cycle_of[i] * c + cycle_of[j]) * c + cycle_of[k]
+    largest = np.zeros(c ** 3)
+    np.maximum.at(largest, block, mags)
+    at_max = mags == largest[block]
+    first = np.full(c ** 3, b.size)
+    np.minimum.at(first, block[at_max], flat[at_max])
+    return largest.reshape(c, c, c), first.reshape(c, c, c)
+
+
+def enumerate_invariant_candidates(sys: QuasiHarmonicSystem):
     """Test every pair-structured Y formed as a union of cycles of rho.
 
     Returns the full list of candidates (nonempty, proper) with their
-    verdicts; callers filter on ``invariant``.  Arbitrary non-pair Y can
-    be tested directly through :func:`check_invariance`.
+    verdicts, ordered by the size of Y and then by its sorted modes;
+    callers filter on ``invariant``.  Each verdict is read from the cycle
+    coupling table and equals what :func:`check_invariance` gives for
+    the same Y, which also tests arbitrary non-pair Y.
     """
-    sq = square_map(sys, tau_rel)
-    cycles = cycle_decomposition(sq.rho).cycles
-    out = []
-    for r in range(1, len(cycles)):
-        for combo in itertools.combinations(cycles, r):
-            pairs = sorted(itertools.chain.from_iterable(combo))
-            frozen = frozenset(m for i in pairs for m in _modes_of_pair(i))
-            out.append(check_invariance(sys, frozen, tau_rel))
-    out.sort(key=lambda c: (len(c.frozen_modes), sorted(c.frozen_modes)))
-    return out
+    cycles = cycle_decomposition(square_map(sys).rho).cycles
+    c = len(cycles)
+    if c < 2:
+        return []
+    cycle_of = np.empty(sys.dof, dtype=np.intp)
+    for n, cycle in enumerate(cycles):
+        for i in cycle:
+            cycle_of[[2 * i - 2, 2 * i - 1]] = n
+    largest, first = _cycle_table(sys, cycle_of)
+    keyed = []
+    for r in range(1, c):
+        # all unions freezing r cycles at once: (frozen, kept, kept) blocks
+        combos = np.array(list(itertools.combinations(range(c), r)))
+        n = len(combos)
+        is_frozen = np.zeros((n, c), dtype=bool)
+        is_frozen[np.arange(n)[:, None], combos] = True
+        rests = np.nonzero(~is_frozen)[1].reshape(n, c - r)
+        block = (combos[:, :, None, None], rests[:, None, :, None],
+                 rests[:, None, None, :])
+        violations = largest[block].reshape(n, -1)
+        max_violation = violations.max(axis=1)
+        at_max = violations == max_violation[:, None]
+        worst_flat = np.where(at_max, first[block].reshape(n, -1),
+                              sys.bilinear.size).min(axis=1)
+        frozen_mode = is_frozen[:, cycle_of]
+        frozen = _split_rows(frozen_mode)
+        kept = _split_rows(~frozen_mode)
+        for u in range(n):
+            keyed.append(((len(frozen[u]), frozen[u]), _verdict(
+                sys, frozenset(frozen[u]), tuple(kept[u]),
+                float(max_violation[u]), worst_flat[u])))
+    keyed.sort(key=lambda item: item[0])
+    return [cand for _, cand in keyed]
 
 
-def extract_subsystem(sys: QuasiHarmonicSystem, kept_modes,
-                      tau_rel: float = 0.0) -> QuasiHarmonicSystem:
+def _split_rows(mask):
+    """The 1-based column indices of the True entries of each row, as lists."""
+    rows, cols = np.nonzero(mask)
+    ends = np.cumsum(np.bincount(rows, minlength=len(mask))).tolist()
+    cols = (cols + 1).tolist()
+    return [cols[start:end] for start, end in zip([0] + ends[:-1], ends)]
+
+
+def extract_subsystem(sys: QuasiHarmonicSystem, kept_modes) -> QuasiHarmonicSystem:
     """Restrict the system to ``kept_modes`` (1-based).
 
     The complement must pass :func:`check_invariance`; restriction of a
@@ -231,7 +290,7 @@ def extract_subsystem(sys: QuasiHarmonicSystem, kept_modes,
     if kept == list(range(1, d + 1)):
         return sys
     frozen = frozenset(range(1, d + 1)) - set(kept)
-    cand = check_invariance(sys, frozen, tau_rel)
+    cand = check_invariance(sys, frozen)
     if not cand.invariant:
         raise ValueError(
             f"complement of {kept} is not invariant "
@@ -326,8 +385,7 @@ def _solve_signs_gf2(rows, rhs, n):
 
 def scaling_equivalence(source: QuasiHarmonicSystem,
                         ref: QuasiHarmonicSystem,
-                        lambda_tol: float = 1e-4,
-                        tau_rel: float = 0.0) -> ScalingFit:
+                        lambda_tol: float = 1e-4) -> ScalingFit:
     """Fit per-mode scale factors mapping ``source`` onto ``ref``.
 
     Under x_i -> s_i x_i a coupling entry transforms as
@@ -360,13 +418,11 @@ def scaling_equivalence(source: QuasiHarmonicSystem,
     src_mono = src_b * mult
     ref_mono = ref.bilinear * mult
 
-    thr_src = tau_rel * np.abs(src_mono).max()
-    thr_ref = tau_rel * np.abs(ref_mono).max()
     triu = [(i, j, k) for i in range(d) for j in range(d) for k in range(j, d)]
     common, mismatches = [], []
     for (i, j, k) in triu:
-        in_src = abs(src_mono[i, j, k]) > thr_src
-        in_ref = abs(ref_mono[i, j, k]) > thr_ref
+        in_src = src_mono[i, j, k] != 0.0
+        in_ref = ref_mono[i, j, k] != 0.0
         if in_src and in_ref:
             common.append((i, j, k))
         elif in_src != in_ref:
@@ -374,7 +430,7 @@ def scaling_equivalence(source: QuasiHarmonicSystem,
             mismatches.append((i + 1, j + 1, k + 1, side,
                                float(src_mono[i, j, k]), float(ref_mono[i, j, k])))
     if not common:
-        raise ValueError("no common tensor entries above threshold")
+        raise ValueError("no common nonzero tensor entries")
 
     # Signs: eps_i + eps_j + eps_k = parity of sign disagreement (GF(2)).
     rows, rhs = [], []

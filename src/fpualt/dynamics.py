@@ -186,6 +186,9 @@ class IntegratorConfig:
 
     ``sample_dt`` is the output stride; figure captions count time in
     these unit samples.  Tolerances outside (0, 1e-4] are refused.
+    ``max_step`` bounds the controller's step; a step that lands on a
+    sample time may exceed it by at most the landing tolerance
+    1e-12 * max(1, t_end).
     """
 
     t_end: float

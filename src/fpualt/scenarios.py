@@ -9,6 +9,7 @@ be given in the normalisation of a shipped reference table
 and the trajectory is additionally emitted in that reference frame.
 """
 
+import logging
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -29,6 +30,9 @@ from .reduction import build_reduced
 from .spectral import to_quasi_harmonic
 from .writers import (actions_csv, energy_csv, trajectory_csv, write_csv,
                       write_manifest, write_svg_lines)
+
+
+log = logging.getLogger(__name__)
 
 
 class ScenarioError(ValueError):
@@ -320,7 +324,7 @@ def _fmt(x, digits=17):
     return f"{x:.{digits - 1}e}"
 
 
-def analysis_report(sys, tau_rel=0.0) -> str:
+def analysis_report(sys) -> str:
     """Human-readable structure report for one quasi-harmonic system."""
     lines = [f"system: {sys.name or 'quasi-harmonic'}  "
              f"(p={sys.p}, a={sys.a!r}, alpha={sys.alpha!r}, modes={sys.dof})"]
@@ -329,7 +333,7 @@ def analysis_report(sys, tau_rel=0.0) -> str:
         tag = f"{lab.kind:<9s} pair {lab.pair}" if lab else "?"
         lines.append(f"  x{i:<3d} lambda = {_fmt(lam, 12)}   {tag}")
     try:
-        sq = square_map(sys, tau_rel)
+        sq = square_map(sys)
     except PatternViolationError as exc:
         lines.append(f"forcing squares: PATTERN VIOLATION: {exc}")
         return "\n".join(lines) + "\n"
@@ -344,7 +348,7 @@ def analysis_report(sys, tau_rel=0.0) -> str:
     edges = excitation_digraph(sq)
     lines.append("cross-group excitation: "
                  + "  ".join(f"x{a}->x{b}" for a, b in edges))
-    cands = enumerate_invariant_candidates(sys, tau_rel)
+    cands = enumerate_invariant_candidates(sys)
     inv = [c for c in cands if c.invariant]
     lines.append(f"invariant candidate sets (unions of cycles): {len(cands)} tested, "
                  f"{len(inv)} invariant")
@@ -422,56 +426,66 @@ class SweepReport:
         return [(row.p, f) for row in self.rows for f in row.failures]
 
 
-def sweep_odd_p(p_max: int = 47, a: float = 0.01, alpha: float = 1.0,
-                tau_rel=0.0) -> SweepReport:
+def sweep_odd_p(p_max: int = 47, a: float = 0.01,
+                alpha: float = 1.0) -> SweepReport:
     """Reduction -> spectral -> coupling analysis for every odd p <= p_max.
 
     Assertion failures (square pattern, the min(2i, p-2i) formula, and
     the high-low interaction verdict for prime p) are recorded per p
-    without aborting the sweep.
+    without aborting the sweep.  Each p's wall time and candidate count
+    are logged at INFO level.
     """
     if p_max > 199:
         raise ValueError("sweep guard: p_max must be <= 199 for desk-scale "
                          f"runtime, got {p_max}")
     rows = []
     for p in range(3, p_max + 1, 2):
-        sys = to_quasi_harmonic(build_reduced(p, a, alpha))
-        failures = []
-        try:
-            sq = square_map(sys, tau_rel)
-        except PatternViolationError as exc:
-            rows.append(SweepRow(p=p, lambdas=sys.lambdas, rho={}, cycles=(),
-                                 jan_ok=False, invariants=[],
-                                 optical_forces_acoustic=False,
-                                 acoustic_forces_optical=False,
-                                 failures=[f"square pattern violated: {exc}"]))
-            continue
-        jc = jan_check(p, sq.rho)
-        jan_ok = all(v[2] for v in jc.values())
-        if not jan_ok:
-            failures.append(f"rho disagrees with min(2i, p-2i) at "
-                            f"{[i for i, v in jc.items() if not v[2]]}")
-        cyc = cycle_decomposition(sq.rho).cycles
-        inv = [c for c in enumerate_invariant_candidates(sys, tau_rel) if c.invariant]
-        opt_to_ac = any(r % 2 == 1 and m % 2 == 0 for i in sq.evidence
-                        for (r, m, _) in sq.evidence[i])
-        ac_to_opt = any(r % 2 == 0 and m % 2 == 1 for i in sq.evidence
-                        for (r, m, _) in sq.evidence[i])
-        if _is_prime(p) and not (opt_to_ac and ac_to_opt):
-            failures.append("no high-low interaction found for prime p")
-        if _is_prime(p) and p >= 5 and inv:
-            failures.append(f"unexpected invariant sets for prime p: "
-                            f"{[c.kept_modes for c in inv]}")
-        ref = reference_for(p, a)
-        fit_res = None
-        if ref is not None and ref.dof == sys.dof and alpha == 1.0:
-            fit_res = scaling_equivalence(sys, ref).residual
-        rows.append(SweepRow(p=p, lambdas=sys.lambdas, rho=sq.rho, cycles=cyc,
-                             jan_ok=jan_ok, invariants=inv,
-                             optical_forces_acoustic=opt_to_ac,
-                             acoustic_forces_optical=ac_to_opt,
-                             fit_residual=fit_res, failures=failures))
+        t0 = time.perf_counter()
+        row, n_candidates = _sweep_row(p, a, alpha)
+        rows.append(row)
+        log.info("sweep p=%d: %.3f s, %d invariant candidates tested",
+                 p, time.perf_counter() - t0, n_candidates)
     return SweepReport(a=a, alpha=alpha, rows=rows)
+
+
+def _sweep_row(p, a, alpha):
+    """One p of the sweep: its row and the number of candidates tested."""
+    sys = to_quasi_harmonic(build_reduced(p, a, alpha))
+    failures = []
+    try:
+        sq = square_map(sys)
+    except PatternViolationError as exc:
+        return SweepRow(p=p, lambdas=sys.lambdas, rho={}, cycles=(),
+                        jan_ok=False, invariants=[],
+                        optical_forces_acoustic=False,
+                        acoustic_forces_optical=False,
+                        failures=[f"square pattern violated: {exc}"]), 0
+    jc = jan_check(p, sq.rho)
+    jan_ok = all(v[2] for v in jc.values())
+    if not jan_ok:
+        failures.append(f"rho disagrees with min(2i, p-2i) at "
+                        f"{[i for i, v in jc.items() if not v[2]]}")
+    cyc = cycle_decomposition(sq.rho).cycles
+    cands = enumerate_invariant_candidates(sys)
+    inv = [c for c in cands if c.invariant]
+    opt_to_ac = any(r % 2 == 1 and m % 2 == 0 for i in sq.evidence
+                    for (r, m, _) in sq.evidence[i])
+    ac_to_opt = any(r % 2 == 0 and m % 2 == 1 for i in sq.evidence
+                    for (r, m, _) in sq.evidence[i])
+    if _is_prime(p) and not (opt_to_ac and ac_to_opt):
+        failures.append("no high-low interaction found for prime p")
+    if _is_prime(p) and p >= 5 and inv:
+        failures.append(f"unexpected invariant sets for prime p: "
+                        f"{[c.kept_modes for c in inv]}")
+    ref = reference_for(p, a)
+    fit_res = None
+    if ref is not None and ref.dof == sys.dof and alpha == 1.0:
+        fit_res = scaling_equivalence(sys, ref).residual
+    return SweepRow(p=p, lambdas=sys.lambdas, rho=sq.rho, cycles=cyc,
+                    jan_ok=jan_ok, invariants=inv,
+                    optical_forces_acoustic=opt_to_ac,
+                    acoustic_forces_optical=ac_to_opt,
+                    fit_residual=fit_res, failures=failures), len(cands)
 
 
 def sweep_report_text(report: SweepReport) -> str:

@@ -41,6 +41,11 @@ tensor that is fully symmetric.  Printed tables, whose tensors are not
 symmetric, carry no exact energy.
 
 Modes are kept in pair order: (acoustic, optical) for j = 1, 2, ...
+
+System files (:func:`save_system`, :func:`load_system`) are plain text:
+a header, the mode lines, then the entry lines, in that order.  The
+entry block is written with one %-format per chunk of lines and read
+with one ``numpy.loadtxt`` pass.
 """
 
 import math
@@ -259,14 +264,18 @@ class QuasiHarmonicSystem:
 
         Ordered lexicographically by (i, j, k).
         """
+        return zip(*self._monomial_columns(threshold))
+
+    def _monomial_columns(self, threshold=0.0):
+        """The columns i, j, k, coeff of :meth:`monomial_entries`, as lists."""
         j, k = np.triu_indices(self.dof)
         coeff = self.bilinear[:, j, k] * np.where(j == k, 1.0, 2.0)
         i, pair = np.nonzero(np.abs(coeff) > threshold)
-        return zip((i + 1).tolist(), (j[pair] + 1).tolist(),
-                   (k[pair] + 1).tolist(), coeff[i, pair].tolist())
+        return ((i + 1).tolist(), (j[pair] + 1).tolist(),
+                (k[pair] + 1).tolist(), coeff[i, pair].tolist())
 
     def tensor_scale(self) -> float:
-        """Largest monomial magnitude; reference for relative thresholds."""
+        """Largest monomial magnitude, a scale for the coupling entries."""
         d = self.dof
         mult = np.where(np.eye(d, dtype=bool), 1.0, 2.0)
         return float(np.abs(self.bilinear * mult[None, :, :]).max())
@@ -362,52 +371,111 @@ def eval_qh_rhs(sys: QuasiHarmonicSystem, x, alpha=None):
 # Plain-text system files: header "p a alpha", one lambda line per mode
 # ("<lambda> <kind> <pair>"), then one line "i j k value" per nonzero
 # monomial coefficient, everything 1-based with 17 significant digits.
+# The three blocks come in this order; "#" starts a comment anywhere.
 # ---------------------------------------------------------------------------
+
+_ENTRY_LINE = "%d %d %d %.16e\n"
+_ENTRY_CHUNK = 8192                     # lines per formatted write
+_ENTRY_DTYPE = np.dtype([("i", np.int64), ("j", np.int64), ("k", np.int64),
+                         ("c", np.float64)])
 
 
 def save_system(sys: QuasiHarmonicSystem, path):
+    columns = sys._monomial_columns()
+    fields = [None] * (4 * len(columns[0]))      # i, j, k, coeff per line
+    for n, column in enumerate(columns):
+        fields[n::4] = column
+    step = 4 * _ENTRY_CHUNK
     with open(path, "w") as fh:
         fh.write(f"{sys.p} {sys.a!r} {sys.alpha!r}\n")
         for lam, lab in zip(sys.lambdas, sys.labels):
             fh.write(f"{lam:.16e} {lab.kind} {lab.pair}\n")
-        for i, j, k, c in sys.monomial_entries():
-            fh.write(f"{i} {j} {k} {c:.16e}\n")
+        for start in range(0, len(fields), step):
+            chunk = tuple(fields[start:start + step])
+            fh.write(_ENTRY_LINE * (len(chunk) // 4) % chunk)
 
 
 def load_system(path, name: str = "") -> QuasiHarmonicSystem:
-    """Read a system file written by :func:`save_system` (comments allowed)."""
-    lams, labels, entries = [], [], []
-    header = None
+    """Read a system file written by :func:`save_system` (comments allowed).
+
+    The header and the mode lines are parsed line by line; the first
+    other line starts the entry block, which is read in one pass.  Any
+    line that does not parse raises ValueError naming ``path``.
+    """
     with open(path) as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if header is None:
-                if len(parts) != 3:
-                    raise ValueError(f"{path}: malformed header {line!r}")
-                header = (int(parts[0]), float(parts[1]), float(parts[2]))
-            elif len(parts) == 3 and parts[1] in ("acoustic", "optical"):
-                lams.append(float(parts[0]))
-                labels.append(ModeLabel(parts[1], int(parts[2])))
-            elif len(parts) == 4:
-                entries.append((int(parts[0]), int(parts[1]), int(parts[2]),
-                                float(parts[3])))
-            else:
-                raise ValueError(f"{path}: unrecognised line {line!r}")
-    if header is None or not lams:
-        raise ValueError(f"{path}: missing header or mode lines")
-    p, a, alpha = header
+        (p, a, alpha), lams, labels = _read_preamble(fh, path)
+        entries = _read_entries(fh, path)
     d = len(lams)
+    i, j, k, c = (entries[key] for key in _ENTRY_DTYPE.names)
+    bad = np.flatnonzero((i < 1) | (i > d) | (j < 1) | (j > k) | (k > d))
+    if bad.size:
+        n = bad[0]
+        raise ValueError(f"{path}: entry indices out of range: "
+                         f"{(int(i[n]), int(j[n]), int(k[n]))}")
+    val = np.where(j == k, c, 0.5 * c)
     b = np.zeros((d, d, d))
-    for i, j, k, c in entries:
-        if not (1 <= i <= d and 1 <= j <= k <= d):
-            raise ValueError(f"{path}: entry indices out of range: {(i, j, k)}")
-        val = c if j == k else 0.5 * c
-        b[i - 1, j - 1, k - 1] = val
-        b[i - 1, k - 1, j - 1] = val
+    b[i - 1, j - 1, k - 1] = val
+    b[i - 1, k - 1, j - 1] = val
     return QuasiHarmonicSystem(
         lambdas=np.array(lams), bilinear=b, labels=tuple(labels),
         alpha=alpha, a=a, p=p, name=name or str(path),
     )
+
+
+def _read_preamble(fh, path):
+    """Header and mode lines; leaves ``fh`` at the first entry line."""
+    header, lams, labels = None, [], []
+    while True:
+        start = fh.tell()
+        raw = fh.readline()
+        line = raw.split("#", 1)[0].strip()
+        parts = line.split()
+        if not raw or (header is not None and parts and not (
+                len(parts) == 3 and parts[1] in ("acoustic", "optical"))):
+            break
+        if not parts:
+            continue
+        try:
+            if header is None:
+                if len(parts) != 3:
+                    raise ValueError
+                header = (int(parts[0]), float(parts[1]), float(parts[2]))
+            else:
+                lams.append(float(parts[0]))
+                labels.append(ModeLabel(parts[1], int(parts[2])))
+        except ValueError:
+            what = "mode line" if header else "header"
+            raise ValueError(f"{path}: malformed {what} {line!r}") from None
+    if header is None or not lams:
+        raise ValueError(f"{path}: missing header or mode lines")
+    fh.seek(start)
+    return header, lams, labels
+
+
+def _read_entries(fh, path):
+    """The entry block, from the current position of ``fh`` to the end."""
+    start = fh.tell()
+    if not fh.read(1):        # no entry lines: loadtxt would warn
+        return np.zeros(0, _ENTRY_DTYPE)
+    fh.seek(start)
+    try:
+        return np.loadtxt(fh, dtype=_ENTRY_DTYPE, comments="#", ndmin=1)
+    except ValueError as exc:
+        fh.seek(start)
+        for raw in fh:        # name the first line that does not parse
+            line = raw.split("#", 1)[0].strip()
+            parts = line.split()
+            if parts and len(parts) != 4:
+                raise ValueError(f"{path}: unrecognised line {line!r}") from None
+            if parts and not _is_entry(parts):
+                raise ValueError(f"{path}: malformed entry line {line!r}") from None
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _is_entry(parts):
+    """Whether four fields read as three integer indices and a float."""
+    try:
+        int(parts[0]), int(parts[1]), int(parts[2]), float(parts[3])
+    except ValueError:
+        return False
+    return True

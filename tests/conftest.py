@@ -1,9 +1,12 @@
+import itertools
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from fpualt import (build_reduced, eigendecompose, run_scenario,
+from fpualt import (build_reduced, check_invariance, cycle_decomposition,
+                    eigendecompose, run_scenario, square_map,
                     to_quasi_harmonic)
-from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 SCENARIO_DIR = REPO / "scenarios"
@@ -42,3 +45,22 @@ def scenario_results(tmp_path_factory):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20260810)
+
+
+def brute_force_candidates(qh):
+    """check_invariance on every union of cycles of rho, in report order.
+
+    The reference for ``enumerate_invariant_candidates``, which reads the
+    same verdicts from the cycle coupling table and must reproduce these
+    field for field: the same candidates in the same order, with
+    max_violation and worst_entry bitwise (dataclass equality compares
+    the floats with ==, and a magnitude is never -0.0).
+    """
+    cycles = cycle_decomposition(square_map(qh).rho).cycles
+    out = []
+    for r in range(1, len(cycles)):
+        for combo in itertools.combinations(cycles, r):
+            out.append(check_invariance(
+                qh, {m for cycle in combo for i in cycle for m in (2 * i - 1, 2 * i)}))
+    out.sort(key=lambda c: (len(c.frozen_modes), sorted(c.frozen_modes)))
+    return out

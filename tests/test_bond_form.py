@@ -20,15 +20,16 @@ from fpualt.dynamics import acceleration_function
 from fpualt.reduction import quadratic_vector
 from fpualt.spectral import qh_field
 
-from conftest import ODD_P, SWEEP_A
+from conftest import ODD_P, SWEEP_A, brute_force_candidates
 
 BOND_P = (3, 5, 9, 47, 99)
-VERDICT_P = tuple(range(3, 101, 2))
+VERDICT_P = tuple(range(3, 107, 2))
+LARGE_VERDICT_P = (135, 147, 165, 189, 195, 199)
 
 
 @pytest.fixture(scope="module")
 def qh_by_p(systems):
-    """Pipeline quasi-harmonic systems for every odd p <= 99."""
+    """Pipeline quasi-harmonic systems for every odd p <= 105."""
     out = {p: systems[p][2] for p in ODD_P}
     for p in sorted(set(VERDICT_P + BOND_P) - set(out)):
         red = build_reduced(p, SWEEP_A, 1.0)
@@ -70,23 +71,44 @@ def test_factored_field_matches_tensor(p, qh_by_p, rng):
 
 
 def test_square_map_and_invariant_verdicts(qh_by_p):
-    # rho(i) = min(2i, p-2i) for every odd p <= 99, and the invariant sets
+    # rho(i) = min(2i, p-2i) for every odd p <= 105, and the invariant sets
     # are exactly V(Y) keeping the pairs that are multiples of a proper
     # divisor k of p -- none for prime p.  These are the verdicts the
     # dense-tensor construction gave for all odd p <= 89; p = 91 ... 99
     # were refused with false square-pattern violations while presence
     # was a fixed 1e-10 relative threshold.
     for p in VERDICT_P:
-        qh = qh_by_p[p]
-        npairs = (p - 1) // 2
-        assert square_map(qh).rho == {i: jan_formula(p, i)
-                                      for i in range(1, npairs + 1)}, p
-        found = {c.kept_modes for c in enumerate_invariant_candidates(qh)
-                 if c.invariant}
-        expected = {tuple(m for j in range(k, npairs + 1, k)
-                          for m in (2 * j - 1, 2 * j))
-                    for k in range(3, p, 2) if p % k == 0}
-        assert found == expected, p
+        _assert_divisor_verdicts(qh_by_p[p], p)
+
+
+@pytest.mark.parametrize("p", LARGE_VERDICT_P)
+def test_invariant_verdicts_large_p(p):
+    # The same verdicts up to the sweep's guard, p = 199, including the
+    # systems with c = 11 (p = 189) and c = 13 (p = 195) cycles of rho,
+    # whose 2046 and 8190 unions the cycle coupling table decides.
+    _assert_divisor_verdicts(
+        to_quasi_harmonic(build_reduced(p, SWEEP_A, 1.0)), p)
+
+
+@pytest.mark.parametrize("a", [SWEEP_A, 0.3])
+def test_enumerator_matches_brute_force(a, qh_by_p):
+    # the cycle coupling table against check_invariance on every union
+    for p in VERDICT_P:
+        qh = (qh_by_p[p] if a == SWEEP_A
+              else to_quasi_harmonic(build_reduced(p, a, 1.0)))
+        assert enumerate_invariant_candidates(qh) == brute_force_candidates(qh), p
+
+
+def _assert_divisor_verdicts(qh, p):
+    npairs = (p - 1) // 2
+    assert square_map(qh).rho == {i: jan_formula(p, i)
+                                  for i in range(1, npairs + 1)}, p
+    found = {c.kept_modes for c in enumerate_invariant_candidates(qh)
+             if c.invariant}
+    expected = {tuple(m for j in range(k, npairs + 1, k)
+                      for m in (2 * j - 1, 2 * j))
+                for k in range(3, p, 2) if p % k == 0}
+    assert found == expected, p
 
 
 def _contract(sys, x):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,8 @@ from fpualt import (IntegratorConfig, PatternViolationError, build_reduced,
                     extract_subsystem, integrate, jan_check, load_reference,
                     scaling_equivalence, square_map, to_quasi_harmonic)
 from fpualt.spectral import ModalBasis, all_pair_eigenvalues
+
+from conftest import brute_force_candidates
 
 
 class TestSquareMap:
@@ -31,9 +35,15 @@ class TestSquareMap:
             assert sorted(sq.rho) == list(range(1, (p - 1) // 2 + 1))
 
     def test_threshold_failure_mode(self, systems):
-        # an absurdly large threshold erases the squares entirely
-        with pytest.raises(PatternViolationError):
-            square_map(systems[5][2], tau_rel=10.0)
+        # presence means nonzero: a tensor whose pair-1 squares are all
+        # zero has nowhere to put them
+        qh = systems[5][2]
+        b = qh.bilinear.copy()
+        b[:, [0, 1], [0, 1]] = 0.0
+        missing = dataclasses.replace(qh, bilinear=b, g=None, f=None)
+        with pytest.raises(PatternViolationError,
+                           match=r"squares of pair 1 occur in equations of pairs \[\]"):
+            square_map(missing)
 
     def test_monatomic_chain_violates_pattern(self):
         # At a = 1 the squares of pair 1 force only the acoustic equation
@@ -198,6 +208,17 @@ class TestEnumeration:
                for c in enumerate_invariant_candidates(systems[27][2])
                if c.invariant}
         assert inv[2] < inv[8]
+
+    def test_ties_and_asymmetry(self, systems, rng):
+        # magnitudes from {1, 2} tie everywhere, and B_ijk != B_ikj: the
+        # worst entry is still the first (i, j, k) reaching the maximum
+        qh = systems[45][2]
+        b = np.where(qh.bilinear != 0.0,
+                     rng.choice([-2.0, -1.0, 1.0, 2.0], qh.bilinear.shape), 0.0)
+        tied = dataclasses.replace(qh, bilinear=b, g=None, f=None)
+        cands = enumerate_invariant_candidates(tied)
+        assert len(cands) == 2 ** 5 - 2
+        assert cands == brute_force_candidates(tied)
 
 
 class TestExtraction:

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -198,6 +199,26 @@ class TestCli:
         code = main(["sweep", "--pmax", "7", "--out-dir", str(tmp_path)])
         assert code == 0
         assert (tmp_path / "sweep_p7.txt").exists()
+
+    def test_verbose_sweep_logs_each_p(self, tmp_path, capsys):
+        # -v logs one line per p to stderr and leaves the report alone;
+        # without it the sweep is quiet, also after a verbose run
+        runs = {}
+        for name, flags in (("quiet", []), ("loud", ["-v"]), ("after", [])):
+            out = tmp_path / name
+            assert main([*flags, "sweep", "--pmax", "9", "--out-dir", str(out)]) == 0
+            runs[name] = ((out / "sweep_p9.txt").read_bytes(),
+                          capsys.readouterr().err)
+        assert runs["quiet"][1] == "" and runs["after"][1] == ""
+        assert runs["loud"][0] == runs["quiet"][0] == runs["after"][0]
+        progress = [re.fullmatch(r"sweep p=(\d+): (\d+\.\d{3}) s, "
+                                 r"(\d+) invariant candidates tested", line)
+                    for line in runs["loud"][1].splitlines()]
+        assert all(progress)
+        # p = 9 has the cycles (1 2 4)(3), so 2^2 - 2 unions; 3, 5, 7 have one
+        assert [(int(m[1]), int(m[3])) for m in progress] == \
+               [(3, 0), (5, 0), (7, 0), (9, 2)]
+        assert all(float(m[2]) >= 0.0 for m in progress)
 
     def test_analyze_and_equilibria_verbs(self, tmp_path, capsys):
         sysfile = tmp_path / "p3.txt"

@@ -1,14 +1,18 @@
 import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fpualt
 from fpualt import (DegenerateSpectrumError, IntegratorConfig, ReducedState,
                     build_reduced, eigendecompose, eval_accel_reduced,
                     eval_qh_rhs, integrate, load_system, pair_eigenvalues,
                     save_system, to_quasi_harmonic)
 from fpualt.linalg import jacobi_eigh
 from fpualt.reduction import ReducedSystem
+from fpualt.refdata import REFERENCE_TABLES
 from fpualt.spectral import all_pair_eigenvalues, selection_rule
 
 
@@ -265,3 +269,105 @@ class TestSystemFiles:
                                 "1 2 3 0.25\n")
         with pytest.raises(ValueError, match="out of range"):
             load_system(out_of_range)
+
+    @pytest.mark.parametrize("p", [9, 47, 99])
+    def test_save_matches_per_line_writer(self, p, tmp_path):
+        qh = to_quasi_harmonic(build_reduced(p, 0.01, 1.0))
+        save_system(qh, tmp_path / "bulk.txt")
+        _save_per_line(qh, tmp_path / "lines.txt")
+        assert (tmp_path / "bulk.txt").read_bytes() == \
+               (tmp_path / "lines.txt").read_bytes()
+
+    @pytest.mark.parametrize("table", sorted(REFERENCE_TABLES))
+    def test_load_matches_per_line_parser_on_tables(self, table):
+        _assert_loads_like_per_line_parser(DATA_DIR / REFERENCE_TABLES[table])
+
+    def test_load_matches_per_line_parser_p99(self, tmp_path):
+        path = tmp_path / "p99.txt"
+        save_system(to_quasi_harmonic(build_reduced(99, 0.01, 1.0)), path)
+        _assert_loads_like_per_line_parser(path)
+
+    @pytest.mark.parametrize("text, message", [
+        ("3 0.01\n0.5 acoustic 1\n", "malformed header"),
+        ("3 zero 1.0\n0.5 acoustic 1\n", "malformed header"),
+        ("3 0.01 1.0\n0.5 acoustic one\n", "malformed mode line"),
+        ("3 0.01 1.0\n0.5 acoustic 1\n1.5 optical 1\n1 1 2\n",
+         "unrecognised line '1 1 2'"),
+        ("3 0.01 1.0\n0.5 acoustic 1\n1.5 optical 1\n1 1 1 0.5\n"
+         "1 1 2 0.25 7\n", "unrecognised line '1 1 2 0.25 7'"),
+        ("3 0.01 1.0\n0.5 acoustic 1\n1.5 optical 1\n1 1 2 0.25\n"
+         "0.7 acoustic 2\n", "unrecognised line '0.7 acoustic 2'"),
+        ("3 0.01 1.0\n0.5 acoustic 1\n1.5 optical 1\n1.5 1 2 0.25\n",
+         "malformed entry line '1.5 1 2 0.25'"),
+        ("3 0.01 1.0\n0.5 acoustic 1\n1.5 optical 1\n1 1 2 x\n",
+         "malformed entry line '1 1 2 x'"),
+        ("3 0.01 1.0\n0.5 acoustic 1\n1.5 optical 1\n1 1 1 0.5\n0 1 2 0.25\n",
+         r"out of range: \(0, 1, 2\)"),
+        ("3 0.01 1.0\n0.5 acoustic 1\n1.5 optical 1\n2 2 1 0.25\n",
+         r"out of range: \(2, 2, 1\)"),
+        ("3 0.01 1.0\n1 1 1 0.5\n", "missing header or mode lines"),
+    ])
+    def test_errors_name_the_file(self, text, message, tmp_path):
+        path = tmp_path / "broken.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message) as info:
+            load_system(path)
+        assert str(info.value).startswith(f"{path}: ")
+
+    def test_no_entry_lines_loads_quietly(self, tmp_path):
+        path = tmp_path / "linear.txt"
+        path.write_text("3 0.01 1.0\n0.5 acoustic 1\n1.5 optical 1\n"
+                        "# no couplings\n\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sys = load_system(path)
+        assert sys.dof == 2 and not sys.bilinear.any()
+
+
+DATA_DIR = Path(fpualt.__file__).parent / "data"
+
+
+def _save_per_line(qh, path):
+    """One formatted write per line: the reference for the bulk writer."""
+    with open(path, "w") as fh:
+        fh.write(f"{qh.p} {qh.a!r} {qh.alpha!r}\n")
+        for lam, lab in zip(qh.lambdas, qh.labels):
+            fh.write(f"{lam:.16e} {lab.kind} {lab.pair}\n")
+        for i, j, k, c in qh.monomial_entries():
+            fh.write(f"{i} {j} {k} {c:.16e}\n")
+
+
+def _load_per_line(path):
+    """The per-line parser the bulk loader replaced: lambdas, labels, B."""
+    lams, labels, entries = [], [], []
+    header = None
+    with open(path) as fh:
+        for raw in fh:
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            parts = line.split()
+            if header is None:
+                header = (int(parts[0]), float(parts[1]), float(parts[2]))
+            elif len(parts) == 3 and parts[1] in ("acoustic", "optical"):
+                lams.append(float(parts[0]))
+                labels.append((parts[1], int(parts[2])))
+            else:
+                entries.append((int(parts[0]), int(parts[1]), int(parts[2]),
+                                float(parts[3])))
+    d = len(lams)
+    b = np.zeros((d, d, d))
+    for i, j, k, c in entries:
+        val = c if j == k else 0.5 * c
+        b[i - 1, j - 1, k - 1] = val
+        b[i - 1, k - 1, j - 1] = val
+    return header, np.array(lams), labels, b
+
+
+def _assert_loads_like_per_line_parser(path):
+    header, lams, labels, b = _load_per_line(path)
+    sys = load_system(path)
+    assert (sys.p, sys.a, sys.alpha) == header
+    assert sys.lambdas.tobytes() == lams.tobytes()
+    assert [(lab.kind, lab.pair) for lab in sys.labels] == labels
+    assert sys.bilinear.tobytes() == b.tobytes()
