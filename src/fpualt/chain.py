@@ -1,19 +1,25 @@
-"""Periodic FPU chains with alternating masses.
+"""Bond-space spring systems and the periodic alternating-mass chain.
 
-The chain has ``N = 2 n`` particles on a ring, nearest neighbours coupled
-through the anharmonic spring potential
+A bond-space system is a set of masses joined by the anharmonic spring
+potential
 
-    V(z) = z^2/2 + alpha z^3/3 + beta z^4/4,
+    V(z) = z^2/2 + alpha z^3/3 + beta z^4/4
 
-with unit masses at odd positions (1-based) and large masses ``m = 1/a``
-at even positions.  Small ``a`` splits the linear spectrum into a
-low-frequency acoustic group of size O(a) and a high-frequency optical
-group near 2.
+through a bond operator D: the bond extensions are e = D q, the force is
+-D^T V'(e), the energy is sum m v^2/2 + sum_b V(e_b) and the stiffness
+is K = D^T D.  :class:`BondSystem` owns that force and that energy.  The
+periodic chain below and the fixed-end reduced system of
+:mod:`fpualt.reduction` are bond-space systems that differ only in D,
+the masses and beta; the bond-factor energy of the quasi-harmonic
+systems of :mod:`fpualt.spectral` is that of the bond-space system with
+bond operator G = D T and the modal masses.
 
-Everything is evaluated in bond space, as for the reduced system: with
-the periodic N x N bond operator D, (D q)_b = q_{b+1} - q_b and the wrap
-bond q_1 - q_N last, the bond extensions are e = D q, the force is
--D^T V'(e), the energy sums V(e) and the stiffness is K = D^T D.
+The periodic chain has ``N = 2 n`` particles on a ring, with unit masses
+at odd positions (1-based) and large masses ``m = 1/a`` at even
+positions.  Its bond operator is the periodic N x N matrix with
+(D q)_b = q_{b+1} - q_b and the wrap bond q_1 - q_N last.  Small ``a``
+splits the linear spectrum into a low-frequency acoustic group of size
+O(a) and a high-frequency optical group near 2.
 """
 
 from dataclasses import dataclass
@@ -41,67 +47,66 @@ def spring_potential(z, alpha, beta=0.0):
     return 0.5 * z * z + (alpha / 3.0) * z**3 + (beta / 4.0) * z**4
 
 
-def bond_force(bonds, alpha, beta=0.0):
-    """The map q -> -D^T V'(D q), the force of the bond potential sum_b V((D q)_b).
+@dataclass(frozen=True, kw_only=True)
+class BondSystem:
+    """Masses joined by the springs V through the bond operator ``bonds`` (D).
 
-    ``bonds`` is D.  The map takes one state (d,) or rows (n, d).  The
-    quartic term is skipped when ``beta`` is 0, so alpha-FPU systems
-    (every reduced system) neither pay for it nor change a bit.
+    The maps take one state (d,) or rows (n, d).  The quartic term is
+    skipped when ``beta`` is 0, so alpha-FPU systems (every reduced
+    system) neither pay for it nor change a bit.
     """
-    bonds_t = bonds.T
 
-    def force(q):
-        e = bonds @ q.T
-        f = e + alpha * e * e
-        if beta:
-            f = f + beta * e**3
-        return -(bonds_t @ f).T
+    masses: np.ndarray
+    bonds: np.ndarray             # D, one row per bond: e = D q
+    alpha: float
+    beta: float = 0.0
 
-    return force
+    @property
+    def dof(self):
+        return self.masses.size
+
+    def force(self, alpha=None):
+        """The map q -> -D^T V'(D q); a given ``alpha`` replaces the system's."""
+        if alpha is None:
+            alpha = self.alpha
+        bonds, beta = self.bonds, self.beta
+        bonds_t = bonds.T
+
+        def force(q):
+            e = bonds @ q.T
+            f = e + alpha * e * e
+            if beta:
+                f = f + beta * e**3
+            return -(bonds_t @ f).T
+
+        return force
+
+    @cached_property
+    def accel(self):
+        """The map q -> qdd = -M^{-1} D^T V'(D q), built once per system."""
+        force, masses = self.force(), self.masses
+        return lambda q: force(q) / masses
+
+    def energy(self, states):
+        """Energy sum m v^2 / 2 + sum_b V((D q)_b), vectorised over rows [q, v]."""
+        d = self.dof
+        kinetic = 0.5 * np.sum(self.masses * states[..., d:] ** 2, axis=-1)
+        e = states[..., :d] @ self.bonds.T
+        return kinetic + np.sum(spring_potential(e, self.alpha, self.beta), axis=-1)
 
 
-@dataclass(frozen=True)
-class FullChainSystem:
-    """A periodic alternating-mass chain, immutable after construction."""
+@dataclass(frozen=True, kw_only=True)
+class FullChainSystem(BondSystem):
+    """A periodic alternating-mass chain, immutable after construction.
+
+    Row j of ``accel`` reads m_j qdd_j = V'(q_{j+1}-q_j) - V'(q_j-q_{j-1}).
+    """
 
     params: ChainParams
-    masses: np.ndarray  # length N, alternating 1, 1/a
 
     @property
     def n_particles(self):
         return self.masses.size
-
-    dof = n_particles
-
-    @cached_property
-    def bonds(self):
-        """D, the periodic N x N bond operator: (D q)_b = q_{b+1} - q_b, wrap bond last."""
-        n = self.n_particles
-        bonds = np.eye(n, k=1) - np.eye(n)
-        bonds[-1, 0] = 1.0
-        return bonds
-
-    @cached_property
-    def accel(self):
-        """The map q -> qdd = -M^{-1} D^T V'(D q), built once per system.
-
-        Row j reads m_j qdd_j = V'(q_{j+1}-q_j) - V'(q_j-q_{j-1}); the map
-        takes one state (N,) or rows (n, N).
-        """
-        force = bond_force(self.bonds, self.params.alpha, self.params.beta)
-        masses = self.masses
-        return lambda q: force(q) / masses
-
-    def energy(self, states):
-        """Total energy sum m_j v_j^2 / 2 + sum V over the ring bonds.
-
-        Vectorised over rows [q, v] of ``states``.
-        """
-        n = self.dof
-        kinetic = 0.5 * np.sum(self.masses * states[..., n:] ** 2, axis=-1)
-        e = states[..., :n] @ self.bonds.T
-        p = self.params
-        return kinetic + np.sum(spring_potential(e, p.alpha, p.beta), axis=-1)
 
 
 @dataclass
@@ -138,24 +143,26 @@ def build_chain(params: ChainParams) -> FullChainSystem:
     masses = np.empty(n)
     masses[0::2] = 1.0        # odd particles in 1-based counting
     masses[1::2] = 1.0 / params.a
-    return FullChainSystem(params=params, masses=masses)
+    bonds = np.eye(n, k=1) - np.eye(n)
+    bonds[-1, 0] = 1.0        # the wrap bond q_1 - q_N
+    return FullChainSystem(params=params, masses=masses, bonds=bonds,
+                           alpha=params.alpha, beta=params.beta)
 
 
-def _check_dim(sys: FullChainSystem, state: FullState):
-    if state.q.size != sys.n_particles:
+def _check_dim(sys: BondSystem, state: State):
+    if state.q.size != sys.dof:
         raise ValueError(
-            f"state has {state.q.size} particles, system has {sys.n_particles}"
-        )
+            f"state has {state.q.size} dof, system has {sys.dof} particles")
 
 
-def eval_accel_full(sys: FullChainSystem, state: FullState):
-    """Accelerations m_j qdd_j = V'(q_{j+1}-q_j) - V'(q_j-q_{j-1})."""
+def eval_accel_full(sys: BondSystem, state: State):
+    """Accelerations qdd = -M^{-1} D^T V'(D q) of a bond-space system."""
     _check_dim(sys, state)
     return sys.accel(state.q)
 
 
-def hamiltonian(sys: FullChainSystem, state: FullState) -> float:
-    """Total energy: sum m_j v_j^2 / 2 + sum V over the ring bonds."""
+def hamiltonian(sys: BondSystem, state: State) -> float:
+    """Total energy sum m v^2 / 2 + sum_b V((D q)_b) of a bond-space system."""
     _check_dim(sys, state)
     return float(sys.energy(np.concatenate([state.q, state.v])))
 

@@ -383,15 +383,18 @@ def _solve_signs_gf2(rows, rhs, n):
     return eps
 
 
+# Relative eigenvalue tolerance for aligning the modes of two systems.
+LAMBDA_MATCH_TOL = 1e-4
+
+
 def scaling_equivalence(source: QuasiHarmonicSystem,
-                        ref: QuasiHarmonicSystem,
-                        lambda_tol: float = 1e-4) -> ScalingFit:
+                        ref: QuasiHarmonicSystem) -> ScalingFit:
     """Fit per-mode scale factors mapping ``source`` onto ``ref``.
 
     Under x_i -> s_i x_i a coupling entry transforms as
     c_{i,jk} -> c_{i,jk} s_j s_k / s_i, so equivalent systems differ by
     a diagonal rescaling of modes.  The modes are first aligned by
-    matching eigenvalues (within ``lambda_tol``), signs are resolved
+    matching eigenvalues (within ``LAMBDA_MATCH_TOL``), signs are resolved
     exactly (allowing one global flip per mode), and log magnitudes are
     fitted by weighted least squares.
     """
@@ -405,10 +408,10 @@ def scaling_equivalence(source: QuasiHarmonicSystem,
     for lam_ref in ref.lambdas:
         diffs = np.abs(source.lambdas - lam_ref)
         cand = int(np.argmin(np.where([i in used for i in range(d)], np.inf, diffs)))
-        if diffs[cand] > lambda_tol * max(1.0, abs(lam_ref)):
+        if diffs[cand] > LAMBDA_MATCH_TOL * max(1.0, abs(lam_ref)):
             raise ValueError(
                 f"no source eigenvalue matches reference {lam_ref!r} "
-                f"within {lambda_tol}")
+                f"within {LAMBDA_MATCH_TOL}")
         used.add(cand)
         perm.append(cand)
     perm0 = np.array(perm)

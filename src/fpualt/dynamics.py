@@ -17,8 +17,9 @@ once the state norm passes the cutoff or the step size underflows.
 Nothing here branches on the kind of system.  Every system (full chain,
 reduced, quasi-harmonic) has ``dof``, ``accel(q)`` and a vectorised
 ``energy(states)``; reduced and quasi-harmonic systems also give the
-static field used by the equilibrium census.  The two cartoon models
-are quasi-harmonic systems with fixed tensors.
+static field used by the equilibrium census.  The full chain has none:
+its translation mode leaves its equilibria non-isolated.  The two
+cartoon models are quasi-harmonic systems with fixed tensors.
 """
 
 import itertools
@@ -185,7 +186,9 @@ class IntegratorConfig:
     """Tolerances and sampling for one integration run.
 
     ``sample_dt`` is the output stride; figure captions count time in
-    these unit samples.  Tolerances outside (0, 1e-4] are refused.
+    these unit samples.  Tolerances outside (0, 1e-4] are refused, and
+    so is a sample_dt, t_end, max_step or divergence_norm that is not
+    positive (NaN included).
     ``max_step`` bounds the controller's step; a step that lands on a
     sample time may exceed it by at most the landing tolerance
     1e-12 * max(1, t_end).
@@ -202,10 +205,9 @@ class IntegratorConfig:
         for name, tol in (("abs_tol", self.abs_tol), ("rel_tol", self.rel_tol)):
             if not 0.0 < tol <= 1e-4:
                 raise ValueError(f"{name} must lie in (0, 1e-4], got {tol}")
-        if not self.sample_dt > 0:
-            raise ValueError(f"sample_dt must be positive, got {self.sample_dt}")
-        if not self.t_end > 0:
-            raise ValueError(f"t_end must be positive, got {self.t_end}")
+        for name in ("sample_dt", "t_end", "max_step", "divergence_norm"):
+            if not getattr(self, name) > 0:     # NaN fails too
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
 
 
 @dataclass
@@ -501,12 +503,14 @@ class EquilibriumReport:
 
 
 IMAG_CLASSIFY_REL = 1e-8
+NEWTON_STEPS = 50                  # iterations per seed at most
+EQUILIBRIUM_RESIDUAL_TOL = 1e-12   # largest static residual of a found point
+EQUILIBRIUM_DEDUP_TOL = 1e-8       # points closer than this are one point
 _NEWTON_CHUNK = 4096     # seeds per batch; bounds memory at d = 6 (9^6 seeds)
 
 
 def find_equilibria(system, alpha=None, box_halfwidth=4.0, grid_per_dim=9,
-                    max_dim=6, newton_steps=50, dedup_tol=1e-8,
-                    residual_tol=1e-12):
+                    max_dim=6):
     """All equilibria reachable by Newton from a regular grid of seeds.
 
     Seeds fill [-box_halfwidth, box_halfwidth]^d and are iterated
@@ -523,20 +527,20 @@ def find_equilibria(system, alpha=None, box_halfwidth=4.0, grid_per_dim=9,
             f"(got {d}); raise max_dim explicitly for larger systems")
     axis = np.linspace(-box_halfwidth, box_halfwidth, grid_per_dim)
     seeds = np.stack(np.meshgrid(*([axis] * d), indexing="ij"), -1).reshape(-1, d)
-    points = np.concatenate([_newton_rows(fun, jac, seeds[i:i + _NEWTON_CHUNK],
-                                          newton_steps)
+    points = np.concatenate([_newton_rows(fun, jac, seeds[i:i + _NEWTON_CHUNK])
                              for i in range(0, len(seeds), _NEWTON_CHUNK)]
                             or [seeds])   # no seeds (grid_per_dim=0): none found
-    points = points[np.abs(fun(points)).max(axis=1, initial=0.0) <= residual_tol]
+    residual = np.abs(fun(points)).max(axis=1, initial=0.0)
+    points = points[residual <= EQUILIBRIUM_RESIDUAL_TOL]
     found = []
-    while len(points):   # keep the earliest seed's point, drop those within dedup_tol
+    while len(points):   # keep the earliest seed's point, drop the ones near it
         found.append(points[0])
-        points = points[np.abs(points - points[0]).max(axis=1) > dedup_tol]
+        points = points[np.abs(points - points[0]).max(axis=1) > EQUILIBRIUM_DEDUP_TOL]
     found.sort(key=lambda p: tuple(np.round(p, 9)))
     return [classify_equilibrium(system, p, alpha=alpha) for p in found]
 
 
-def _newton_rows(fun, jac, x, newton_steps):
+def _newton_rows(fun, jac, x):
     """Newton on every row of x at once; returns the converged rows in order.
 
     A row stops when its step is <= 1e-13 (converged) or when its
@@ -546,7 +550,7 @@ def _newton_rows(fun, jac, x, newton_steps):
     x = x.copy()
     active = np.ones(len(x), dtype=bool)
     converged = np.zeros(len(x), dtype=bool)
-    for _ in range(newton_steps):
+    for _ in range(NEWTON_STEPS):
         idx = np.flatnonzero(active)
         if not idx.size:
             break

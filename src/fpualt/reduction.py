@@ -8,64 +8,60 @@ and the same relations for velocities.  On such a manifold the dynamics
 is that of a fixed-end FPU chain with p-1 particles and p bonds: masses
 alternate 1, 1/a, and with the virtual boundary values q_0 = q_p = 0 the
 bond extensions are e = D q, (D q)_b = q_{b+1} - q_b for b = 0 .. p-1,
-where D is the p x (p-1) bond-difference operator.  The linear part is
-K = D^T D, the standard tridiagonal stiffness, and the cubic spring
-terms contribute the quadratic vector
+where D is the p x (p-1) bond-difference operator.  The reduced system
+is therefore a bond-space system (:class:`fpualt.chain.BondSystem`), the
+same as the chain but for D, and takes its force and energy from there.
+The linear part is K = D^T D, the standard tridiagonal stiffness, and
+the cubic spring terms contribute the quadratic vector
 
     N(q) = -D^T (D q)^2,   i.e.  N_i = e_i^2 - e_{i-1}^2
-         = q_{i+1}^2 - 2 q_i q_{i+1} + 2 q_{i-1} q_i - q_{i-1}^2,
+         = q_{i+1}^2 - 2 q_i q_{i+1} + 2 q_{i-1} q_i - q_{i-1}^2.
 
-evaluated as two mat-vecs with the p x (p-1) operator.  The equations of
-motion are M qdd + K q = alpha N(q), which is exactly minus the gradient
-of the fixed-end potential sum_b V(e_b); that potential provides an
-exact conserved energy for the reduced flow.
+The equations of motion are M qdd + K q = alpha N(q), which is exactly
+minus the gradient of the fixed-end potential sum_b V(e_b); that
+potential provides an exact conserved energy for the reduced flow.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .chain import (FullChainSystem, State, bond_force, eval_accel_full,
-                    spring_potential)
+from .chain import (BondSystem, FullChainSystem, State, eval_accel_full,
+                    hamiltonian)
 
 
-@dataclass(frozen=True)
-class ReducedSystem:
+@dataclass(frozen=True, kw_only=True)
+class ReducedSystem(BondSystem):
     """Fixed-end reduced system with p-1 particles.
 
-    ``bonds`` is the bond-difference operator D, which carries the
-    alpha-free nonlinearity N(q) = -D^T (D q)^2.  ``alpha`` multiplies at
-    evaluation time, which allows alpha sweeps without rebuilding.
+    ``bonds`` is the bond-difference operator D, (p, p-1), and
+    ``stiffness`` is K = D^T D (2 on the diagonal, -1 off it).  The
+    static field takes an ``alpha`` in place of the system's, which
+    allows alpha sweeps without rebuilding.
     """
 
     p: int
     a: float
-    alpha: float
-    masses: np.ndarray          # diagonal of M, pattern 1, 1/a, 1, ...
-    stiffness: np.ndarray       # K, tridiagonal (2 on diag, -1 off)
-    bonds: np.ndarray           # D, (p, p-1): (D q)_b = q_{b+1} - q_b
-
-    @property
-    def dof(self):
-        return self.p - 1
+    stiffness: np.ndarray
 
     def static_field(self, alpha=None):
-        """The force and its Jacobian, see :func:`reduced_field`."""
-        return reduced_field(self, alpha)
+        """Return (force, jac): q -> -K q + alpha N(q) and its Jacobian.
 
-    @cached_property
-    def accel(self):
-        """The map q -> qdd = M^{-1} force(q), built once per system."""
-        force, _ = reduced_field(self)
-        masses = self.masses
-        return lambda q: force(q) / masses
+        The force is the shared bond-space force -D^T (e + alpha e^2),
+        e = D q; force(q) = 0 are the static equations and the
+        acceleration is force(q) / masses.  Both maps take one state
+        (d,) or rows (n, d).
+        """
+        if alpha is None:
+            alpha = self.alpha
+        bonds = self.bonds
+        bonds_t = bonds.T
 
-    def energy(self, states):
-        """Conserved energy sum M_i v_i^2 / 2 + U(q), vectorised over rows [q, v]."""
-        d = self.dof
-        kinetic = 0.5 * np.sum(self.masses * states[..., d:] ** 2, axis=-1)
-        return kinetic + reduced_potential(self, states[..., :d])
+        def jac(q):
+            e = (bonds @ q.T).T
+            return -(bonds_t * (1.0 + 2.0 * alpha * e[..., None, :])) @ bonds
+
+        return self.force(alpha), jac
 
 
 ReducedState = State
@@ -86,55 +82,17 @@ def build_reduced(p: int, a: float, alpha: float = 1.0) -> ReducedSystem:
                          stiffness=bonds.T @ bonds, bonds=bonds)
 
 
-def _check_dim(sys: ReducedSystem, state: ReducedState):
-    if state.q.size != sys.dof:
-        raise ValueError(f"state has {state.q.size} dof, system has {sys.dof}")
-
-
 def quadratic_vector(sys: ReducedSystem, q):
     """N(q) = -D^T (D q)^2, the alpha-free quadratic part of the force."""
     q = np.asarray(q, dtype=float)
     return -(sys.bonds.T @ (sys.bonds @ q) ** 2)
 
 
-def reduced_field(sys: ReducedSystem, alpha=None):
-    """Return (force, jac): q -> -K q + alpha N(q) and its Jacobian.
-
-    With K = D^T D the force is -D^T (e + alpha e^2), e = D q, the same
-    bond-space map as the full chain's (:func:`fpualt.chain.bond_force`).  The
-    acceleration is force(q) / masses; force(q) = 0 are the static
-    equations.  Both maps take one state (d,) or rows (n, d).
-    """
-    if alpha is None:
-        alpha = sys.alpha
-    bonds = sys.bonds
-    bonds_t = bonds.T
-
-    def jac(q):
-        e = (bonds @ q.T).T
-        return -(bonds_t * (1.0 + 2.0 * alpha * e[..., None, :])) @ bonds
-
-    return bond_force(bonds, alpha), jac
-
-
-def eval_accel_reduced(sys: ReducedSystem, state: ReducedState, alpha=None):
-    """qdd = M^{-1} (-K q + alpha N(q))."""
-    _check_dim(sys, state)
-    return sys.static_field(alpha)[0](state.q) / sys.masses
-
-
-def reduced_potential(sys: ReducedSystem, q, alpha=None):
-    """Fixed-end potential sum_{b=0}^{p-1} V(q_{b+1} - q_b), q_0 = q_p = 0."""
-    if alpha is None:
-        alpha = sys.alpha
-    e = np.asarray(q, dtype=float) @ sys.bonds.T
-    return np.sum(spring_potential(e, alpha), axis=-1)
-
-
-def reduced_energy(sys: ReducedSystem, state: ReducedState) -> float:
-    """Conserved energy sum M_i v_i^2 / 2 + U(q) of the reduced flow."""
-    _check_dim(sys, state)
-    return float(sys.energy(np.concatenate([state.q, state.v])))
+# A reduced system is a bond-space system, so the chain's state entry
+# points serve it: qdd = M^{-1} (-K q + alpha N(q)) and the conserved
+# energy sum M_i v_i^2 / 2 + U(q).  perfbench/ imports these names.
+eval_accel_reduced = eval_accel_full
+reduced_energy = hamiltonian
 
 
 def lift_symmetric(state: ReducedState) -> State:

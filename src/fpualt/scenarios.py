@@ -22,10 +22,11 @@ from .coupling import (PatternViolationError, cycle_decomposition,
                        enumerate_invariant_candidates, excitation_digraph,
                        jan_check, map_reference_state, map_to_reference_frame,
                        scaling_equivalence, square_map)
-from .dynamics import (IntegratorConfig, cartoon_system, find_equilibria,
+from .dynamics import (EQUILIBRIUM_RESIDUAL_TOL, IntegratorConfig,
+                       cartoon_system, find_equilibria,
                        has_modal_coordinates, integrate, mode_actions,
                        relative_drift)
-from .refdata import load_reference, reference_for
+from .refdata import REFERENCE_TABLES, load_reference, reference_for
 from .reduction import build_reduced
 from .spectral import to_quasi_harmonic
 from .writers import (actions_csv, energy_csv, trajectory_csv, write_csv,
@@ -132,6 +133,14 @@ def parse_scenario(path) -> Scenario:
             if frame != "native" and not frame.startswith("ref:"):
                 raise ScenarioError(
                     f"{where}: frame must be 'native' or 'ref:<table>'")
+            if frame != "native" and kind != "quasiharmonic":
+                raise ScenarioError(
+                    f"{where}: reference-frame initial data requires a "
+                    "quasiharmonic system")
+            if frame != "native" and frame[4:] not in REFERENCE_TABLES:
+                raise ScenarioError(
+                    f"{where}: unknown reference table {frame[4:]!r}; "
+                    f"available: {sorted(REFERENCE_TABLES)}")
             scen.frame = frame
         elif key[0] in "qx" and key[1:].isdigit():
             scen.positions[int(key[1:])] = _parse_float(value, where)
@@ -190,12 +199,7 @@ def _resolve_initial(scen: Scenario, system):
     if scen.frame == "native":
         return np.concatenate([fill(d, scen.positions),
                                fill(d, scen.velocities)]), None, None
-    table = scen.frame.split(":", 1)[1]
-    ref = load_reference(table)
-    if scen.kind != "quasiharmonic":
-        raise ScenarioError(
-            f"{scen.path}: reference-frame initial data requires a "
-            "quasiharmonic system")
+    ref = load_reference(scen.frame.split(":", 1)[1])
     fit = scaling_equivalence(system, ref)
     x_ref = fill(ref.dof, scen.positions)
     v_ref = fill(ref.dof, scen.velocities)
@@ -381,7 +385,8 @@ def containments(invariants):
 def equilibria_report(sys, alpha=None) -> str:
     reports = find_equilibria(sys, alpha=alpha)
     lines = [f"equilibria of {getattr(sys, 'name', '') or type(sys).__name__} "
-             f"({len(reports)} found; static residual tolerance 1e-12)"]
+             f"({len(reports)} found; static residual tolerance "
+             f"{EQUILIBRIUM_RESIDUAL_TOL:g})"]
     for r in reports:
         eig = ", ".join(f"{z.real:+.6g}{z.imag:+.6g}j" for z in r.eigenvalues)
         lines.append(f"  point ({', '.join(f'{v:.10g}' for v in r.point)})  "

@@ -34,11 +34,13 @@ analysis reads presence as "nonzero".  (At a = 0.01 and p <= 199 the
 allowed entries stay above 3e-12 of the largest one, while the
 forbidden ones compute to below 2e-14 before they are zeroed.)
 
-The modal coordinates have unit mass (T^T M T = I), so the energy is
-|v|^2/2 plus a potential read off the system itself: sum_b V((G x)_b)
-with bond factors, and (sum lambda x^2)/2 - (alpha/3) B(x, x, x) for a
-tensor that is fully symmetric.  Printed tables, whose tensors are not
-symmetric, carry no exact energy.
+With bond factors the modal system is itself a bond-space system
+(:class:`fpualt.chain.BondSystem`): bond operator G and the modal masses
+diag(T^T M T), which are 1 for the basis built here and stay exact for
+any column scaling of T.  Its energy is that system's,
+sum m_j v_j^2/2 + sum_b V((G x)_b).  A fully symmetric tensor has the
+energy (|v|^2 + sum lambda x^2)/2 - (alpha/3) B(x, x, x).  Printed
+tables, whose tensors are not symmetric, carry no exact energy.
 
 Modes are kept in pair order: (acoustic, optical) for j = 1, 2, ...
 
@@ -54,7 +56,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .chain import spring_potential
+from .chain import BondSystem
 from .reduction import ReducedSystem
 
 
@@ -116,7 +118,12 @@ def pair_labels(p: int):
     return tuple(labels)
 
 
-def eigendecompose(sys: ReducedSystem, match_tol=1e-9) -> ModalBasis:
+# Eigenvalues closer than 2x this collide; the closed-form basis must
+# diagonalise the system's own S to this, relative to the largest eigenvalue.
+EIGEN_MATCH_TOL = 1e-9
+
+
+def eigendecompose(sys: ReducedSystem) -> ModalBasis:
     """Closed-form modal basis of the reduced linear part, in pair order.
 
     Mode (j, acoustic/optical) of the mass-weighted form
@@ -129,14 +136,14 @@ def eigendecompose(sys: ReducedSystem, match_tol=1e-9) -> ModalBasis:
     components tie in magnitude (at composite p), the first one counts.
 
     Raises DegenerateSpectrumError if eigenvalues collide within
-    ``match_tol``, or if the basis does not diagonalise the system's own
-    S to ``match_tol`` relative to the largest eigenvalue (a system the
-    closed form does not describe).
+    ``EIGEN_MATCH_TOL``, or if the basis does not diagonalise the system's
+    own S to ``EIGEN_MATCH_TOL`` relative to the largest eigenvalue (a
+    system the closed form does not describe).
     """
     p, a = sys.p, sys.a
     analytic = all_pair_eigenvalues(a, p)
     gaps = np.diff(np.sort(analytic))
-    if gaps.size and gaps.min() < 2.0 * match_tol:
+    if gaps.size and gaps.min() < 2.0 * EIGEN_MATCH_TOL:
         raise DegenerateSpectrumError(
             f"eigenvalue gap {gaps.min():.3e} below resolution for "
             f"p={p}, a={a}"
@@ -159,7 +166,7 @@ def eigendecompose(sys: ReducedSystem, match_tol=1e-9) -> ModalBasis:
     dm = 1.0 / np.sqrt(sys.masses)
     s = dm[:, None] * sys.stiffness * dm[None, :]
     residual = np.abs(s @ u - u * analytic).max()
-    if residual > match_tol * analytic.max():
+    if residual > EIGEN_MATCH_TOL * analytic.max():
         raise DegenerateSpectrumError(
             "the closed-form sine modes do not diagonalise this system "
             f"(residual {residual:.3e})"
@@ -187,7 +194,7 @@ class QuasiHarmonicSystem:
     also carries the bond factors ``g`` (G = D T) and ``f`` (F = -T^{-1}
     M^{-1} D^T) with C(x, x) = F (G x)^2, which the right-hand side and the
     energy use.  ``basis`` and ``reduced`` record where the system came
-    from; nothing here evaluates through them.
+    from; the energy reads the modal masses from them.
     """
 
     lambdas: np.ndarray
@@ -208,7 +215,7 @@ class QuasiHarmonicSystem:
 
     @property
     def masses(self):
-        """Unit masses: the modal coordinates are M-orthonormal."""
+        """Ones: the static field is already the acceleration."""
         return np.ones(self.dof)
 
     def static_field(self, alpha=None):
@@ -224,22 +231,19 @@ class QuasiHarmonicSystem:
     def energy(self):
         """Energy map of rows [x, v], vectorised, or None if none is known.
 
-        With bond factors the energy is |v|^2/2 + sum_b V((G x)_b), exact
-        because T^T M T = I.  A tensor that is fully symmetric within
-        DROP_THRESHOLD_REL is the gradient of a cubic potential, so the
-        energy is (|v|^2 + sum lambda x^2)/2 - (alpha/3) B(x, x, x).  Other
-        tensors (the printed tables) carry no exact invariant: None.
+        With bond factors the modal flow is the bond-space system with
+        bond operator G and the modal masses diag(T^T M T), so its energy
+        sum m_j v_j^2/2 + sum_b V((G x)_b) is exact for any column scaling
+        of T.  A tensor that is fully symmetric within DROP_THRESHOLD_REL
+        is the gradient of a cubic potential, so the energy is
+        (|v|^2 + sum lambda x^2)/2 - (alpha/3) B(x, x, x).  Other tensors
+        (the printed tables) carry no exact invariant: None.
         """
-        d, alpha = self.dof, self.alpha
         if self.g is not None:
-            g_t = self.g.T
-
-            def energy(y):
-                potential = spring_potential(y[..., :d] @ g_t, alpha)
-                return (0.5 * np.sum(y[..., d:] ** 2, axis=-1)
-                        + np.sum(potential, axis=-1))
-
-            return energy
+            modal_masses = self.reduced.masses @ self.basis.t ** 2
+            return BondSystem(masses=modal_masses, bonds=self.g,
+                              alpha=self.alpha).energy
+        d, alpha = self.dof, self.alpha
         b, lam = self.bilinear, self.lambdas
         tol = DROP_THRESHOLD_REL * np.abs(b).max(initial=0.0)
         if any(np.abs(b - b.transpose(axes)).max(initial=0.0) > tol

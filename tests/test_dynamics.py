@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from fpualt import (IntegratorConfig, QuasiHarmonicSystem, ReducedState,
-                    build_reduced, cartoon_system, classify_equilibrium,
+from fpualt import (ChainParams, IntegratorConfig, QuasiHarmonicSystem,
+                    ReducedState, build_chain, build_reduced, cartoon_system,
+                    classify_equilibrium,
                     energy_drift, find_equilibria, first_order_response,
                     integrate, integrate_fixed_step, load_reference,
                     mode_actions)
 from fpualt.dynamics import _RK_C, energy_function
-from fpualt.reduction import reduced_field
 
 
 def single_mode(lam=1.0):
@@ -26,6 +26,13 @@ class TestIntegratorBasics:
             IntegratorConfig(t_end=1.0, sample_dt=0.0).validate()
         with pytest.raises(ValueError, match="t_end"):
             IntegratorConfig(t_end=-2.0).validate()
+
+    @pytest.mark.parametrize("field", ["max_step", "divergence_norm"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
+    def test_config_refuses_non_positive_limits(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            IntegratorConfig(t_end=1.0, **{field: value}).validate()
+        IntegratorConfig(t_end=1.0, **{field: math.inf}).validate()
 
     def test_harmonic_oscillator_period(self):
         tr = integrate(single_mode(1.0), np.array([1.0, 0.0]),
@@ -242,7 +249,7 @@ class TestEquilibria:
         # rows by integer amounts (static residuals (0,-6,-4,0) and
         # (0,-6,0,0)) and are correctly absent.
         red, _, _ = systems[5]
-        fun, _ = reduced_field(red)
+        fun, _ = red.static_field()
         reports = find_equilibria(red)
         assert len(reports) == 16
         points = {tuple(np.round(r.point, 8)) for r in reports}
@@ -257,6 +264,17 @@ class TestEquilibria:
         for p in points:
             assert min(abs(p[1] - 2 * p[0]), abs(p[1] + 1)) < 1e-7
             assert min(abs(p[2] - 1), abs(p[2] - 2 * p[3])) < 1e-7
+
+    def test_full_chain_refused_before_newton(self, monkeypatch):
+        # the translation mode makes the chain's equilibria non-isolated:
+        # it has no static field, and the search stops before any seed
+        def no_newton(*args):
+            raise AssertionError("Newton ran on a full chain")
+
+        monkeypatch.setattr("fpualt.dynamics._newton_rows", no_newton)
+        chain = build_chain(ChainParams(n_pairs=2, a=0.01))
+        with pytest.raises(AttributeError, match="static_field"):
+            find_equilibria(chain)
 
     def test_rejects_non_equilibrium(self, systems):
         red, _, _ = systems[3]

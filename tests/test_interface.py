@@ -16,8 +16,8 @@ from fpualt import (ChainParams, FullState, IntegratorConfig, ReducedState,
                     build_chain, cartoon_system, energy_drift,
                     eval_accel_full, eval_accel_reduced, eval_qh_rhs,
                     extract_subsystem, hamiltonian, integrate, load_reference,
-                    reduced_energy, run_scenario)
-from fpualt.spectral import QuasiHarmonicSystem
+                    reduced_energy, run_scenario, to_quasi_harmonic)
+from fpualt.spectral import ModalBasis, QuasiHarmonicSystem
 
 from conftest import REPO, SCENARIO_DIR
 
@@ -50,7 +50,17 @@ def interface_systems(systems):
         "p3_full": (load_reference("p3_full"), _qh_entry),
         "cartoon1": (cartoon_system(1), _qh_entry),
         "cartoon2": (cartoon_system(2), _qh_entry),
+        "qh3_rescaled": (_rescaled_p3(systems), _qh_entry),
     }
+
+
+def _rescaled_p3(systems):
+    """p = 3 on a basis with rescaled columns, so T^T M T = diag(3.7^2, 0.04^2)."""
+    red, basis, _ = systems[3]
+    d = np.array([3.7, 0.04])
+    rebased = ModalBasis(lambdas=basis.lambdas.copy(), t=basis.t * d[None, :],
+                         t_inv=basis.t_inv / d[:, None], labels=basis.labels)
+    return to_quasi_harmonic(red, rebased)
 
 
 def _states(system, rng, n=7, amp=0.2):
@@ -85,15 +95,24 @@ def test_legacy_energies_delegate(interface_systems, rng):
             assert legacy(system, FullState(y[:d], y[d:])) == system.energy(y)
 
 
-@pytest.mark.parametrize("name", ("qh5", "qh47"))
+@pytest.mark.parametrize("name", ("qh5", "qh47", "qh3_rescaled"))
 def test_bond_energy_matches_pull_back(name, interface_systems, rng):
-    # T^T M T = I and U(q) = sum_b V((D q)_b): the modal energy equals the
-    # reduced energy of the state q = T x, v_q = T v
+    # T^T M T = diag(m) and U(q) = sum_b V((D q)_b): the modal energy
+    # equals the reduced energy of the state q = T x, v_q = T v
     qh, _ = interface_systems[name]
     t, d = qh.basis.t, qh.dof
     for y in _states(qh, rng, amp=0.05):
         pulled = reduced_energy(qh.reduced, ReducedState(t @ y[:d], t @ y[d:]))
         assert qh.energy(y) == pytest.approx(pulled, rel=1e-12)
+
+
+def test_rescaled_basis_energy_is_conserved(interface_systems):
+    qh, _ = interface_systems["qh3_rescaled"]
+    t_inv = qh.basis.t_inv
+    y0 = np.concatenate([t_inv @ [0.2, 0.1], t_inv @ [0.0, 0.05]])
+    tr = integrate(qh, y0, IntegratorConfig(t_end=50.0))
+    assert tr.ok
+    assert energy_drift(qh, tr) <= 1e-8
 
 
 def test_symmetric_tensor_energy_matches_bond_energy(interface_systems, rng):

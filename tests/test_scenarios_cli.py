@@ -44,6 +44,19 @@ class TestScenarioParsing:
         with pytest.raises(ScenarioError, match="unknown \\[system\\] key"):
             parse_scenario(bad)
 
+    def test_reference_frame_checked_at_parse(self, tmp_path):
+        bad = tmp_path / "s.scn"
+        bad.write_text("[system]\nkind = reduced\np = 3\n"
+                       "[initial]\nframe = ref:p3_full\n")
+        with pytest.raises(ScenarioError,
+                           match=r"s\.scn:5: reference-frame .* quasiharmonic"):
+            parse_scenario(bad)
+        bad.write_text("[system]\nkind = quasiharmonic\np = 3\n"
+                       "[initial]\nframe = ref:p4_full\n")
+        with pytest.raises(ScenarioError,
+                           match=r"s\.scn:5: unknown reference table 'p4_full'"):
+            parse_scenario(bad)
+
     def test_initial_index_out_of_range(self, tmp_path):
         bad = tmp_path / "s.scn"
         bad.write_text("[system]\nkind = reduced\np = 3\n[initial]\nq7 = 1\n"
@@ -167,6 +180,16 @@ class TestCli:
         code = main(["run", str(tmp_path / "ghost.scn"), "--out-dir", str(tmp_path)])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_unknown_reference_table_is_usage_error(self, tmp_path, capsys):
+        scn = tmp_path / "ghost_table.scn"
+        scn.write_text("[system]\nkind = quasiharmonic\np = 3\n"
+                       "[initial]\nframe = ref:p7_full\nx1 = 0.1\n")
+        assert main(["run", str(scn), "--out-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {scn}:5: unknown reference table")
+        assert "p3_full" in err
+        assert "Traceback" not in err
 
     def test_degenerate_spectrum_is_usage_error(self, tmp_path, capsys):
         # a = 1e-13 collapses the acoustic eigenvalues below resolution
