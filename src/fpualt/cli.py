@@ -80,6 +80,14 @@ def _out_dir(args):
     return out
 
 
+def _write_report(args, name, text):
+    """Write a report into the output directory, echo it, and say where."""
+    out = _out_dir(args) / name
+    out.write_text(text)
+    print(text, end="")
+    print(f"wrote {out}")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     progress = logging.StreamHandler(sys.stderr) if args.verbose else None
@@ -104,30 +112,16 @@ def main(argv=None) -> int:
 
         if args.verb == "sweep":
             report = sweep_odd_p(p_max=args.pmax, a=args.a, alpha=args.alpha)
-            text = sweep_report_text(report)
-            out = _out_dir(args) / f"sweep_p{args.pmax}.txt"
-            out.write_text(text)
-            print(text, end="")
-            print(f"wrote {out}")
+            _write_report(args, f"sweep_p{args.pmax}.txt", sweep_report_text(report))
             return EXIT_SWEEP_FAIL if report.failures else EXIT_OK
 
+        sys_ = load_system(args.system)      # analyze or equilibria
         if args.verb == "analyze":
-            sys_ = load_system(args.system)
-            text = analysis_report(sys_)
-            out = _out_dir(args) / (Path(args.system).stem + "_analysis.txt")
-            out.write_text(text)
-            print(text, end="")
-            print(f"wrote {out}")
-            return EXIT_OK
-
-        if args.verb == "equilibria":
-            sys_ = load_system(args.system)
-            text = equilibria_report(sys_, alpha=args.alpha)
-            out = _out_dir(args) / (Path(args.system).stem + "_equilibria.txt")
-            out.write_text(text)
-            print(text, end="")
-            print(f"wrote {out}")
-            return EXIT_OK
+            suffix, text = "analysis", analysis_report(sys_)
+        else:
+            suffix, text = "equilibria", equilibria_report(sys_, alpha=args.alpha)
+        _write_report(args, f"{Path(args.system).stem}_{suffix}.txt", text)
+        return EXIT_OK
     except (ScenarioError, FileNotFoundError, ValueError,
             DegenerateSpectrumError, PatternViolationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -136,7 +130,6 @@ def main(argv=None) -> int:
         if progress:
             _LOG.removeHandler(progress)
             _LOG.setLevel(logging.NOTSET)
-    return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -347,6 +347,13 @@ class ScalingFit:
     pattern_mismatches: list = field(default_factory=list)
     sign_consistent: bool = True
 
+    @property
+    def signed_scales(self):
+        """The scales with each flipped mode's sign folded in."""
+        s = self.scales.copy()
+        s[[m - 1 for m in self.sign_flips]] *= -1.0
+        return s
+
 
 def _solve_signs_gf2(rows, rhs, n):
     """Solve rows . eps = rhs over GF(2); None if inconsistent.
@@ -486,9 +493,7 @@ def map_reference_state(fit: ScalingFit, x_ref, v_ref=None):
     trajectories.  Sign flips are folded into the scales here.
     """
     d = len(fit.permutation)
-    s = fit.scales.copy()
-    for m in fit.sign_flips:
-        s[m - 1] = -s[m - 1]
+    s = fit.signed_scales
     x_src = np.zeros(d)
     v_src = np.zeros(d)
     x_ref = np.asarray(x_ref, dtype=float)
@@ -502,9 +507,7 @@ def map_reference_state(fit: ScalingFit, x_ref, v_ref=None):
 def map_to_reference_frame(fit: ScalingFit, x_src_traj):
     """Project source-frame samples (n, d) back to the reference frame."""
     x = np.asarray(x_src_traj, dtype=float)
-    s = fit.scales.copy()
-    for m in fit.sign_flips:
-        s[m - 1] = -s[m - 1]
+    s = fit.signed_scales
     cols = [x[..., src_mode - 1] / s[ref_slot]
             for ref_slot, src_mode in enumerate(fit.permutation)]
     return np.stack(cols, axis=-1)

@@ -165,11 +165,9 @@ def has_modal_coordinates(system) -> bool:
 
 
 def as_state_vector(system, state) -> np.ndarray:
-    """Accept a State, a (q, v) pair or a flat vector and return [q, v]."""
+    """Accept a State (with ``q`` and ``v``) or a flat vector and return [q, v]."""
     if hasattr(state, "q") and hasattr(state, "v"):
         vec = np.concatenate([np.asarray(state.q, float), np.asarray(state.v, float)])
-    elif isinstance(state, (tuple, list)) and len(state) == 2:
-        vec = np.concatenate([np.asarray(state[0], float), np.asarray(state[1], float)])
     else:
         vec = np.asarray(state, dtype=float).ravel()
     d = system.dof
@@ -215,10 +213,9 @@ class Trajectory:
     """Sampled solution with integration diagnostics.
 
     ``states`` rows are [positions, velocities] at ``times``; samples
-    are exact integration endpoints, not dense-output interpolants
-    (``dense`` is False).  ``status`` is "ok", "diverged" or
-    "step_underflow"; a non-ok run stops at ``t_reached`` with the last
-    accepted state appended.
+    are exact integration endpoints, not dense-output interpolants.
+    ``status`` is "ok", "diverged" or "step_underflow"; a non-ok run
+    stops at ``t_reached`` with the last accepted state appended.
     """
 
     times: np.ndarray
@@ -226,7 +223,6 @@ class Trajectory:
     status: str
     t_reached: float
     message: str = ""
-    dense: bool = False
     n_steps: int = 0
     n_rejected: int = 0
     n_rhs: int = 0
@@ -497,9 +493,6 @@ class EquilibriumReport:
     n_center: int
     n_unstable: int
     n_stable: int
-
-    def is_origin(self, tol=1e-10):
-        return bool(np.abs(self.point).max(initial=0.0) <= tol)
 
 
 IMAG_CLASSIFY_REL = 1e-8

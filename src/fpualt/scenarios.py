@@ -18,7 +18,8 @@ import numpy as np
 
 from . import __version__
 from .chain import ChainParams, build_chain
-from .coupling import (PatternViolationError, cycle_decomposition,
+from .coupling import (CycleDecomposition, PatternViolationError, ScalingFit,
+                       SquareMap, cycle_decomposition,
                        enumerate_invariant_candidates, excitation_digraph,
                        jan_check, map_reference_state, map_to_reference_frame,
                        scaling_equivalence, square_map)
@@ -37,7 +38,8 @@ log = logging.getLogger(__name__)
 
 
 class ScenarioError(ValueError):
-    """Malformed scenario file; message carries file and line number."""
+    """Malformed scenario; the message names the file and line, or the
+    field of a Scenario built in code."""
 
 
 @dataclass
@@ -65,7 +67,20 @@ class Scenario:
         )
 
 
-_KINDS = ("full", "reduced", "quasiharmonic", "cartoon")
+# Each kind's [system] keys with their defaults, and its builder, which
+# takes them all by name.  A key is an integer if its default is one and
+# a float otherwise; the cartoon frequencies default to the model's own.
+_KINDS = {
+    "full": ({"n_pairs": 2, "a": 0.01, "alpha": 1.0, "beta": 0.0},
+             lambda kw: build_chain(ChainParams(**kw))),
+    "reduced": ({"p": 3, "a": 0.01, "alpha": 1.0},
+                lambda kw: build_reduced(**kw)),
+    "quasiharmonic": ({"p": 3, "a": 0.01, "alpha": 1.0},
+                      lambda kw: to_quasi_harmonic(build_reduced(**kw))),
+    "cartoon": ({"id": 1, "omega1": None, "omega2": None, "omega3": None},
+                lambda kw: cartoon_system(kw["id"], [
+                    w for k, w in kw.items() if k != "id" and w is not None] or None)),
+}
 _OUTPUTS = ("trajectory", "actions", "energy", "analysis")
 
 
@@ -74,6 +89,60 @@ def _parse_float(value, where):
         return float(value)
     except ValueError:
         raise ScenarioError(f"{where}: not a number: {value!r}") from None
+
+
+# The checks below serve the parser, with ``where`` = file:line, and
+# run_scenario, with ``where`` naming a field of a Scenario built in code.
+
+
+def _check_kind(kind, where):
+    if kind not in _KINDS:
+        raise ScenarioError(
+            f"{where}: kind must be one of {tuple(_KINDS)}, got {kind!r}")
+
+
+def _check_system_key(kind, key, where):
+    if key not in _KINDS[kind][0]:
+        raise ScenarioError(
+            f"{where}: unknown [system] key {key!r} for kind {kind!r}; "
+            f"it takes {', '.join(_KINDS[kind][0])}")
+
+
+def _check_frame(frame, kind, where):
+    if frame != "native" and not frame.startswith("ref:"):
+        raise ScenarioError(f"{where}: frame must be 'native' or 'ref:<table>'")
+    if frame != "native" and kind != "quasiharmonic":
+        raise ScenarioError(f"{where}: reference-frame initial data requires "
+                            "a quasiharmonic system")
+    if frame != "native" and frame[4:] not in REFERENCE_TABLES:
+        raise ScenarioError(f"{where}: unknown reference table {frame[4:]!r}; "
+                            f"available: {sorted(REFERENCE_TABLES)}")
+
+
+def _check_output(key, where):
+    if key not in _OUTPUTS:
+        raise ScenarioError(f"{where}: unknown output {key!r}")
+
+
+def _check_fields(scen: Scenario):
+    """Refuse a Scenario built in code that no scenario file could give."""
+    where = f"scenario {scen.name!r}, field"
+    _check_kind(scen.kind, f"{where} 'kind'")
+    for key in scen.params:
+        _check_system_key(scen.kind, key, f"{where} 'params'")
+    _check_frame(scen.frame, scen.kind, f"{where} 'frame'")
+    for key in scen.outputs:
+        _check_output(key, f"{where} 'outputs'")
+
+
+def _system_value(kind, key, value, where):
+    _check_system_key(kind, key, where)
+    if not isinstance(_KINDS[kind][0][key], int):
+        return _parse_float(value, where)
+    try:
+        return int(value)
+    except ValueError:
+        raise ScenarioError(f"{where}: {key} must be an integer") from None
 
 
 def parse_scenario(path) -> Scenario:
@@ -104,24 +173,18 @@ def parse_scenario(path) -> Scenario:
                 raise ScenarioError(f"{where}: empty key or value")
             sections[section][key.lower()] = (value, where)
 
+    for key, (_, where) in sections["scenario"].items():
+        if key != "name":
+            raise ScenarioError(
+                f"{where}: unknown [scenario] key {key!r}; it takes name")
     sys_sec = sections["system"]
     if "kind" not in sys_sec:
         raise ScenarioError(f"{path}: [system] must set 'kind'")
     kind, kw = sys_sec.pop("kind")
     kind = kind.lower()
-    if kind not in _KINDS:
-        raise ScenarioError(f"{kw}: kind must be one of {_KINDS}, got {kind!r}")
-    params = {}
-    for key, (value, where) in sys_sec.items():
-        if key in ("p", "n_pairs", "id"):
-            try:
-                params[key] = int(value)
-            except ValueError:
-                raise ScenarioError(f"{where}: {key} must be an integer") from None
-        elif key in ("a", "alpha", "beta") or key.startswith("omega"):
-            params[key] = _parse_float(value, where)
-        else:
-            raise ScenarioError(f"{where}: unknown [system] key {key!r}")
+    _check_kind(kind, kw)
+    params = {key: _system_value(kind, key, value, where)
+              for key, (value, where) in sys_sec.items()}
 
     scen = Scenario(
         name=sections["scenario"].get("name", (path.stem, ""))[0],
@@ -129,19 +192,8 @@ def parse_scenario(path) -> Scenario:
 
     for key, (value, where) in sections["initial"].items():
         if key == "frame":
-            frame = value.lower()
-            if frame != "native" and not frame.startswith("ref:"):
-                raise ScenarioError(
-                    f"{where}: frame must be 'native' or 'ref:<table>'")
-            if frame != "native" and kind != "quasiharmonic":
-                raise ScenarioError(
-                    f"{where}: reference-frame initial data requires a "
-                    "quasiharmonic system")
-            if frame != "native" and frame[4:] not in REFERENCE_TABLES:
-                raise ScenarioError(
-                    f"{where}: unknown reference table {frame[4:]!r}; "
-                    f"available: {sorted(REFERENCE_TABLES)}")
-            scen.frame = frame
+            scen.frame = value.lower()
+            _check_frame(scen.frame, kind, where)
         elif key[0] in "qx" and key[1:].isdigit():
             scen.positions[int(key[1:])] = _parse_float(value, where)
         elif key[0] == "v" and key[1:].isdigit():
@@ -158,8 +210,7 @@ def parse_scenario(path) -> Scenario:
     if sections["outputs"]:
         outputs = set()
         for key, (value, where) in sections["outputs"].items():
-            if key not in _OUTPUTS:
-                raise ScenarioError(f"{where}: unknown output {key!r}")
+            _check_output(key, where)
             if value.lower() in ("true", "yes", "1"):
                 outputs.add(key)
             elif value.lower() not in ("false", "no", "0"):
@@ -169,18 +220,8 @@ def parse_scenario(path) -> Scenario:
 
 
 def _build_system(scen: Scenario):
-    p = scen.params
-    if scen.kind == "full":
-        return build_chain(ChainParams(
-            n_pairs=p.get("n_pairs", 2), a=p.get("a", 0.01),
-            alpha=p.get("alpha", 1.0), beta=p.get("beta", 0.0)))
-    if scen.kind == "reduced":
-        return build_reduced(p.get("p", 3), p.get("a", 0.01), p.get("alpha", 1.0))
-    if scen.kind == "quasiharmonic":
-        return to_quasi_harmonic(
-            build_reduced(p.get("p", 3), p.get("a", 0.01), p.get("alpha", 1.0)))
-    omegas = [p[k] for k in sorted(p) if k.startswith("omega")]
-    return cartoon_system(p.get("id", 1), omegas or None)
+    defaults, build = _KINDS[scen.kind]
+    return build({**defaults, **scen.params})
 
 
 def _resolve_initial(scen: Scenario, system):
@@ -223,6 +264,7 @@ def run_scenario(scenario, out_dir, overrides=None) -> RunResult:
     divergence or step-underflow report.
     """
     scen = scenario if isinstance(scenario, Scenario) else parse_scenario(scenario)
+    _check_fields(scen)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     system = _build_system(scen)
@@ -321,11 +363,105 @@ def run_scenario(scenario, out_dir, overrides=None) -> RunResult:
                      manifest=manifest, exit_code=0 if tr.ok else 2)
 
 
-# --- analysis report ----------------------------------------------------------
+# --- structure census ----------------------------------------------------------
 
 
 def _fmt(x, digits=17):
     return f"{x:.{digits - 1}e}"
+
+
+def _is_prime(n):
+    return n > 1 and all(n % k for k in range(2, int(n ** 0.5) + 1))
+
+
+@dataclass
+class SweepRow:
+    """The structure census of one quasi-harmonic system.
+
+    ``violation`` is the square-pattern failure, if any; the census then
+    stops, with no squares, cycles, candidates or fit.  The high-low
+    interaction verdicts are that pattern: ``square_map`` returns only
+    when both squares of every pair i fill both equations of pair
+    rho(i), so in every pair the optical square forces an acoustic
+    equation and the acoustic square an optical one.
+    """
+
+    p: int
+    lambdas: np.ndarray
+    squares: SquareMap = None
+    violation: str = None
+    cycles: tuple = ()
+    n_candidates: int = 0
+    invariants: list = field(default_factory=list)
+    fit: ScalingFit = None       # against the shipped table ``fit_table``
+    fit_table: str = None
+
+    @property
+    def rho(self):
+        return {} if self.squares is None else self.squares.rho
+
+    @property
+    def optical_forces_acoustic(self):
+        return bool(self.rho)
+
+    acoustic_forces_optical = optical_forces_acoustic
+
+    @property
+    def rho_disagreements(self):
+        """The pairs i with rho(i) != min(2i, p - 2i)."""
+        return [i for i, (_, _, ok) in jan_check(self.p, self.rho).items()
+                if not ok]
+
+    @property
+    def jan_ok(self):
+        return bool(self.rho) and not self.rho_disagreements
+
+    @property
+    def failures(self):
+        """The sweep's assertion failures for this p."""
+        if self.violation:
+            return [f"square pattern violated: {self.violation}"]
+        failures = []
+        if self.rho_disagreements:
+            failures.append(f"rho disagrees with min(2i, p-2i) at "
+                            f"{self.rho_disagreements}")
+        if _is_prime(self.p) and self.p >= 5 and self.invariants:
+            failures.append(f"unexpected invariant sets for prime p: "
+                            f"{[c.kept_modes for c in self.invariants]}")
+        return failures
+
+
+def structure_census(sys, fit=True) -> SweepRow:
+    """Square map, rho, cycles, invariant sets and table fit of one system.
+
+    The analysis report and the odd-p sweep both read their verdicts
+    from this census.  With ``fit`` the system is fitted against the
+    shipped table for its (p, a), when that table has as many modes.
+    """
+    row = SweepRow(p=sys.p, lambdas=sys.lambdas)
+    try:
+        row.squares = square_map(sys)
+    except PatternViolationError as exc:
+        row.violation = str(exc)
+        return row
+    row.cycles = cycle_decomposition(row.rho).cycles
+    candidates = enumerate_invariant_candidates(sys)
+    row.n_candidates = len(candidates)
+    row.invariants = [c for c in candidates if c.invariant]
+    ref = reference_for(sys.p, sys.a) if fit else None
+    if ref is not None and ref.dof == sys.dof:
+        row.fit, row.fit_table = scaling_equivalence(sys, ref), ref.name
+    return row
+
+
+def _invariant_lines(invariants, tag=""):
+    """One line per invariant set V(Y), then one per strict containment
+    V(Y1) < V(Y2), i.e. kept(Y1) < kept(Y2)."""
+    kept = [set(c.kept_modes) for c in invariants]
+    return ([f"  {tag}kept modes {list(c.kept_modes)} ({c.n_kept} modes), "
+             f"hidden coupling {c.max_violation:.2e}" for c in invariants]
+            + [f"  containment: kept {sorted(k1)} inside kept {sorted(k2)}"
+               for k1 in kept for k2 in kept if k1 < k2])
 
 
 def analysis_report(sys) -> str:
@@ -336,50 +472,28 @@ def analysis_report(sys) -> str:
     for i, (lam, lab) in enumerate(zip(sys.lambdas, sys.labels), start=1):
         tag = f"{lab.kind:<9s} pair {lab.pair}" if lab else "?"
         lines.append(f"  x{i:<3d} lambda = {_fmt(lam, 12)}   {tag}")
-    try:
-        sq = square_map(sys)
-    except PatternViolationError as exc:
-        lines.append(f"forcing squares: PATTERN VIOLATION: {exc}")
+    row = structure_census(sys)
+    if row.violation:
+        lines.append(f"forcing squares: PATTERN VIOLATION: {row.violation}")
         return "\n".join(lines) + "\n"
     lines.append("forcing squares: rho = "
-                 + " ".join(f"{i}->{j}" for i, j in sorted(sq.rho.items())))
-    jc = jan_check(sys.p, sq.rho) if sys.p else {}
-    if jc:
-        ok = all(v[2] for v in jc.values())
-        lines.append(f"min(2i, p-2i) formula: {'agrees' if ok else 'DISAGREES'}"
-                     + ("" if ok else f" at {[i for i, v in jc.items() if not v[2]]}"))
-    lines.append(f"cycles: {cycle_decomposition(sq.rho)}")
-    edges = excitation_digraph(sq)
-    lines.append("cross-group excitation: "
-                 + "  ".join(f"x{a}->x{b}" for a, b in edges))
-    cands = enumerate_invariant_candidates(sys)
-    inv = [c for c in cands if c.invariant]
-    lines.append(f"invariant candidate sets (unions of cycles): {len(cands)} tested, "
-                 f"{len(inv)} invariant")
-    for c in inv:
-        lines.append(f"  kept modes {list(c.kept_modes)} ({c.n_kept} modes), "
-                     f"hidden coupling {c.max_violation:.2e}")
-    for a_, b_ in containments(inv):
-        lines.append(f"  containment: kept {a_} inside kept {b_}")
-    ref = reference_for(sys.p, sys.a) if sys.p else None
-    if ref is not None and ref.dof == sys.dof:
-        fit = scaling_equivalence(sys, ref)
+                 + " ".join(f"{i}->{j}" for i, j in sorted(row.rho.items())))
+    if row.p and row.rho:
+        bad = row.rho_disagreements
+        lines.append("min(2i, p-2i) formula: "
+                     + (f"DISAGREES at {bad}" if bad else "agrees"))
+    lines.append(f"cycles: {CycleDecomposition(row.cycles)}")
+    lines.append("cross-group excitation: " + "  ".join(
+        f"x{a}->x{b}" for a, b in excitation_digraph(row.squares)))
+    lines.append(f"invariant candidate sets (unions of cycles): "
+                 f"{row.n_candidates} tested, {len(row.invariants)} invariant")
+    lines += _invariant_lines(row.invariants)
+    if row.fit is not None:
         lines.append(
-            f"scaling fit vs table {ref.name}: residual {fit.residual:.3e}, "
-            f"max entry mismatch {fit.max_rel_mismatch:.3e}, "
-            f"{len(fit.pattern_mismatches)} pattern mismatches")
+            f"scaling fit vs table {row.fit_table}: residual {row.fit.residual:.3e}, "
+            f"max entry mismatch {row.fit.max_rel_mismatch:.3e}, "
+            f"{len(row.fit.pattern_mismatches)} pattern mismatches")
     return "\n".join(lines) + "\n"
-
-
-def containments(invariants):
-    """Strict containments V(Y1) < V(Y2), i.e. kept(Y1) < kept(Y2)."""
-    pairs = []
-    for c1 in invariants:
-        for c2 in invariants:
-            k1, k2 = set(c1.kept_modes), set(c2.kept_modes)
-            if k1 < k2:
-                pairs.append((sorted(k1), sorted(k2)))
-    return pairs
 
 
 def equilibria_report(sys, alpha=None) -> str:
@@ -400,26 +514,6 @@ def equilibria_report(sys, alpha=None) -> str:
 # --- odd-p sweep --------------------------------------------------------------
 
 
-def _is_prime(n):
-    if n < 2:
-        return False
-    return all(n % k for k in range(2, int(n ** 0.5) + 1))
-
-
-@dataclass
-class SweepRow:
-    p: int
-    lambdas: np.ndarray
-    rho: dict
-    cycles: tuple
-    jan_ok: bool
-    invariants: list
-    optical_forces_acoustic: bool
-    acoustic_forces_optical: bool
-    fit_residual: float = None
-    failures: list = field(default_factory=list)
-
-
 @dataclass
 class SweepReport:
     a: float
@@ -433,12 +527,13 @@ class SweepReport:
 
 def sweep_odd_p(p_max: int = 47, a: float = 0.01,
                 alpha: float = 1.0) -> SweepReport:
-    """Reduction -> spectral -> coupling analysis for every odd p <= p_max.
+    """Reduction -> spectral -> structure census for every odd p <= p_max.
 
-    Assertion failures (square pattern, the min(2i, p-2i) formula, and
-    the high-low interaction verdict for prime p) are recorded per p
-    without aborting the sweep.  Each p's wall time and candidate count
-    are logged at INFO level.
+    The forcing-square pattern is the high-low interaction verdict: a p
+    whose squares break it records that failure.  A rho that disagrees
+    with min(2i, p-2i) and, for prime p >= 5, any invariant set are
+    failures too.  They are recorded per p without aborting the sweep.
+    Each p's wall time and candidate count are logged at INFO level.
     """
     if p_max > 199:
         raise ValueError("sweep guard: p_max must be <= 199 for desk-scale "
@@ -446,51 +541,12 @@ def sweep_odd_p(p_max: int = 47, a: float = 0.01,
     rows = []
     for p in range(3, p_max + 1, 2):
         t0 = time.perf_counter()
-        row, n_candidates = _sweep_row(p, a, alpha)
-        rows.append(row)
+        sys = to_quasi_harmonic(build_reduced(p, a, alpha))
+        # the shipped tables are for alpha = 1
+        rows.append(structure_census(sys, fit=alpha == 1.0))
         log.info("sweep p=%d: %.3f s, %d invariant candidates tested",
-                 p, time.perf_counter() - t0, n_candidates)
+                 p, time.perf_counter() - t0, rows[-1].n_candidates)
     return SweepReport(a=a, alpha=alpha, rows=rows)
-
-
-def _sweep_row(p, a, alpha):
-    """One p of the sweep: its row and the number of candidates tested."""
-    sys = to_quasi_harmonic(build_reduced(p, a, alpha))
-    failures = []
-    try:
-        sq = square_map(sys)
-    except PatternViolationError as exc:
-        return SweepRow(p=p, lambdas=sys.lambdas, rho={}, cycles=(),
-                        jan_ok=False, invariants=[],
-                        optical_forces_acoustic=False,
-                        acoustic_forces_optical=False,
-                        failures=[f"square pattern violated: {exc}"]), 0
-    jc = jan_check(p, sq.rho)
-    jan_ok = all(v[2] for v in jc.values())
-    if not jan_ok:
-        failures.append(f"rho disagrees with min(2i, p-2i) at "
-                        f"{[i for i, v in jc.items() if not v[2]]}")
-    cyc = cycle_decomposition(sq.rho).cycles
-    cands = enumerate_invariant_candidates(sys)
-    inv = [c for c in cands if c.invariant]
-    opt_to_ac = any(r % 2 == 1 and m % 2 == 0 for i in sq.evidence
-                    for (r, m, _) in sq.evidence[i])
-    ac_to_opt = any(r % 2 == 0 and m % 2 == 1 for i in sq.evidence
-                    for (r, m, _) in sq.evidence[i])
-    if _is_prime(p) and not (opt_to_ac and ac_to_opt):
-        failures.append("no high-low interaction found for prime p")
-    if _is_prime(p) and p >= 5 and inv:
-        failures.append(f"unexpected invariant sets for prime p: "
-                        f"{[c.kept_modes for c in inv]}")
-    ref = reference_for(p, a)
-    fit_res = None
-    if ref is not None and ref.dof == sys.dof and alpha == 1.0:
-        fit_res = scaling_equivalence(sys, ref).residual
-    return SweepRow(p=p, lambdas=sys.lambdas, rho=sq.rho, cycles=cyc,
-                    jan_ok=jan_ok, invariants=inv,
-                    optical_forces_acoustic=opt_to_ac,
-                    acoustic_forces_optical=ac_to_opt,
-                    fit_residual=fit_res, failures=failures), len(cands)
 
 
 def sweep_report_text(report: SweepReport) -> str:
@@ -507,26 +563,18 @@ def sweep_report_text(report: SweepReport) -> str:
         if row.rho:
             lines.append("  rho: " + " ".join(f"{i}->{j}"
                                               for i, j in sorted(row.rho.items())))
-            lines.append("  cycles: " + " ".join(
-                "(" + " ".join(map(str, c)) + ")" for c in row.cycles))
+            lines.append(f"  cycles: {CycleDecomposition(row.cycles)}")
             lines.append(f"  min(2i,p-2i) formula: "
                          f"{'agrees' if row.jan_ok else 'DISAGREES'}")
             lines.append(f"  interaction: optical squares force acoustic "
                          f"equations: {'yes' if row.optical_forces_acoustic else 'no'}; "
                          f"acoustic force optical: "
                          f"{'yes' if row.acoustic_forces_optical else 'no'}")
-        if row.invariants:
-            for c in row.invariants:
-                lines.append(f"  invariant V(Y): kept modes {list(c.kept_modes)} "
-                             f"({c.n_kept} modes), hidden coupling "
-                             f"{c.max_violation:.2e}")
-            for a_, b_ in containments(row.invariants):
-                lines.append(f"  containment: kept {a_} inside kept {b_}")
-        else:
-            lines.append("  invariant V(Y): none")
-        if row.fit_residual is not None:
+        lines += (_invariant_lines(row.invariants, "invariant V(Y): ")
+                  or ["  invariant V(Y): none"])
+        if row.fit is not None:
             lines.append(f"  scaling fit vs shipped table: residual "
-                         f"{row.fit_residual:.3e}")
+                         f"{row.fit.residual:.3e}")
         for f in row.failures:
             lines.append(f"  FAILURE: {f}")
         lines.append("")

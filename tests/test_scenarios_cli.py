@@ -6,12 +6,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fpualt import (PatternViolationError, ScenarioError, build_reduced,
+from fpualt import (PatternViolationError, Scenario, ScenarioError,
+                    analysis_report, build_reduced, load_reference,
                     parse_scenario, run_scenario, save_system, sweep_odd_p,
                     sweep_report_text, to_quasi_harmonic)
 from fpualt.cli import main
 
 from conftest import BOUNDED_SCENARIOS, SCENARIO_DIR
+
+# Golden report files: any change to a line of the sweep or analysis
+# report output fails the tests that compare against them.
+GOLDEN = Path(__file__).resolve().parent / "data"
 
 
 class TestScenarioParsing:
@@ -57,12 +62,65 @@ class TestScenarioParsing:
                            match=r"s\.scn:5: unknown reference table 'p4_full'"):
             parse_scenario(bad)
 
+    @pytest.mark.parametrize("kind, line, takes", [
+        ("full", "p = 7", "n_pairs, a, alpha, beta"),
+        ("reduced", "beta = 0.5", "p, a, alpha"),
+        ("full", "omega1 = 0.1", "n_pairs, a, alpha, beta"),
+        ("reduced", "id = 1", "p, a, alpha"),
+    ])
+    def test_key_the_kind_does_not_use(self, tmp_path, kind, line, takes):
+        # the kind's builder never reads the key, so the run would ignore it
+        bad = tmp_path / "s.scn"
+        bad.write_text(f"[system]\nkind = {kind}\n{line}\n")
+        key = line.split()[0]
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(bad)
+        assert str(err.value) == (
+            f"{bad}:3: unknown [system] key {key!r} for kind {kind!r}; "
+            f"it takes {takes}")
+
+    def test_scenario_section_takes_only_name(self, tmp_path):
+        bad = tmp_path / "s.scn"
+        bad.write_text("[scenario]\nname = x\ntitle = y\n"
+                       "[system]\nkind = cartoon\n")
+        with pytest.raises(ScenarioError,
+                           match=r"s\.scn:3: unknown \[scenario\] key 'title'"):
+            parse_scenario(bad)
+
     def test_initial_index_out_of_range(self, tmp_path):
         bad = tmp_path / "s.scn"
         bad.write_text("[system]\nkind = reduced\np = 3\n[initial]\nq7 = 1\n"
                        "[integrate]\nt_end = 1\n")
         with pytest.raises(ScenarioError, match="out of range"):
             run_scenario(bad, tmp_path / "out")
+
+
+class TestScenarioInCode:
+    """A Scenario built in code meets the parser's checks in run_scenario."""
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"kind": "reduced", "frame": "ref:p3_full"},
+         "field 'frame': reference-frame initial data requires a "
+         "quasiharmonic system"),
+        ({"kind": "quasiharmonic", "frame": "ref:nope"},
+         "field 'frame': unknown reference table 'nope'"),
+        ({"kind": "bogus"}, "field 'kind': kind must be one of"),
+        ({"kind": "reduced", "params": {"p": 3, "beta": 0.5}},
+         "field 'params': unknown [system] key 'beta' for kind 'reduced'"),
+        ({"kind": "reduced", "outputs": {"trajectroy"}},
+         "field 'outputs': unknown output 'trajectroy'"),
+    ])
+    def test_refused_with_the_field(self, tmp_path, fields, message):
+        scen = Scenario(name="x", **{"params": {"p": 3}, **fields})
+        with pytest.raises(ScenarioError) as err:
+            run_scenario(scen, tmp_path)
+        assert str(err.value).startswith(f"scenario 'x', {message}")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_valid_scenario_runs(self, tmp_path):
+        scen = Scenario(name="x", kind="quasiharmonic", params={"p": 3},
+                        frame="ref:p3_full", positions={2: 0.2}, t_end=2.0)
+        assert run_scenario(scen, tmp_path).exit_code == 0
 
 
 class TestRunScenario:
@@ -165,6 +223,15 @@ class TestSweep:
             assert sorted(c.n_kept for c in rows[p].invariants) == sizes
         text = sweep_report_text(report)
         assert "0 assertion failure(s)" in text
+        assert text == (GOLDEN / "sweep_p47.txt").read_text()
+
+    def test_analysis_reports_golden(self):
+        systems = {"p3_full": load_reference("p3_full"),
+                   "p9_full": load_reference("p9_full"),
+                   "p15": to_quasi_harmonic(build_reduced(15, 0.01, 1.0))}
+        for name, system in systems.items():
+            expected = (GOLDEN / f"analysis_{name}.txt").read_text()
+            assert analysis_report(system) == expected, name
 
 
 class TestCli:
