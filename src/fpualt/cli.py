@@ -100,12 +100,13 @@ def main(argv=None) -> int:
                 ("abs_tol", args.abs_tol), ("rel_tol", args.rel_tol),
                 ("t_end", args.t_end), ("sample_dt", args.sample_dt))
                 if v is not None}
-            result = run_scenario(args.scenario, _out_dir(args), overrides)
+            # run_scenario makes the directory once the scenario passes
+            result = run_scenario(args.scenario,
+                                  args.out_dir or _default_out_dir(), overrides)
             print(f"{result.scenario.name}: {result.trajectory.status} "
                   f"(t_reached {result.trajectory.t_reached:g}, "
                   f"{result.trajectory.n_steps} steps)")
-            if result.manifest.get("energy_drift") is not None:
-                print(f"  energy drift {result.manifest['energy_drift']:.3e}")
+            print(f"  energy drift {result.manifest['energy_drift']:.3e}")
             for f in result.files:
                 print(f"  wrote {f}")
             return EXIT_OK if result.exit_code == 0 else EXIT_DIVERGED

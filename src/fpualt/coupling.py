@@ -31,11 +31,7 @@ from .spectral import QuasiHarmonicSystem
 
 
 class PatternViolationError(RuntimeError):
-    """The forcing-square uniqueness pattern failed; carries the evidence."""
-
-    def __init__(self, message, offending=None):
-        super().__init__(message)
-        self.offending = offending or []
+    """The forcing-square uniqueness pattern failed; the message says how."""
 
 
 @dataclass(frozen=True)
@@ -110,13 +106,13 @@ def square_map(sys: QuasiHarmonicSystem) -> SquareMap:
         if len(target_pairs) != 1:
             raise PatternViolationError(
                 f"squares of pair {i} occur in equations of pairs "
-                f"{sorted(target_pairs)} (expected exactly one)", ev)
+                f"{sorted(target_pairs)} (expected exactly one)")
         j = target_pairs.pop()
         if eq_sets[0] != set(_modes_of_pair(j)) or eq_sets[1] != set(_modes_of_pair(j)):
             raise PatternViolationError(
                 f"squares of pair {i} do not fill both equations of pair {j}: "
                 f"acoustic square in {sorted(eq_sets[0])}, "
-                f"optical square in {sorted(eq_sets[1])}", ev)
+                f"optical square in {sorted(eq_sets[1])}")
         rho[i] = j
         evidence[i] = ev
     return SquareMap(p=sys.p, rho=rho, evidence=evidence)

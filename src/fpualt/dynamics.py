@@ -14,12 +14,16 @@ Unbounded solutions are a genuine feature of these cubic systems:
 integration terminates with a divergence report (never an exception)
 once the state norm passes the cutoff or the step size underflows.
 
-Nothing here branches on the kind of system.  Every system (full chain,
-reduced, quasi-harmonic) has ``dof``, ``accel(q)`` and a vectorised
-``energy(states)``; reduced and quasi-harmonic systems also give the
-static field used by the equilibrium census.  The full chain has none:
-its translation mode leaves its equilibria non-isolated.  The two
-cartoon models are quasi-harmonic systems with fixed tensors.
+Nothing here branches on the kind of system, except that
+``mode_actions`` refuses a system whose coordinates are not modes (one
+that is not quasi-harmonic) with a TypeError.  Every system (full
+chain, reduced, quasi-harmonic) has ``dof``, ``accel(q)`` and a
+vectorised ``energy(states)``; reduced and quasi-harmonic systems also
+give the static field used by the equilibrium census.  The full chain
+has none: its translation mode leaves its equilibria non-isolated.  The
+two cartoon models are quasi-harmonic systems with fixed tensors.
+Which outputs a scenario kind writes is decided by the kinds table in
+``scenarios``, which never asks for actions of a non-modal system.
 """
 
 import itertools
@@ -157,11 +161,6 @@ def acceleration_function(system):
 def energy_function(system):
     """State-vector -> energy map, or None if no exact energy is known."""
     return system.energy
-
-
-def has_modal_coordinates(system) -> bool:
-    """True if the coordinates are decoupled linear modes (quasi-harmonic)."""
-    return isinstance(system, QuasiHarmonicSystem)
 
 
 def as_state_vector(system, state) -> np.ndarray:
@@ -452,7 +451,7 @@ def mode_actions(system, trajectory: Trajectory) -> ModeActionSeries:
     Requires diagonal coordinates; raise for chain/reduced trajectories,
     whose coordinates mix the modes.
     """
-    if not has_modal_coordinates(system):
+    if not isinstance(system, QuasiHarmonicSystem):
         raise TypeError(
             "mode actions require diagonal (quasi-harmonic or cartoon) "
             f"coordinates, not {type(system).__name__}")

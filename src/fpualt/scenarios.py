@@ -3,15 +3,22 @@
 Scenario files are flat ``key = value`` text with ``[section]`` markers
 and ``#`` comments (grammar in the README).  A scenario names a system
 (full chain, reduced, quasi-harmonic, or cartoon), an initial state, an
-integrator configuration, and the outputs to write.  Initial states may
-be given in the normalisation of a shipped reference table
-(``frame = ref:<table>``); they are then mapped through the scaling fit
-and the trajectory is additionally emitted in that reference frame.
+integrator configuration, and the outputs to write.  The kinds table
+``_KINDS`` holds, per kind, its [system] keys, its builder, the letter
+of its coordinates and the outputs it can write; ``run_scenario`` reads
+all of them from there and has no branch of its own per kind.  An
+output the kind cannot write is refused, from a file with its line and
+from a Scenario built in code with its field, before anything is
+written.  Initial states may be given in the normalisation of a shipped
+reference table (``frame = ref:<table>``); they are then mapped through
+the scaling fit and the trajectory is additionally emitted in that
+reference frame.
 """
 
 import logging
 import time
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,13 +31,12 @@ from .coupling import (CycleDecomposition, PatternViolationError, ScalingFit,
                        jan_check, map_reference_state, map_to_reference_frame,
                        scaling_equivalence, square_map)
 from .dynamics import (EQUILIBRIUM_RESIDUAL_TOL, IntegratorConfig,
-                       cartoon_system, find_equilibria,
-                       has_modal_coordinates, integrate, mode_actions,
-                       relative_drift)
+                       cartoon_system, find_equilibria, integrate,
+                       mode_actions, relative_drift)
 from .refdata import REFERENCE_TABLES, load_reference, reference_for
 from .reduction import build_reduced
 from .spectral import to_quasi_harmonic
-from .writers import (actions_csv, energy_csv, trajectory_csv, write_csv,
+from .writers import (actions_csv, energy_csv, trajectory_csv,
                       write_manifest, write_svg_lines)
 
 
@@ -67,21 +73,30 @@ class Scenario:
         )
 
 
-# Each kind's [system] keys with their defaults, and its builder, which
-# takes them all by name.  A key is an integer if its default is one and
-# a float otherwise; the cartoon frequencies default to the model's own.
-_KINDS = {
-    "full": ({"n_pairs": 2, "a": 0.01, "alpha": 1.0, "beta": 0.0},
-             lambda kw: build_chain(ChainParams(**kw))),
-    "reduced": ({"p": 3, "a": 0.01, "alpha": 1.0},
-                lambda kw: build_reduced(**kw)),
-    "quasiharmonic": ({"p": 3, "a": 0.01, "alpha": 1.0},
-                      lambda kw: to_quasi_harmonic(build_reduced(**kw))),
-    "cartoon": ({"id": 1, "omega1": None, "omega2": None, "omega3": None},
-                lambda kw: cartoon_system(kw["id"], [
-                    w for k, w in kw.items() if k != "id" and w is not None] or None)),
-}
+# Each kind's [system] keys with their defaults, its builder, which
+# takes them all by name, the letter of its coordinates and the outputs
+# it can write.  A key is an integer if its default is one and a float
+# otherwise; the cartoon frequencies default to the model's own.  Mode
+# actions need modal coordinates, and the structure analysis a coupling
+# tensor built from a chain.
+_Kind = namedtuple("_Kind", "defaults build coord outputs")
 _OUTPUTS = ("trajectory", "actions", "energy", "analysis")
+_KINDS = {
+    "full": _Kind({"n_pairs": 2, "a": 0.01, "alpha": 1.0, "beta": 0.0},
+                  lambda kw: build_chain(ChainParams(**kw)),
+                  "q", ("trajectory", "energy")),
+    "reduced": _Kind({"p": 3, "a": 0.01, "alpha": 1.0},
+                     lambda kw: build_reduced(**kw),
+                     "q", ("trajectory", "energy")),
+    "quasiharmonic": _Kind({"p": 3, "a": 0.01, "alpha": 1.0},
+                           lambda kw: to_quasi_harmonic(build_reduced(**kw)),
+                           "x", _OUTPUTS),
+    "cartoon": _Kind({"id": 1, "omega1": None, "omega2": None, "omega3": None},
+                     lambda kw: cartoon_system(kw["id"], [
+                         w for k, w in kw.items()
+                         if k != "id" and w is not None] or None),
+                     "x", ("trajectory", "actions", "energy")),
+}
 
 
 def _parse_float(value, where):
@@ -102,10 +117,10 @@ def _check_kind(kind, where):
 
 
 def _check_system_key(kind, key, where):
-    if key not in _KINDS[kind][0]:
+    if key not in _KINDS[kind].defaults:
         raise ScenarioError(
             f"{where}: unknown [system] key {key!r} for kind {kind!r}; "
-            f"it takes {', '.join(_KINDS[kind][0])}")
+            f"it takes {', '.join(_KINDS[kind].defaults)}")
 
 
 def _check_frame(frame, kind, where):
@@ -119,9 +134,13 @@ def _check_frame(frame, kind, where):
                             f"available: {sorted(REFERENCE_TABLES)}")
 
 
-def _check_output(key, where):
+def _check_output(kind, key, requested, where):
     if key not in _OUTPUTS:
         raise ScenarioError(f"{where}: unknown output {key!r}")
+    if requested and key not in _KINDS[kind].outputs:
+        raise ScenarioError(
+            f"{where}: kind {kind!r} cannot write output {key!r}; "
+            f"it writes {', '.join(_KINDS[kind].outputs)}")
 
 
 def _check_fields(scen: Scenario):
@@ -132,12 +151,12 @@ def _check_fields(scen: Scenario):
         _check_system_key(scen.kind, key, f"{where} 'params'")
     _check_frame(scen.frame, scen.kind, f"{where} 'frame'")
     for key in scen.outputs:
-        _check_output(key, f"{where} 'outputs'")
+        _check_output(scen.kind, key, True, f"{where} 'outputs'")
 
 
 def _system_value(kind, key, value, where):
     _check_system_key(kind, key, where)
-    if not isinstance(_KINDS[kind][0][key], int):
+    if not isinstance(_KINDS[kind].defaults[key], int):
         return _parse_float(value, where)
     try:
         return int(value)
@@ -210,8 +229,9 @@ def parse_scenario(path) -> Scenario:
     if sections["outputs"]:
         outputs = set()
         for key, (value, where) in sections["outputs"].items():
-            _check_output(key, where)
-            if value.lower() in ("true", "yes", "1"):
+            requested = value.lower() in ("true", "yes", "1")
+            _check_output(kind, key, requested, where)
+            if requested:
                 outputs.add(key)
             elif value.lower() not in ("false", "no", "0"):
                 raise ScenarioError(f"{where}: output flags are true/false")
@@ -220,32 +240,50 @@ def parse_scenario(path) -> Scenario:
 
 
 def _build_system(scen: Scenario):
-    defaults, build = _KINDS[scen.kind]
-    return build({**defaults, **scen.params})
+    kind = _KINDS[scen.kind]
+    return kind.build({**kind.defaults, **scen.params})
+
+
+def _load(scenario) -> Scenario:
+    """A scenario file parsed, or a Scenario built in code checked."""
+    if isinstance(scenario, Scenario):
+        _check_fields(scenario)
+        return scenario
+    return parse_scenario(scenario)
 
 
 def _resolve_initial(scen: Scenario, system):
-    """Initial state vector plus (fit, reference) when frame = ref:<table>."""
-    d = system.dof
+    """Initial state vector plus the scaling fit when frame = ref:<table>."""
 
-    def fill(d_, entries):
-        vec = np.zeros(d_)
-        for idx, val in entries.items():
-            if not 1 <= idx <= d_:
+    def fill(d, name):
+        vec = np.zeros(d)
+        for idx, val in getattr(scen, name).items():
+            if not 1 <= idx <= d:
+                where = scen.path or f"scenario {scen.name!r}, field {name!r}"
                 raise ScenarioError(
-                    f"{scen.path}: initial index {idx} out of range 1..{d_}")
+                    f"{where}: initial {name} index {idx} out of range 1..{d}")
             vec[idx - 1] = val
         return vec
 
-    if scen.frame == "native":
-        return np.concatenate([fill(d, scen.positions),
-                               fill(d, scen.velocities)]), None, None
-    ref = load_reference(scen.frame.split(":", 1)[1])
+    ref = None if scen.frame == "native" else load_reference(scen.frame[4:])
+    d = system.dof if ref is None else ref.dof
+    y0 = np.concatenate([fill(d, "positions"), fill(d, "velocities")])
+    if ref is None:
+        return y0, None
     fit = scaling_equivalence(system, ref)
-    x_ref = fill(ref.dof, scen.positions)
-    v_ref = fill(ref.dof, scen.velocities)
-    x0, v0 = map_reference_state(fit, x_ref, v_ref)
-    return np.concatenate([x0, v0]), fit, ref
+    return np.concatenate(map_reference_state(fit, y0[:d], y0[d:])), fit
+
+
+def _plot(path, times, values, letter, title):
+    """One line per column of ``values``, labelled letter1, letter2, ..."""
+    write_svg_lines(path, times, list(values.T),
+                    labels=[f"{letter}{j + 1}" for j in range(values.shape[1])],
+                    title=title, xlabel="t", ylabel=letter)
+
+
+def _write_trajectory(emit, tr, stem, coord, title):
+    trajectory_csv(emit(f"{stem}.csv"), tr, coord=coord)
+    _plot(emit(f"{stem}.svg"), tr.times, tr.positions(), coord, title)
 
 
 @dataclass
@@ -260,22 +298,21 @@ class RunResult:
 def run_scenario(scenario, out_dir, overrides=None) -> RunResult:
     """Run one scenario and write its requested outputs.
 
-    Returns exit code 0 on success and 2 when the integration ended in a
-    divergence or step-underflow report.
+    Every check runs before the output directory is made, so a refused
+    scenario writes nothing.  Returns exit code 0 on success and 2 when
+    the integration ended in a divergence or step-underflow report.
     """
-    scen = scenario if isinstance(scenario, Scenario) else parse_scenario(scenario)
-    _check_fields(scen)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    scen = _load(scenario)
     system = _build_system(scen)
-    y0, fit, ref = _resolve_initial(scen, system)
+    y0, fit = _resolve_initial(scen, system)
     cfg = scen.config(overrides)
 
     t0 = time.perf_counter()
     tr = integrate(system, y0, cfg)
     wall = time.perf_counter() - t0
 
-    coord = "q" if scen.kind in ("full", "reduced") else "x"
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     files = []
 
     def emit(name):
@@ -283,48 +320,27 @@ def run_scenario(scenario, out_dir, overrides=None) -> RunResult:
         return out / name
 
     if "trajectory" in scen.outputs:
-        trajectory_csv(emit(f"{scen.name}_trajectory.csv"), tr, coord=coord)
-        pos = tr.positions()
-        write_svg_lines(
-            emit(f"{scen.name}_trajectory.svg"), tr.times,
-            [pos[:, j] for j in range(tr.dof)],
-            labels=[f"{coord}{j + 1}" for j in range(tr.dof)],
-            title=scen.name, xlabel="t", ylabel=coord)
+        _write_trajectory(emit, tr, f"{scen.name}_trajectory",
+                          _KINDS[scen.kind].coord, scen.name)
         if fit is not None:
-            pos_ref = map_to_reference_frame(fit, pos)
-            vel_ref = map_to_reference_frame(fit, tr.velocities())
-            header = ["t"]
-            cols = [tr.times]
-            for j in range(ref.dof):
-                header += [f"x{j + 1}", f"v{j + 1}"]
-                cols += [pos_ref[:, j], vel_ref[:, j]]
-            write_csv(emit(f"{scen.name}_trajectory_ref.csv"), header, cols)
-            write_svg_lines(
-                emit(f"{scen.name}_trajectory_ref.svg"), tr.times,
-                [pos_ref[:, j] for j in range(ref.dof)],
-                labels=[f"x{j + 1}" for j in range(ref.dof)],
-                title=f"{scen.name} (reference frame)", xlabel="t", ylabel="x")
+            mapped = [map_to_reference_frame(fit, tr.positions()),
+                      map_to_reference_frame(fit, tr.velocities())]
+            _write_trajectory(emit, replace(tr, states=np.hstack(mapped)),
+                              f"{scen.name}_trajectory_ref", "x",
+                              f"{scen.name} (reference frame)")
 
-    if "actions" in scen.outputs and has_modal_coordinates(system):
+    if "actions" in scen.outputs:
         series = mode_actions(system, tr)
         actions_csv(emit(f"{scen.name}_actions.csv"), series)
-        write_svg_lines(
-            emit(f"{scen.name}_actions.svg"), series.times,
-            [series.actions[:, j] for j in range(series.actions.shape[1])],
-            labels=[f"E{j + 1}" for j in range(series.actions.shape[1])],
-            title=f"{scen.name}: mode actions", xlabel="t", ylabel="E")
+        _plot(emit(f"{scen.name}_actions.svg"), series.times, series.actions,
+              "E", f"{scen.name}: mode actions")
 
-    drift = None
-    if system.energy is not None:
-        energies = system.energy(tr.states)
-        drift = relative_drift(energies)
-        if "energy" in scen.outputs:
-            energy_csv(emit(f"{scen.name}_energy.csv"), tr.times, energies)
+    energies = system.energy(tr.states)
+    if "energy" in scen.outputs:
+        energy_csv(emit(f"{scen.name}_energy.csv"), tr.times, energies)
 
-    if "analysis" in scen.outputs and scen.kind == "quasiharmonic":
-        text = analysis_report(system)
-        path = emit(f"{scen.name}_analysis.txt")
-        path.write_text(text)
+    if "analysis" in scen.outputs:
+        emit(f"{scen.name}_analysis.txt").write_text(analysis_report(system))
 
     manifest = {
         "name": scen.name,
@@ -345,7 +361,7 @@ def run_scenario(scenario, out_dir, overrides=None) -> RunResult:
         "h_min": tr.h_min,
         "h_median": tr.h_median,
         "h_max": tr.h_max,
-        "energy_drift": drift,
+        "energy_drift": relative_drift(energies),
         "wall_time_s": wall,
         "outputs": files,
     }
@@ -407,8 +423,20 @@ class SweepRow:
     acoustic_forces_optical = optical_forces_acoustic
 
     @property
+    def full_system(self):
+        """True when the system has all p - 1 modes of its chain.
+
+        Only then are its pairs numbered 1..(p-1)/2 as min(2i, p - 2i)
+        assumes; a subsystem keeps its parent's p but renumbers its
+        pairs, and a cartoon has no p.
+        """
+        return len(self.lambdas) == self.p - 1
+
+    @property
     def rho_disagreements(self):
-        """The pairs i with rho(i) != min(2i, p - 2i)."""
+        """The pairs i with rho(i) != min(2i, p - 2i); none unless full."""
+        if not self.full_system:
+            return []
         return [i for i, (_, _, ok) in jan_check(self.p, self.rho).items()
                 if not ok]
 
@@ -478,7 +506,7 @@ def analysis_report(sys) -> str:
         return "\n".join(lines) + "\n"
     lines.append("forcing squares: rho = "
                  + " ".join(f"{i}->{j}" for i, j in sorted(row.rho.items())))
-    if row.p and row.rho:
+    if row.full_system:
         bad = row.rho_disagreements
         lines.append("min(2i, p-2i) formula: "
                      + (f"DISAGREES at {bad}" if bad else "agrees"))

@@ -270,7 +270,7 @@ def test_criterion_11_numerical_hygiene(scenario_results):
         scen = res.scenario
         from fpualt.scenarios import _build_system, _resolve_initial
         system = _build_system(scen)
-        y0, _, _ = _resolve_initial(scen, system)
+        y0, _ = _resolve_initial(scen, system)
         t_rev = min(scen.t_end, 100.0)
         cfg = IntegratorConfig(t_end=t_rev, abs_tol=scen.abs_tol,
                                rel_tol=scen.rel_tol, sample_dt=t_rev)

@@ -6,6 +6,7 @@ energy entry points delegate to them.  Cartoons are quasi-harmonic
 systems with fixed, fully symmetric tensors.
 """
 
+import re
 import subprocess
 import sys
 
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 from fpualt import (ChainParams, FullState, IntegratorConfig, ReducedState,
-                    build_chain, cartoon_system, energy_drift,
+                    ScenarioError, build_chain, cartoon_system, energy_drift,
                     eval_accel_full, eval_accel_reduced, eval_qh_rhs,
                     extract_subsystem, hamiltonian, integrate, load_reference,
                     reduced_energy, run_scenario, to_quasi_harmonic)
@@ -169,15 +170,19 @@ def test_monomial_entries_match_loop(which, rel, systems):
     assert list(qh.monomial_entries(threshold)) == list(_monomial_loop(qh, threshold))
 
 
-def test_actions_skipped_only_without_modal_coordinates(tmp_path, monkeypatch):
+def test_actions_refused_without_modal_coordinates(tmp_path, monkeypatch):
+    # the kinds table refuses the request before anything is written
     scn = tmp_path / "red.scn"
     scn.write_text("[system]\nkind = reduced\np = 3\n[initial]\nq1 = 0.1\n"
                    "[integrate]\nt_end = 2\n[outputs]\ntrajectory = true\n"
                    "actions = true\n")
-    res = run_scenario(scn, tmp_path / "out")
-    assert not any(f.endswith("_actions.csv") for f in res.files)
+    with pytest.raises(ScenarioError, match=(
+            rf"^{re.escape(str(scn))}:10: kind 'reduced' cannot write output "
+            r"'actions'; it writes trajectory, energy$")):
+        run_scenario(scn, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
 
-    # an error raised inside mode_actions is not mistaken for the skip
+    # an error raised inside mode_actions still propagates
     def broken(system, trajectory):
         raise TypeError("inside mode_actions")
 

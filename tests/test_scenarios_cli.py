@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 
 from fpualt import (PatternViolationError, Scenario, ScenarioError,
-                    analysis_report, build_reduced, load_reference,
-                    parse_scenario, run_scenario, save_system, sweep_odd_p,
-                    sweep_report_text, to_quasi_harmonic)
+                    analysis_report, build_reduced, extract_subsystem,
+                    load_reference, parse_scenario, run_scenario, save_system,
+                    sweep_odd_p, sweep_report_text, to_quasi_harmonic)
 from fpualt.cli import main
+from fpualt.scenarios import _KINDS, structure_census
 
-from conftest import BOUNDED_SCENARIOS, SCENARIO_DIR
+from conftest import BOUNDED_SCENARIOS, DIVERGENT_SCENARIOS, SCENARIO_DIR
 
 # Golden report files: any change to a line of the sweep or analysis
 # report output fails the tests that compare against them.
@@ -94,6 +95,24 @@ class TestScenarioParsing:
         with pytest.raises(ScenarioError, match="out of range"):
             run_scenario(bad, tmp_path / "out")
 
+    def test_initial_index_names_the_file_before_any_output(self, tmp_path):
+        bad = tmp_path / "s.scn"
+        bad.write_text("[system]\nkind = reduced\np = 3\n[initial]\nv3 = 1\n")
+        with pytest.raises(ScenarioError) as err:
+            run_scenario(bad, tmp_path / "out")
+        assert str(err.value) == (
+            f"{bad}: initial velocities index 3 out of range 1..2")
+        assert not (tmp_path / "out").exists()
+
+    def test_shipped_scenarios_request_only_outputs_their_kind_writes(self):
+        # the benchmark replays these files; one its kind cannot run fails here
+        paths = sorted(SCENARIO_DIR.glob("*.scn"))
+        assert {path.stem for path in paths} == set(
+            BOUNDED_SCENARIOS + DIVERGENT_SCENARIOS)
+        for path in paths:
+            scen = parse_scenario(path)
+            assert scen.outputs <= set(_KINDS[scen.kind].outputs), path.name
+
 
 class TestScenarioInCode:
     """A Scenario built in code meets the parser's checks in run_scenario."""
@@ -117,10 +136,72 @@ class TestScenarioInCode:
         assert str(err.value).startswith(f"scenario 'x', {message}")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"kind": "reduced", "positions": {3: 0.1}},
+         "field 'positions': initial positions index 3 out of range 1..2"),
+        ({"kind": "full", "params": {}, "velocities": {0: 0.1}},
+         "field 'velocities': initial velocities index 0 out of range 1..4"),
+        ({"kind": "quasiharmonic", "params": {"p": 5}, "frame": "ref:p5_full",
+          "velocities": {5: 0.1}},
+         "field 'velocities': initial velocities index 5 out of range 1..4"),
+    ])
+    def test_initial_index_names_the_field(self, tmp_path, fields, message):
+        scen = Scenario(name="x", **{"params": {"p": 3}, **fields})
+        with pytest.raises(ScenarioError) as err:
+            run_scenario(scen, tmp_path / "out")
+        assert str(err.value) == f"scenario 'x', {message}"
+        assert not (tmp_path / "out").exists()
+
     def test_valid_scenario_runs(self, tmp_path):
         scen = Scenario(name="x", kind="quasiharmonic", params={"p": 3},
                         frame="ref:p3_full", positions={2: 0.2}, t_end=2.0)
         assert run_scenario(scen, tmp_path).exit_code == 0
+
+
+class TestKindsTable:
+    """Each kind writes exactly the outputs the kinds table allows it."""
+
+    @pytest.mark.parametrize("kind, params, outputs", [
+        ("full", {}, ("trajectory", "energy")),
+        ("reduced", {}, ("trajectory", "energy")),
+        ("cartoon", {}, ("trajectory", "actions", "energy")),
+        ("quasiharmonic", {}, ("trajectory", "actions", "energy", "analysis")),
+    ])
+    def test_every_allowed_output_is_written(self, tmp_path, kind, params,
+                                             outputs):
+        assert _KINDS[kind].outputs == outputs
+        scen = Scenario(name="k", kind=kind, params=params, positions={1: 0.1},
+                        t_end=2.0, outputs=set(outputs))
+        res = run_scenario(scen, tmp_path)
+        suffixes = {"trajectory": ("trajectory.csv", "trajectory.svg"),
+                    "actions": ("actions.csv", "actions.svg"),
+                    "energy": ("energy.csv",), "analysis": ("analysis.txt",)}
+        expected = {"k_manifest.json"} | {
+            f"k_{suffix}" for key in outputs for suffix in suffixes[key]}
+        assert {f.name for f in tmp_path.iterdir()} == expected
+        assert {Path(f).name for f in res.files} == expected
+
+    @pytest.mark.parametrize("kind, output, writes", [
+        ("full", "actions", "trajectory, energy"),
+        ("full", "analysis", "trajectory, energy"),
+        ("reduced", "actions", "trajectory, energy"),
+        ("cartoon", "analysis", "trajectory, actions, energy"),
+    ])
+    def test_output_the_kind_cannot_write_is_refused(self, tmp_path, kind,
+                                                     output, writes):
+        scen = Scenario(name="k", kind=kind, params={}, outputs={output})
+        with pytest.raises(ScenarioError) as err:
+            run_scenario(scen, tmp_path / "out")
+        assert str(err.value) == (
+            f"scenario 'k', field 'outputs': kind {kind!r} cannot write "
+            f"output {output!r}; it writes {writes}")
+        assert not (tmp_path / "out").exists()
+
+    def test_unrequested_output_is_not_refused(self, tmp_path):
+        scn = tmp_path / "s.scn"
+        scn.write_text("[system]\nkind = reduced\n[outputs]\nenergy = true\n"
+                       "actions = false\nanalysis = no\n")
+        assert parse_scenario(scn).outputs == {"energy"}
 
 
 class TestRunScenario:
@@ -233,6 +314,20 @@ class TestSweep:
             expected = (GOLDEN / f"analysis_{name}.txt").read_text()
             assert analysis_report(system) == expected, name
 
+    def test_subsystem_report_has_no_pair_formula(self):
+        # a subsystem keeps its parent's p but renumbers its pairs, so
+        # min(2i, p-2i) does not describe its rho
+        qh9 = to_quasi_harmonic(build_reduced(9, 0.01, 1.0))
+        for sub in (extract_subsystem(qh9, [5, 6]), load_reference("p9_sub34")):
+            row = structure_census(sub)
+            assert (sub.p, sub.dof, row.rho) == (9, 2, {1: 1})
+            assert not row.full_system
+            assert row.rho_disagreements == [] and row.failures == []
+            report = analysis_report(sub)
+            assert "forcing squares: rho = 1->1" in report
+            assert "formula" not in report
+        assert structure_census(qh9).full_system
+
 
 class TestCli:
     def test_run_verb(self, tmp_path, capsys):
@@ -279,6 +374,24 @@ class TestCli:
         monkeypatch.setattr("fpualt.cli.sweep_odd_p", violate)
         assert main(["sweep", "--pmax", "5", "--out-dir", str(tmp_path)]) == 1
         assert capsys.readouterr().err == "error: squares of pair 1 occur nowhere\n"
+
+    @pytest.mark.parametrize("kind, line, output", [
+        ("reduced", "p = 3", "actions = true"),
+        ("cartoon", "id = 2", "analysis = true"),
+    ])
+    def test_output_the_kind_cannot_write_is_usage_error(self, tmp_path, capsys,
+                                                         kind, line, output):
+        scn = tmp_path / "s.scn"
+        scn.write_text(f"[system]\nkind = {kind}\n{line}\n[outputs]\n"
+                       f"trajectory = true\n{output}\n")
+        out = tmp_path / "out"
+        assert main(["run", str(scn), "--out-dir", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            f"error: {scn}:6: kind {kind!r} cannot write output "
+            f"{output.split()[0]!r}; it writes ")
+        assert captured.out == ""
+        assert [f.name for f in tmp_path.iterdir()] == ["s.scn"]
 
     def test_divergence_exit(self, tmp_path):
         code = main(["run", str(SCENARIO_DIR / "fig_p3_divergent.scn"),
