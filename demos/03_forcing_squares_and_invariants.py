@@ -16,7 +16,7 @@ for p in (5, 9, 15, 17, 45):
     qh = to_quasi_harmonic(build_reduced(p, 0.01, 1.0))
     sq = square_map(qh)
     jan = jan_check(p, sq.rho)
-    inv = [c for c in enumerate_invariant_candidates(qh) if c.invariant]
+    inv = enumerate_invariant_candidates(qh)
     print(f"p = {p}")
     print(f"  rho: {' '.join(f'{i}->{j}' for i, j in sorted(sq.rho.items()))}"
           f"   (min(2i, p-2i) agrees: {all(ok for *_, ok in jan.values())})")

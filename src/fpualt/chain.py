@@ -22,6 +22,7 @@ splits the linear spectrum into a low-frequency acoustic group of size
 O(a) and a high-frequency optical group near 2.
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -129,14 +130,23 @@ class State:
 FullState = State
 
 
+def require_finite(**values):
+    """Refuse a parameter that is infinite or NaN, naming it."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be a finite number, got {value}")
+
+
 def build_chain(params: ChainParams) -> FullChainSystem:
     """Construct the periodic chain described by ``params``.
 
-    Raises ValueError for a non-positive mass parameter or fewer than
-    two mass pairs (the ring needs at least 4 particles).
+    Raises ValueError for a non-finite parameter, a non-positive mass
+    parameter or fewer than two mass pairs (the ring needs at least 4
+    particles).
     """
     if params.n_pairs < 2:
         raise ValueError(f"n_pairs must be >= 2, got {params.n_pairs}")
+    require_finite(a=params.a, alpha=params.alpha, beta=params.beta)
     if not params.a > 0:
         raise ValueError(f"mass parameter a must be positive, got {params.a}")
     n = 2 * params.n_pairs

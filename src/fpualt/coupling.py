@@ -7,10 +7,12 @@ permutation rho obeys rho(i) = min(2i, p - 2i) in every tested case.
 Unions of cycles of rho are the only candidates for invariant sets
 V(Y) = {x_i = xdot_i = 0 for i in Y}; whether a candidate is actually
 invariant depends on the mixed quadratic terms and is decided here
-directly from the tensor.  :func:`enumerate_invariant_candidates` reads
-every union's verdict from one cycle coupling table, built in a single
-pass over the tensor's nonzeros; :func:`check_invariance` is the
-mode-level test for an arbitrary Y.
+directly from the tensor.  One pass over its nonzeros gives the cycle
+forcing relation, and V(Y) is invariant iff its kept cycles are closed
+under it: :func:`enumerate_invariant_candidates` lists just those
+closed sets (Ganter's NextClosure), and :func:`check_invariance` is the
+mode-level test, with the size and place of a violation, for an
+arbitrary Y.
 
 A coefficient is present iff it is nonzero.  That is exact for systems
 built by :func:`fpualt.spectral.to_quasi_harmonic`, which store the
@@ -22,7 +24,6 @@ Mode and pair indices in this module's public objects are 1-based,
 matching every printed report; array storage stays 0-based.
 """
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -159,27 +160,13 @@ def cycle_decomposition(rho: dict) -> CycleDecomposition:
     return CycleDecomposition(cycles=tuple(cycles))
 
 
-def _verdict(sys, frozen, kept, max_violation, worst_flat):
-    """The InvariantCandidate for V(Y) from its largest violation.
-
-    ``worst_flat`` is the flat tensor index of the first (i, j, k) that
-    reaches ``max_violation``; it is ignored when the violation is 0.
-    """
-    worst = None
-    if max_violation > 0.0:
-        i, jk = divmod(int(worst_flat), sys.dof ** 2)
-        j, k = sorted(divmod(jk, sys.dof))
-        worst = (i + 1, j + 1, k + 1, sys.monomial(i + 1, j + 1, k + 1))
-    return InvariantCandidate(frozen_modes=frozen, kept_modes=kept,
-                              invariant=max_violation == 0.0,
-                              max_violation=max_violation, worst_entry=worst)
-
-
 def check_invariance(sys: QuasiHarmonicSystem, frozen_modes) -> InvariantCandidate:
     """Decide whether V(Y) is invariant for an arbitrary mode set Y.
 
     Y (1-based) is invariant iff no equation of a frozen mode contains a
     quadratic term built purely from kept modes -- mixed terms count.
+    A violation reports the largest such monomial magnitude and the
+    first (i, j, k) reaching it.
     """
     d = sys.dof
     frozen = frozenset(int(m) for m in frozen_modes)
@@ -193,86 +180,90 @@ def check_invariance(sys: QuasiHarmonicSystem, frozen_modes) -> InvariantCandida
     block = sys.bilinear[np.ix_(frozen0, kept0, kept0)]
     mult = np.where(np.eye(len(kept0), dtype=bool), 1.0, 2.0)
     mags = np.abs(block) * mult[None, :, :]
-    r, jj, kk = np.unravel_index(np.argmax(mags), mags.shape)
-    worst_flat = np.ravel_multi_index((frozen0[r], kept0[jj], kept0[kk]),
-                                      sys.bilinear.shape)
-    return _verdict(sys, frozen, kept, float(mags.max(initial=0.0)), worst_flat)
+    max_violation = float(mags.max(initial=0.0))
+    worst = None
+    if max_violation > 0.0:
+        r, jj, kk = np.unravel_index(np.argmax(mags), mags.shape)
+        i, (j, k) = sorted(frozen)[r], sorted((kept[jj], kept[kk]))
+        worst = (i, j, k, float(sys.monomial(i, j, k)))
+    return InvariantCandidate(frozen_modes=frozen, kept_modes=kept,
+                              invariant=max_violation == 0.0,
+                              max_violation=max_violation, worst_entry=worst)
 
 
-def _cycle_table(sys: QuasiHarmonicSystem, cycle_of):
-    """The cycle coupling table, from one pass over the tensor's nonzeros.
+def _forcing_relation(sys: QuasiHarmonicSystem, cycle_of):
+    """The cycle forcing relation, from one pass over the tensor's nonzeros.
 
-    ``cycle_of[m]`` is the cycle of 0-based mode m.  Entry [A, B, C] of
-    the first (c, c, c) array is the largest monomial magnitude |B_ijk|
-    (twice that for j != k) over the equations i of the modes of cycle A
-    and the modes j, k of cycles B and C; the second array holds the
-    flat tensor index of the lexicographically first (i, j, k) reaching
-    it.  Blocks without a nonzero entry hold 0 and the tensor size.
+    ``cycle_of[m]`` is the cycle of 0-based mode m.  Entry [C, A, B] of
+    the boolean (c, c, c) array says that cycle C is forced by cycles A
+    and B: an equation of a mode of C has a nonzero coefficient on the
+    product of a mode of A and a mode of B.
     """
     c = int(cycle_of.max()) + 1
-    b = sys.bilinear.ravel()
-    flat = np.flatnonzero(b)
-    i, j, k = np.unravel_index(flat, sys.bilinear.shape)
-    mags = np.abs(b[flat]) * np.where(j == k, 1.0, 2.0)
-    block = (cycle_of[i] * c + cycle_of[j]) * c + cycle_of[k]
-    largest = np.zeros(c ** 3)
-    np.maximum.at(largest, block, mags)
-    at_max = mags == largest[block]
-    first = np.full(c ** 3, b.size)
-    np.minimum.at(first, block[at_max], flat[at_max])
-    return largest.reshape(c, c, c), first.reshape(c, c, c)
+    force = np.zeros((c, c, c), dtype=bool)
+    i, j, k = np.unravel_index(np.flatnonzero(sys.bilinear), sys.bilinear.shape)
+    force[cycle_of[i], cycle_of[j], cycle_of[k]] = True
+    return force
+
+
+def _closure(force, kept):
+    """The least superset of the cycle mask ``kept`` that forces no cycle
+    outside itself."""
+    while True:
+        grown = kept | force[:, kept][:, :, kept].any(axis=(1, 2))
+        if (grown == kept).all():
+            return kept
+        kept = grown
+
+
+def _closed_sets(force):
+    """Every closed cycle mask, in lectic order (Ganter's NextClosure)."""
+    c = len(force)
+    kept = _closure(force, np.zeros(c, dtype=bool))
+    yield kept
+    n = c - 1
+    while n >= 0:
+        if not kept[n]:
+            trial = kept.copy()
+            trial[n], trial[n + 1:] = True, False
+            nxt = _closure(force, trial)
+            if (nxt[:n] == kept[:n]).all():
+                yield nxt
+                kept, n = nxt, c
+        n -= 1
 
 
 def enumerate_invariant_candidates(sys: QuasiHarmonicSystem):
-    """Test every pair-structured Y formed as a union of cycles of rho.
+    """The invariant V(Y) among the unions Y of cycles of rho.
 
-    Returns the full list of candidates (nonempty, proper) with their
-    verdicts, ordered by the size of Y and then by its sorted modes;
-    callers filter on ``invariant``.  Each verdict is read from the cycle
-    coupling table and equals what :func:`check_invariance` gives for
-    the same Y, which also tests arbitrary non-pair Y.
+    V(Y) is invariant iff its kept cycles K are closed: no two cycles
+    of K (one cycle twice included) force a cycle outside K.  The closed
+    K are listed with NextClosure over the cycle forcing relation, so
+    only the invariant unions are ever built.  Returns one
+    InvariantCandidate per nonempty proper Y, with ``invariant`` true,
+    ``max_violation`` 0.0 and no ``worst_entry``, ordered by the size of
+    Y and then by its sorted modes; each equals what
+    :func:`check_invariance` gives for the same Y.  The other unions of
+    the 2^c - 2 are not invariant; :func:`check_invariance` reports
+    their violations and tests arbitrary non-pair Y.
     """
     cycles = cycle_decomposition(square_map(sys).rho).cycles
-    c = len(cycles)
-    if c < 2:
+    if len(cycles) < 2:
         return []
     cycle_of = np.empty(sys.dof, dtype=np.intp)
     for n, cycle in enumerate(cycles):
         for i in cycle:
             cycle_of[[2 * i - 2, 2 * i - 1]] = n
-    largest, first = _cycle_table(sys, cycle_of)
-    keyed = []
-    for r in range(1, c):
-        # all unions freezing r cycles at once: (frozen, kept, kept) blocks
-        combos = np.array(list(itertools.combinations(range(c), r)))
-        n = len(combos)
-        is_frozen = np.zeros((n, c), dtype=bool)
-        is_frozen[np.arange(n)[:, None], combos] = True
-        rests = np.nonzero(~is_frozen)[1].reshape(n, c - r)
-        block = (combos[:, :, None, None], rests[:, None, :, None],
-                 rests[:, None, None, :])
-        violations = largest[block].reshape(n, -1)
-        max_violation = violations.max(axis=1)
-        at_max = violations == max_violation[:, None]
-        worst_flat = np.where(at_max, first[block].reshape(n, -1),
-                              sys.bilinear.size).min(axis=1)
-        frozen_mode = is_frozen[:, cycle_of]
-        frozen = _split_rows(frozen_mode)
-        kept = _split_rows(~frozen_mode)
-        for u in range(n):
-            keyed.append(((len(frozen[u]), frozen[u]), _verdict(
-                sys, frozenset(frozen[u]), tuple(kept[u]),
-                float(max_violation[u]), worst_flat[u])))
-    keyed.sort(key=lambda item: item[0])
-    return [cand for _, cand in keyed]
-
-
-def _split_rows(mask):
-    """The 1-based column indices of the True entries of each row, as lists."""
-    rows, cols = np.nonzero(mask)
-    ends = np.cumsum(np.bincount(rows, minlength=len(mask))).tolist()
-    cols = (cols + 1).tolist()
-    return [cols[start:end] for start, end in zip([0] + ends[:-1], ends)]
+    found = []
+    for closed in _closed_sets(_forcing_relation(sys, cycle_of)):
+        kept = closed[cycle_of]
+        if kept.any() and not kept.all():
+            found.append(InvariantCandidate(
+                frozen_modes=frozenset((np.flatnonzero(~kept) + 1).tolist()),
+                kept_modes=tuple((np.flatnonzero(kept) + 1).tolist()),
+                invariant=True, max_violation=0.0))
+    return sorted(found, key=lambda cand: (len(cand.frozen_modes),
+                                           sorted(cand.frozen_modes)))
 
 
 def extract_subsystem(sys: QuasiHarmonicSystem, kept_modes) -> QuasiHarmonicSystem:

@@ -338,7 +338,7 @@ def integrate(system, state0, cfg: IntegratorConfig) -> Trajectory:
             message = (f"state norm {ymax:.3e} exceeded "
                        f"{cfg.divergence_norm:.1e} at t={t:.6g}")
             break
-        if h_free < min_step_rel * max(abs(t), 1.0):
+        if not h_free >= min_step_rel * max(abs(t), 1.0):    # NaN fails too
             status = "step_underflow"
             message = f"step size underflow (h={h_free:.3e}) at t={t:.6g}"
             break
@@ -622,10 +622,6 @@ class ClosedFormResponse:
         wr = math.sqrt(self.lambda_driver)
         return (self.k0 * (1.0 - np.cos(wd * t))
                 + self.k2 * (np.cos(2.0 * wr * t) - np.cos(wd * t)))
-
-    def mean_level(self):
-        """Centre of the slow oscillation, k0."""
-        return self.k0
 
 
 def first_order_response(sys: QuasiHarmonicSystem, driven: int, driver: int,

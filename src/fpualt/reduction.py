@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import (BondSystem, FullChainSystem, State, eval_accel_full,
-                    hamiltonian)
+                    hamiltonian, require_finite)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -68,9 +68,11 @@ ReducedState = State
 
 
 def build_reduced(p: int, a: float, alpha: float = 1.0) -> ReducedSystem:
-    """Build the reduced (p-1)-dof system for odd p >= 3 and a > 0."""
+    """Build the reduced (p-1)-dof system for odd p >= 3, finite a > 0
+    and finite alpha."""
     if p < 3 or p % 2 == 0:
         raise ValueError(f"p must be an odd integer >= 3, got {p}")
+    require_finite(a=a, alpha=alpha)
     if not a > 0:
         raise ValueError(f"mass parameter a must be positive, got {a}")
     d = p - 1

@@ -16,6 +16,7 @@ reference frame.
 """
 
 import logging
+import math
 import time
 from collections import namedtuple
 from dataclasses import dataclass, field, replace
@@ -62,6 +63,8 @@ class Scenario:
     sample_dt: float = 1.0
     outputs: set = field(default_factory=lambda: {"trajectory", "energy"})
     path: str = ""
+    # file:line of each [initial] entry, keyed by (field, index)
+    lines: dict = field(default_factory=dict, repr=False)
 
     def config(self, overrides=None) -> IntegratorConfig:
         o = overrides or {}
@@ -101,9 +104,12 @@ _KINDS = {
 
 def _parse_float(value, where):
     try:
-        return float(value)
+        number = float(value)
     except ValueError:
         raise ScenarioError(f"{where}: not a number: {value!r}") from None
+    if not math.isfinite(number):
+        raise ScenarioError(f"{where}: not a finite number: {value!r}")
+    return number
 
 
 # The checks below serve the parser, with ``where`` = file:line, and
@@ -190,7 +196,12 @@ def parse_scenario(path) -> Scenario:
             key, value = (s.strip() for s in line.split("=", 1))
             if not key or not value:
                 raise ScenarioError(f"{where}: empty key or value")
-            sections[section][key.lower()] = (value, where)
+            key = key.lower()
+            if key in sections[section]:
+                raise ScenarioError(
+                    f"{where}: [{section}] key {key!r} given twice, "
+                    f"first at {sections[section][key][1]}")
+            sections[section][key] = (value, where)
 
     for key, (_, where) in sections["scenario"].items():
         if key != "name":
@@ -213,10 +224,15 @@ def parse_scenario(path) -> Scenario:
         if key == "frame":
             scen.frame = value.lower()
             _check_frame(scen.frame, kind, where)
-        elif key[0] in "qx" and key[1:].isdigit():
-            scen.positions[int(key[1:])] = _parse_float(value, where)
-        elif key[0] == "v" and key[1:].isdigit():
-            scen.velocities[int(key[1:])] = _parse_float(value, where)
+        elif key[0] in "qxv" and key[1:].isdigit():
+            name, idx = ("velocities" if key[0] == "v" else "positions",
+                         int(key[1:]))
+            if (name, idx) in scen.lines:
+                raise ScenarioError(f"{where}: initial {name} index {idx} "
+                                    f"given twice, first at "
+                                    f"{scen.lines[name, idx]}")
+            getattr(scen, name)[idx] = _parse_float(value, where)
+            scen.lines[name, idx] = where
         else:
             raise ScenarioError(f"{where}: unknown [initial] key {key!r}")
 
@@ -259,7 +275,8 @@ def _resolve_initial(scen: Scenario, system):
         vec = np.zeros(d)
         for idx, val in getattr(scen, name).items():
             if not 1 <= idx <= d:
-                where = scen.path or f"scenario {scen.name!r}, field {name!r}"
+                where = scen.lines.get(
+                    (name, idx), f"scenario {scen.name!r}, field {name!r}")
                 raise ScenarioError(
                     f"{where}: initial {name} index {idx} out of range 1..{d}")
             vec[idx - 1] = val
@@ -473,9 +490,9 @@ def structure_census(sys, fit=True) -> SweepRow:
         row.violation = str(exc)
         return row
     row.cycles = cycle_decomposition(row.rho).cycles
-    candidates = enumerate_invariant_candidates(sys)
-    row.n_candidates = len(candidates)
-    row.invariants = [c for c in candidates if c.invariant]
+    # every nonempty proper union of cycles is a candidate
+    row.n_candidates = max(2 ** len(row.cycles) - 2, 0)
+    row.invariants = enumerate_invariant_candidates(sys)
     ref = reference_for(sys.p, sys.a) if fit else None
     if ref is not None and ref.dof == sys.dof:
         row.fit, row.fit_table = scaling_equivalence(sys, ref), ref.name

@@ -263,18 +263,18 @@ class QuasiHarmonicSystem:
         mult = 1.0 if j == k else 2.0
         return mult * self.bilinear[i - 1, j - 1, k - 1]
 
-    def monomial_entries(self, threshold=0.0):
-        """(i, j, k, coeff) with j <= k, 1-based, |coeff| > threshold.
+    def monomial_entries(self):
+        """(i, j, k, coeff) with j <= k, 1-based, for every nonzero coeff.
 
         Ordered lexicographically by (i, j, k).
         """
-        return zip(*self._monomial_columns(threshold))
+        return zip(*self._monomial_columns())
 
-    def _monomial_columns(self, threshold=0.0):
+    def _monomial_columns(self):
         """The columns i, j, k, coeff of :meth:`monomial_entries`, as lists."""
         j, k = np.triu_indices(self.dof)
         coeff = self.bilinear[:, j, k] * np.where(j == k, 1.0, 2.0)
-        i, pair = np.nonzero(np.abs(coeff) > threshold)
+        i, pair = np.nonzero(coeff)
         return ((i + 1).tolist(), (j[pair] + 1).tolist(),
                 (k[pair] + 1).tolist(), coeff[i, pair].tolist())
 
@@ -404,7 +404,8 @@ def load_system(path, name: str = "") -> QuasiHarmonicSystem:
 
     The header and the mode lines are parsed line by line; the first
     other line starts the entry block, which is read in one pass.  Any
-    line that does not parse raises ValueError naming ``path``.
+    line that does not parse, or holds an infinite or NaN value, raises
+    ValueError naming ``path``.
     """
     with open(path) as fh:
         (p, a, alpha), lams, labels = _read_preamble(fh, path)
@@ -416,6 +417,11 @@ def load_system(path, name: str = "") -> QuasiHarmonicSystem:
         n = bad[0]
         raise ValueError(f"{path}: entry indices out of range: "
                          f"{(int(i[n]), int(j[n]), int(k[n]))}")
+    bad = np.flatnonzero(~np.isfinite(c))
+    if bad.size:
+        n = bad[0]
+        raise ValueError(f"{path}: non-finite entry "
+                         f"{(int(i[n]), int(j[n]), int(k[n]), float(c[n]))}")
     val = np.where(j == k, c, 0.5 * c)
     b = np.zeros((d, d, d))
     b[i - 1, j - 1, k - 1] = val
@@ -443,9 +449,9 @@ def _read_preamble(fh, path):
             if header is None:
                 if len(parts) != 3:
                     raise ValueError
-                header = (int(parts[0]), float(parts[1]), float(parts[2]))
+                header = (int(parts[0]), _finite(parts[1]), _finite(parts[2]))
             else:
-                lams.append(float(parts[0]))
+                lams.append(_finite(parts[0]))
                 labels.append(ModeLabel(parts[1], int(parts[2])))
         except ValueError:
             what = "mode line" if header else "header"
@@ -474,6 +480,14 @@ def _read_entries(fh, path):
             if parts and not _is_entry(parts):
                 raise ValueError(f"{path}: malformed entry line {line!r}") from None
         raise ValueError(f"{path}: {exc}") from None
+
+
+def _finite(text):
+    """The float ``text`` spells; ValueError if it is infinite or NaN."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError
+    return value
 
 
 def _is_entry(parts):

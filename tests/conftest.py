@@ -4,9 +4,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fpualt import (build_reduced, check_invariance, cycle_decomposition,
-                    eigendecompose, run_scenario, square_map,
-                    to_quasi_harmonic)
+from fpualt import (InvariantCandidate, QuasiHarmonicSystem, build_reduced,
+                    check_invariance, cycle_decomposition, eigendecompose,
+                    run_scenario, square_map, to_quasi_harmonic)
 
 REPO = Path(__file__).resolve().parent.parent
 SCENARIO_DIR = REPO / "scenarios"
@@ -50,11 +50,11 @@ def rng():
 def brute_force_candidates(qh):
     """check_invariance on every union of cycles of rho, in report order.
 
-    The reference for ``enumerate_invariant_candidates``, which reads the
-    same verdicts from the cycle coupling table and must reproduce these
-    field for field: the same candidates in the same order, with
-    max_violation and worst_entry bitwise (dataclass equality compares
-    the floats with ==, and a magnitude is never -0.0).
+    The reference for ``table_oracle``, which must reproduce these field
+    for field: the same candidates in the same order, with max_violation
+    and worst_entry bitwise (dataclass equality compares the floats with
+    ==, and a magnitude is never -0.0).  ``enumerate_invariant_candidates``
+    must reproduce the invariant ones.
     """
     cycles = cycle_decomposition(square_map(qh).rho).cycles
     out = []
@@ -64,3 +64,101 @@ def brute_force_candidates(qh):
                 qh, {m for cycle in combo for i in cycle for m in (2 * i - 1, 2 * i)}))
     out.sort(key=lambda c: (len(c.frozen_modes), sorted(c.frozen_modes)))
     return out
+
+
+# The cycle coupling table enumerator that listed every union of cycles
+# of rho with its verdict, kept verbatim as an oracle for
+# ``enumerate_invariant_candidates``, whose list must equal the invariant
+# entries of ``table_oracle``.
+
+
+def _verdict(sys, frozen, kept, max_violation, worst_flat):
+    """The InvariantCandidate for V(Y) from its largest violation.
+
+    ``worst_flat`` is the flat tensor index of the first (i, j, k) that
+    reaches ``max_violation``; it is ignored when the violation is 0.
+    """
+    worst = None
+    if max_violation > 0.0:
+        i, jk = divmod(int(worst_flat), sys.dof ** 2)
+        j, k = sorted(divmod(jk, sys.dof))
+        worst = (i + 1, j + 1, k + 1, sys.monomial(i + 1, j + 1, k + 1))
+    return InvariantCandidate(frozen_modes=frozen, kept_modes=kept,
+                              invariant=max_violation == 0.0,
+                              max_violation=max_violation, worst_entry=worst)
+
+
+def _cycle_table(sys: QuasiHarmonicSystem, cycle_of):
+    """The cycle coupling table, from one pass over the tensor's nonzeros.
+
+    ``cycle_of[m]`` is the cycle of 0-based mode m.  Entry [A, B, C] of
+    the first (c, c, c) array is the largest monomial magnitude |B_ijk|
+    (twice that for j != k) over the equations i of the modes of cycle A
+    and the modes j, k of cycles B and C; the second array holds the
+    flat tensor index of the lexicographically first (i, j, k) reaching
+    it.  Blocks without a nonzero entry hold 0 and the tensor size.
+    """
+    c = int(cycle_of.max()) + 1
+    b = sys.bilinear.ravel()
+    flat = np.flatnonzero(b)
+    i, j, k = np.unravel_index(flat, sys.bilinear.shape)
+    mags = np.abs(b[flat]) * np.where(j == k, 1.0, 2.0)
+    block = (cycle_of[i] * c + cycle_of[j]) * c + cycle_of[k]
+    largest = np.zeros(c ** 3)
+    np.maximum.at(largest, block, mags)
+    at_max = mags == largest[block]
+    first = np.full(c ** 3, b.size)
+    np.minimum.at(first, block[at_max], flat[at_max])
+    return largest.reshape(c, c, c), first.reshape(c, c, c)
+
+
+def table_oracle(sys: QuasiHarmonicSystem):
+    """Test every pair-structured Y formed as a union of cycles of rho.
+
+    Returns the full list of candidates (nonempty, proper) with their
+    verdicts, ordered by the size of Y and then by its sorted modes;
+    callers filter on ``invariant``.  Each verdict is read from the cycle
+    coupling table and equals what :func:`check_invariance` gives for
+    the same Y, which also tests arbitrary non-pair Y.
+    """
+    cycles = cycle_decomposition(square_map(sys).rho).cycles
+    c = len(cycles)
+    if c < 2:
+        return []
+    cycle_of = np.empty(sys.dof, dtype=np.intp)
+    for n, cycle in enumerate(cycles):
+        for i in cycle:
+            cycle_of[[2 * i - 2, 2 * i - 1]] = n
+    largest, first = _cycle_table(sys, cycle_of)
+    keyed = []
+    for r in range(1, c):
+        # all unions freezing r cycles at once: (frozen, kept, kept) blocks
+        combos = np.array(list(itertools.combinations(range(c), r)))
+        n = len(combos)
+        is_frozen = np.zeros((n, c), dtype=bool)
+        is_frozen[np.arange(n)[:, None], combos] = True
+        rests = np.nonzero(~is_frozen)[1].reshape(n, c - r)
+        block = (combos[:, :, None, None], rests[:, None, :, None],
+                 rests[:, None, None, :])
+        violations = largest[block].reshape(n, -1)
+        max_violation = violations.max(axis=1)
+        at_max = violations == max_violation[:, None]
+        worst_flat = np.where(at_max, first[block].reshape(n, -1),
+                              sys.bilinear.size).min(axis=1)
+        frozen_mode = is_frozen[:, cycle_of]
+        frozen = _split_rows(frozen_mode)
+        kept = _split_rows(~frozen_mode)
+        for u in range(n):
+            keyed.append(((len(frozen[u]), frozen[u]), _verdict(
+                sys, frozenset(frozen[u]), tuple(kept[u]),
+                float(max_violation[u]), worst_flat[u])))
+    keyed.sort(key=lambda item: item[0])
+    return [cand for _, cand in keyed]
+
+
+def _split_rows(mask):
+    """The 1-based column indices of the True entries of each row, as lists."""
+    rows, cols = np.nonzero(mask)
+    ends = np.cumsum(np.bincount(rows, minlength=len(mask))).tolist()
+    cols = (cols + 1).tolist()
+    return [cols[start:end] for start, end in zip([0] + ends[:-1], ends)]

@@ -20,11 +20,12 @@ from fpualt.dynamics import acceleration_function
 from fpualt.reduction import quadratic_vector
 from fpualt.spectral import qh_field
 
-from conftest import ODD_P, SWEEP_A, brute_force_candidates
+from conftest import ODD_P, SWEEP_A, brute_force_candidates, table_oracle
 
 BOND_P = (3, 5, 9, 47, 99)
 VERDICT_P = tuple(range(3, 107, 2))
 LARGE_VERDICT_P = (135, 147, 165, 189, 195, 199)
+ORACLE_LARGE_P = (135, 165, 189, 195)
 
 
 @pytest.fixture(scope="module")
@@ -85,26 +86,41 @@ def test_square_map_and_invariant_verdicts(qh_by_p):
 def test_invariant_verdicts_large_p(p):
     # The same verdicts up to the sweep's guard, p = 199, including the
     # systems with c = 11 (p = 189) and c = 13 (p = 195) cycles of rho,
-    # whose 2046 and 8190 unions the cycle coupling table decides.
-    _assert_divisor_verdicts(
-        to_quasi_harmonic(build_reduced(p, SWEEP_A, 1.0)), p)
+    # of whose 2046 and 8190 unions NextClosure builds only the invariant
+    # ones; they are the invariant ones the table oracle finds.
+    qh = to_quasi_harmonic(build_reduced(p, SWEEP_A, 1.0))
+    _assert_divisor_verdicts(qh, p)
+    assert enumerate_invariant_candidates(qh) == _invariant(table_oracle(qh))
+
+
+@pytest.mark.parametrize("p", ORACLE_LARGE_P)
+def test_enumerator_matches_table_oracle_large_p(p):
+    # test_invariant_verdicts_large_p makes this check at a = SWEEP_A
+    qh = to_quasi_harmonic(build_reduced(p, 0.3, 1.0))
+    assert enumerate_invariant_candidates(qh) == _invariant(table_oracle(qh))
 
 
 @pytest.mark.parametrize("a", [SWEEP_A, 0.3])
 def test_enumerator_matches_brute_force(a, qh_by_p):
-    # the cycle coupling table against check_invariance on every union
+    # the closed sets of the forcing relation are exactly the unions that
+    # check_invariance and the table oracle find invariant, field for field
     for p in VERDICT_P:
         qh = (qh_by_p[p] if a == SWEEP_A
               else to_quasi_harmonic(build_reduced(p, a, 1.0)))
-        assert enumerate_invariant_candidates(qh) == brute_force_candidates(qh), p
+        found = enumerate_invariant_candidates(qh)
+        assert found == _invariant(brute_force_candidates(qh)), p
+        assert found == _invariant(table_oracle(qh)), p
+
+
+def _invariant(candidates):
+    return [c for c in candidates if c.invariant]
 
 
 def _assert_divisor_verdicts(qh, p):
     npairs = (p - 1) // 2
     assert square_map(qh).rho == {i: jan_formula(p, i)
                                   for i in range(1, npairs + 1)}, p
-    found = {c.kept_modes for c in enumerate_invariant_candidates(qh)
-             if c.invariant}
+    found = {c.kept_modes for c in enumerate_invariant_candidates(qh)}
     expected = {tuple(m for j in range(k, npairs + 1, k)
                       for m in (2 * j - 1, 2 * j))
                 for k in range(3, p, 2) if p % k == 0}

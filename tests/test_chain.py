@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -27,6 +30,13 @@ class TestBuild:
             build_chain(ChainParams(3, -1.0, 1.0))
         with pytest.raises(ValueError, match="n_pairs"):
             build_chain(ChainParams(1, 0.01, 1.0))
+
+    @pytest.mark.parametrize("field", ("a", "alpha", "beta"))
+    @pytest.mark.parametrize("value", (math.inf, -math.inf, math.nan))
+    def test_non_finite_params_refused(self, field, value):
+        params = dataclasses.replace(ChainParams(3, 0.01), **{field: value})
+        with pytest.raises(ValueError, match=f"^{field} must be a finite number"):
+            build_chain(params)
 
 
 class TestAcceleration:

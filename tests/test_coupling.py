@@ -10,7 +10,7 @@ from fpualt import (IntegratorConfig, PatternViolationError, build_reduced,
                     scaling_equivalence, square_map, to_quasi_harmonic)
 from fpualt.spectral import ModalBasis, all_pair_eigenvalues
 
-from conftest import brute_force_candidates
+from conftest import brute_force_candidates, table_oracle
 
 
 class TestSquareMap:
@@ -211,14 +211,19 @@ class TestEnumeration:
 
     def test_ties_and_asymmetry(self, systems, rng):
         # magnitudes from {1, 2} tie everywhere, and B_ijk != B_ikj: the
-        # worst entry is still the first (i, j, k) reaching the maximum
+        # worst entry check_invariance reports is still the first
+        # (i, j, k) reaching the maximum, as in the table oracle, and the
+        # listed sets are the invariant unions
         qh = systems[45][2]
         b = np.where(qh.bilinear != 0.0,
                      rng.choice([-2.0, -1.0, 1.0, 2.0], qh.bilinear.shape), 0.0)
         tied = dataclasses.replace(qh, bilinear=b, g=None, f=None)
-        cands = enumerate_invariant_candidates(tied)
-        assert len(cands) == 2 ** 5 - 2
-        assert cands == brute_force_candidates(tied)
+        every = brute_force_candidates(tied)
+        assert len(every) == 2 ** 5 - 2
+        assert table_oracle(tied) == every
+        invariant = [c for c in every if c.invariant]
+        assert len(invariant) == 4
+        assert enumerate_invariant_candidates(tied) == invariant
 
 
 class TestExtraction:

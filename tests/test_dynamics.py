@@ -124,7 +124,30 @@ class _Wall:
         return np.where(q < 1.0, 0.0, np.nan)
 
 
+class _NaNField:
+    """Acceleration NaN everywhere, made without a numpy warning; records calls."""
+
+    dof = 2
+
+    def __init__(self):
+        self.calls = 0
+
+    def accel(self, q):
+        self.calls += 1
+        return np.full(2, np.nan)
+
+
 class TestNonFiniteSteps:
+    @pytest.mark.parametrize("q0", ([0.0, 0.0], [0.1, -0.2]))
+    def test_nan_field_ends_with_a_report(self, q0):
+        # a NaN at t = 0 can make the starting step NaN; the run must
+        # still stop, never retry a NaN step for ever
+        field = _NaNField()
+        tr = integrate(field, np.array(q0 + [0.0, 0.0]), IntegratorConfig(t_end=5.0))
+        assert tr.status in ("step_underflow", "diverged") and tr.message
+        assert tr.n_steps == 0
+        assert tr.n_rhs == field.calls == 2 + 12 * (tr.n_steps + tr.n_rejected)
+
     def test_wall_steps_rejected_and_counted(self):
         wall = _Wall()
         tr = integrate(wall, np.array([0.0, 1.0]), IntegratorConfig(t_end=5.0, sample_dt=5.0))

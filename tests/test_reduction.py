@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,11 @@ class TestBuild:
                 build_reduced(bad_p, 0.01)
         with pytest.raises(ValueError, match="positive"):
             build_reduced(5, 0.0)
+        for a, alpha, name in ((math.inf, 1.0, "a"), (math.nan, 1.0, "a"),
+                               (0.01, math.inf, "alpha"),
+                               (0.01, math.nan, "alpha")):
+            with pytest.raises(ValueError, match=f"^{name} must be a finite"):
+                build_reduced(5, a, alpha)
 
     def test_matrices(self):
         sys = build_reduced(5, 0.01, 1.0)

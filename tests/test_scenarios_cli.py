@@ -101,8 +101,59 @@ class TestScenarioParsing:
         with pytest.raises(ScenarioError) as err:
             run_scenario(bad, tmp_path / "out")
         assert str(err.value) == (
-            f"{bad}: initial velocities index 3 out of range 1..2")
+            f"{bad}:5: initial velocities index 3 out of range 1..2")
         assert not (tmp_path / "out").exists()
+
+    def test_initial_index_in_reference_frame_names_its_line(self, tmp_path):
+        # the range is the reference table's, known only once it is
+        # loaded; the error still points at the line of the entry
+        bad = tmp_path / "idx.scn"
+        bad.write_text("[system]\nkind = quasiharmonic\np = 3\n[initial]\n"
+                       "frame = ref:p3_full\nx1 = 0.1\nx3 = 0.1\n")
+        with pytest.raises(ScenarioError) as err:
+            run_scenario(bad, tmp_path / "out")
+        assert str(err.value) == (
+            f"{bad}:7: initial positions index 3 out of range 1..2")
+
+    @pytest.mark.parametrize("first, second, message", [
+        ("q1 = 0.1", "q1 = 0.2", "[initial] key 'q1' given twice"),
+        ("q1 = 0.1", "Q1 = 0.2", "[initial] key 'q1' given twice"),
+        ("q1 = 0.1", "x1 = 0.2", "initial positions index 1 given twice"),
+    ])
+    def test_key_given_twice_names_both_lines(self, tmp_path, first, second,
+                                              message):
+        bad = tmp_path / "twice.scn"
+        bad.write_text("[system]\nkind = reduced\np = 3\n[initial]\n"
+                       f"{first}\nv1 = 0.0\n{second}\n")
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(bad)
+        assert str(err.value) == f"{bad}:7: {message}, first at {bad}:5"
+
+    def test_key_given_twice_across_repeated_section(self, tmp_path):
+        bad = tmp_path / "twice.scn"
+        bad.write_text("[system]\nkind = reduced\n[integrate]\nt_end = 1\n"
+                       "[system]\nkind = full\n")
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(bad)
+        assert str(err.value) == (
+            f"{bad}:6: [system] key 'kind' given twice, first at {bad}:2")
+
+    @pytest.mark.parametrize("line", [
+        "[system]\nkind = reduced\nalpha = inf",
+        "[system]\nkind = full\nbeta = -inf",
+        "[system]\nkind = reduced\na = nan",
+        "[system]\nkind = reduced\n[initial]\nq1 = nan",
+        "[system]\nkind = reduced\n[integrate]\nt_end = inf",
+    ])
+    def test_non_finite_value_names_its_line(self, tmp_path, line):
+        bad = tmp_path / "s.scn"
+        bad.write_text(f"[scenario]\nname = s\n{line}\n")
+        lineno = line.count("\n") + 3
+        value = line.rsplit("= ", 1)[1]
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(bad)
+        assert str(err.value) == (
+            f"{bad}:{lineno}: not a finite number: {value!r}")
 
     def test_shipped_scenarios_request_only_outputs_their_kind_writes(self):
         # the benchmark replays these files; one its kind cannot run fails here
@@ -392,6 +443,30 @@ class TestCli:
             f"{output.split()[0]!r}; it writes ")
         assert captured.out == ""
         assert [f.name for f in tmp_path.iterdir()] == ["s.scn"]
+
+    def test_non_finite_scenario_value_is_usage_error(self, tmp_path, capsys):
+        # alpha = inf made the acceleration NaN at t = 0 and the run hang
+        scn = tmp_path / "inf.scn"
+        scn.write_text("[system]\nkind = reduced\np = 3\nalpha = inf\n"
+                       "[initial]\nq1 = 0.1\n")
+        out = tmp_path / "out"
+        assert main(["run", str(scn), "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {scn}:4: not a finite number: 'inf'\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value", [("--a", "inf"), ("--alpha", "nan"),
+                                             ("--a", "-inf")])
+    def test_non_finite_sweep_parameter_is_usage_error(self, tmp_path, capsys,
+                                                       flag, value):
+        # these printed NaN eigenvalues and "interaction: yes" with exit 0
+        assert main(["sweep", "--pmax", "5", f"{flag}={value}",
+                     "--out-dir", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: {flag[2:]} must be a finite number, "
+                                f"got {float(value)}\n")
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
 
     def test_divergence_exit(self, tmp_path):
         code = main(["run", str(SCENARIO_DIR / "fig_p3_divergent.scn"),

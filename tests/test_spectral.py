@@ -306,6 +306,13 @@ class TestSystemFiles:
         ("3 0.01 1.0\n0.5 acoustic 1\n1.5 optical 1\n2 2 1 0.25\n",
          r"out of range: \(2, 2, 1\)"),
         ("3 0.01 1.0\n1 1 1 0.5\n", "missing header or mode lines"),
+        ("3 inf 1.0\n0.5 acoustic 1\n", "malformed header '3 inf 1.0'"),
+        ("3 0.01 nan\n0.5 acoustic 1\n", "malformed header '3 0.01 nan'"),
+        ("3 0.01 1.0\n-inf acoustic 1\n", "malformed mode line '-inf acoustic 1'"),
+        ("3 0.01 1.0\n0.5 acoustic 1\n1.5 optical 1\n1 1 2 0.25\n"
+         "2 1 2 nan\n", r"non-finite entry \(2, 1, 2, nan\)"),
+        ("3 0.01 1.0\n0.5 acoustic 1\n1.5 optical 1\n1 1 1 -inf\n",
+         r"non-finite entry \(1, 1, 1, -inf\)"),
     ])
     def test_errors_name_the_file(self, text, message, tmp_path):
         path = tmp_path / "broken.txt"
