@@ -93,15 +93,19 @@ def square_map(sys: QuasiHarmonicSystem) -> SquareMap:
                          f"(built from odd p), got {d}")
     npairs = d // 2
 
-    rho, evidence = {}, {}
+    # squares[m, r]: coefficient of x_m^2 in equation r (0-based)
+    squares = np.diagonal(sys.bilinear, axis1=1, axis2=2).T
+    mode, eq = np.nonzero(squares)
+    present = [set() for _ in range(d)]    # 1-based equations of each square
+    evidence = {i: [] for i in range(1, npairs + 1)}
+    for m, r, c in zip((mode + 1).tolist(), (eq + 1).tolist(),
+                       squares[mode, eq].tolist()):
+        present[m - 1].add(r)
+        evidence[_pair_of_mode(m)].append((r, m, c))
+
+    rho = {}
     for i in range(1, npairs + 1):
-        ev = []
-        eq_sets = []
-        for m in _modes_of_pair(i):
-            coeffs = sys.bilinear[:, m - 1, m - 1]
-            present = {int(r) + 1 for r in np.flatnonzero(coeffs)}
-            eq_sets.append(present)
-            ev.extend((r, m, float(coeffs[r - 1])) for r in sorted(present))
+        eq_sets = [present[m - 1] for m in _modes_of_pair(i)]
         occupied = eq_sets[0] | eq_sets[1]
         target_pairs = {_pair_of_mode(r) for r in occupied}
         if len(target_pairs) != 1:
@@ -115,7 +119,6 @@ def square_map(sys: QuasiHarmonicSystem) -> SquareMap:
                 f"acoustic square in {sorted(eq_sets[0])}, "
                 f"optical square in {sorted(eq_sets[1])}")
         rho[i] = j
-        evidence[i] = ev
     return SquareMap(p=sys.p, rho=rho, evidence=evidence)
 
 
@@ -342,39 +345,41 @@ class ScalingFit:
         return s
 
 
-def _solve_signs_gf2(rows, rhs, n):
+def _solve_signs_gf2(rows, rhs):
     """Solve rows . eps = rhs over GF(2); None if inconsistent.
 
-    Free variables (modes untouched by any sign constraint) default to
-    zero, i.e. no flip.
+    Row reduction of the augmented matrix, pivots taken left to right.
+    Free variables (modes untouched by any sign constraint) are zero,
+    i.e. no flip, so each pivot variable reads its row's parity.
     """
-    pivots = {}   # column -> (bitmask, parity)
-    for row, b in zip(rows, rhs):
-        mask = sum(bit << c for c, bit in enumerate(row))
-        b = int(b)
-        col = 0
-        while mask:
-            col = (mask & -mask).bit_length() - 1   # lowest set bit
-            if col not in pivots:
-                break
-            pmask, pb = pivots[col]
-            mask ^= pmask
-            b ^= pb
-        if mask:
-            pivots[col] = (mask, b)
-        elif b:
-            return None
-    eps = [0] * n
-    for col in sorted(pivots, reverse=True):
-        mask, b = pivots[col]
-        val = b
-        rest = mask & ~(1 << col)
-        while rest:
-            c2 = (rest & -rest).bit_length() - 1
-            val ^= eps[c2]
-            rest &= rest - 1
-        eps[col] = val
+    aug = np.column_stack([rows, rhs]).astype(bool)
+    pivots = []
+    for col in range(aug.shape[1] - 1):
+        rank = len(pivots)
+        if rank == len(aug):
+            break
+        r = rank + int(np.argmax(aug[rank:, col]))
+        if not aug[r, col]:
+            continue
+        aug[[rank, r]] = aug[[r, rank]]
+        hit = aug[:, col].copy()
+        hit[rank] = False
+        aug[hit] ^= aug[rank]
+        pivots.append(col)
+    if aug[len(pivots):, -1].any():
+        return None
+    eps = np.zeros(aug.shape[1] - 1, dtype=bool)
+    eps[pivots] = aug[:len(pivots), -1]
     return eps
+
+
+def _monomials_by_slot(sys: QuasiHarmonicSystem, slot):
+    """{(i, j, k): coeff} of the system's monomial list, 0-based, with
+    each mode m renamed ``slot[m]`` and j <= k restored after it."""
+    *modes, coeff = sys.monomial_columns()
+    i, j, k = (slot[np.array(col, dtype=np.intp) - 1] for col in modes)
+    keys = zip(i.tolist(), np.minimum(j, k).tolist(), np.maximum(j, k).tolist())
+    return dict(zip(keys, coeff))
 
 
 # Relative eigenvalue tolerance for aligning the modes of two systems.
@@ -410,47 +415,30 @@ def scaling_equivalence(source: QuasiHarmonicSystem,
         perm.append(cand)
     perm0 = np.array(perm)
 
-    src_b = source.bilinear[np.ix_(perm0, perm0, perm0)]
-    mult = np.where(np.eye(d, dtype=bool), 1.0, 2.0)[None, :, :]
-    src_mono = src_b * mult
-    ref_mono = ref.bilinear * mult
-
-    triu = [(i, j, k) for i in range(d) for j in range(d) for k in range(j, d)]
-    common, mismatches = [], []
-    for (i, j, k) in triu:
-        in_src = src_mono[i, j, k] != 0.0
-        in_ref = ref_mono[i, j, k] != 0.0
-        if in_src and in_ref:
-            common.append((i, j, k))
-        elif in_src != in_ref:
-            side = "source" if in_src else "reference"
-            mismatches.append((i + 1, j + 1, k + 1, side,
-                               float(src_mono[i, j, k]), float(ref_mono[i, j, k])))
+    src_mono = _monomials_by_slot(source, np.argsort(perm0))
+    ref_mono = _monomials_by_slot(ref, np.arange(d))
+    common = sorted(src_mono.keys() & ref_mono.keys())
+    mismatches = [(i + 1, j + 1, k + 1,
+                   "source" if (i, j, k) in src_mono else "reference",
+                   src_mono.get((i, j, k), 0.0), ref_mono.get((i, j, k), 0.0))
+                  for i, j, k in sorted(src_mono.keys() ^ ref_mono.keys())]
     if not common:
         raise ValueError("no common nonzero tensor entries")
+    i, j, k = np.array(common).T
+    src_v = np.array([src_mono[key] for key in common])
+    ref_v = np.array([ref_mono[key] for key in common])
 
-    # Signs: eps_i + eps_j + eps_k = parity of sign disagreement (GF(2)).
-    rows, rhs = [], []
-    for (i, j, k) in common:
-        row = [0] * d
-        for m in (i, j, k):
-            row[m] ^= 1
-        rows.append(row)
-        rhs.append(0 if np.sign(ref_mono[i, j, k]) == np.sign(src_mono[i, j, k]) else 1)
-    eps = _solve_signs_gf2(rows, rhs, d)
+    # c_{i,jk} -> c_{i,jk} s_j s_k / s_i: log magnitudes obey amat . log s,
+    # and the signs eps_i + eps_j + eps_k = parity of disagreement (GF(2)).
+    eye = np.eye(d)
+    amat = eye[j] + eye[k] - eye[i]
+    eps = _solve_signs_gf2(amat % 2, np.sign(ref_v) != np.sign(src_v))
     sign_ok = eps is not None
-    flips = tuple(i + 1 for i, e in enumerate(eps or []) if e)
+    flips = tuple((np.flatnonzero(eps) + 1).tolist()) if sign_ok else ()
 
     # Log-magnitude least squares, weighted by reference magnitude.
-    amat = np.zeros((len(common), d))
-    bvec = np.empty(len(common))
-    wvec = np.empty(len(common))
-    for row_idx, (i, j, k) in enumerate(common):
-        amat[row_idx, j] += 1.0
-        amat[row_idx, k] += 1.0
-        amat[row_idx, i] -= 1.0
-        bvec[row_idx] = np.log(abs(ref_mono[i, j, k])) - np.log(abs(src_mono[i, j, k]))
-        wvec[row_idx] = abs(ref_mono[i, j, k])
+    bvec = np.log(np.abs(ref_v)) - np.log(np.abs(src_v))
+    wvec = np.abs(ref_v)
     sw = np.sqrt(wvec)
     u, *_ = np.linalg.lstsq(amat * sw[:, None], bvec * sw, rcond=None)
     log_resid = amat @ u - bvec
@@ -477,24 +465,17 @@ def map_reference_state(fit: ScalingFit, x_ref, v_ref=None):
 
     If x_src = P (s * x_ref) with P the fitted alignment, trajectories
     of the source system divided back by the scales reproduce reference
-    trajectories.  Sign flips are folded into the scales here.
+    trajectories.  Sign flips are folded into the scales here, so with
+    ``v_ref`` None a flipped mode starts at velocity -0.0.
     """
-    d = len(fit.permutation)
     s = fit.signed_scales
-    x_src = np.zeros(d)
-    v_src = np.zeros(d)
-    x_ref = np.asarray(x_ref, dtype=float)
-    v_ref = np.zeros(d) if v_ref is None else np.asarray(v_ref, dtype=float)
-    for ref_slot, src_mode in enumerate(fit.permutation):
-        x_src[src_mode - 1] = s[ref_slot] * x_ref[ref_slot]
-        v_src[src_mode - 1] = s[ref_slot] * v_ref[ref_slot]
-    return x_src, v_src
+    v_ref = np.zeros_like(s) if v_ref is None else v_ref
+    out = np.zeros((2, len(s)))
+    out[:, np.array(fit.permutation) - 1] = s * np.array([x_ref, v_ref], dtype=float)
+    return out[0], out[1]
 
 
 def map_to_reference_frame(fit: ScalingFit, x_src_traj):
     """Project source-frame samples (n, d) back to the reference frame."""
     x = np.asarray(x_src_traj, dtype=float)
-    s = fit.signed_scales
-    cols = [x[..., src_mode - 1] / s[ref_slot]
-            for ref_slot, src_mode in enumerate(fit.permutation)]
-    return np.stack(cols, axis=-1)
+    return x[..., np.array(fit.permutation) - 1] / fit.signed_scales

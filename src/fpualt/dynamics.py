@@ -32,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .chain import require_finite
 from .spectral import QuasiHarmonicSystem
 
 # --- Runge-Kutta tableau (order 8 propagation, 12 stages) ------------------
@@ -122,7 +123,7 @@ def cartoon_system(cid: int, omegas=None) -> QuasiHarmonicSystem:
     the 0.2 / 0.25 couplings where the two fast modes are in detuned
     resonance and strongly force the slow one.  Both are quasi-harmonic
     systems with lambda = omega^2, alpha = 1 and a fixed, fully
-    symmetric tensor.
+    symmetric tensor.  A non-finite omega is refused by name.
     """
     if cid not in _CARTOONS:
         raise ValueError(f"cartoon id must be 1 or 2, got {cid}")
@@ -131,6 +132,7 @@ def cartoon_system(cid: int, omegas=None) -> QuasiHarmonicSystem:
     d = len(default)
     if len(omegas) != d:
         raise ValueError(f"cartoon {cid} has {('two', 'three')[cid - 1]} oscillators")
+    require_finite(**{f"omega{n}": w for n, w in enumerate(omegas, start=1)})
     b = np.zeros((d, d, d))
     for index, value in couplings.items():
         for perm in itertools.permutations(index):
@@ -185,7 +187,7 @@ class IntegratorConfig:
     ``sample_dt`` is the output stride; figure captions count time in
     these unit samples.  Tolerances outside (0, 1e-4] are refused, and
     so is a sample_dt, t_end, max_step or divergence_norm that is not
-    positive (NaN included).
+    positive (NaN included), and an infinite t_end.
     ``max_step`` bounds the controller's step; a step that lands on a
     sample time may exceed it by at most the landing tolerance
     1e-12 * max(1, t_end).
@@ -205,6 +207,7 @@ class IntegratorConfig:
         for name in ("sample_dt", "t_end", "max_step", "divergence_norm"):
             if not getattr(self, name) > 0:     # NaN fails too
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        require_finite(t_end=self.t_end)
 
 
 @dataclass

@@ -7,12 +7,12 @@ integrator configuration, and the outputs to write.  The kinds table
 ``_KINDS`` holds, per kind, its [system] keys, its builder, the letter
 of its coordinates and the outputs it can write; ``run_scenario`` reads
 all of them from there and has no branch of its own per kind.  An
-output the kind cannot write is refused, from a file with its line and
-from a Scenario built in code with its field, before anything is
-written.  Initial states may be given in the normalisation of a shipped
-reference table (``frame = ref:<table>``); they are then mapped through
-the scaling fit and the trajectory is additionally emitted in that
-reference frame.
+output the kind cannot write, or a value that is not finite, is
+refused, from a file with its line and from a Scenario built in code
+with its field, before anything is written.  Initial states may be
+given in the normalisation of a shipped reference table
+(``frame = ref:<table>``); they are then mapped through the scaling fit
+and the trajectory is additionally emitted in that reference frame.
 """
 
 import logging
@@ -20,6 +20,7 @@ import math
 import time
 from collections import namedtuple
 from dataclasses import dataclass, field, replace
+from numbers import Real
 from pathlib import Path
 
 import numpy as np
@@ -158,6 +159,14 @@ def _check_fields(scen: Scenario):
     _check_frame(scen.frame, scen.kind, f"{where} 'frame'")
     for key in scen.outputs:
         _check_output(scen.kind, key, True, f"{where} 'outputs'")
+    values = {"params": scen.params.values(), "positions": scen.positions.values(),
+              "velocities": scen.velocities.values()}
+    for name in ("t_end", "abs_tol", "rel_tol", "sample_dt"):
+        values[name] = [getattr(scen, name)]
+    for name, field_values in values.items():
+        for value in field_values:
+            if isinstance(value, Real) and not math.isfinite(value):
+                raise ScenarioError(f"{where} {name!r}: not a finite number: {value!r}")
 
 
 def _system_value(kind, key, value, where):

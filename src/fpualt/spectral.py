@@ -91,12 +91,17 @@ def pair_eigenvalues(a: float, p: int, j: int):
     """Closed-form (acoustic, optical) eigenvalues of pair j.
 
     These are the eigenvalues of the 2x2 block
-    [[2a, 2a cos(pi j/p)], [2 cos(pi j/p), 2]].
+    [[2a, 2a cos(pi j/p)], [2 cos(pi j/p), 2]].  Raises ValueError when
+    a is so large that (1 + a)^2 overflows.
     """
     if not 1 <= j <= (p - 1) // 2:
         raise ValueError(f"pair index j must be in 1..{(p - 1) // 2}, got {j}")
     s2 = math.sin(math.pi * j / p) ** 2
-    disc = math.sqrt((1.0 + a) ** 2 - 4.0 * a * s2)
+    try:
+        disc = math.sqrt((1.0 + a) ** 2 - 4.0 * a * s2)
+    except OverflowError:
+        raise ValueError(f"mass parameter a = {a!r} is too large: "
+                         "(1 + a)^2 overflows") from None
     return (1.0 + a) - disc, (1.0 + a) + disc
 
 
@@ -268,10 +273,14 @@ class QuasiHarmonicSystem:
 
         Ordered lexicographically by (i, j, k).
         """
-        return zip(*self._monomial_columns())
+        return zip(*self.monomial_columns())
 
-    def _monomial_columns(self):
-        """The columns i, j, k, coeff of :meth:`monomial_entries`, as lists."""
+    def monomial_columns(self):
+        """The columns i, j, k, coeff of :meth:`monomial_entries`, as lists.
+
+        :func:`save_system` writes them, and the scaling fit of
+        :mod:`fpualt.coupling` compares two systems through them.
+        """
         j, k = np.triu_indices(self.dof)
         coeff = self.bilinear[:, j, k] * np.where(j == k, 1.0, 2.0)
         i, pair = np.nonzero(coeff)
@@ -385,7 +394,7 @@ _ENTRY_DTYPE = np.dtype([("i", np.int64), ("j", np.int64), ("k", np.int64),
 
 
 def save_system(sys: QuasiHarmonicSystem, path):
-    columns = sys._monomial_columns()
+    columns = sys.monomial_columns()
     fields = [None] * (4 * len(columns[0]))      # i, j, k, coeff per line
     for n, column in enumerate(columns):
         fields[n::4] = column

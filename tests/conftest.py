@@ -162,3 +162,43 @@ def _split_rows(mask):
     ends = np.cumsum(np.bincount(rows, minlength=len(mask))).tolist()
     cols = (cols + 1).tolist()
     return [cols[start:end] for start, end in zip([0] + ends[:-1], ends)]
+
+
+# The bitmask GF(2) sign solver of the scaling fit, kept verbatim as an
+# oracle for ``coupling._solve_signs_gf2``, the row reduction that
+# replaced it: both must give the same solution or both None.
+
+
+def gf2_signs_oracle(rows, rhs, n):
+    """Solve rows . eps = rhs over GF(2); None if inconsistent.
+
+    Free variables (modes untouched by any sign constraint) default to
+    zero, i.e. no flip.
+    """
+    pivots = {}   # column -> (bitmask, parity)
+    for row, b in zip(rows, rhs):
+        mask = sum(bit << c for c, bit in enumerate(row))
+        b = int(b)
+        col = 0
+        while mask:
+            col = (mask & -mask).bit_length() - 1   # lowest set bit
+            if col not in pivots:
+                break
+            pmask, pb = pivots[col]
+            mask ^= pmask
+            b ^= pb
+        if mask:
+            pivots[col] = (mask, b)
+        elif b:
+            return None
+    eps = [0] * n
+    for col in sorted(pivots, reverse=True):
+        mask, b = pivots[col]
+        val = b
+        rest = mask & ~(1 << col)
+        while rest:
+            c2 = (rest & -rest).bit_length() - 1
+            val ^= eps[c2]
+            rest &= rest - 1
+        eps[col] = val
+    return eps

@@ -321,6 +321,19 @@ class TestScalingFit:
         ratio = ours_scaled[(1, 1, 1)] / ours_scaled[(2, 1, 2)]
         assert ratio == pytest.approx(0.0074805894 / -2.0048858034, rel=1e-6)
 
+    def test_inconsistent_signs(self, systems):
+        # (1, 1, 1) and (1, 2, 2) both have the GF(2) row eps_1, so with
+        # one of them flipped no sign assignment fits both
+        ref = load_reference("p3_full")
+        bilinear = ref.bilinear.copy()
+        bilinear[0, 0, 0] *= -1.0
+        fit = scaling_equivalence(systems[3][2],
+                                  dataclasses.replace(ref, bilinear=bilinear))
+        assert fit.sign_consistent is False
+        assert fit.residual == np.inf
+        assert fit.sign_flips == ()
+        assert fit.pattern_mismatches == []
+
     def test_dimension_mismatch(self, systems):
         with pytest.raises(ValueError, match="dimension"):
             scaling_equivalence(systems[3][2], systems[5][2])

@@ -26,6 +26,9 @@ class TestIntegratorBasics:
             IntegratorConfig(t_end=1.0, sample_dt=0.0).validate()
         with pytest.raises(ValueError, match="t_end"):
             IntegratorConfig(t_end=-2.0).validate()
+        # an infinite t_end ran no step and reported "ok"
+        with pytest.raises(ValueError, match="t_end must be a finite number"):
+            IntegratorConfig(t_end=math.inf).validate()
 
     @pytest.mark.parametrize("field", ["max_step", "divergence_norm"])
     @pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
@@ -418,6 +421,10 @@ class TestCartoons:
             cartoon_system(3)
         with pytest.raises(ValueError, match="two oscillators"):
             cartoon_system(1, omegas=(0.1, 1.0, 1.05))
+        with pytest.raises(ValueError, match="omega1 must be a finite number"):
+            cartoon_system(1, omegas=(math.inf, 1.0))
+        with pytest.raises(ValueError, match="omega3 must be a finite number"):
+            cartoon_system(2, omegas=(0.1, 1.0, math.nan))
 
     def test_zero_state_stays_zero(self):
         car = cartoon_system(1)

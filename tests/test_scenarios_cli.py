@@ -179,6 +179,21 @@ class TestScenarioInCode:
          "field 'params': unknown [system] key 'beta' for kind 'reduced'"),
         ({"kind": "reduced", "outputs": {"trajectroy"}},
          "field 'outputs': unknown output 'trajectroy'"),
+        # a NaN position wrote the trajectory CSV, then failed in the SVG writer
+        ({"kind": "reduced", "positions": {1: math.nan}},
+         "field 'positions': not a finite number: nan"),
+        ({"kind": "reduced", "velocities": {2: -math.inf}},
+         "field 'velocities': not a finite number: -inf"),
+        ({"kind": "reduced", "params": {"p": 3, "alpha": math.inf}},
+         "field 'params': not a finite number: inf"),
+        ({"kind": "reduced", "t_end": math.inf},
+         "field 't_end': not a finite number: inf"),
+        ({"kind": "reduced", "abs_tol": math.nan},
+         "field 'abs_tol': not a finite number: nan"),
+        ({"kind": "reduced", "rel_tol": math.nan},
+         "field 'rel_tol': not a finite number: nan"),
+        ({"kind": "reduced", "sample_dt": math.inf},
+         "field 'sample_dt': not a finite number: inf"),
     ])
     def test_refused_with_the_field(self, tmp_path, fields, message):
         scen = Scenario(name="x", **{"params": {"p": 3}, **fields})
@@ -466,6 +481,25 @@ class TestCli:
         assert captured.err == (f"error: {flag[2:]} must be a finite number, "
                                 f"got {float(value)}\n")
         assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    def test_non_finite_t_end_is_usage_error(self, tmp_path, capsys):
+        # --t-end inf ran no step, printed "ok" and exited 0
+        out = tmp_path / "out"
+        assert main(["run", str(SCENARIO_DIR / "fig_p3_forcing.scn"),
+                     "--t-end", "inf", "--out-dir", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: t_end must be a finite number, got inf\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_overflowing_mass_parameter_is_usage_error(self, tmp_path, capsys):
+        # (1 + a)^2 overflowed into an OverflowError traceback
+        assert main(["sweep", "--pmax", "5", "--a", "1e200",
+                     "--out-dir", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ("error: mass parameter a = 1e+200 is too large: "
+                                "(1 + a)^2 overflows\n")
         assert list(tmp_path.iterdir()) == []
 
     def test_divergence_exit(self, tmp_path):

@@ -69,6 +69,10 @@ class TestPairEigenvalues:
         with pytest.raises(ValueError, match="pair index"):
             pair_eigenvalues(0.01, 5, 3)
 
+    def test_overflowing_a_is_named(self):
+        with pytest.raises(ValueError, match=r"a = 1e\+200 is too large"):
+            pair_eigenvalues(1e200, 5, 1)
+
 
 class TestEigendecompose:
     @pytest.mark.parametrize("p", [3, 9, 23, 47])
