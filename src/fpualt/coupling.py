@@ -7,17 +7,18 @@ permutation rho obeys rho(i) = min(2i, p - 2i) in every tested case.
 Unions of cycles of rho are the only candidates for invariant sets
 V(Y) = {x_i = xdot_i = 0 for i in Y}; whether a candidate is actually
 invariant depends on the mixed quadratic terms and is decided here
-directly from the tensor.  One pass over its nonzeros gives the cycle
+directly from the coupling.  One pass over its monomials gives the cycle
 forcing relation, and V(Y) is invariant iff its kept cycles are closed
 under it: :func:`enumerate_invariant_candidates` lists just those
 closed sets (Ganter's NextClosure), and :func:`check_invariance` is the
 mode-level test, with the size and place of a violation, for an
 arbitrary Y.
 
-A coefficient is present iff it is nonzero.  That is exact for systems
-built by :func:`fpualt.spectral.to_quasi_harmonic`, which store the
-entries the sine-mode selection rule forbids, and those that cancel to
-round-off, as exact zeros, and for tables read from files, whose absent
+Every step reads the system's monomial list (``sys.monomials``), and a
+coefficient is present iff it is listed.  That is exact for systems
+built by :func:`fpualt.spectral.to_quasi_harmonic`, whose lists hold
+only the entries the sine-mode selection rule allows and that do not
+cancel to round-off, and for tables read from files, whose absent
 entries are not printed.
 
 Mode and pair indices in this module's public objects are 1-based,
@@ -28,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import QuasiHarmonicSystem
+from .spectral import Monomials, QuasiHarmonicSystem
 
 
 class PatternViolationError(RuntimeError):
@@ -83,7 +84,7 @@ def _modes_of_pair(i):
 def square_map(sys: QuasiHarmonicSystem) -> SquareMap:
     """Locate every forcing square and extract the pair permutation rho.
 
-    A coefficient counts as present iff it is nonzero.  Raises
+    A coefficient counts as present iff it is listed.  Raises
     PatternViolationError when the squares of some pair do not occupy
     exactly the two equations of exactly one pair.
     """
@@ -93,13 +94,14 @@ def square_map(sys: QuasiHarmonicSystem) -> SquareMap:
                          f"(built from odd p), got {d}")
     npairs = d // 2
 
-    # squares[m, r]: coefficient of x_m^2 in equation r (0-based)
-    squares = np.diagonal(sys.bilinear, axis1=1, axis2=2).T
-    mode, eq = np.nonzero(squares)
+    # the squares x_m^2 in equation r, ordered by (m, r)
+    square = sys.monomials.j == sys.monomials.k
+    eq, mode, _, coeff = (column[square] for column in sys.monomials)
+    order = np.argsort(mode, kind="stable")
     present = [set() for _ in range(d)]    # 1-based equations of each square
     evidence = {i: [] for i in range(1, npairs + 1)}
-    for m, r, c in zip((mode + 1).tolist(), (eq + 1).tolist(),
-                       squares[mode, eq].tolist()):
+    for m, r, c in zip((mode[order] + 1).tolist(), (eq[order] + 1).tolist(),
+                       coeff[order].tolist()):
         present[m - 1].add(r)
         evidence[_pair_of_mode(m)].append((r, m, c))
 
@@ -177,35 +179,34 @@ def check_invariance(sys: QuasiHarmonicSystem, frozen_modes) -> InvariantCandida
         raise ValueError(
             f"Y must be a nonempty proper subset of 1..{d}, got {sorted(frozen)}")
     kept = tuple(m for m in range(1, d + 1) if m not in frozen)
-    kept0 = np.array(kept) - 1
-    frozen0 = np.array(sorted(frozen)) - 1
-
-    block = sys.bilinear[np.ix_(frozen0, kept0, kept0)]
-    mult = np.where(np.eye(len(kept0), dtype=bool), 1.0, 2.0)
-    mags = np.abs(block) * mult[None, :, :]
+    is_frozen = np.zeros(d, dtype=bool)
+    is_frozen[np.array(sorted(frozen)) - 1] = True
+    m = sys.monomials
+    hits = np.flatnonzero(is_frozen[m.i] & ~is_frozen[m.j] & ~is_frozen[m.k])
+    mags = np.abs(m.coeff[hits])
     max_violation = float(mags.max(initial=0.0))
     worst = None
     if max_violation > 0.0:
-        r, jj, kk = np.unravel_index(np.argmax(mags), mags.shape)
-        i, (j, k) = sorted(frozen)[r], sorted((kept[jj], kept[kk]))
-        worst = (i, j, k, float(sys.monomial(i, j, k)))
+        n = hits[np.argmax(mags)]
+        worst = (int(m.i[n]) + 1, int(m.j[n]) + 1, int(m.k[n]) + 1,
+                 float(m.coeff[n]))
     return InvariantCandidate(frozen_modes=frozen, kept_modes=kept,
                               invariant=max_violation == 0.0,
                               max_violation=max_violation, worst_entry=worst)
 
 
 def _forcing_relation(sys: QuasiHarmonicSystem, cycle_of):
-    """The cycle forcing relation, from one pass over the tensor's nonzeros.
+    """The cycle forcing relation, from one pass over the monomial list.
 
     ``cycle_of[m]`` is the cycle of 0-based mode m.  Entry [C, A, B] of
-    the boolean (c, c, c) array says that cycle C is forced by cycles A
-    and B: an equation of a mode of C has a nonzero coefficient on the
-    product of a mode of A and a mode of B.
+    the boolean (c, c, c) array, symmetric in A and B, says that cycle C
+    is forced by cycles A and B: an equation of a mode of C has a
+    nonzero coefficient on the product of a mode of A and a mode of B.
     """
     c = int(cycle_of.max()) + 1
     force = np.zeros((c, c, c), dtype=bool)
-    i, j, k = np.unravel_index(np.flatnonzero(sys.bilinear), sys.bilinear.shape)
-    force[cycle_of[i], cycle_of[j], cycle_of[k]] = True
+    i, j, k = (cycle_of[index] for index in sys.monomials[:3])
+    force[i, j, k] = force[i, k, j] = True
     return force
 
 
@@ -250,7 +251,11 @@ def enumerate_invariant_candidates(sys: QuasiHarmonicSystem):
     the 2^c - 2 are not invariant; :func:`check_invariance` reports
     their violations and tests arbitrary non-pair Y.
     """
-    cycles = cycle_decomposition(square_map(sys).rho).cycles
+    return _invariant_unions(sys, cycle_decomposition(square_map(sys).rho).cycles)
+
+
+def _invariant_unions(sys: QuasiHarmonicSystem, cycles):
+    """:func:`enumerate_invariant_candidates` for the cycles of rho."""
     if len(cycles) < 2:
         return []
     cycle_of = np.empty(sys.dof, dtype=np.intp)
@@ -286,9 +291,14 @@ def extract_subsystem(sys: QuasiHarmonicSystem, kept_modes) -> QuasiHarmonicSyst
             f"complement of {kept} is not invariant "
             f"(violation {cand.max_violation:.3e} at {cand.worst_entry})")
     idx = np.array(kept) - 1
+    renumber = np.full(d, -1)
+    renumber[idx] = np.arange(idx.size)
+    i, j, k = (renumber[index] for index in sys.monomials[:3])
+    inside = (i >= 0) & (j >= 0) & (k >= 0)
     return QuasiHarmonicSystem(
         lambdas=sys.lambdas[idx].copy(),
-        bilinear=sys.bilinear[np.ix_(idx, idx, idx)].copy(),
+        monomials=Monomials(i[inside], j[inside], k[inside],
+                            sys.monomials.coeff[inside]),
         labels=tuple(sys.labels[i] for i in idx),
         alpha=sys.alpha, a=sys.a, p=sys.p,
         name=f"{sys.name}|modes{kept}",
@@ -376,10 +386,9 @@ def _solve_signs_gf2(rows, rhs):
 def _monomials_by_slot(sys: QuasiHarmonicSystem, slot):
     """{(i, j, k): coeff} of the system's monomial list, 0-based, with
     each mode m renamed ``slot[m]`` and j <= k restored after it."""
-    *modes, coeff = sys.monomial_columns()
-    i, j, k = (slot[np.array(col, dtype=np.intp) - 1] for col in modes)
+    i, j, k = (slot[index] for index in sys.monomials[:3])
     keys = zip(i.tolist(), np.minimum(j, k).tolist(), np.maximum(j, k).tolist())
-    return dict(zip(keys, coeff))
+    return dict(zip(keys, sys.monomials.coeff.tolist()))
 
 
 # Relative eigenvalue tolerance for aligning the modes of two systems.

@@ -26,7 +26,6 @@ Which outputs a scenario kind writes is decided by the kinds table in
 ``scenarios``, which never asks for actions of a non-modal system.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -106,12 +105,14 @@ _MAX_GROWTH = 5.0
 _MIN_SHRINK = 0.2
 
 
-# Cartoon id -> (default frequencies, couplings B_{i,jk} set on every
-# permutation of the 0-based index triple).  The forces are the
+# Cartoon id -> (default frequencies, monomials (i, j, k, coeff): the
+# term coeff x_j x_k in equation i, 0-based).  The forces are the
 # gradients of -x^2 y / 2 and of -0.2 xyz - 0.25 (y z^2 + y^2 z).
 _CARTOONS = {
-    1: ((0.1, 1.0), {(0, 0, 1): 0.5}),
-    2: ((0.1, 1.0, 1.05), {(0, 1, 2): 0.1, (1, 2, 2): 0.25, (1, 1, 2): 0.25}),
+    1: ((0.1, 1.0), ((0, 0, 1, 1.0), (1, 0, 0, 0.5))),
+    2: ((0.1, 1.0, 1.05), ((0, 1, 2, 0.2), (1, 0, 2, 0.2), (1, 1, 2, 0.5),
+                           (1, 2, 2, 0.25), (2, 0, 1, 0.2), (2, 1, 1, 0.25),
+                           (2, 1, 2, 0.5))),
 }
 
 
@@ -127,18 +128,15 @@ def cartoon_system(cid: int, omegas=None) -> QuasiHarmonicSystem:
     """
     if cid not in _CARTOONS:
         raise ValueError(f"cartoon id must be 1 or 2, got {cid}")
-    default, couplings = _CARTOONS[cid]
+    default, monomials = _CARTOONS[cid]
     omegas = default if omegas is None else omegas
     d = len(default)
     if len(omegas) != d:
         raise ValueError(f"cartoon {cid} has {('two', 'three')[cid - 1]} oscillators")
     require_finite(**{f"omega{n}": w for n, w in enumerate(omegas, start=1)})
-    b = np.zeros((d, d, d))
-    for index, value in couplings.items():
-        for perm in itertools.permutations(index):
-            b[perm] = value
     return QuasiHarmonicSystem(
-        lambdas=np.array([float(w) * float(w) for w in omegas]), bilinear=b,
+        lambdas=np.array([float(w) * float(w) for w in omegas]),
+        monomials=[np.array(column) for column in zip(*monomials)],
         labels=(None,) * d, alpha=1.0, name=f"cartoon{cid}")
 
 

@@ -20,7 +20,6 @@ import math
 import time
 from collections import namedtuple
 from dataclasses import dataclass, field, replace
-from numbers import Real
 from pathlib import Path
 
 import numpy as np
@@ -28,10 +27,10 @@ import numpy as np
 from . import __version__
 from .chain import ChainParams, build_chain
 from .coupling import (CycleDecomposition, PatternViolationError, ScalingFit,
-                       SquareMap, cycle_decomposition,
-                       enumerate_invariant_candidates, excitation_digraph,
-                       jan_check, map_reference_state, map_to_reference_frame,
-                       scaling_equivalence, square_map)
+                       SquareMap, _invariant_unions, cycle_decomposition,
+                       excitation_digraph, jan_check, map_reference_state,
+                       map_to_reference_frame, scaling_equivalence,
+                       square_map)
 from .dynamics import (EQUILIBRIUM_RESIDUAL_TOL, IntegratorConfig,
                        cartoon_system, find_equilibria, integrate,
                        mode_actions, relative_drift)
@@ -106,7 +105,7 @@ _KINDS = {
 def _parse_float(value, where):
     try:
         number = float(value)
-    except ValueError:
+    except (TypeError, ValueError):
         raise ScenarioError(f"{where}: not a number: {value!r}") from None
     if not math.isfinite(number):
         raise ScenarioError(f"{where}: not a finite number: {value!r}")
@@ -165,8 +164,8 @@ def _check_fields(scen: Scenario):
         values[name] = [getattr(scen, name)]
     for name, field_values in values.items():
         for value in field_values:
-            if isinstance(value, Real) and not math.isfinite(value):
-                raise ScenarioError(f"{where} {name!r}: not a finite number: {value!r}")
+            if not (name == "params" and value is None):   # a model's own omega
+                _parse_float(value, f"{where} {name!r}")
 
 
 def _system_value(kind, key, value, where):
@@ -501,7 +500,7 @@ def structure_census(sys, fit=True) -> SweepRow:
     row.cycles = cycle_decomposition(row.rho).cycles
     # every nonempty proper union of cycles is a candidate
     row.n_candidates = max(2 ** len(row.cycles) - 2, 0)
-    row.invariants = enumerate_invariant_candidates(sys)
+    row.invariants = _invariant_unions(sys, row.cycles)
     ref = reference_for(sys.p, sys.a) if fit else None
     if ref is not None and ref.dof == sys.dof:
         row.fit, row.fit_table = scaling_equivalence(sys, ref), ref.name

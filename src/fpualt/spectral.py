@@ -19,20 +19,24 @@ T^{-1} M^{-1} yields the quasi-harmonic system
 
 with the bond factors G = D T (modes -> bond extensions, p x (p-1)) and
 F = -T^{-1} M^{-1} D^T ((p-1) x p).  Systems built here carry G and F and
-evaluate the right-hand side as two small mat-vecs.  The coupling tensor
-B_{i,jk} = sum_b F_{ib} G_{bj} G_{bk} is formed from the same factors for
-the structure analysis and the system files; systems that carry only a
-tensor (tables read from files, extracted subsystems, the cartoon models
-of :mod:`fpualt.dynamics`) contract it instead.
+evaluate the right-hand side as two small mat-vecs.
 
-Products of three modes sum to zero over the bonds unless the pair
-indices I, J, K satisfy I + J + K = p or one is the sum of the other
-two.  Built systems store every other entry as an exact zero, and
-also zero allowed entries that cancel to round-off (below
-DROP_THRESHOLD_REL of the largest entry, as at a = 1), so the structure
-analysis reads presence as "nonzero".  (At a = 0.01 and p <= 199 the
-allowed entries stay above 3e-12 of the largest one, while the
-forbidden ones compute to below 2e-14 before they are zeroed.)
+The coupling B_{i,jk} = sum_b F_{ib} G_{bj} G_{bk} is kept as one list
+of monomial coefficients (:class:`Monomials`), which the structure
+analysis and the system files read.  A built system forms it in closed
+form on first use: for the sine basis F = -diag(1/mu) G^T, mu the modal
+masses, and each column of G is two cosines, of indices J and p - J
+for a mode of pair J.  A bond sum of three such cosines is p/4 times
+[one index is the sum of the other two] - [the three sum to 2p], so an
+entry vanishes identically unless the pair indices I, J, K satisfy
+I + J + K = p or one is the sum of the other two, and each allowed
+2x2x2 block costs O(1) (:func:`_closed_form_monomials`).  The list also
+leaves out allowed entries that cancel to round-off (below
+DROP_THRESHOLD_REL of the largest entry, as at a = 1), so a coupling is
+present iff it is listed.  The dense tensor ``bilinear`` is a view
+made from the list on demand; systems that carry no bond factors
+(tables read from files, extracted subsystems, the cartoon models of
+:mod:`fpualt.dynamics`) contract it for their right-hand side.
 
 With bond factors the modal system is itself a bond-space system
 (:class:`fpualt.chain.BondSystem`): bond operator G and the modal masses
@@ -51,8 +55,9 @@ with one ``numpy.loadtxt`` pass.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -187,23 +192,41 @@ def eigendecompose(sys: ReducedSystem) -> ModalBasis:
                       labels=pair_labels(p))
 
 
-@dataclass(frozen=True)
-class QuasiHarmonicSystem:
-    """Diagonal linear part plus symmetric quadratic coupling tensor.
+class Monomials(NamedTuple):
+    """The coupling as its list of monomial coefficients.
 
-    ``bilinear[i]`` is the symmetric matrix B_i with
-    xdd_i = -lambda_i x_i + alpha * x . B_i . x; the printed (monomial)
-    coefficient of x_j x_k with j < k is 2 B_i[j, k], and B_i[j, j] for
-    the squares.  In systems built by :func:`to_quasi_harmonic` the
-    entries the selection rule forbids are exact zeros, and the system
-    also carries the bond factors ``g`` (G = D T) and ``f`` (F = -T^{-1}
-    M^{-1} D^T) with C(x, x) = F (G x)^2, which the right-hand side and the
-    energy use.  ``basis`` and ``reduced`` record where the system came
-    from; the energy reads the modal masses from them.
+    Entry n says that equation ``i[n]`` has the term ``coeff[n]`` x_j x_k,
+    j = ``j[n]`` <= k = ``k[n]``; the indices are 0-based, the entries
+    are in lexicographic (i, j, k) order and every coefficient is
+    nonzero.  For j < k the coefficient is 2 B_ijk, for the squares B_ijj.
+    """
+
+    i: np.ndarray
+    j: np.ndarray
+    k: np.ndarray
+    coeff: np.ndarray
+
+
+@dataclass(frozen=True, init=False)
+class QuasiHarmonicSystem:
+    """Diagonal linear part plus a quadratic coupling,
+    xdd_i = -lambda_i x_i + alpha * sum_{j<=k} c_{i,jk} x_j x_k.
+
+    The coupling is the monomial list ``monomials`` (:class:`Monomials`).
+    A system is given it (``monomials=``: files, subsystems, cartoons),
+    or a dense tensor (``bilinear=``: tensors built in code), or neither:
+    a system built by :func:`to_quasi_harmonic` forms its list from
+    ``basis`` and ``reduced`` in closed form on first use, so a system
+    that is only integrated never does.  Such a system also carries the
+    bond factors ``g`` (G = D T) and ``f`` (F = -T^{-1} M^{-1} D^T) with
+    C(x, x) = F (G x)^2, which the right-hand side and the energy use.
+
+    ``bilinear`` is the symmetric tensor B with C(x, x)_i = x . B_i . x,
+    a dense view made from the list on first use (or the tensor given);
+    only the right-hand side of systems without bond factors reads it.
     """
 
     lambdas: np.ndarray
-    bilinear: np.ndarray          # (d, d, d), symmetric in the last two axes
     labels: tuple
     alpha: float
     a: float = math.nan
@@ -213,6 +236,21 @@ class QuasiHarmonicSystem:
     name: str = ""
     g: np.ndarray = None          # (p, d) bond factor G, or None
     f: np.ndarray = None          # (d, p) bond factor F, or None
+
+    def __init__(self, lambdas, labels, alpha, a=math.nan, p=0, basis=None,
+                 reduced=None, name="", g=None, f=None, *, bilinear=None,
+                 monomials=None):
+        args = locals()
+        for fld in fields(self):
+            object.__setattr__(self, fld.name, args[fld.name])
+        if bilinear is not None:
+            self.__dict__["bilinear"] = np.asarray(bilinear, dtype=float)
+        elif monomials is not None:
+            self.__dict__["monomials"] = Monomials(*monomials)
+        elif basis is None or reduced is None:
+            raise ValueError("a quasi-harmonic system needs bilinear=, "
+                             "monomials= or the basis and reduced system "
+                             "it is built from")
 
     @property
     def dof(self):
@@ -245,9 +283,8 @@ class QuasiHarmonicSystem:
         (the printed tables) carry no exact invariant: None.
         """
         if self.g is not None:
-            modal_masses = self.reduced.masses @ self.basis.t ** 2
-            return BondSystem(masses=modal_masses, bonds=self.g,
-                              alpha=self.alpha).energy
+            return BondSystem(masses=_modal_masses(self.reduced, self.basis),
+                              bonds=self.g, alpha=self.alpha).energy
         d, alpha = self.dof, self.alpha
         b, lam = self.bilinear, self.lambdas
         tol = DROP_THRESHOLD_REL * np.abs(b).max(initial=0.0)
@@ -262,65 +299,156 @@ class QuasiHarmonicSystem:
 
         return energy
 
+    @cached_property
+    def monomials(self) -> Monomials:
+        """The coupling's monomial list, formed once per system.
+
+        From the given tensor, whose non-finite entries are refused, or
+        in closed form from the basis (:func:`_closed_form_monomials`).
+        """
+        if "bilinear" in self.__dict__:
+            return _tensor_monomials(self.bilinear)
+        return _closed_form_monomials(self.reduced, self.basis)
+
+    @cached_property
+    def bilinear(self) -> np.ndarray:
+        """The dense (d, d, d) tensor B, symmetric in its last two axes."""
+        i, j, k, coeff = self.monomials
+        d = self.dof
+        b = np.zeros((d, d, d))
+        half = np.where(j == k, coeff, 0.5 * coeff)
+        b[i, j, k] = half
+        b[i, k, j] = half
+        return b
+
     def monomial(self, i: int, j: int, k: int) -> float:
         """Coefficient of the monomial x_j x_k in equation i (1-based)."""
-        j, k = min(j, k), max(j, k)
-        mult = 1.0 if j == k else 2.0
-        return mult * self.bilinear[i - 1, j - 1, k - 1]
+        m = self.monomials
+        start, stop = np.searchsorted(m.i, (i - 1, i))     # equation i's entries
+        at = (m.j[start:stop] == min(j, k) - 1) & (m.k[start:stop] == max(j, k) - 1)
+        return float(m.coeff[start:stop][at].sum())
 
     def monomial_entries(self):
         """(i, j, k, coeff) with j <= k, 1-based, for every nonzero coeff.
 
         Ordered lexicographically by (i, j, k).
         """
-        return zip(*self.monomial_columns())
-
-    def monomial_columns(self):
-        """The columns i, j, k, coeff of :meth:`monomial_entries`, as lists.
-
-        :func:`save_system` writes them, and the scaling fit of
-        :mod:`fpualt.coupling` compares two systems through them.
-        """
-        j, k = np.triu_indices(self.dof)
-        coeff = self.bilinear[:, j, k] * np.where(j == k, 1.0, 2.0)
-        i, pair = np.nonzero(coeff)
-        return ((i + 1).tolist(), (j[pair] + 1).tolist(),
-                (k[pair] + 1).tolist(), coeff[i, pair].tolist())
+        i, j, k, coeff = self.monomials
+        return zip((i + 1).tolist(), (j + 1).tolist(), (k + 1).tolist(),
+                   coeff.tolist())
 
     def tensor_scale(self) -> float:
         """Largest monomial magnitude, a scale for the coupling entries."""
-        d = self.dof
-        mult = np.where(np.eye(d, dtype=bool), 1.0, 2.0)
-        return float(np.abs(self.bilinear * mult[None, :, :]).max())
+        return float(np.abs(self.monomials.coeff).max(initial=0.0))
 
 
 # Pure round-off relative to the largest entry, far below any physical
-# coupling: built tensors drop smaller entries, and the cubic-potential
-# energy of tensor-only systems tests full symmetry to this tolerance.
+# coupling: built systems drop smaller entries from their lists, and the
+# cubic-potential energy of tensor-only systems tests full symmetry to
+# this tolerance.
 DROP_THRESHOLD_REL = 1e-12
 
 
-def selection_rule(pairs, p: int) -> np.ndarray:
-    """Boolean mask of the entries (i, j, k) a sine-mode basis allows.
+def _modal_masses(sys: ReducedSystem, basis: ModalBasis):
+    """diag(T^T M T): ones for :func:`eigendecompose`'s basis."""
+    return sys.masses @ basis.t ** 2
 
-    ``pairs`` holds the 1-based pair index of every mode.  An entry can
-    be nonzero only if its pair indices I, J, K satisfy I + J + K = p or
-    one of them is the sum of the other two; every other entry of the
-    coupling tensor vanishes identically.
+
+def _canonical(i, j, k, coeff, d):
+    """The entries sorted into lexicographic (i, j, k) order, and their
+    sorted flat keys (i d + j) d + k."""
+    keys = (i * d + j) * d + k
+    order = np.argsort(keys)
+    return Monomials(i[order], j[order], k[order], coeff[order]), keys[order]
+
+
+def _tensor_monomials(b) -> Monomials:
+    """The monomial list of a dense tensor, read from its j <= k half.
+
+    Raises ValueError naming the first non-finite entry (1-based).
     """
-    i, j, k = np.ix_(pairs, pairs, pairs)
-    return (i + j + k == p) | (i == j + k) | (j == i + k) | (k == i + j)
+    bad = np.argwhere(~np.isfinite(b))
+    if bad.size:
+        at = tuple(bad[0].tolist())
+        raise ValueError("non-finite coupling entry "
+                         f"{(*(n + 1 for n in at), float(b[at]))}")
+    j, k = np.triu_indices(len(b))
+    coeff = b[:, j, k] * np.where(j == k, 1.0, 2.0)
+    i, pair = np.nonzero(coeff)
+    return Monomials(i, j[pair], k[pair], coeff[i, pair])
+
+
+# The cosine triples of an allowed pair triple (I, J <= K), one table per
+# rule: [s, t, u] is (4/p) sum_b cos(pi K_I (b+1/2)/p) cos(..K_J..) cos(..K_K..)
+# with K_I = I for s = 0 and p - I for s = 1, likewise t for J and u for K.
+# It is 1 where one index is the sum of the other two and -1 where the
+# three sum to 2p.
+_COSINE_RULES = np.array([
+    [[[0, 1], [1, 0]], [[1, 0], [0, -1]]],     # I + J + K = p
+    [[[1, 0], [0, -1]], [[0, 1], [1, 0]]],     # I = J + K
+    [[[1, 0], [0, 1]], [[0, 1], [-1, 0]]],     # K = I + J
+], dtype=float)
+
+
+def _closed_form_monomials(sys: ReducedSystem, basis: ModalBasis) -> Monomials:
+    """The monomial list of the coupling B = F (G x)^2, in closed form.
+
+    For a sine-mode basis (columns T_n = c_o sin(pi J n/p) on the odd
+    sites n and c_e sin(pi J n/p) on the even ones, J the column's pair,
+    any column scaling), F = -diag(1/mu) G^T with the modal masses
+    mu = diag(T^T M T), so B_ijk = -(1/mu_i) sum_b G_bi G_bj G_bk.  Each
+    column of G is two cosines, G_b = w0 cos(pi J (b+1/2)/p)
+    + w1 cos(pi (p-J) (b+1/2)/p) with w0 = (c_o + c_e) sin(pi J/2p) and
+    w1 = (c_o - c_e) cos(pi J/2p), and a bond sum of three cosines is
+    p/4 times an entry of ``_COSINE_RULES``.  So only the pair triples
+    with I + J + K = p or one pair the sum of the other two couple, each
+    in a 2x2x2 block of O(1) cost.  c_o and c_e are read from the first
+    two rows of T.  Entries below ``DROP_THRESHOLD_REL`` of the largest
+    one (allowed couplings that cancel, as at a = 1) are dropped.
+    """
+    p, t = sys.p, basis.t
+    d = t.shape[1]
+    npairs = d // 2
+    pair = np.array([lab.pair for lab in basis.labels])
+    c_o, c_e = t[:2] / np.sin(np.pi * np.outer((1, 2), pair) / p)
+    half = np.pi * pair / (2 * p)
+    w = np.array([(c_o + c_e) * np.sin(half), (c_o - c_e) * np.cos(half)])
+    modes = np.argsort(pair, kind="stable").reshape(npairs, 2)
+    wp = w.T[modes]                         # [pair - 1, mode of pair, cosine]
+
+    # (I, J <= K), 0-based: I is p - J - K, J + K or K - J, if that is a pair.
+    jk = np.arange(npairs)
+    j, k = jk[:, None], jk[None, :]
+    cand = np.array([p - 3 - j - k, j + k + 1, k - j - 1])
+    rule, jj, kk = np.nonzero((cand >= 0) & (cand < npairs) & (j <= k))
+    ii = cand[rule, jj, kk]
+    # block[n, a, b, c] = sum_stu rule[s, t, u] wp[I, a, s] wp[J, b, t] wp[K, c, u]
+    block = _COSINE_RULES[rule] @ wp[kk].transpose(0, 2, 1)[:, None]
+    block = wp[jj][:, None] @ block
+    block = (wp[ii] @ block.reshape(-1, 2, 4)).reshape(-1, 2, 2, 2)
+    mi, mj, mk = modes[ii], modes[jj], modes[kk]
+    block *= (-0.25 * p / _modal_masses(sys, basis)[mi])[:, :, None, None]
+    block[jj == kk, :, 1, 0] = 0.0              # the repeat of [:, :, 0, 1]
+
+    mag = np.abs(block)
+    keep = (mag > 0.0) & (mag >= DROP_THRESHOLD_REL * mag.max())
+    shape = block.shape
+    i = np.broadcast_to(mi[:, :, None, None], shape)[keep]
+    j = np.broadcast_to(mj[:, None, :, None], shape)[keep]
+    k = np.broadcast_to(mk[:, None, None, :], shape)[keep]
+    j, k = np.minimum(j, k), np.maximum(j, k)
+    block = block[keep]
+    return _canonical(i, j, k, np.where(j == k, block, 2.0 * block), d)[0]
 
 
 def to_quasi_harmonic(sys: ReducedSystem, basis: ModalBasis = None,
                       name: str = "") -> QuasiHarmonicSystem:
     """Pull the reduced quadratic vector back through the modal basis.
 
-    Entries that :func:`selection_rule` forbids, and entries below
-    ``DROP_THRESHOLD_REL`` of the largest one, are stored as exact zeros,
-    so a coupling is present iff it is nonzero.  The cutoff matters where
-    the rule allows an entry that still cancels, as at a = 1, where it
-    computes to round-off.
+    The system carries the bond factors G and F; its monomial list is
+    formed on first use (:func:`_closed_form_monomials`), and holds only
+    the couplings the sine-mode selection rule allows and that do not
+    cancel to round-off, so a coupling is present iff it is listed.
     """
     if basis is None:
         basis = eigendecompose(sys)
@@ -328,13 +456,8 @@ def to_quasi_harmonic(sys: ReducedSystem, basis: ModalBasis = None,
         raise ValueError("basis dimension does not match the system")
     g = sys.bonds @ basis.t
     f = -(basis.t_inv * (1.0 / sys.masses)[None, :]) @ sys.bonds.T
-    p, d = g.shape
-    b = (f @ (g[:, :, None] * g[:, None, :]).reshape(p, d * d)).reshape(d, d, d)
-    b = 0.5 * (b + b.transpose(0, 2, 1))
-    cutoff = DROP_THRESHOLD_REL * np.abs(b).max()
-    b[(np.abs(b) < cutoff) | ~selection_rule([lab.pair for lab in basis.labels], sys.p)] = 0.0
     return QuasiHarmonicSystem(
-        lambdas=basis.lambdas.copy(), bilinear=b, labels=basis.labels,
+        lambdas=basis.lambdas.copy(), labels=basis.labels,
         alpha=sys.alpha, a=sys.a, p=sys.p, basis=basis, reduced=sys,
         name=name or f"p{sys.p}", g=g, f=f,
     )
@@ -394,17 +517,18 @@ _ENTRY_DTYPE = np.dtype([("i", np.int64), ("j", np.int64), ("k", np.int64),
 
 
 def save_system(sys: QuasiHarmonicSystem, path):
-    columns = sys.monomial_columns()
-    fields = [None] * (4 * len(columns[0]))      # i, j, k, coeff per line
+    columns = [(index + 1).tolist() for index in sys.monomials[:3]]
+    columns.append(sys.monomials.coeff.tolist())
+    flat = [None] * (4 * len(columns[0]))        # i, j, k, coeff per line
     for n, column in enumerate(columns):
-        fields[n::4] = column
+        flat[n::4] = column
     step = 4 * _ENTRY_CHUNK
     with open(path, "w") as fh:
         fh.write(f"{sys.p} {sys.a!r} {sys.alpha!r}\n")
         for lam, lab in zip(sys.lambdas, sys.labels):
             fh.write(f"{lam:.16e} {lab.kind} {lab.pair}\n")
-        for start in range(0, len(fields), step):
-            chunk = tuple(fields[start:start + step])
+        for start in range(0, len(flat), step):
+            chunk = tuple(flat[start:start + step])
             fh.write(_ENTRY_LINE * (len(chunk) // 4) % chunk)
 
 
@@ -413,8 +537,10 @@ def load_system(path, name: str = "") -> QuasiHarmonicSystem:
 
     The header and the mode lines are parsed line by line; the first
     other line starts the entry block, which is read in one pass.  Any
-    line that does not parse, or holds an infinite or NaN value, raises
-    ValueError naming ``path``.
+    line that does not parse, holds an infinite or NaN value, or repeats
+    the (i, j, k) of an earlier entry raises ValueError naming ``path``.
+    Entries with a zero coefficient are dropped, and the rest sorted
+    into the canonical order of :class:`Monomials`.
     """
     with open(path) as fh:
         (p, a, alpha), lams, labels = _read_preamble(fh, path)
@@ -431,12 +557,16 @@ def load_system(path, name: str = "") -> QuasiHarmonicSystem:
         n = bad[0]
         raise ValueError(f"{path}: non-finite entry "
                          f"{(int(i[n]), int(j[n]), int(k[n]), float(c[n]))}")
-    val = np.where(j == k, c, 0.5 * c)
-    b = np.zeros((d, d, d))
-    b[i - 1, j - 1, k - 1] = val
-    b[i - 1, k - 1, j - 1] = val
+    mono, keys = _canonical(i - 1, j - 1, k - 1, c, d)
+    repeated = np.flatnonzero(keys[1:] == keys[:-1])
+    if repeated.size:
+        n = repeated[0]
+        raise ValueError(f"{path}: repeated entry "
+                         f"{tuple(int(index[n]) + 1 for index in mono[:3])}")
+    nonzero = mono.coeff != 0.0
     return QuasiHarmonicSystem(
-        lambdas=np.array(lams), bilinear=b, labels=tuple(labels),
+        lambdas=np.array(lams), labels=tuple(labels),
+        monomials=Monomials(*(column[nonzero] for column in mono)),
         alpha=alpha, a=a, p=p, name=name or str(path),
     )
 

@@ -7,6 +7,7 @@ import pytest
 from fpualt import (InvariantCandidate, QuasiHarmonicSystem, build_reduced,
                     check_invariance, cycle_decomposition, eigendecompose,
                     run_scenario, square_map, to_quasi_harmonic)
+from fpualt.spectral import DROP_THRESHOLD_REL
 
 REPO = Path(__file__).resolve().parent.parent
 SCENARIO_DIR = REPO / "scenarios"
@@ -162,6 +163,39 @@ def _split_rows(mask):
     ends = np.cumsum(np.bincount(rows, minlength=len(mask))).tolist()
     cols = (cols + 1).tolist()
     return [cols[start:end] for start, end in zip([0] + ends[:-1], ends)]
+
+
+# The dense coupling build that the closed-form monomial list replaced,
+# kept verbatim as an oracle for ``QuasiHarmonicSystem.monomials``: one
+# GEMM F (G x G), symmetrisation, the DROP_THRESHOLD_REL cutoff and the
+# selection-rule mask over all d^3 entries.
+
+
+def selection_rule(pairs, p: int) -> np.ndarray:
+    """Boolean mask of the entries (i, j, k) a sine-mode basis allows.
+
+    ``pairs`` holds the 1-based pair index of every mode.  An entry can
+    be nonzero only if its pair indices I, J, K satisfy I + J + K = p or
+    one of them is the sum of the other two; every other entry of the
+    coupling tensor vanishes identically.
+    """
+    i, j, k = np.ix_(pairs, pairs, pairs)
+    return (i + j + k == p) | (i == j + k) | (j == i + k) | (k == i + j)
+
+
+def dense_tensor_oracle(sys, basis=None):
+    """The dense (d, d, d) coupling tensor of ``to_quasi_harmonic(sys, basis)``
+    as the dense build computed it."""
+    if basis is None:
+        basis = eigendecompose(sys)
+    g = sys.bonds @ basis.t
+    f = -(basis.t_inv * (1.0 / sys.masses)[None, :]) @ sys.bonds.T
+    p, d = g.shape
+    b = (f @ (g[:, :, None] * g[:, None, :]).reshape(p, d * d)).reshape(d, d, d)
+    b = 0.5 * (b + b.transpose(0, 2, 1))
+    cutoff = DROP_THRESHOLD_REL * np.abs(b).max()
+    b[(np.abs(b) < cutoff) | ~selection_rule([lab.pair for lab in basis.labels], sys.p)] = 0.0
+    return b
 
 
 # The bitmask GF(2) sign solver of the scaling fit, kept verbatim as an

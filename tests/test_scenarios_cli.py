@@ -6,10 +6,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import fpualt.coupling
+import fpualt.scenarios
 from fpualt import (PatternViolationError, Scenario, ScenarioError,
                     analysis_report, build_reduced, extract_subsystem,
                     load_reference, parse_scenario, run_scenario, save_system,
-                    sweep_odd_p, sweep_report_text, to_quasi_harmonic)
+                    square_map, sweep_odd_p, sweep_report_text,
+                    to_quasi_harmonic)
 from fpualt.cli import main
 from fpualt.scenarios import _KINDS, structure_census
 
@@ -194,6 +197,13 @@ class TestScenarioInCode:
          "field 'rel_tol': not a finite number: nan"),
         ({"kind": "reduced", "sample_dt": math.inf},
          "field 'sample_dt': not a finite number: inf"),
+        # a string is converted as the parser would: 'nan' wrote the
+        # trajectory CSV, then failed with a RuntimeWarning
+        ({"kind": "reduced", "positions": {1: "nan"}},
+         "field 'positions': not a finite number: 'nan'"),
+        ({"kind": "reduced", "velocities": {1: "fast"}},
+         "field 'velocities': not a number: 'fast'"),
+        ({"kind": "reduced", "t_end": None}, "field 't_end': not a number: None"),
     ])
     def test_refused_with_the_field(self, tmp_path, fields, message):
         scen = Scenario(name="x", **{"params": {"p": 3}, **fields})
@@ -222,6 +232,13 @@ class TestScenarioInCode:
         scen = Scenario(name="x", kind="quasiharmonic", params={"p": 3},
                         frame="ref:p3_full", positions={2: 0.2}, t_end=2.0)
         assert run_scenario(scen, tmp_path).exit_code == 0
+
+    def test_numeric_string_runs(self, tmp_path):
+        scen = Scenario(name="x", kind="reduced", params={"p": 3},
+                        positions={1: "0.1"}, t_end=2.0)
+        res = run_scenario(scen, tmp_path)
+        assert res.exit_code == 0
+        assert res.trajectory.states[0, 0] == 0.1
 
 
 class TestKindsTable:
@@ -393,6 +410,18 @@ class TestSweep:
             assert "forcing squares: rho = 1->1" in report
             assert "formula" not in report
         assert structure_census(qh9).full_system
+
+    def test_census_maps_the_squares_once(self, monkeypatch):
+        calls = []
+
+        def counted(sys):
+            calls.append(sys.p)
+            return square_map(sys)
+
+        monkeypatch.setattr(fpualt.coupling, "square_map", counted)
+        monkeypatch.setattr(fpualt.scenarios, "square_map", counted)
+        row = structure_census(to_quasi_harmonic(build_reduced(15, 0.01, 1.0)))
+        assert calls == [15] and len(row.invariants) == 2
 
 
 class TestCli:

@@ -13,7 +13,9 @@ from fpualt import (DegenerateSpectrumError, IntegratorConfig, ReducedState,
 from fpualt.linalg import jacobi_eigh
 from fpualt.reduction import ReducedSystem
 from fpualt.refdata import REFERENCE_TABLES
-from fpualt.spectral import all_pair_eigenvalues, selection_rule
+from fpualt.spectral import all_pair_eigenvalues
+
+from conftest import selection_rule
 
 
 class TestJacobi:
