@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import Monomials, QuasiHarmonicSystem
+from .spectral import QuasiHarmonicSystem
 
 
 class PatternViolationError(RuntimeError):
@@ -277,10 +277,14 @@ def _invariant_unions(sys: QuasiHarmonicSystem, cycles):
 def extract_subsystem(sys: QuasiHarmonicSystem, kept_modes) -> QuasiHarmonicSystem:
     """Restrict the system to ``kept_modes`` (1-based).
 
+    A kept mode that is not an integer in 1..d is refused, naming it.
     The complement must pass :func:`check_invariance`; restriction of a
     non-invariant complement is refused.
     """
     d = sys.dof
+    for m in kept_modes:
+        if not (isinstance(m, (int, np.integer)) and 1 <= m <= d):
+            raise ValueError(f"kept mode {m!r} is not an integer in 1..{d}")
     kept = sorted(set(int(m) for m in kept_modes))
     if kept == list(range(1, d + 1)):
         return sys
@@ -297,8 +301,7 @@ def extract_subsystem(sys: QuasiHarmonicSystem, kept_modes) -> QuasiHarmonicSyst
     inside = (i >= 0) & (j >= 0) & (k >= 0)
     return QuasiHarmonicSystem(
         lambdas=sys.lambdas[idx].copy(),
-        monomials=Monomials(i[inside], j[inside], k[inside],
-                            sys.monomials.coeff[inside]),
+        monomials=[column[inside] for column in (i, j, k, sys.monomials.coeff)],
         labels=tuple(sys.labels[i] for i in idx),
         alpha=sys.alpha, a=sys.a, p=sys.p,
         name=f"{sys.name}|modes{kept}",

@@ -21,7 +21,9 @@ chain, reduced, quasi-harmonic) has ``dof``, ``accel(q)`` and a
 vectorised ``energy(states)``; reduced and quasi-harmonic systems also
 give the static field used by the equilibrium census.  The full chain
 has none: its translation mode leaves its equilibria non-isolated.  The
-two cartoon models are quasi-harmonic systems with fixed tensors.
+two cartoon models are quasi-harmonic systems given fixed monomial
+lists, so they take the one right-hand side F (G x)^2 of every such
+system.
 Which outputs a scenario kind writes is decided by the kinds table in
 ``scenarios``, which never asks for actions of a non-modal system.
 """
@@ -123,8 +125,9 @@ def cartoon_system(cid: int, omegas=None) -> QuasiHarmonicSystem:
     ydd + w2^2 y = x^2 / 2.  cid=2 is the three-oscillator system with
     the 0.2 / 0.25 couplings where the two fast modes are in detuned
     resonance and strongly force the slow one.  Both are quasi-harmonic
-    systems with lambda = omega^2, alpha = 1 and a fixed, fully
-    symmetric tensor.  A non-finite omega is refused by name.
+    systems with lambda = omega^2, alpha = 1 and a fixed monomial list
+    whose tensor is fully symmetric.  A non-finite omega is refused by
+    name.
     """
     if cid not in _CARTOONS:
         raise ValueError(f"cartoon id must be 1 or 2, got {cid}")

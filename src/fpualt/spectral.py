@@ -18,8 +18,10 @@ T^{-1} M^{-1} yields the quasi-harmonic system
                          = alpha * (F (G x)^2)_i,
 
 with the bond factors G = D T (modes -> bond extensions, p x (p-1)) and
-F = -T^{-1} M^{-1} D^T ((p-1) x p).  Systems built here carry G and F and
-evaluate the right-hand side as two small mat-vecs.
+F = -T^{-1} M^{-1} D^T ((p-1) x p).  Every quasi-harmonic system
+evaluates its right-hand side in this one form, as two small mat-vecs:
+a system given its coupling as a list gets factors by polarisation,
+x_j x_k = ((x_j + x_k)^2 - x_j^2 - x_k^2) / 2.
 
 The coupling B_{i,jk} = sum_b F_{ib} G_{bj} G_{bk} is kept as one list
 of monomial coefficients (:class:`Monomials`), which the structure
@@ -33,18 +35,19 @@ I + J + K = p or one is the sum of the other two, and each allowed
 2x2x2 block costs O(1) (:func:`_closed_form_monomials`).  The list also
 leaves out allowed entries that cancel to round-off (below
 DROP_THRESHOLD_REL of the largest entry, as at a = 1), so a coupling is
-present iff it is listed.  The dense tensor ``bilinear`` is a view
-made from the list on demand; systems that carry no bond factors
-(tables read from files, extracted subsystems, the cartoon models of
-:mod:`fpualt.dynamics`) contract it for their right-hand side.
+present iff it is listed.  Tables read from files, extracted
+subsystems and the cartoon models of :mod:`fpualt.dynamics` are given
+their list instead.  The dense tensor ``bilinear`` is a view made from
+the list on demand; no right-hand side reads it.
 
-With bond factors the modal system is itself a bond-space system
+A built modal system is itself a bond-space system
 (:class:`fpualt.chain.BondSystem`): bond operator G and the modal masses
 diag(T^T M T), which are 1 for the basis built here and stay exact for
 any column scaling of T.  Its energy is that system's,
-sum m_j v_j^2/2 + sum_b V((G x)_b).  A fully symmetric tensor has the
-energy (|v|^2 + sum lambda x^2)/2 - (alpha/3) B(x, x, x).  Printed
-tables, whose tensors are not symmetric, carry no exact energy.
+sum m_j v_j^2/2 + sum_b V((G x)_b).  A given list with a fully symmetric
+tensor has the energy (|v|^2 + sum lambda x^2)/2 - (alpha/3) B(x, x, x),
+B(x, x, x) = x . F (G x)^2.  Printed tables, whose tensors are not
+symmetric, carry no exact energy.
 
 Modes are kept in pair order: (acoustic, optical) for j = 1, 2, ...
 
@@ -112,20 +115,13 @@ def pair_eigenvalues(a: float, p: int, j: int):
 
 def all_pair_eigenvalues(a: float, p: int):
     """All p-1 eigenvalues in pair order (acoustic_1, optical_1, ...)."""
-    out = np.empty(p - 1)
-    for j in range(1, (p - 1) // 2 + 1):
-        lo, hi = pair_eigenvalues(a, p, j)
-        out[2 * j - 2] = lo
-        out[2 * j - 1] = hi
-    return out
+    return np.array([lam for j in range(1, (p - 1) // 2 + 1)
+                     for lam in pair_eigenvalues(a, p, j)])
 
 
 def pair_labels(p: int):
-    labels = []
-    for j in range(1, (p - 1) // 2 + 1):
-        labels.append(ModeLabel("acoustic", j))
-        labels.append(ModeLabel("optical", j))
-    return tuple(labels)
+    return tuple(ModeLabel(kind, j) for j in range(1, (p - 1) // 2 + 1)
+                 for kind in ("acoustic", "optical"))
 
 
 # Eigenvalues closer than 2x this collide; the closed-form basis must
@@ -213,17 +209,22 @@ class QuasiHarmonicSystem:
     xdd_i = -lambda_i x_i + alpha * sum_{j<=k} c_{i,jk} x_j x_k.
 
     The coupling is the monomial list ``monomials`` (:class:`Monomials`).
-    A system is given it (``monomials=``: files, subsystems, cartoons),
-    or a dense tensor (``bilinear=``: tensors built in code), or neither:
-    a system built by :func:`to_quasi_harmonic` forms its list from
-    ``basis`` and ``reduced`` in closed form on first use, so a system
-    that is only integrated never does.  Such a system also carries the
-    bond factors ``g`` (G = D T) and ``f`` (F = -T^{-1} M^{-1} D^T) with
-    C(x, x) = F (G x)^2, which the right-hand side and the energy use.
+    A system is given it (``monomials=``: files, subsystems, cartoons,
+    tables built in code), which is checked and put in canonical order
+    (:func:`_checked_monomials`), or it is built by
+    :func:`to_quasi_harmonic` and forms its list from ``basis`` and
+    ``reduced`` in closed form on first use, so a system that is only
+    integrated never does.
+
+    Every system has bond factors ``g`` and ``f`` with
+    C(x, x) = F (G x)^2, formed on first use: G = D T and
+    F = -T^{-1} M^{-1} D^T for a built system, the polarisation of the
+    list (:func:`_polarised_factors`) for a given one.  The right-hand
+    side, its Jacobian and the energy read only these.
 
     ``bilinear`` is the symmetric tensor B with C(x, x)_i = x . B_i . x,
-    a dense view made from the list on first use (or the tensor given);
-    only the right-hand side of systems without bond factors reads it.
+    a dense view made from the list on demand; only the symmetry test of
+    :attr:`energy` reads it.
     """
 
     lambdas: np.ndarray
@@ -234,23 +235,20 @@ class QuasiHarmonicSystem:
     basis: ModalBasis = None
     reduced: ReducedSystem = None
     name: str = ""
-    g: np.ndarray = None          # (p, d) bond factor G, or None
-    f: np.ndarray = None          # (d, p) bond factor F, or None
 
     def __init__(self, lambdas, labels, alpha, a=math.nan, p=0, basis=None,
-                 reduced=None, name="", g=None, f=None, *, bilinear=None,
-                 monomials=None):
+                 reduced=None, name="", monomials=None):
         args = locals()
         for fld in fields(self):
             object.__setattr__(self, fld.name, args[fld.name])
-        if bilinear is not None:
-            self.__dict__["bilinear"] = np.asarray(bilinear, dtype=float)
-        elif monomials is not None:
-            self.__dict__["monomials"] = Monomials(*monomials)
+        if len(labels) != len(lambdas):
+            raise ValueError(f"{len(labels)} labels for {len(lambdas)} modes")
+        self.__dict__["_built"] = monomials is None
+        if monomials is not None:
+            self.__dict__["monomials"] = _checked_monomials(monomials, len(lambdas))
         elif basis is None or reduced is None:
-            raise ValueError("a quasi-harmonic system needs bilinear=, "
-                             "monomials= or the basis and reduced system "
-                             "it is built from")
+            raise ValueError("a quasi-harmonic system needs monomials= or the "
+                             "basis and reduced system it is built from")
 
     @property
     def dof(self):
@@ -261,53 +259,83 @@ class QuasiHarmonicSystem:
         """Ones: the static field is already the acceleration."""
         return np.ones(self.dof)
 
+    @cached_property
+    def _factors(self):
+        """(G, F), see the class docstring."""
+        if self._built:
+            sys, basis = self.reduced, self.basis
+            return (sys.bonds @ basis.t,
+                    -(basis.t_inv * (1.0 / sys.masses)[None, :]) @ sys.bonds.T)
+        return _polarised_factors(self.monomials, self.dof)
+
+    @property
+    def g(self) -> np.ndarray:
+        """The (n_bonds, d) bond factor G."""
+        return self._factors[0]
+
+    @property
+    def f(self) -> np.ndarray:
+        """The (d, n_bonds) bond factor F."""
+        return self._factors[1]
+
     def static_field(self, alpha=None):
-        """The right-hand side and its Jacobian, see :func:`qh_field`."""
-        return qh_field(self, alpha)
+        """Return (rhs, jac): x -> -Lambda x + alpha F (G x)^2 and its
+        Jacobian diag(-Lambda) + 2 alpha F diag(G x) G.
+
+        A given ``alpha`` replaces the system's.  Both maps take one state
+        (d,) or rows (n, d) and return (d,) / (d, d) or (n, d) / (n, d, d).
+        """
+        alpha = self.alpha if alpha is None else alpha
+        lam, g, f = self.lambdas, self.g, self.f
+
+        def rhs(x):
+            return alpha * (f @ (g @ x.T) ** 2).T - lam * x
+
+        def jac(x):
+            gx = (g @ x.T).T
+            return np.diag(-lam) + 2.0 * alpha * (f * gx[..., None, :]) @ g
+
+        return rhs, jac
 
     @cached_property
     def accel(self):
         """The map x -> xdd = -Lambda x + alpha C(x, x), built once per system."""
-        return qh_field(self)[0]
+        return self.static_field()[0]
 
     @cached_property
     def energy(self):
         """Energy map of rows [x, v], vectorised, or None if none is known.
 
-        With bond factors the modal flow is the bond-space system with
-        bond operator G and the modal masses diag(T^T M T), so its energy
+        A built system's modal flow is the bond-space system with bond
+        operator G and the modal masses diag(T^T M T), so its energy
         sum m_j v_j^2/2 + sum_b V((G x)_b) is exact for any column scaling
-        of T.  A tensor that is fully symmetric within DROP_THRESHOLD_REL
-        is the gradient of a cubic potential, so the energy is
-        (|v|^2 + sum lambda x^2)/2 - (alpha/3) B(x, x, x).  Other tensors
-        (the printed tables) carry no exact invariant: None.
+        of T.  A given list whose tensor is fully symmetric within
+        DROP_THRESHOLD_REL is the gradient of a cubic potential, so the
+        energy is (|v|^2 + sum lambda x^2)/2 - (alpha/3) B(x, x, x), with
+        B(x, x, x) = x . F (G x)^2.  Other lists (the printed tables) carry
+        no exact invariant: None.
         """
-        if self.g is not None:
+        if self._built:
             return BondSystem(masses=_modal_masses(self.reduced, self.basis),
                               bonds=self.g, alpha=self.alpha).energy
-        d, alpha = self.dof, self.alpha
-        b, lam = self.bilinear, self.lambdas
+        b = self.bilinear
         tol = DROP_THRESHOLD_REL * np.abs(b).max(initial=0.0)
         if any(np.abs(b - b.transpose(axes)).max(initial=0.0) > tol
                for axes in ((1, 0, 2), (0, 2, 1))):
             return None
+        d, alpha, lam, g, f = self.dof, self.alpha, self.lambdas, self.g, self.f
 
         def energy(y):
             x, v = y[..., :d], y[..., d:]
-            cubic = np.sum(x * np.einsum("ijk,...j,...k->...i", b, x, x), axis=-1)
+            cubic = np.sum(x * (f @ (g @ x.T) ** 2).T, axis=-1)
             return 0.5 * np.sum(v * v + lam * x * x, axis=-1) - (alpha / 3.0) * cubic
 
         return energy
 
     @cached_property
     def monomials(self) -> Monomials:
-        """The coupling's monomial list, formed once per system.
-
-        From the given tensor, whose non-finite entries are refused, or
-        in closed form from the basis (:func:`_closed_form_monomials`).
-        """
-        if "bilinear" in self.__dict__:
-            return _tensor_monomials(self.bilinear)
+        """The coupling's monomial list: the one given, or for a built
+        system formed once in closed form (:func:`_closed_form_monomials`)."""
         return _closed_form_monomials(self.reduced, self.basis)
 
     @cached_property
@@ -344,7 +372,7 @@ class QuasiHarmonicSystem:
 
 # Pure round-off relative to the largest entry, far below any physical
 # coupling: built systems drop smaller entries from their lists, and the
-# cubic-potential energy of tensor-only systems tests full symmetry to
+# cubic-potential energy of systems given a list tests full symmetry to
 # this tolerance.
 DROP_THRESHOLD_REL = 1e-12
 
@@ -362,20 +390,60 @@ def _canonical(i, j, k, coeff, d):
     return Monomials(i[order], j[order], k[order], coeff[order]), keys[order]
 
 
-def _tensor_monomials(b) -> Monomials:
-    """The monomial list of a dense tensor, read from its j <= k half.
+def _checked_monomials(monomials, d) -> Monomials:
+    """A given (i, j, k, coeff) list, 0-based, checked and in canonical order.
 
-    Raises ValueError naming the first non-finite entry (1-based).
+    Raises ValueError for columns of different shapes or non-integer
+    indices, and names the entry (1-based): the first whose indices are
+    not in 1..d with j <= k, else the first non-finite coefficient, else
+    the first repeated (i, j, k).  Zero coefficients are dropped.
     """
-    bad = np.argwhere(~np.isfinite(b))
+    *index, coeff = columns = [np.asarray(column) for column in monomials]
+    if len({column.shape for column in columns}) > 1:
+        raise ValueError(f"entry columns differ in shape: {[c.shape for c in columns]}")
+    if any(column.size and column.dtype.kind not in "iu" for column in index):
+        raise ValueError("entry indices must be integers")
+    i, j, k = (column.astype(np.intp, copy=False) for column in index)
+    coeff = coeff.astype(float, copy=False)
+
+    def entry(n):
+        return int(i[n]) + 1, int(j[n]) + 1, int(k[n]) + 1
+
+    bad = np.flatnonzero((i < 0) | (i >= d) | (j < 0) | (j > k) | (k >= d))
     if bad.size:
-        at = tuple(bad[0].tolist())
-        raise ValueError("non-finite coupling entry "
-                         f"{(*(n + 1 for n in at), float(b[at]))}")
-    j, k = np.triu_indices(len(b))
-    coeff = b[:, j, k] * np.where(j == k, 1.0, 2.0)
-    i, pair = np.nonzero(coeff)
-    return Monomials(i, j[pair], k[pair], coeff[i, pair])
+        raise ValueError(f"entry indices out of range: {entry(bad[0])}")
+    bad = np.flatnonzero(~np.isfinite(coeff))
+    if bad.size:
+        raise ValueError(f"non-finite entry {(*entry(bad[0]), float(coeff[bad[0]]))}")
+    mono, keys = _canonical(i, j, k, coeff, d)
+    repeated = np.flatnonzero(keys[1:] == keys[:-1])
+    if repeated.size:
+        n = repeated[0]
+        raise ValueError("repeated entry "
+                         f"{tuple(int(index[n]) + 1 for index in mono[:3])}")
+    nonzero = mono.coeff != 0.0
+    return Monomials(*(column[nonzero] for column in mono))
+
+
+def _polarised_factors(m: Monomials, d):
+    """Bond factors (G, F) with F (G x)^2 = C(x, x) for a monomial list.
+
+    By polarisation, x_j x_k = ((x_j + x_k)^2 - x_j^2 - x_k^2) / 2: G
+    stacks the identity and one row e_j + e_k per distinct mixed pair
+    j < k.  A square entry adds c to F[i, j]; a mixed one adds c/2 to
+    F[i, d + pair] and -c/2 to F[i, j] and F[i, k].
+    """
+    i, j, k, c = m
+    mixed = j < k
+    pairs, slot = np.unique(j[mixed] * d + k[mixed], return_inverse=True)
+    eye = np.eye(d)
+    g = np.vstack([eye, eye[pairs // d] + eye[pairs % d]])
+    im, half = i[mixed], 0.5 * c[mixed]
+    rows = np.concatenate([i[~mixed], im, im, im])
+    cols = np.concatenate([j[~mixed], d + slot, j[mixed], k[mixed]])
+    f = np.bincount(rows * len(g) + cols, np.concatenate([c[~mixed], half, -half, -half]),
+                    d * len(g))
+    return g, f.reshape(d, len(g))
 
 
 # The cosine triples of an allowed pair triple (I, J <= K), one table per
@@ -445,54 +513,21 @@ def to_quasi_harmonic(sys: ReducedSystem, basis: ModalBasis = None,
                       name: str = "") -> QuasiHarmonicSystem:
     """Pull the reduced quadratic vector back through the modal basis.
 
-    The system carries the bond factors G and F; its monomial list is
-    formed on first use (:func:`_closed_form_monomials`), and holds only
-    the couplings the sine-mode selection rule allows and that do not
-    cancel to round-off, so a coupling is present iff it is listed.
+    The bond factors G = D T, F = -T^{-1} M^{-1} D^T and the monomial
+    list are formed on first use (:func:`_closed_form_monomials`).  The
+    list holds only the couplings the sine-mode selection rule allows
+    and that do not cancel to round-off, so a coupling is present iff it
+    is listed.
     """
     if basis is None:
         basis = eigendecompose(sys)
     if basis.t.shape[0] != sys.dof:
         raise ValueError("basis dimension does not match the system")
-    g = sys.bonds @ basis.t
-    f = -(basis.t_inv * (1.0 / sys.masses)[None, :]) @ sys.bonds.T
     return QuasiHarmonicSystem(
         lambdas=basis.lambdas.copy(), labels=basis.labels,
         alpha=sys.alpha, a=sys.a, p=sys.p, basis=basis, reduced=sys,
-        name=name or f"p{sys.p}", g=g, f=f,
+        name=name or f"p{sys.p}",
     )
-
-
-def qh_field(sys: QuasiHarmonicSystem, alpha=None):
-    """Return (rhs, jac): x -> -Lambda x + alpha C(x, x) and its Jacobian.
-
-    C(x, x) = F (G x)^2 when the system carries bond factors; otherwise
-    the coupling tensor is contracted, C(x, x)_i = x . B_i . x.  Both
-    maps take one state (d,) or rows (n, d) and return (d,) / (d, d) or
-    (n, d) / (n, d, d).
-    """
-    if alpha is None:
-        alpha = sys.alpha
-    lam = sys.lambdas
-    if sys.g is not None:
-        g, f = sys.g, sys.f
-
-        def rhs(x):
-            return alpha * (f @ (g @ x.T) ** 2).T - lam * x
-
-        def jac(x):
-            gx = (g @ x.T).T
-            return np.diag(-lam) + 2.0 * alpha * (f * gx[..., None, :]) @ g
-    else:
-        b = sys.bilinear
-
-        def rhs(x):
-            return alpha * np.einsum("ijk,...j,...k->...i", b, x, x) - lam * x
-
-        def jac(x):
-            return np.diag(-lam) + 2.0 * alpha * np.einsum("ijk,...k->...ij", b, x)
-
-    return rhs, jac
 
 
 def eval_qh_rhs(sys: QuasiHarmonicSystem, x, alpha=None):
@@ -537,38 +572,21 @@ def load_system(path, name: str = "") -> QuasiHarmonicSystem:
 
     The header and the mode lines are parsed line by line; the first
     other line starts the entry block, which is read in one pass.  Any
-    line that does not parse, holds an infinite or NaN value, or repeats
-    the (i, j, k) of an earlier entry raises ValueError naming ``path``.
-    Entries with a zero coefficient are dropped, and the rest sorted
-    into the canonical order of :class:`Monomials`.
+    line that does not parse or holds an infinite or NaN value raises
+    ValueError naming ``path``; the entries are then checked, cleaned of
+    zeros and sorted as every given list is (:class:`QuasiHarmonicSystem`),
+    and a refusal there is prefixed with ``path`` too.
     """
     with open(path) as fh:
         (p, a, alpha), lams, labels = _read_preamble(fh, path)
         entries = _read_entries(fh, path)
-    d = len(lams)
     i, j, k, c = (entries[key] for key in _ENTRY_DTYPE.names)
-    bad = np.flatnonzero((i < 1) | (i > d) | (j < 1) | (j > k) | (k > d))
-    if bad.size:
-        n = bad[0]
-        raise ValueError(f"{path}: entry indices out of range: "
-                         f"{(int(i[n]), int(j[n]), int(k[n]))}")
-    bad = np.flatnonzero(~np.isfinite(c))
-    if bad.size:
-        n = bad[0]
-        raise ValueError(f"{path}: non-finite entry "
-                         f"{(int(i[n]), int(j[n]), int(k[n]), float(c[n]))}")
-    mono, keys = _canonical(i - 1, j - 1, k - 1, c, d)
-    repeated = np.flatnonzero(keys[1:] == keys[:-1])
-    if repeated.size:
-        n = repeated[0]
-        raise ValueError(f"{path}: repeated entry "
-                         f"{tuple(int(index[n]) + 1 for index in mono[:3])}")
-    nonzero = mono.coeff != 0.0
-    return QuasiHarmonicSystem(
-        lambdas=np.array(lams), labels=tuple(labels),
-        monomials=Monomials(*(column[nonzero] for column in mono)),
-        alpha=alpha, a=a, p=p, name=name or str(path),
-    )
+    try:
+        return QuasiHarmonicSystem(np.array(lams), tuple(labels), alpha, a, p,
+                                   name=name or str(path),
+                                   monomials=(i - 1, j - 1, k - 1, c))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _read_preamble(fh, path):

@@ -15,6 +15,18 @@ SCENARIO_DIR = REPO / "scenarios"
 SWEEP_A = 0.01
 ODD_P = tuple(range(3, 49, 2))
 
+# One Hypothesis profile for every property test: reproducible examples,
+# no example database and no per-example deadline, so that a test sets
+# only its ``max_examples``.  Tier-1 still collects without Hypothesis.
+try:
+    from hypothesis import settings
+except ImportError:
+    pass
+else:
+    settings.register_profile("fpualt", derandomize=True, database=None,
+                              deadline=None)
+    settings.load_profile("fpualt")
+
 
 @pytest.fixture(scope="session")
 def systems():
@@ -196,6 +208,61 @@ def dense_tensor_oracle(sys, basis=None):
     cutoff = DROP_THRESHOLD_REL * np.abs(b).max()
     b[(np.abs(b) < cutoff) | ~selection_rule([lab.pair for lab in basis.labels], sys.p)] = 0.0
     return b
+
+
+def tensor_monomials(b):
+    """The 0-based (i, j, k, coeff) list of a dense (d, d, d) tensor, read
+    from the nonzeros of its j <= k half: coeff is 2 B_ijk for j < k and
+    B_ijj for the squares."""
+    i, j, k = np.nonzero(b)
+    upper = j <= k
+    i, j, k = i[upper], j[upper], k[upper]
+    return i, j, k, b[i, j, k] * np.where(j == k, 1.0, 2.0)
+
+
+def assert_matches_dense_build(p, a):
+    """The closed-form list of a built system against the dense build:
+    the same entries, coefficients within 1e-13 of the largest."""
+    red = build_reduced(p, a, 1.0)
+    qh = to_quasi_harmonic(red)
+    *index, coeff = tensor_monomials(dense_tensor_oracle(red, qh.basis))
+    got = qh.monomials
+    for column, want in zip(got[:3], index):
+        assert np.array_equal(column, want)
+    assert np.abs(got.coeff - coeff).max() <= 1e-13 * np.abs(coeff).max()
+
+
+# The dense-tensor contraction that every quasi-harmonic right-hand side
+# used before the bond factors F (G x)^2 served all of them, kept as an
+# oracle for ``QuasiHarmonicSystem.static_field``.
+
+
+def einsum_field(sys):
+    """(rhs, jac) of ``sys`` by contracting its dense view ``bilinear``."""
+    alpha, b, lam = sys.alpha, sys.bilinear, sys.lambdas
+
+    def rhs(x):
+        return alpha * np.einsum("ijk,...j,...k->...i", b, x, x) - lam * x
+
+    def jac(x):
+        return np.diag(-lam) + 2.0 * alpha * np.einsum("ijk,...k->...ij", b, x)
+
+    return rhs, jac
+
+
+def assert_field_matches_oracle(sys, x, rtol=1e-13):
+    """``sys.static_field()`` agrees with :func:`einsum_field` at the state
+    ``x`` within ``rtol`` of the largest term of the expanded sums:
+    sum_b |F_ib| (|G| |x|)_b^2 (or |lambda x|) for the right-hand side,
+    2 |F| diag(|G| |x|) |G| (or lambda) for the Jacobian."""
+    rhs, jac = sys.static_field()
+    rhs_t, jac_t = einsum_field(sys)
+    abs_f, abs_g = np.abs(sys.f), np.abs(sys.g)
+    bonds = abs_g @ np.abs(x)
+    scale = max(np.abs(sys.lambdas * x).max(), (abs_f @ bonds ** 2).max())
+    assert np.abs(rhs(x) - rhs_t(x)).max() <= rtol * scale
+    jscale = max(np.abs(sys.lambdas).max(), (2.0 * (abs_f * bonds) @ abs_g).max())
+    assert np.abs(jac(x) - jac_t(x)).max() <= rtol * jscale
 
 
 # The bitmask GF(2) sign solver of the scaling fit, kept verbatim as an

@@ -1,13 +1,13 @@
 """The bond-space form of the nonlinearity.
 
 The reduced quadratic vector is N(q) = -D^T (D q)^2 with the bond
-extensions e = D q, and every pipeline-built quasi-harmonic system
-evaluates C(x, x) = F (G x)^2 with G = D T, F = -T^{-1} M^{-1} D^T.
-Systems without these factors (tables read from files, extracted
-subsystems) contract the coupling tensor instead.
+extensions e = D q, and every quasi-harmonic system evaluates
+C(x, x) = F (G x)^2: a pipeline-built one with G = D T,
+F = -T^{-1} M^{-1} D^T, one given its monomial list (tables read from
+files, extracted subsystems) with the polarised factors of that list.
+Both agree with the contraction of the coupling tensor
+(``einsum_field`` in conftest) to round-off.
 """
-
-import dataclasses
 
 import numpy as np
 import pytest
@@ -16,11 +16,10 @@ from fpualt import (IntegratorConfig, build_reduced, eigendecompose,
                     enumerate_invariant_candidates, extract_subsystem,
                     integrate, load_reference, square_map, to_quasi_harmonic)
 from fpualt.coupling import jan_formula
-from fpualt.dynamics import acceleration_function
 from fpualt.reduction import quadratic_vector
-from fpualt.spectral import qh_field
 
-from conftest import ODD_P, SWEEP_A, brute_force_candidates, table_oracle
+from conftest import (ODD_P, SWEEP_A, assert_field_matches_oracle,
+                      brute_force_candidates, table_oracle)
 
 BOND_P = (3, 5, 9, 47, 99)
 VERDICT_P = tuple(range(3, 107, 2))
@@ -58,17 +57,9 @@ def test_factored_field_matches_tensor(p, qh_by_p, rng):
     # the expanded sum sum_b |F_ib| (|G| |x|)_b^2 (measured <= 2.4e-14).
     qh = qh_by_p[p]
     assert qh.g.shape == (p, p - 1) and qh.f.shape == (p - 1, p)
-    rhs_f, jac_f = qh_field(qh)
-    rhs_t, jac_t = qh_field(dataclasses.replace(qh, g=None, f=None))
-    abs_f, abs_g = np.abs(qh.f), np.abs(qh.g)
     for amp in (0.5, 0.05):
         for _ in range(10):
-            x = rng.uniform(-amp, amp, p - 1)
-            bonds = abs_g @ np.abs(x)
-            scale = max(np.abs(qh.lambdas * x).max(), (abs_f @ bonds**2).max())
-            assert np.abs(rhs_f(x) - rhs_t(x)).max() <= 1e-13 * scale
-            jscale = max(qh.lambdas.max(), (2.0 * (abs_f * bonds) @ abs_g).max())
-            assert np.abs(jac_f(x) - jac_t(x)).max() <= 1e-13 * jscale
+            assert_field_matches_oracle(qh, rng.uniform(-amp, amp, p - 1))
 
 
 def test_square_map_and_invariant_verdicts(qh_by_p):
@@ -127,31 +118,25 @@ def _assert_divisor_verdicts(qh, p):
     assert found == expected, p
 
 
-def _contract(sys, x):
-    return sys.alpha * np.einsum("ijk,j,k->i", sys.bilinear, x, x) - sys.lambdas * x
-
-
-def test_loaded_table_integrates_through_tensor(rng):
+def test_loaded_table_integrates_through_polarised_factors(rng):
+    # G is the identity over the one mixed pair (1, 2)
     ref = load_reference("p3_full")
-    assert ref.g is None and ref.f is None
-    accel = acceleration_function(ref)
+    assert np.array_equal(ref.g, [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     for _ in range(5):
-        x = rng.uniform(-0.3, 0.3, ref.dof)
-        assert np.array_equal(accel(x), _contract(ref, x))
+        assert_field_matches_oracle(ref, rng.uniform(-0.3, 0.3, ref.dof))
     tr = integrate(ref, np.array([0.0, 0.2, 0.0, 0.0]),
                    IntegratorConfig(t_end=20.0))
     assert tr.ok and tr.n_steps > 0
 
 
-def test_extracted_subsystem_integrates_through_tensor(qh_by_p, rng):
+def test_extracted_subsystem_integrates_through_polarised_factors(qh_by_p, rng):
     # pair 3 of p=9 spans an invariant set: the extracted two-mode system
-    # (tensor path) follows the full system (factor path) started on it
+    # (the polarised factors of its list) follows the full system (the
+    # bond factors D T) started on it
     full = qh_by_p[9]
     sub = extract_subsystem(full, [5, 6])
-    assert sub.g is None and sub.f is None
-    accel = acceleration_function(sub)
-    x = rng.uniform(-0.3, 0.3, 2)
-    assert np.array_equal(accel(x), _contract(sub, x))
+    assert sub.g.shape == (3, 2)
+    assert_field_matches_oracle(sub, rng.uniform(-0.3, 0.3, 2))
 
     cfg = IntegratorConfig(t_end=50.0)
     y_sub = np.array([0.05, 0.1, 0.0, 0.0])

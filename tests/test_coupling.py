@@ -10,7 +10,7 @@ from fpualt import (IntegratorConfig, PatternViolationError, build_reduced,
                     scaling_equivalence, square_map, to_quasi_harmonic)
 from fpualt.spectral import ModalBasis, all_pair_eigenvalues
 
-from conftest import brute_force_candidates, table_oracle
+from conftest import brute_force_candidates, table_oracle, tensor_monomials
 
 
 class TestSquareMap:
@@ -40,7 +40,7 @@ class TestSquareMap:
         qh = systems[5][2]
         b = qh.bilinear.copy()
         b[:, [0, 1], [0, 1]] = 0.0
-        missing = dataclasses.replace(qh, bilinear=b, g=None, f=None)
+        missing = dataclasses.replace(qh, monomials=tensor_monomials(b))
         with pytest.raises(PatternViolationError,
                            match=r"squares of pair 1 occur in equations of pairs \[\]"):
             square_map(missing)
@@ -59,7 +59,7 @@ class TestSquareMap:
     def test_odd_mode_count_rejected(self, systems):
         with pytest.raises(ValueError, match="even number"):
             square_map(extract_subsystem(systems[3][2], (1, 2)).__class__(
-                lambdas=np.array([1.0]), bilinear=np.zeros((1, 1, 1)),
+                lambdas=np.array([1.0]), monomials=([], [], [], []),
                 labels=(None,), alpha=1.0))
 
 
@@ -210,14 +210,14 @@ class TestEnumeration:
         assert inv[2] < inv[8]
 
     def test_ties_and_asymmetry(self, systems, rng):
-        # magnitudes from {1, 2} tie everywhere, and B_ijk != B_ikj: the
+        # magnitudes from {1, 2} tie everywhere, and B_ijk != B_jik: the
         # worst entry check_invariance reports is still the first
         # (i, j, k) reaching the maximum, as in the table oracle, and the
         # listed sets are the invariant unions
         qh = systems[45][2]
         b = np.where(qh.bilinear != 0.0,
                      rng.choice([-2.0, -1.0, 1.0, 2.0], qh.bilinear.shape), 0.0)
-        tied = dataclasses.replace(qh, bilinear=b, g=None, f=None)
+        tied = dataclasses.replace(qh, monomials=tensor_monomials(b))
         every = brute_force_candidates(tied)
         assert len(every) == 2 ** 5 - 2
         assert table_oracle(tied) == every
@@ -234,6 +234,15 @@ class TestExtraction:
     def test_rejects_non_invariant_complement(self, systems):
         with pytest.raises(ValueError, match="not invariant"):
             extract_subsystem(systems[5][2], (1, 4))
+
+    @pytest.mark.parametrize("kept, bad", [([0, 5, 6], "0"), ([5, 6, 99], "99"),
+                                           ([5.5], "5.5")])
+    def test_rejects_modes_outside_range(self, systems, kept, bad):
+        # mode 0 wrapped to mode 8, which the invariance check had frozen;
+        # 99 ended in an IndexError and 5.5 was read as mode 5
+        with pytest.raises(ValueError,
+                           match=rf"^kept mode {bad} is not an integer in 1\.\.8$"):
+            extract_subsystem(systems[9][2], kept)
 
     def test_p9_subsystem_lambdas(self, systems):
         sub = extract_subsystem(systems[9][2], (5, 6))
@@ -277,7 +286,8 @@ class TestScalingFit:
         s = np.array([2.5, -0.4, 1.3, -3.0])
         scaled = qh.bilinear * (s[None, None, :] * s[None, :, None]
                                 / s[:, None, None])
-        ref = qh.__class__(lambdas=qh.lambdas.copy(), bilinear=scaled,
+        ref = qh.__class__(lambdas=qh.lambdas.copy(),
+                           monomials=tensor_monomials(scaled),
                            labels=qh.labels, alpha=qh.alpha, a=qh.a, p=qh.p)
         fit = scaling_equivalence(qh, ref)
         assert fit.residual <= 1e-12
@@ -328,7 +338,8 @@ class TestScalingFit:
         bilinear = ref.bilinear.copy()
         bilinear[0, 0, 0] *= -1.0
         fit = scaling_equivalence(systems[3][2],
-                                  dataclasses.replace(ref, bilinear=bilinear))
+                                  dataclasses.replace(
+                                      ref, monomials=tensor_monomials(bilinear)))
         assert fit.sign_consistent is False
         assert fit.residual == np.inf
         assert fit.sign_flips == ()
@@ -340,7 +351,7 @@ class TestScalingFit:
 
     def test_lambda_mismatch(self, systems):
         qh = systems[3][2]
-        ref = qh.__class__(lambdas=qh.lambdas + 0.3, bilinear=qh.bilinear,
+        ref = qh.__class__(lambdas=qh.lambdas + 0.3, monomials=qh.monomials,
                            labels=qh.labels, alpha=1.0)
         with pytest.raises(ValueError, match="matches reference"):
             scaling_equivalence(qh, ref)

@@ -2,38 +2,21 @@
 
 The closed-form list of built systems against the dense build it
 replaced (``dense_tensor_oracle``) and a long-double contraction, the
-lazy forming of the list and its dense view, and the refusals of
-repeated and non-finite couplings.
+lazy forming of the list and its dense view, and the one check of a
+given list, from code or from a file.  The property tests on generated
+lists are in ``test_coupling_properties.py``.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from fpualt import (IntegratorConfig, QuasiHarmonicSystem, build_reduced,
-                    integrate, load_system, square_map, to_quasi_harmonic)
+                    first_order_response, integrate, load_system,
+                    to_quasi_harmonic)
 from fpualt.refdata import REFERENCE_TABLES, load_reference
 from fpualt.scenarios import structure_census
 
-from conftest import dense_tensor_oracle
-
-
-def _dense_monomials(b):
-    """(i, j, k, coeff) of the j <= k half of a dense tensor, nonzero only."""
-    i, j, k = np.nonzero(b)
-    upper = j <= k
-    i, j, k = i[upper], j[upper], k[upper]
-    return i, j, k, b[i, j, k] * np.where(j == k, 1.0, 2.0)
-
-
-def _assert_matches_dense_build(p, a):
-    red = build_reduced(p, a, 1.0)
-    qh = to_quasi_harmonic(red)
-    *index, coeff = _dense_monomials(dense_tensor_oracle(red, qh.basis))
-    got = qh.monomials
-    for column, want in zip(got[:3], index):
-        assert np.array_equal(column, want)
-    assert np.abs(got.coeff - coeff).max() <= 1e-13 * np.abs(coeff).max()
+from conftest import assert_matches_dense_build
 
 
 @pytest.mark.parametrize("a", [0.01, 0.3, 1.0])
@@ -41,14 +24,7 @@ def _assert_matches_dense_build(p, a):
 def test_closed_form_matches_dense_build(p, a):
     # Same zero pattern, also at a = 1 where half the allowed entries
     # cancel; entries within 1e-13 of the largest (measured <= 1.6e-14).
-    _assert_matches_dense_build(p, a)
-
-
-@settings(derandomize=True, database=None, max_examples=30, deadline=None)
-@given(p=st.integers(1, 30).map(lambda n: 2 * n + 1),
-       log_a=st.floats(-3.0, 2.0))
-def test_closed_form_matches_dense_build_property(p, log_a):
-    _assert_matches_dense_build(p, 10.0 ** log_a)
+    assert_matches_dense_build(p, a)
 
 
 def _long_double_basis(red, t):
@@ -119,20 +95,73 @@ def test_dense_view_and_lookup_read_the_list():
 
 
 def test_a_system_without_a_coupling_is_refused():
-    with pytest.raises(ValueError, match="needs bilinear=, monomials="):
+    with pytest.raises(ValueError, match="needs monomials= or the basis"):
         QuasiHarmonicSystem(lambdas=np.ones(2), labels=(None, None), alpha=1.0)
+
+
+def _given(*entries, labels=(None, None)):
+    """A two-mode system given the 0-based entries (i, j, k, coeff)."""
+    return QuasiHarmonicSystem(lambdas=np.array([1.0, 2.0]), labels=labels,
+                               alpha=1.0, monomials=list(zip(*entries)))
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_non_finite_coupling_is_refused_by_name(value):
-    b = np.zeros((2, 2, 2))
-    b[1, 0, 0] = 0.5
-    b[0, 1, 0] = value
-    sys = QuasiHarmonicSystem(lambdas=np.array([1.0, 4.0]), labels=(None, None),
-                              alpha=1.0, bilinear=b)
     with pytest.raises(ValueError,
-                       match=rf"non-finite coupling entry \(1, 2, 1, {value}\)"):
-        square_map(sys)
+                       match=rf"^non-finite entry \(1, 1, 2, {value}\)$"):
+        _given((1, 0, 0, 0.5), (0, 0, 1, value))
+
+
+@pytest.mark.parametrize("entry, message", [
+    ((0, 1, 0, 0.5), r"^entry indices out of range: \(1, 2, 1\)$"),
+    ((0, 4, 4, 0.5), r"^entry indices out of range: \(1, 5, 5\)$"),
+    ((-1, 0, 0, 0.5), r"^entry indices out of range: \(0, 1, 1\)$"),
+    ((0, 0, 0.0, 0.5), "^entry indices must be integers$"),
+])
+def test_bad_indices_are_refused_by_name(entry, message):
+    # an index outside 1..d ended in an IndexError, and j > k was kept but
+    # read back as 0.0 by every lookup
+    with pytest.raises(ValueError, match=message):
+        _given((1, 0, 0, 0.25), entry)
+
+
+def test_malformed_lists_and_labels_are_refused():
+    with pytest.raises(ValueError, match=r"^repeated entry \(2, 1, 1\)$"):
+        _given((1, 0, 0, 0.25), (0, 0, 1, 0.5), (1, 0, 0, 0.25))
+    # ragged columns ended in an IndexError
+    with pytest.raises(ValueError, match=r"^entry columns differ in shape: "
+                                         r"\[\(1,\), \(2,\), \(1,\), \(1,\)\]$"):
+        QuasiHarmonicSystem(lambdas=np.ones(2), labels=(None, None), alpha=1.0,
+                            monomials=([0], [0, 1], [0], [1.0]))
+    with pytest.raises(ValueError, match="^3 labels for 2 modes$"):
+        _given((1, 0, 0, 0.25), labels=(None,) * 3)
+
+
+def test_given_list_is_sorted_and_cleaned():
+    # an unsorted list made monomial(2, 1, 1) return 0.0 for a listed 0.5,
+    # and first_order_response read that value
+    sys = _given((1, 0, 0, 0.5), (0, 1, 1, 0.0), (0, 0, 1, 1.0))
+    assert [column.tolist() for column in sys.monomials] == \
+        [[0, 1], [0, 0], [1, 0], [1.0, 0.5]]
+    assert sys.monomial(2, 1, 1) == 0.5 and sys.monomial(1, 2, 1) == 1.0
+    assert first_order_response(sys, driven=2, driver=1, amplitude=0.1).k0 != 0.0
+
+
+@pytest.mark.parametrize("text, entries", [
+    ("1 1 2 0.25\n0 1 2 0.25\n", [(0, 0, 1, 0.25), (-1, 0, 1, 0.25)]),
+    ("2 2 1 0.25\n", [(1, 1, 0, 0.25)]),
+    ("1 1 2 0.25\n2 1 2 nan\n", [(0, 0, 1, 0.25), (1, 0, 1, np.nan)]),
+    ("1 1 2 0.5\n2 1 1 0.5\n1 1 2 0.25\n",
+     [(0, 0, 1, 0.5), (1, 0, 0, 0.5), (0, 0, 1, 0.25)]),
+])
+def test_load_refusal_is_the_constructor_refusal(text, entries, tmp_path):
+    path = tmp_path / "entries.txt"
+    path.write_text(_PREAMBLE + text)
+    with pytest.raises(ValueError) as given_error:
+        _given(*entries)
+    with pytest.raises(ValueError) as loaded_error:
+        load_system(path)
+    assert str(loaded_error.value) == f"{path}: {given_error.value}"
 
 
 _PREAMBLE = "3 0.01 1.0\n0.5 acoustic 1\n1.5 optical 1\n"

@@ -11,10 +11,12 @@ from fpualt import (ChainParams, IntegratorConfig, QuasiHarmonicSystem,
                     mode_actions)
 from fpualt.dynamics import _RK_C, energy_function
 
+from conftest import tensor_monomials
+
 
 def single_mode(lam=1.0):
     return QuasiHarmonicSystem(lambdas=np.array([lam]),
-                               bilinear=np.zeros((1, 1, 1)),
+                               monomials=([], [], [], []),
                                labels=(None,), alpha=0.0)
 
 
@@ -192,7 +194,7 @@ class TestStepSizes:
 class TestActionsAndEnergy:
     def test_linear_actions_constant(self, systems):
         red, basis, qh = systems[5]
-        qh0 = QuasiHarmonicSystem(lambdas=qh.lambdas, bilinear=qh.bilinear,
+        qh0 = QuasiHarmonicSystem(lambdas=qh.lambdas, monomials=qh.monomials,
                                   labels=qh.labels, alpha=0.0,
                                   a=qh.a, p=qh.p, basis=basis, reduced=red)
         y0 = np.concatenate([[0.3, -0.2, 0.1, 0.05], np.zeros(4)])
@@ -212,7 +214,7 @@ class TestActionsAndEnergy:
         # since the alpha=1 reduced potential is not conserved at alpha=0
         _, basis, qh = systems[5]
         red0 = build_reduced(5, 0.01, alpha=0.0)
-        qh0 = QuasiHarmonicSystem(lambdas=qh.lambdas, bilinear=qh.bilinear,
+        qh0 = QuasiHarmonicSystem(lambdas=qh.lambdas, monomials=qh.monomials,
                                   labels=qh.labels, alpha=0.0,
                                   a=qh.a, p=qh.p, basis=basis, reduced=red0)
         y0 = np.concatenate([[0.3, -0.2, 0.1, 0.05], np.zeros(4)])
@@ -355,7 +357,7 @@ class TestBatchedNewton:
         # xdd = x^2 - x: the Jacobian 2x - 1 is singular at the seed 0.5,
         # which is dropped; the seeds around it still find 0 and 1.
         sys = QuasiHarmonicSystem(lambdas=np.array([1.0]),
-                                  bilinear=np.ones((1, 1, 1)),
+                                  monomials=([0], [0], [0], [1.0]),
                                   labels=(None,), alpha=1.0)
         fun, jac = sys.static_field()
         assert jac(np.array([0.5]))[0, 0] == 0.0
@@ -385,7 +387,7 @@ class TestFirstOrderResponse:
 
     def test_resonance_rejected(self):
         sys = QuasiHarmonicSystem(lambdas=np.array([4.0, 1.0]),
-                                  bilinear=np.ones((2, 2, 2)),
+                                  monomials=tensor_monomials(np.ones((2, 2, 2))),
                                   labels=(None, None), alpha=1.0)
         with pytest.raises(ValueError, match="resonance"):
             first_order_response(sys, driven=1, driver=2, amplitude=0.1)

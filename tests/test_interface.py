@@ -117,10 +117,10 @@ def test_rescaled_basis_energy_is_conserved(interface_systems):
 
 
 def test_symmetric_tensor_energy_matches_bond_energy(interface_systems, rng):
-    # the pipeline tensor is fully symmetric, so the tensor rule gives the
-    # same energy as the bond factors
+    # the pipeline tensor is fully symmetric, so the cubic-potential
+    # energy of the same list, given, equals the built system's bond energy
     qh, _ = interface_systems["qh5"]
-    tensor_only = QuasiHarmonicSystem(lambdas=qh.lambdas, bilinear=qh.bilinear,
+    tensor_only = QuasiHarmonicSystem(lambdas=qh.lambdas, monomials=qh.monomials,
                                       labels=qh.labels, alpha=qh.alpha)
     states = _states(qh, rng)
     assert np.abs(tensor_only.energy(states) - qh.energy(states)).max() <= 1e-14

@@ -18,8 +18,7 @@ sign_systems = st.integers(1, 9).flatmap(lambda n: st.tuples(
                          max_size=2 * n)))
 
 
-@hypothesis.settings(derandomize=True, database=None, max_examples=200,
-                     deadline=None)
+@hypothesis.settings(max_examples=200)
 @hypothesis.given(sign_systems)
 def test_row_reduction_matches_bitmask_oracle(system):
     n, equations = system
