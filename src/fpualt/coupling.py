@@ -421,8 +421,8 @@ def scaling_equivalence(source: QuasiHarmonicSystem,
         cand = int(np.argmin(np.where([i in used for i in range(d)], np.inf, diffs)))
         if diffs[cand] > LAMBDA_MATCH_TOL * max(1.0, abs(lam_ref)):
             raise ValueError(
-                f"no source eigenvalue matches reference {lam_ref!r} "
-                f"within {LAMBDA_MATCH_TOL}")
+                f"no source eigenvalue matches reference {ref.name!r} "
+                f"eigenvalue {float(lam_ref)!r} within {LAMBDA_MATCH_TOL}")
         used.add(cand)
         perm.append(cand)
     perm0 = np.array(perm)

@@ -135,7 +135,8 @@ def cartoon_system(cid: int, omegas=None) -> QuasiHarmonicSystem:
     omegas = default if omegas is None else omegas
     d = len(default)
     if len(omegas) != d:
-        raise ValueError(f"cartoon {cid} has {('two', 'three')[cid - 1]} oscillators")
+        raise ValueError(f"cartoon {cid} has {('two', 'three')[cid - 1]} oscillators: "
+                         f"give omega1 to omega{d} or none, got {len(omegas)} values")
     require_finite(**{f"omega{n}": w for n, w in enumerate(omegas, start=1)})
     return QuasiHarmonicSystem(
         lambdas=np.array([float(w) * float(w) for w in omegas]),

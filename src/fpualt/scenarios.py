@@ -6,17 +6,24 @@ and ``#`` comments (grammar in the README).  A scenario names a system
 integrator configuration, and the outputs to write.  The kinds table
 ``_KINDS`` holds, per kind, its [system] keys, its builder, the letter
 of its coordinates and the outputs it can write; ``run_scenario`` reads
-all of them from there and has no branch of its own per kind.  An
-output the kind cannot write, or a value that is not finite, is
-refused, from a file with its line and from a Scenario built in code
-with its field, before anything is written.  Initial states may be
-given in the normalisation of a shipped reference table
-(``frame = ref:<table>``); they are then mapped through the scaling fit
-and the trajectory is additionally emitted in that reference frame.
+all of them from there and has no branch of its own per kind.
+
+``parse_scenario`` only reads the text into a :class:`Scenario` of raw
+strings and records the file:line of every value; one checker,
+``_checked``, then converts and checks every field, and ``run_scenario``
+calls the same checker on a Scenario built in code.  So a value in code
+is converted as a file spells it (``'5'`` is 5), ``p``, ``n_pairs``,
+``id`` and the initial indices must be integers, and a refusal names
+the value's line, or its field when it has none, before anything is
+written.  Initial states may be given in the normalisation of the
+shipped full table of the scenario's p (``frame = ref:<table>``); they
+are then mapped through the scaling fit and the trajectory is
+additionally emitted in that reference frame.
 """
 
 import logging
 import math
+import operator
 import time
 from collections import namedtuple
 from dataclasses import dataclass, field, replace
@@ -34,7 +41,7 @@ from .coupling import (CycleDecomposition, PatternViolationError, ScalingFit,
 from .dynamics import (EQUILIBRIUM_RESIDUAL_TOL, IntegratorConfig,
                        cartoon_system, find_equilibria, integrate,
                        mode_actions, relative_drift)
-from .refdata import REFERENCE_TABLES, load_reference, reference_for
+from .refdata import FULL_TABLES, REFERENCE_TABLES, load_reference, reference_for
 from .reduction import build_reduced
 from .spectral import to_quasi_harmonic
 from .writers import (actions_csv, energy_csv, trajectory_csv,
@@ -45,8 +52,8 @@ log = logging.getLogger(__name__)
 
 
 class ScenarioError(ValueError):
-    """Malformed scenario; the message names the file and line, or the
-    field of a Scenario built in code."""
+    """Malformed scenario; the message names the file and line of the
+    value, or its field in a Scenario built in code."""
 
 
 @dataclass
@@ -63,7 +70,8 @@ class Scenario:
     sample_dt: float = 1.0
     outputs: set = field(default_factory=lambda: {"trajectory", "energy"})
     path: str = ""
-    # file:line of each [initial] entry, keyed by (field, index)
+    # file:line of each value read from a file, keyed by (field, key): the
+    # [system] key, initial index or output, and None for the other fields
     lines: dict = field(default_factory=dict, repr=False)
 
     def config(self, overrides=None) -> IntegratorConfig:
@@ -100,6 +108,19 @@ _KINDS = {
                          if k != "id" and w is not None] or None),
                      "x", ("trajectory", "actions", "energy")),
 }
+_INTEGRATE = ("t_end", "abs_tol", "rel_tol", "sample_dt")
+_TRUE = ("true", "yes", "1")             # output flags; false, no, 0 are off
+_SECTIONS = ("scenario", "system", "initial", "integrate", "outputs")
+# The (section, key) of each field that holds one value; the rest are dicts.
+_SCALARS = {("scenario", "name"), ("system", "kind"), ("initial", "frame"),
+            *(("integrate", key) for key in _INTEGRATE)}
+# A frame names the full table of the scenario's own p.
+_FRAME_P = {name: p for (p, _), name in FULL_TABLES.items()}
+
+
+def _where(scen: Scenario, name, key=None):
+    """The file:line of a value, or its field in a Scenario built in code."""
+    return scen.lines.get((name, key), f"scenario {scen.name!r}, field {name!r}")
 
 
 def _parse_float(value, where):
@@ -112,79 +133,24 @@ def _parse_float(value, where):
     return number
 
 
-# The checks below serve the parser, with ``where`` = file:line, and
-# run_scenario, with ``where`` naming a field of a Scenario built in code.
-
-
-def _check_kind(kind, where):
-    if kind not in _KINDS:
-        raise ScenarioError(
-            f"{where}: kind must be one of {tuple(_KINDS)}, got {kind!r}")
-
-
-def _check_system_key(kind, key, where):
-    if key not in _KINDS[kind].defaults:
-        raise ScenarioError(
-            f"{where}: unknown [system] key {key!r} for kind {kind!r}; "
-            f"it takes {', '.join(_KINDS[kind].defaults)}")
-
-
-def _check_frame(frame, kind, where):
-    if frame != "native" and not frame.startswith("ref:"):
-        raise ScenarioError(f"{where}: frame must be 'native' or 'ref:<table>'")
-    if frame != "native" and kind != "quasiharmonic":
-        raise ScenarioError(f"{where}: reference-frame initial data requires "
-                            "a quasiharmonic system")
-    if frame != "native" and frame[4:] not in REFERENCE_TABLES:
-        raise ScenarioError(f"{where}: unknown reference table {frame[4:]!r}; "
-                            f"available: {sorted(REFERENCE_TABLES)}")
-
-
-def _check_output(kind, key, requested, where):
-    if key not in _OUTPUTS:
-        raise ScenarioError(f"{where}: unknown output {key!r}")
-    if requested and key not in _KINDS[kind].outputs:
-        raise ScenarioError(
-            f"{where}: kind {kind!r} cannot write output {key!r}; "
-            f"it writes {', '.join(_KINDS[kind].outputs)}")
-
-
-def _check_fields(scen: Scenario):
-    """Refuse a Scenario built in code that no scenario file could give."""
-    where = f"scenario {scen.name!r}, field"
-    _check_kind(scen.kind, f"{where} 'kind'")
-    for key in scen.params:
-        _check_system_key(scen.kind, key, f"{where} 'params'")
-    _check_frame(scen.frame, scen.kind, f"{where} 'frame'")
-    for key in scen.outputs:
-        _check_output(scen.kind, key, True, f"{where} 'outputs'")
-    values = {"params": scen.params.values(), "positions": scen.positions.values(),
-              "velocities": scen.velocities.values()}
-    for name in ("t_end", "abs_tol", "rel_tol", "sample_dt"):
-        values[name] = [getattr(scen, name)]
-    for name, field_values in values.items():
-        for value in field_values:
-            if not (name == "params" and value is None):   # a model's own omega
-                _parse_float(value, f"{where} {name!r}")
-
-
-def _system_value(kind, key, value, where):
-    _check_system_key(kind, key, where)
-    if not isinstance(_KINDS[kind].defaults[key], int):
-        return _parse_float(value, where)
+def _parse_int(value, what, where):
+    """An int, or a string that spells one; a float is refused."""
     try:
-        return int(value)
-    except ValueError:
-        raise ScenarioError(f"{where}: {key} must be an integer") from None
+        return int(value) if isinstance(value, str) else operator.index(value)
+    except (TypeError, ValueError):
+        raise ScenarioError(f"{where}: {what} must be an integer, "
+                            f"got {value!r}") from None
 
 
 def parse_scenario(path) -> Scenario:
-    """Parse a scenario file; every error names the offending line."""
+    """Read a scenario file into a Scenario of raw strings, recording the
+    file:line of every value, and check it (``_checked``); every error
+    names the offending line."""
     path = Path(path)
     if not path.exists():
         raise ScenarioError(f"scenario file not found: {path}")
-    sections = {"scenario": {}, "system": {}, "initial": {},
-                "integrate": {}, "outputs": {}}
+    values = {"name": path.stem, "kind": None, "params": {}}
+    lines, first = {}, {}                  # first: (section, key) -> file:line
     section = None
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -194,7 +160,7 @@ def parse_scenario(path) -> Scenario:
                 continue
             if line.startswith("[") and line.endswith("]"):
                 section = line[1:-1].strip().lower()
-                if section not in sections:
+                if section not in _SECTIONS:
                     raise ScenarioError(f"{where}: unknown section [{section}]")
                 continue
             if "=" not in line:
@@ -205,75 +171,111 @@ def parse_scenario(path) -> Scenario:
             if not key or not value:
                 raise ScenarioError(f"{where}: empty key or value")
             key = key.lower()
-            if key in sections[section]:
+            if (section, key) in first:
+                raise ScenarioError(f"{where}: [{section}] key {key!r} given "
+                                    f"twice, first at {first[section, key]}")
+            first[section, key] = where
+            if (section, key) in _SCALARS:
+                name, key = key, None
+            elif section in ("system", "outputs"):
+                name = "params" if section == "system" else "outputs"
+            elif section == "initial" and key[0] in "qxv" and key[1:].isdigit():
+                name, key = ("velocities" if key[0] == "v" else "positions",
+                             int(key[1:]))
+                if (name, key) in lines:
+                    raise ScenarioError(f"{where}: initial {name} index {key} "
+                                        f"given twice, first at {lines[name, key]}")
+            else:
                 raise ScenarioError(
-                    f"{where}: [{section}] key {key!r} given twice, "
-                    f"first at {sections[section][key][1]}")
-            sections[section][key] = (value, where)
-
-    for key, (_, where) in sections["scenario"].items():
-        if key != "name":
-            raise ScenarioError(
-                f"{where}: unknown [scenario] key {key!r}; it takes name")
-    sys_sec = sections["system"]
-    if "kind" not in sys_sec:
+                    f"{where}: unknown [{section}] key {key!r}"
+                    + ("; it takes name" if section == "scenario" else ""))
+            lines[name, key] = where
+            if key is None:
+                values[name] = value
+            else:
+                values.setdefault(name, {})[key] = value
+    if values["kind"] is None:
         raise ScenarioError(f"{path}: [system] must set 'kind'")
-    kind, kw = sys_sec.pop("kind")
-    kind = kind.lower()
-    _check_kind(kind, kw)
-    params = {key: _system_value(kind, key, value, where)
-              for key, (value, where) in sys_sec.items()}
+    return _checked(Scenario(**values, path=str(path), lines=lines))
 
-    scen = Scenario(
-        name=sections["scenario"].get("name", (path.stem, ""))[0],
-        kind=kind, params=params, path=str(path))
 
-    for key, (value, where) in sections["initial"].items():
-        if key == "frame":
-            scen.frame = value.lower()
-            _check_frame(scen.frame, kind, where)
-        elif key[0] in "qxv" and key[1:].isdigit():
-            name, idx = ("velocities" if key[0] == "v" else "positions",
-                         int(key[1:]))
-            if (name, idx) in scen.lines:
-                raise ScenarioError(f"{where}: initial {name} index {idx} "
-                                    f"given twice, first at "
-                                    f"{scen.lines[name, idx]}")
-            getattr(scen, name)[idx] = _parse_float(value, where)
-            scen.lines[name, idx] = where
-        else:
-            raise ScenarioError(f"{where}: unknown [initial] key {key!r}")
+def _checked(scen: Scenario) -> Scenario:
+    """``scen`` with every field converted as a scenario file spells it
+    and checked, or a ScenarioError naming the value's line or field.
 
-    for key, (value, where) in sections["integrate"].items():
-        if key in ("t_end", "abs_tol", "rel_tol", "sample_dt"):
-            setattr(scen, key, _parse_float(value, where))
-        else:
-            raise ScenarioError(f"{where}: unknown [integrate] key {key!r}")
+    ``outputs`` is a set of names or, as the parser gives it, a dict of
+    true/false flags.
+    """
+    kind = str(scen.kind).lower()
+    if not isinstance(scen.kind, str) or kind not in _KINDS:
+        raise ScenarioError(f"{_where(scen, 'kind')}: kind must be one of "
+                            f"{tuple(_KINDS)}, got {scen.kind!r}")
+    defaults, params = _KINDS[kind].defaults, {}
+    for key, value in scen.params.items():
+        where = _where(scen, "params", key)
+        if key not in defaults:
+            raise ScenarioError(
+                f"{where}: unknown [system] key {key!r} for kind {kind!r}; "
+                f"it takes {', '.join(defaults)}")
+        if value is None and defaults[key] is None:     # a model's own omega
+            continue
+        params[key] = (_parse_int(value, key, where) if isinstance(defaults[key], int)
+                       else _parse_float(value, where))
 
-    if sections["outputs"]:
-        outputs = set()
-        for key, (value, where) in sections["outputs"].items():
-            requested = value.lower() in ("true", "yes", "1")
-            _check_output(kind, key, requested, where)
-            if requested:
-                outputs.add(key)
-            elif value.lower() not in ("false", "no", "0"):
-                raise ScenarioError(f"{where}: output flags are true/false")
-        scen.outputs = outputs
-    return scen
+    frame = scen.frame.lower() if isinstance(scen.frame, str) else scen.frame
+    if frame != "native":
+        where = _where(scen, "frame")
+        p = params.get("p", defaults.get("p"))
+        if not (isinstance(frame, str) and frame.startswith("ref:")):
+            raise ScenarioError(f"{where}: frame must be 'native' or 'ref:<table>'")
+        if kind != "quasiharmonic":
+            raise ScenarioError(f"{where}: reference-frame initial data requires "
+                                "a quasiharmonic system")
+        if frame[4:] not in REFERENCE_TABLES:
+            raise ScenarioError(f"{where}: unknown reference table {frame[4:]!r}; "
+                                f"available: {sorted(_FRAME_P)}")
+        if _FRAME_P.get(frame[4:]) != p:
+            raise ScenarioError(
+                f"{where}: {frame} is not the full table of p = {p}; a frame "
+                f"takes {', '.join(sorted(_FRAME_P))}, each for its own p")
+
+    initial = {name: {} for name in ("positions", "velocities")}
+    for name, values in initial.items():
+        for key, value in getattr(scen, name).items():
+            where = _where(scen, name, key)
+            index = _parse_int(key, f"initial {name} index", where)
+            if index in values:
+                raise ScenarioError(
+                    f"{where}: initial {name} index {index} given twice")
+            values[index] = _parse_float(value, where)
+    numbers = {name: _parse_float(getattr(scen, name), _where(scen, name))
+               for name in _INTEGRATE}
+
+    flags = (scen.outputs if isinstance(scen.outputs, dict)
+             else dict.fromkeys(scen.outputs, "true"))
+    flags = {key: str(flag).lower() for key, flag in flags.items()}
+    for key, flag in flags.items():
+        where = _where(scen, "outputs", key)
+        if key not in _OUTPUTS:
+            raise ScenarioError(f"{where}: unknown output {key!r}")
+        if flag not in _TRUE + ("false", "no", "0"):
+            raise ScenarioError(f"{where}: output flags are true/false")
+        if flag in _TRUE and key not in _KINDS[kind].outputs:
+            raise ScenarioError(
+                f"{where}: kind {kind!r} cannot write output {key!r}; "
+                f"it writes {', '.join(_KINDS[kind].outputs)}")
+    checked = replace(scen, kind=kind, params=params, frame=frame, **initial, **numbers,
+                      outputs={key for key, flag in flags.items() if flag in _TRUE})
+    try:
+        checked.config().validate()
+    except ValueError as exc:         # the message starts with the field's name
+        raise ScenarioError(f"{_where(scen, str(exc).split()[0])}: {exc}") from None
+    return checked
 
 
 def _build_system(scen: Scenario):
     kind = _KINDS[scen.kind]
     return kind.build({**kind.defaults, **scen.params})
-
-
-def _load(scenario) -> Scenario:
-    """A scenario file parsed, or a Scenario built in code checked."""
-    if isinstance(scenario, Scenario):
-        _check_fields(scenario)
-        return scenario
-    return parse_scenario(scenario)
 
 
 def _resolve_initial(scen: Scenario, system):
@@ -283,10 +285,8 @@ def _resolve_initial(scen: Scenario, system):
         vec = np.zeros(d)
         for idx, val in getattr(scen, name).items():
             if not 1 <= idx <= d:
-                where = scen.lines.get(
-                    (name, idx), f"scenario {scen.name!r}, field {name!r}")
-                raise ScenarioError(
-                    f"{where}: initial {name} index {idx} out of range 1..{d}")
+                raise ScenarioError(f"{_where(scen, name, idx)}: initial "
+                                    f"{name} index {idx} out of range 1..{d}")
             vec[idx - 1] = val
         return vec
 
@@ -295,7 +295,10 @@ def _resolve_initial(scen: Scenario, system):
     y0 = np.concatenate([fill(d, "positions"), fill(d, "velocities")])
     if ref is None:
         return y0, None
-    fit = scaling_equivalence(system, ref)
+    try:
+        fit = scaling_equivalence(system, ref)
+    except ValueError as exc:
+        raise ScenarioError(f"{_where(scen, 'frame')}: {exc}") from None
     return np.concatenate(map_reference_state(fit, y0[:d], y0[d:])), fit
 
 
@@ -323,11 +326,13 @@ class RunResult:
 def run_scenario(scenario, out_dir, overrides=None) -> RunResult:
     """Run one scenario and write its requested outputs.
 
-    Every check runs before the output directory is made, so a refused
-    scenario writes nothing.  Returns exit code 0 on success and 2 when
+    ``scenario`` is a scenario file or a Scenario built in code; both go
+    through the one checker (``_checked``).  Every check runs before the
+    output directory is made, so a refused scenario writes nothing.  Returns exit code 0 on success and 2 when
     the integration ended in a divergence or step-underflow report.
     """
-    scen = _load(scenario)
+    scen = (_checked(scenario) if isinstance(scenario, Scenario)
+            else parse_scenario(scenario))
     system = _build_system(scen)
     y0, fit = _resolve_initial(scen, system)
     cfg = scen.config(overrides)
@@ -375,8 +380,7 @@ def run_scenario(scenario, out_dir, overrides=None) -> RunResult:
         "initial": {"frame": scen.frame,
                     "positions": scen.positions, "velocities": scen.velocities,
                     "state_vector": y0},
-        "integrator": {"t_end": cfg.t_end, "abs_tol": cfg.abs_tol,
-                       "rel_tol": cfg.rel_tol, "sample_dt": cfg.sample_dt},
+        "integrator": {name: getattr(cfg, name) for name in _INTEGRATE},
         "status": tr.status,
         "message": tr.message,
         "t_reached": tr.t_reached,

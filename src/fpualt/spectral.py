@@ -38,7 +38,7 @@ DROP_THRESHOLD_REL of the largest entry, as at a = 1), so a coupling is
 present iff it is listed.  Tables read from files, extracted
 subsystems and the cartoon models of :mod:`fpualt.dynamics` are given
 their list instead.  The dense tensor ``bilinear`` is a view made from
-the list on demand; no right-hand side reads it.
+the list on demand; nothing in the package reads it.
 
 A built modal system is itself a bond-space system
 (:class:`fpualt.chain.BondSystem`): bond operator G and the modal masses
@@ -223,8 +223,8 @@ class QuasiHarmonicSystem:
     side, its Jacobian and the energy read only these.
 
     ``bilinear`` is the symmetric tensor B with C(x, x)_i = x . B_i . x,
-    a dense view made from the list on demand; only the symmetry test of
-    :attr:`energy` reads it.
+    a dense view made from the list on demand; nothing in the package
+    reads it.
     """
 
     lambdas: np.ndarray
@@ -318,10 +318,7 @@ class QuasiHarmonicSystem:
         if self._built:
             return BondSystem(masses=_modal_masses(self.reduced, self.basis),
                               bonds=self.g, alpha=self.alpha).energy
-        b = self.bilinear
-        tol = DROP_THRESHOLD_REL * np.abs(b).max(initial=0.0)
-        if any(np.abs(b - b.transpose(axes)).max(initial=0.0) > tol
-               for axes in ((1, 0, 2), (0, 2, 1))):
+        if not _fully_symmetric(self.monomials, self.dof):
             return None
         d, alpha, lam, g, f = self.dof, self.alpha, self.lambdas, self.g, self.f
 
@@ -423,6 +420,29 @@ def _checked_monomials(monomials, d) -> Monomials:
                          f"{tuple(int(index[n]) + 1 for index in mono[:3])}")
     nonzero = mono.coeff != 0.0
     return Monomials(*(column[nonzero] for column in mono))
+
+
+def _fully_symmetric(m: Monomials, d) -> bool:
+    """Whether the tensor B of a monomial list is symmetric in all three
+    indices within DROP_THRESHOLD_REL of its largest entry.
+
+    B is symmetric in j, k by construction, so it is fully symmetric iff
+    each listed B_ijk (c, or c/2 for j < k) equals its two partners that
+    move i, B_{j,min(i,k),max(i,k)} and B_{k,min(i,j),max(i,j)}; an
+    unlisted partner is 0.  Read from the sorted list, without the dense
+    view.
+    """
+    i, j, k, c = m
+    b = np.append(np.where(j == k, c, 0.5 * c), 0.0)
+    keys = np.append((i * d + j) * d + k, d ** 3)   # the sentinel ends each search
+    tol = DROP_THRESHOLD_REL * np.abs(b).max()
+    for first, (u, w) in ((j, (i, k)), (k, (i, j))):
+        partner = (first * d + np.minimum(u, w)) * d + np.maximum(u, w)
+        at = np.searchsorted(keys, partner)
+        other = np.where(keys[at] == partner, b[at], 0.0)
+        if np.abs(b[:-1] - other).max(initial=0.0) > tol:
+            return False
+    return True
 
 
 def _polarised_factors(m: Monomials, d):
@@ -552,6 +572,20 @@ _ENTRY_DTYPE = np.dtype([("i", np.int64), ("j", np.int64), ("k", np.int64),
 
 
 def save_system(sys: QuasiHarmonicSystem, path):
+    """Write ``sys`` as a system file (format above).
+
+    A system that :func:`load_system` could not read back, one without
+    mode labels (a cartoon) or with a non-finite ``a`` or ``alpha``, is
+    refused with a ValueError naming it and what it lacks, before
+    ``path`` is opened.
+    """
+    missing = [what for what, ok in (("mode labels", None not in sys.labels),
+                                     ("finite a", math.isfinite(sys.a)),
+                                     ("finite alpha", math.isfinite(sys.alpha)))
+               if not ok]
+    if missing:
+        raise ValueError(f"cannot save system {sys.name!r}: it has no "
+                         f"{', no '.join(missing)}")
     columns = [(index + 1).tolist() for index in sys.monomials[:3]]
     columns.append(sys.monomials.coeff.tolist())
     flat = [None] * (4 * len(columns[0]))        # i, j, k, coeff per line

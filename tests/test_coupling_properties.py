@@ -1,13 +1,16 @@
 """Property tests on the coupling list, with Hypothesis: the closed-form
 list of built systems against the dense build, and given lists (up to
 6 modes) through their polarised bond factors against the tensor
-contraction, and through a system file and back."""
+contraction, through a system file and back, and through the symmetry
+test of the energy against the dense view."""
+
+import itertools
 
 import numpy as np
 import pytest
 
 from fpualt import QuasiHarmonicSystem, load_system, save_system
-from fpualt.spectral import ModeLabel
+from fpualt.spectral import DROP_THRESHOLD_REL, ModeLabel
 
 from conftest import assert_field_matches_oracle, assert_matches_dense_build
 
@@ -24,6 +27,8 @@ def test_closed_form_matches_dense_build_property(p, log_a):
 
 # Generated coupling lists: up to 6 modes and 20 distinct entries, square
 # and mixed, in any order, with random signs and log-uniform magnitudes.
+# Half of them are completed to a fully symmetric tensor: each entry's
+# B_ijk is given to every permutation of (i, j, k) that is not listed.
 @st.composite
 def coupling_lists(draw):
     d = draw(st.integers(1, 6))
@@ -33,7 +38,13 @@ def coupling_lists(draw):
     coeff = draw(st.lists(st.tuples(st.sampled_from((-1.0, 1.0)),
                                     st.floats(-6.0, 6.0)),
                           min_size=len(keys), max_size=len(keys)))
-    entries = [(*key, sign * 10.0 ** log) for key, (sign, log) in zip(keys, coeff)]
+    tensor = {key: sign * 10.0 ** log for key, (sign, log) in zip(keys, coeff)}
+    if draw(st.booleans()):
+        for key, value in list(tensor.items()):
+            for i, j, k in itertools.permutations(key):
+                tensor.setdefault((i, min(j, k), max(j, k)), value)
+    # the list holds c = B_ijj for squares and 2 B_ijk for j < k
+    entries = [(i, j, k, b if j == k else 2.0 * b) for (i, j, k), b in tensor.items()]
     lambdas = draw(st.lists(st.floats(0.01, 10.0), min_size=d, max_size=d))
     x = draw(st.lists(st.floats(-1.0, 1.0), min_size=d, max_size=d))
     return d, entries, np.array(lambdas), np.array(x)
@@ -53,6 +64,12 @@ def test_given_list_field_and_file_round_trip(case, tmp_path_factory):
         monomials=[np.array(column) for column in zip(*entries)] or [[]] * 4)
     assert_field_matches_oracle(sys, x)
     assert_field_matches_oracle(sys, 1e3 * x)
+    # the energy's symmetry test reads the list; the dense view agrees
+    b = sys.bilinear
+    tol = DROP_THRESHOLD_REL * np.abs(b).max(initial=0.0)
+    symmetric = all(np.abs(b - b.transpose(axes)).max(initial=0.0) <= tol
+                    for axes in ((1, 0, 2), (0, 2, 1)))
+    assert (sys.energy is not None) == symmetric
     path = tmp_path_factory.getbasetemp() / "round_trip.txt"
     save_system(sys, path)
     back = load_system(path)

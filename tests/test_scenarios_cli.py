@@ -1,6 +1,8 @@
+import ast
 import json
 import math
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -65,6 +67,20 @@ class TestScenarioParsing:
         with pytest.raises(ScenarioError,
                            match=r"s\.scn:5: unknown reference table 'p4_full'"):
             parse_scenario(bad)
+
+    @pytest.mark.parametrize("p, table", [
+        (9, "p9_sub34"), (5, "p5_sub14"), (5, "p5_sub23"), (5, "p3_full")])
+    def test_frame_must_be_the_full_table_of_p(self, tmp_path, p, table):
+        # the fit compared the full system with a smaller table: every run
+        # of these exited 1 with "dimension mismatch: 8 vs 2" and no line
+        bad = tmp_path / "s.scn"
+        bad.write_text(f"[system]\nkind = quasiharmonic\np = {p}\n"
+                       f"[initial]\nframe = ref:{table}\n")
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(bad)
+        assert str(err.value) == (
+            f"{bad}:5: ref:{table} is not the full table of p = {p}; a frame "
+            f"takes p3_full, p5_full, p9_full, each for its own p")
 
     @pytest.mark.parametrize("kind, line, takes", [
         ("full", "p = 7", "n_pairs, a, alpha, beta"),
@@ -169,7 +185,7 @@ class TestScenarioParsing:
 
 
 class TestScenarioInCode:
-    """A Scenario built in code meets the parser's checks in run_scenario."""
+    """A Scenario built in code meets the checker a scenario file ends in."""
 
     @pytest.mark.parametrize("fields, message", [
         ({"kind": "reduced", "frame": "ref:p3_full"},
@@ -204,6 +220,25 @@ class TestScenarioInCode:
         ({"kind": "reduced", "velocities": {1: "fast"}},
          "field 'velocities': not a number: 'fast'"),
         ({"kind": "reduced", "t_end": None}, "field 't_end': not a number: None"),
+        # the file rules: p, n_pairs, id and the indices are integers (these
+        # ended in a TypeError or an IndexError)
+        ({"kind": "reduced", "params": {"p": 3.5}},
+         "field 'params': p must be an integer, got 3.5"),
+        ({"kind": "full", "params": {"n_pairs": 2.0}},
+         "field 'params': n_pairs must be an integer, got 2.0"),
+        ({"kind": "reduced", "positions": {1.5: 0.1}},
+         "field 'positions': initial positions index must be an integer, got 1.5"),
+        ({"kind": "reduced", "positions": {1: 0.1, "1": 0.2}},
+         "field 'positions': initial positions index 1 given twice"),
+        # a frame names the full table of its own p (these could never run)
+        ({"kind": "quasiharmonic", "params": {"p": 9}, "frame": "ref:p9_sub34"},
+         "field 'frame': ref:p9_sub34 is not the full table of p = 9"),
+        ({"kind": "quasiharmonic", "params": {"p": 5}, "frame": "ref:p5_sub14"},
+         "field 'frame': ref:p5_sub14 is not the full table of p = 5"),
+        ({"kind": "quasiharmonic", "params": {"p": 5}, "frame": "ref:p5_sub23"},
+         "field 'frame': ref:p5_sub23 is not the full table of p = 5"),
+        ({"kind": "quasiharmonic", "params": {"p": 5}, "frame": "ref:p3_full"},
+         "field 'frame': ref:p3_full is not the full table of p = 5"),
     ])
     def test_refused_with_the_field(self, tmp_path, fields, message):
         scen = Scenario(name="x", **{"params": {"p": 3}, **fields})
@@ -232,6 +267,26 @@ class TestScenarioInCode:
         scen = Scenario(name="x", kind="quasiharmonic", params={"p": 3},
                         frame="ref:p3_full", positions={2: 0.2}, t_end=2.0)
         assert run_scenario(scen, tmp_path).exit_code == 0
+
+    @pytest.mark.parametrize("fields, numbers", [
+        ({"kind": "reduced", "params": {"p": "5"}}, {"params": {"p": 5}}),
+        ({"kind": "quasiharmonic", "params": {"a": "0.01"}},
+         {"params": {"a": 0.01}}),
+        ({"kind": "reduced", "params": {}, "t_end": "2"}, {"t_end": 2.0}),
+        ({"kind": "reduced", "params": {}, "positions": {"1": 0.1}},
+         {"positions": {1: 0.1}}),
+        ({"kind": "cartoon", "params": {"id": "2"}}, {"params": {"id": 2}}),
+    ])
+    def test_strings_are_read_as_a_file_reads_them(self, tmp_path, fields,
+                                                   numbers):
+        # each of these ended in a TypeError, or for the cartoon in "cartoon
+        # id must be 1 or 2, got 2"; now they run as their numbers do
+        base = {"name": "x", "positions": {1: 0.1}, "t_end": 2.0, **fields}
+        res = run_scenario(Scenario(**base), tmp_path / "strings")
+        ref = run_scenario(Scenario(**{**base, **numbers}), tmp_path / "numbers")
+        assert res.exit_code == ref.exit_code == 0
+        assert res.scenario == ref.scenario
+        assert np.array_equal(res.trajectory.states, ref.trajectory.states)
 
     def test_numeric_string_runs(self, tmp_path):
         scen = Scenario(name="x", kind="reduced", params={"p": 3},
@@ -531,6 +586,22 @@ class TestCli:
                                 "(1 + a)^2 overflows\n")
         assert list(tmp_path.iterdir()) == []
 
+    def test_fit_refusal_names_the_table_and_a_plain_float(self, tmp_path,
+                                                           capsys):
+        # this printed "matches reference np.float64(0.0149623)" with no line
+        scn = tmp_path / "drifted.scn"
+        scn.write_text("[system]\nkind = quasiharmonic\np = 3\na = 0.0101\n"
+                       "[initial]\nframe = ref:p3_full\nx1 = 0.1\n")
+        out = tmp_path / "out"
+        assert main(["run", str(scn), "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        match = re.fullmatch(
+            f"error: {re.escape(str(scn))}:6: no source eigenvalue matches "
+            r"reference 'p3_full' eigenvalue (\S+) within 0\.0001\n", err)
+        assert match, err
+        assert float(match[1]) in load_reference("p3_full").lambdas.tolist()
+        assert not out.exists()
+
     def test_divergence_exit(self, tmp_path):
         code = main(["run", str(SCENARIO_DIR / "fig_p3_divergent.scn"),
                      "--out-dir", str(tmp_path)])
@@ -580,3 +651,38 @@ class TestCli:
         code = main(["sweep", "--pmax", "3"])
         assert code == 0
         assert (tmp_path / "envout" / "sweep_p3.txt").exists()
+
+
+class TestReadme:
+    """The README's scenario example runs, and its kinds table is ``_KINDS``."""
+
+    TEXT = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+
+    def test_scenario_example_runs(self, tmp_path):
+        scn = tmp_path / "readme.scn"
+        scn.write_text(re.search(r"```ini\n(.*?)```", self.TEXT, re.S)[1])
+        scen = parse_scenario(scn)
+        res = run_scenario(replace(scen, t_end=1.0), tmp_path / "out")
+        assert res.exit_code == 0
+        assert res.scenario == replace(scen, t_end=1.0)
+        assert scen.outputs == {"trajectory", "actions", "energy"}
+
+    def test_kinds_table_is_the_code(self):
+        # a row reads: | `kind` | `key` [default], ... | `output`, ... |; a
+        # default in brackets belongs to every key since the previous one
+        table = {}
+        for kind, keys, outputs in re.findall(r"^\| `(\w+)` \| (.*) \| (.*) \|$",
+                                              self.TEXT, re.M):
+            defaults, pending = [], []
+            for key, default in re.findall(r"`(\w+)`(?: \[([^\]]+)\])?", keys):
+                pending.append(key)
+                if default:
+                    value = (None if default == "the model's own"
+                             else ast.literal_eval(default))
+                    defaults += [(k, value, type(value)) for k in pending]
+                    pending = []
+            assert not pending, kind
+            table[kind] = defaults, tuple(re.findall(r"`(\w+)`", outputs))
+        assert table == {
+            kind: ([(k, v, type(v)) for k, v in spec.defaults.items()], spec.outputs)
+            for kind, spec in _KINDS.items()}

@@ -6,14 +6,15 @@ import numpy as np
 import pytest
 
 import fpualt
-from fpualt import (DegenerateSpectrumError, IntegratorConfig, ReducedState,
-                    build_reduced, eigendecompose, eval_accel_reduced,
+from fpualt import (DegenerateSpectrumError, IntegratorConfig,
+                    QuasiHarmonicSystem, ReducedState, build_reduced,
+                    cartoon_system, eigendecompose, eval_accel_reduced,
                     eval_qh_rhs, integrate, load_system, pair_eigenvalues,
                     save_system, to_quasi_harmonic)
 from fpualt.linalg import jacobi_eigh
 from fpualt.reduction import ReducedSystem
 from fpualt.refdata import REFERENCE_TABLES
-from fpualt.spectral import all_pair_eigenvalues
+from fpualt.spectral import all_pair_eigenvalues, pair_labels
 
 from conftest import selection_rule
 
@@ -326,6 +327,23 @@ class TestSystemFiles:
         with pytest.raises(ValueError, match=message) as info:
             load_system(path)
         assert str(info.value).startswith(f"{path}: ")
+
+    @pytest.mark.parametrize("make, message", [
+        # a cartoon has no mode labels and a = nan: the header "0 nan 1.0"
+        # and the unlabelled mode lines could not be read back
+        (lambda: cartoon_system(2),
+         "cannot save system 'cartoon2': it has no mode labels, no finite a"),
+        (lambda: QuasiHarmonicSystem(
+            lambdas=np.array([0.5, 1.5]), labels=pair_labels(3), alpha=math.inf,
+            a=0.01, p=3, name="hot", monomials=([0], [0], [1], [0.25])),
+         "cannot save system 'hot': it has no finite alpha"),
+    ])
+    def test_save_refuses_what_load_cannot_read(self, make, message, tmp_path):
+        path = tmp_path / "unsaved.txt"
+        with pytest.raises(ValueError) as err:
+            save_system(make(), path)
+        assert str(err.value) == message
+        assert not path.exists()
 
     def test_no_entry_lines_loads_quietly(self, tmp_path):
         path = tmp_path / "linear.txt"
