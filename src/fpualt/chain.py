@@ -66,27 +66,31 @@ class BondSystem:
     def dof(self):
         return self.masses.size
 
-    def force(self, alpha=None):
-        """The map q -> -D^T V'(D q); a given ``alpha`` replaces the system's."""
-        if alpha is None:
-            alpha = self.alpha
-        bonds, beta = self.bonds, self.beta
-        bonds_t = bonds.T
+    def _bond_map(self, alpha, divisor):
+        """The map q -> D^T V'(D q) / divisor.
 
-        def force(q):
-            e = bonds @ q.T
+        The force's sign sits in ``divisor``: IEEE division is
+        sign-symmetric, so x / -m has the bits of -(x / m).
+        """
+        bonds, bonds_t, beta = self.bonds, self.bonds.T, self.beta
+
+        def bond_map(q):
+            e = bonds.dot(q.T)
             f = e + alpha * e * e
             if beta:
                 f = f + beta * e**3
-            return -(bonds_t @ f).T
+            return bonds_t.dot(f).T / divisor
 
-        return force
+        return bond_map
+
+    def force(self, alpha=None):
+        """The map q -> -D^T V'(D q); a given ``alpha`` replaces the system's."""
+        return self._bond_map(self.alpha if alpha is None else alpha, -1.0)
 
     @cached_property
     def accel(self):
         """The map q -> qdd = -M^{-1} D^T V'(D q), built once per system."""
-        force, masses = self.force(), self.masses
-        return lambda q: force(q) / masses
+        return self._bond_map(self.alpha, -self.masses)
 
     def energy(self, states):
         """Energy sum m v^2 / 2 + sum_b V((D q)_b), vectorised over rows [q, v]."""

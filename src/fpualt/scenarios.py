@@ -114,6 +114,9 @@ _SECTIONS = ("scenario", "system", "initial", "integrate", "outputs")
 # The (section, key) of each field that holds one value; the rest are dicts.
 _SCALARS = {("scenario", "name"), ("system", "kind"), ("initial", "frame"),
             *(("integrate", key) for key in _INTEGRATE)}
+# The container fields of a Scenario and the types each may have.
+_CONTAINERS = {"params": dict, "positions": dict, "velocities": dict,
+               "outputs": (dict, set, frozenset, list, tuple)}
 # A frame names the full table of the scenario's own p.
 _FRAME_P = {name: p for (p, _), name in FULL_TABLES.items()}
 
@@ -203,9 +206,14 @@ def _checked(scen: Scenario) -> Scenario:
     """``scen`` with every field converted as a scenario file spells it
     and checked, or a ScenarioError naming the value's line or field.
 
-    ``outputs`` is a set of names or, as the parser gives it, a dict of
-    true/false flags.
+    ``outputs`` is a set (or list) of names or, as the parser gives it, a
+    dict of true/false flags; ``params``, ``positions`` and
+    ``velocities`` are dicts.
     """
+    for name, types in _CONTAINERS.items():
+        if not isinstance(value := getattr(scen, name), types):
+            raise ScenarioError(f"{_where(scen, name)}: must be a dict"
+                                f"{' or a set' * (name == 'outputs')}, got {value!r}")
     kind = str(scen.kind).lower()
     if not isinstance(scen.kind, str) or kind not in _KINDS:
         raise ScenarioError(f"{_where(scen, 'kind')}: kind must be one of "
@@ -314,6 +322,12 @@ def _write_trajectory(emit, tr, stem, coord, title):
     _plot(emit(f"{stem}.svg"), tr.times, tr.positions(), coord, title)
 
 
+# The phases of a run timed in its manifest: building the system and
+# its initial state, integrating, the energy along the trajectory, and
+# every output file but the manifest (the analysis report included).
+_PHASES = ("build", "integrate", "energy", "writers")
+
+
 @dataclass
 class RunResult:
     scenario: Scenario
@@ -333,13 +347,15 @@ def run_scenario(scenario, out_dir, overrides=None) -> RunResult:
     """
     scen = (_checked(scenario) if isinstance(scenario, Scenario)
             else parse_scenario(scenario))
+    clock = [time.perf_counter()]          # the end of each of _PHASES
     system = _build_system(scen)
     y0, fit = _resolve_initial(scen, system)
     cfg = scen.config(overrides)
-
-    t0 = time.perf_counter()
+    clock.append(time.perf_counter())
     tr = integrate(system, y0, cfg)
-    wall = time.perf_counter() - t0
+    clock.append(time.perf_counter())
+    energies = system.energy(tr.states)
+    clock.append(time.perf_counter())
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -365,12 +381,13 @@ def run_scenario(scenario, out_dir, overrides=None) -> RunResult:
         _plot(emit(f"{scen.name}_actions.svg"), series.times, series.actions,
               "E", f"{scen.name}: mode actions")
 
-    energies = system.energy(tr.states)
     if "energy" in scen.outputs:
         energy_csv(emit(f"{scen.name}_energy.csv"), tr.times, energies)
 
     if "analysis" in scen.outputs:
         emit(f"{scen.name}_analysis.txt").write_text(analysis_report(system))
+    clock.append(time.perf_counter())
+    phase_s = dict(zip(_PHASES, np.diff(clock).tolist()))
 
     manifest = {
         "name": scen.name,
@@ -391,7 +408,8 @@ def run_scenario(scenario, out_dir, overrides=None) -> RunResult:
         "h_median": tr.h_median,
         "h_max": tr.h_max,
         "energy_drift": relative_drift(energies),
-        "wall_time_s": wall,
+        "wall_time_s": phase_s["integrate"],
+        "phase_s": phase_s,
         "outputs": files,
     }
     if fit is not None:

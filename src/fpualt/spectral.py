@@ -289,7 +289,7 @@ class QuasiHarmonicSystem:
         lam, g, f = self.lambdas, self.g, self.f
 
         def rhs(x):
-            return alpha * (f @ (g @ x.T) ** 2).T - lam * x
+            return alpha * f.dot(g.dot(x.T) ** 2).T - lam * x
 
         def jac(x):
             gx = (g @ x.T).T

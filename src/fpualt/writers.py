@@ -9,20 +9,23 @@ import json
 
 import numpy as np
 
-FLOAT_FMT = "{:.16e}"
+_ROW_CHUNK = 1024        # CSV rows per formatted write
 
 
 def write_csv(path, header, columns):
-    """Write columns (equal-length 1-d arrays) under a mandatory header."""
-    columns = [np.asarray(c) for c in columns]
-    n = columns[0].size
-    if any(c.size != n for c in columns):
-        raise ValueError("CSV columns must have equal length")
+    """Write columns (equal-length 1-d arrays) under a mandatory header.
+
+    Columns of unequal length raise ValueError before ``path`` is
+    opened.  Rows are formatted a chunk at a time, with one ``%`` on a
+    repeated row template.
+    """
+    table = np.stack(columns, axis=1)
+    row_fmt = ",".join(["%.16e"] * len(columns)) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for row in range(n):
-            fh.write(",".join(FLOAT_FMT.format(float(c[row])) for c in columns))
-            fh.write("\n")
+        for start in range(0, len(table), _ROW_CHUNK):
+            chunk = table[start:start + _ROW_CHUNK]
+            fh.write(row_fmt * len(chunk) % tuple(chunk.ravel().tolist()))
 
 
 def trajectory_csv(path, trajectory, coord="x"):
@@ -141,7 +144,8 @@ def write_svg_lines(path, x, series, labels=None, title="", xlabel="t",
                    f'transform="rotate(-90 16 {_MT + ph / 2:.0f})">{ylabel}</text>')
     for idx, (ser, lab) in enumerate(zip(ys, labels)):
         color = _PALETTE[idx % len(_PALETTE)]
-        pts = " ".join(f"{px(a):.2f},{py(b):.2f}" for a, b in zip(xs, ser))
+        pts = np.stack((px(xs), py(ser)), axis=1).ravel().tolist()
+        pts = " ".join(["%.2f,%.2f"] * xs.size) % tuple(pts)
         out.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                    'stroke-width="1"/>')
         out.append(f'<text x="{_ML + pw - 6}" y="{_MT + 14 + 15 * idx}" '

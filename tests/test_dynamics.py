@@ -142,7 +142,39 @@ class _NaNField:
         return np.full(2, np.nan)
 
 
+class _InfField:
+    """Acceleration +inf everywhere; records calls."""
+
+    dof = 2
+
+    def __init__(self):
+        self.calls = 0
+
+    def accel(self, q):
+        self.calls += 1
+        return np.full(2, np.inf)
+
+
 class TestNonFiniteSteps:
+    def test_infinite_field_ends_with_a_report(self):
+        # an infinite f(y0) gives a zero starting step, which ended in a
+        # ZeroDivisionError
+        field = _InfField()
+        tr = integrate(field, np.array([0.1, -0.2, 0.0, 0.0]),
+                       IntegratorConfig(t_end=5.0))
+        assert tr.status == "step_underflow" and tr.n_steps == tr.n_rejected == 0
+        assert tr.n_rhs == field.calls == 2
+
+    def test_wall_at_a_sample_time_ends(self):
+        # the particle meets the wall at t = 1, a sample time: the step
+        # clipped to land there was retried unchanged for ever once the
+        # sample lay within the landing tolerance
+        wall = _Wall()
+        tr = integrate(wall, np.array([0.0, 1.0]),
+                       IntegratorConfig(t_end=5.0, sample_dt=1.0))
+        assert tr.status == "step_underflow" and 0.99 < tr.t_reached < 1.0
+        assert tr.n_rhs == len(wall.calls) == 2 + 12 * (tr.n_steps + tr.n_rejected)
+
     @pytest.mark.parametrize("q0", ([0.0, 0.0], [0.1, -0.2]))
     def test_nan_field_ends_with_a_report(self, q0):
         # a NaN at t = 0 can make the starting step NaN; the run must

@@ -1,0 +1,225 @@
+"""The hot paths pinned bitwise to the expressions they replaced.
+
+Every system's acceleration evaluates its matrix-vector products with
+``ndarray.dot`` and puts the force's sign into the mass divisor; the
+CSV and SVG writers format a chunk of values with one ``%``.  None of
+this may change a bit: each form is compared with the old one, kept
+here verbatim, for single states and rows, and for columns with -0.0,
+subnormals, +-1e308, non-finite values, integers, one row and none.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from fpualt import (ChainParams, build_chain, build_reduced, cartoon_system,
+                    load_reference, to_quasi_harmonic)
+from fpualt.writers import (_H, _MAX_POINTS, _MB, _ML, _MR, _MT, _PALETTE,
+                            _ROW_CHUNK, _W, _fmt_num, _ticks, write_csv,
+                            write_svg_lines)
+
+SYSTEMS = {
+    "full": lambda: build_chain(ChainParams(n_pairs=3, a=0.01)),
+    "full_quartic": lambda: build_chain(ChainParams(n_pairs=2, a=0.3, beta=0.25)),
+    "reduced": lambda: build_reduced(5, 0.01),
+    "built_qh": lambda: to_quasi_harmonic(build_reduced(5, 0.01)),
+    "given_qh": lambda: load_reference("p5_full"),
+    "cartoon1": lambda: cartoon_system(1),
+    "cartoon2": lambda: cartoon_system(2),
+}
+
+
+def old_accel(sys):
+    """The acceleration as the @ expressions computed it."""
+    if hasattr(sys, "bonds"):
+        bonds, alpha, beta = sys.bonds, sys.alpha, sys.beta
+
+        def accel(q):
+            e = bonds @ q.T
+            f = e + alpha * e * e
+            if beta:
+                f = f + beta * e**3
+            return -(bonds.T @ f).T / sys.masses
+
+        return accel
+    return lambda x: sys.alpha * (sys.f @ (sys.g @ x.T) ** 2).T - sys.lambdas * x
+
+
+def old_force(sys):
+    """The reduced static force -D^T V'(D q) as the @ expression computed it."""
+    def force(q):
+        e = sys.bonds @ q.T
+        return -(sys.bonds.T @ (e + sys.alpha * e * e)).T
+
+    return force
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def states(rng, d):
+    """Single states and rows over several scales, with -0.0 and subnormals."""
+    rows = rng.uniform(-1.0, 1.0, (24, d)) * np.repeat([1e-3, 0.1, 1.0, 3.0], 6)[:, None]
+    rows[0] = -0.0
+    rows[1, 0] = 5e-324
+    return [rows[n] for n in range(len(rows))] + [rows, rows[:1]]
+
+
+@pytest.mark.parametrize("kind", SYSTEMS)
+def test_accel_matches_the_matmul_form(kind, rng):
+    sys = SYSTEMS[kind]()
+    for q in states(rng, sys.dof):
+        assert same_bits(sys.accel(q), old_accel(sys)(q)), q
+
+
+def test_force_matches_the_matmul_form(rng):
+    sys = build_reduced(7, 0.01)
+    force = sys.static_field()[0]
+    for q in states(rng, sys.dof):
+        assert same_bits(force(q), old_force(sys)(q)), q
+
+
+# --- writers -------------------------------------------------------------------
+
+FLOAT_FMT = "{:.16e}"
+
+
+def old_write_csv(path, header, columns):
+    """Write columns (equal-length 1-d arrays) under a mandatory header."""
+    columns = [np.asarray(c) for c in columns]
+    n = columns[0].size
+    if any(c.size != n for c in columns):
+        raise ValueError("CSV columns must have equal length")
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in range(n):
+            fh.write(",".join(FLOAT_FMT.format(float(c[row])) for c in columns))
+            fh.write("\n")
+
+
+def old_write_svg_lines(path, x, series, labels=None, title="", xlabel="t",
+                        ylabel=""):
+    """Minimal multi-series line plot; one polyline per series."""
+    x = np.asarray(x, dtype=float)
+    series = [np.asarray(s, dtype=float) for s in series]
+    labels = labels or [f"series {i + 1}" for i in range(len(series))]
+    stride = max(1, int(np.ceil(x.size / _MAX_POINTS)))
+    keep = np.r_[np.arange(0, x.size - 1, stride), x.size - 1]
+    xs = x[keep]
+    ys = [s[keep] for s in series]
+
+    xlo, xhi = float(xs.min()), float(xs.max())
+    ylo = min(float(s.min()) for s in ys)
+    yhi = max(float(s.max()) for s in ys)
+    if yhi == ylo:
+        ylo, yhi = ylo - 1.0, yhi + 1.0
+    pad = 0.05 * (yhi - ylo)
+    ylo, yhi = ylo - pad, yhi + pad
+    pw, ph = _W - _ML - _MR, _H - _MT - _MB
+
+    def px(v):
+        return _ML + (v - xlo) / (xhi - xlo) * pw
+
+    def py(v):
+        return _MT + (yhi - v) / (yhi - ylo) * ph
+
+    out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
+           f'viewBox="0 0 {_W} {_H}" font-family="sans-serif" font-size="12">',
+           f'<rect width="{_W}" height="{_H}" fill="white"/>']
+    if title:
+        out.append(f'<text x="{_W / 2:.0f}" y="22" text-anchor="middle" '
+                   f'font-size="15">{title}</text>')
+    # axes
+    out.append(f'<line x1="{_ML}" y1="{_MT + ph}" x2="{_ML + pw}" y2="{_MT + ph}" '
+               'stroke="black"/>')
+    out.append(f'<line x1="{_ML}" y1="{_MT}" x2="{_ML}" y2="{_MT + ph}" '
+               'stroke="black"/>')
+    for tx in _ticks(xlo, xhi):
+        out.append(f'<line x1="{px(tx):.2f}" y1="{_MT + ph}" x2="{px(tx):.2f}" '
+                   f'y2="{_MT + ph + 5}" stroke="black"/>')
+        out.append(f'<text x="{px(tx):.2f}" y="{_MT + ph + 18}" '
+                   f'text-anchor="middle">{_fmt_num(tx)}</text>')
+    for ty in _ticks(ylo, yhi):
+        out.append(f'<line x1="{_ML - 5}" y1="{py(ty):.2f}" x2="{_ML}" '
+                   f'y2="{py(ty):.2f}" stroke="black"/>')
+        out.append(f'<text x="{_ML - 8}" y="{py(ty) + 4:.2f}" '
+                   f'text-anchor="end">{_fmt_num(ty)}</text>')
+    out.append(f'<text x="{_ML + pw / 2:.0f}" y="{_H - 12}" '
+               f'text-anchor="middle">{xlabel}</text>')
+    if ylabel:
+        out.append(f'<text x="16" y="{_MT + ph / 2:.0f}" text-anchor="middle" '
+                   f'transform="rotate(-90 16 {_MT + ph / 2:.0f})">{ylabel}</text>')
+    for idx, (ser, lab) in enumerate(zip(ys, labels)):
+        color = _PALETTE[idx % len(_PALETTE)]
+        pts = " ".join(f"{px(a):.2f},{py(b):.2f}" for a, b in zip(xs, ser))
+        out.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
+                   'stroke-width="1"/>')
+        out.append(f'<text x="{_ML + pw - 6}" y="{_MT + 14 + 15 * idx}" '
+                   f'text-anchor="end" fill="{color}">{lab}</text>')
+    out.append("</svg>")
+    with open(path, "w") as fh:
+        fh.write("\n".join(out) + "\n")
+
+
+SPECIAL = np.array([-0.0, 0.0, 5e-324, -2.2250738585072014e-308, 1e308, -1e308,
+                    math.inf, -math.inf, math.nan, 1.0 / 3.0, -123456.789, 1e-300])
+
+
+def csv_columns(rng):
+    """Test tables: name -> columns."""
+    n = 2 * _ROW_CHUNK + 3            # two whole write chunks and part of one
+    t = np.arange(n) * 0.125
+    wide = rng.standard_normal((n, 4)) * np.logspace(-300, 300, n)[:, None]
+    wide[: SPECIAL.size, 0] = SPECIAL
+    return {
+        "special": [SPECIAL, SPECIAL[::-1], np.arange(SPECIAL.size)],
+        "long": [t, *wide.T],
+        "integers": [np.arange(5), np.array([-3, 0, 7, 2**53 + 1, -(2**62)])],
+        "mixed": [np.arange(3, dtype=np.int32), np.array([0.5, -0.0, 1e308]),
+                  np.array([True, False, True])],
+        "one_row": [np.array([-0.0]), np.array([5e-324]), np.array([7])],
+        "no_rows": [np.zeros(0), np.zeros(0)],
+    }
+
+
+@pytest.mark.parametrize("table", ["special", "long", "integers", "mixed",
+                                   "one_row", "no_rows"])
+def test_csv_matches_the_per_value_loop(table, tmp_path, rng):
+    columns = csv_columns(rng)[table]
+    header = [f"c{n}" for n in range(len(columns))]
+    write_csv(tmp_path / "new.csv", header, columns)
+    old_write_csv(tmp_path / "old.csv", header, columns)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_csv_refuses_unequal_columns(tmp_path):
+    with pytest.raises(ValueError):
+        write_csv(tmp_path / "x.csv", ["a", "b"], [np.zeros(3), np.zeros(2)])
+    assert not (tmp_path / "x.csv").exists()
+
+
+def svg_series(rng):
+    """Test plots: name -> (x, series)."""
+    n = 3 * _MAX_POINTS + 7            # thinned to every 4th point
+    x = np.linspace(0.0, 40.0, n)
+    return {
+        "thinned": (x, [np.sin(x), rng.standard_normal(n) * 1e-3, np.cos(3 * x) * 1e5]),
+        "special": (np.arange(8), [np.array([-0.0, 0.0, 5e-324, -5e-324, 1e-300,
+                                             -1e-300, 2.5, -2.5])]),
+        "constant": (np.arange(5.0), [np.full(5, -0.0), np.full(5, 2.0)]),
+        "integers": (np.arange(10), [np.arange(10) ** 2]),
+        "two_points": (np.array([0.0, 1e-3]), [np.array([1e8, -1e8])]),
+    }
+
+
+@pytest.mark.parametrize("plot", ["thinned", "special", "constant", "integers",
+                                  "two_points"])
+def test_svg_matches_the_per_point_loop(plot, tmp_path, rng):
+    x, series = svg_series(rng)[plot]
+    kwargs = {"labels": [f"s{n}" for n in range(len(series))], "title": plot,
+              "ylabel": "y"}
+    write_svg_lines(tmp_path / "new.svg", x, series, **kwargs)
+    old_write_svg_lines(tmp_path / "old.svg", x, series, **kwargs)
+    assert (tmp_path / "new.svg").read_bytes() == (tmp_path / "old.svg").read_bytes()

@@ -1,11 +1,12 @@
 """Property test of the scenario contract, with Hypothesis: a Scenario
 built in code, with valid values mixed with NaN, infinities, junk
 strings, None, floats where integers belong, string indices, unknown
-keys and outputs and bad frames, either runs (exit 0 with finite CSVs,
-or exit 2), or is refused by the scenario checker naming its field, or
-by its builder naming one of the kind's keys, before any output exists.
-Every draw a scenario file can spell is also written as one, and the
-file must give the same outcome with its line in place of the field."""
+keys and outputs, bad frames and containers of the wrong type, either
+runs (exit 0 with finite CSVs, or exit 2), or is refused by the
+scenario checker naming its field, or by its builder naming one of the
+kind's keys, before any output exists.  Every draw a scenario file can
+spell is also written as one, and the file must give the same outcome
+with its line in place of the field."""
 
 import math
 import re
@@ -29,6 +30,9 @@ VALID = {"p": (3, 5, 9), "n_pairs": (2, 4), "id": (1, 2), "a": (0.01, 0.5),
          "abs_tol": (1e-10, 1e-8), "rel_tol": (1e-10, 1e-8),
          "sample_dt": (0.05, 0.5), "initial": (0.0, 0.1, -0.05)}
 BUILDER_REFUSES = {"p": (1, 4), "n_pairs": (1,), "id": (3,), "a": (0.0, -0.5)}
+# Values of the wrong type for a container field (params, positions,
+# velocities, outputs), which the checker refuses first, naming it.
+WRONG_CONTAINERS = (None, [0.1], (0.1,), "trajectory", 3.5)
 
 
 def mostly(common, rare, one_in=8):
@@ -63,17 +67,24 @@ def scenarios(draw):
                for name in ("positions", "velocities")}
     outputs = mostly(st.sets(st.sampled_from(spec.outputs)),
                      st.sets(st.sampled_from(_OUTPUTS + ("trajectroy",)), min_size=1))
-    return Scenario(name="x", kind=kind, params=params, frame=draw(frame),
-                    outputs=draw(outputs), **initial,
+    containers = {"params": params, **initial, "outputs": draw(outputs)}
+    wrong = draw(st.sampled_from((None,) * 12 + tuple(containers)))
+    if wrong:
+        containers[wrong] = draw(st.sampled_from(WRONG_CONTAINERS))
+    return Scenario(name="x", kind=kind, frame=draw(frame), **containers,
                     **{name: draw(value(name)) for name in INTEGRATE})
 
 
 def spelled(scen):
     """The lines of the scenario file of ``scen``, each with the field
-    it sets, or None when a file cannot spell ``scen``: a None other
-    than an omega's (the model's own, which a file leaves out), an index
-    that is not a whole number, or two indices that name one."""
+    it sets, or None when a file cannot spell ``scen``: a container that
+    is not a dict (or a set of outputs), a None other than an omega's
+    (the model's own, which a file leaves out), an index that is not a
+    whole number, or two indices that name one."""
     initial = (scen.positions, scen.velocities)
+    if not (all(isinstance(c, dict) for c in (scen.params, *initial))
+            and isinstance(scen.outputs, set)):
+        return None
     values = [v for key, v in scen.params.items() if not key.startswith("omega")]
     values += [v for entries in initial for v in entries.values()]
     values += [getattr(scen, name) for name in INTEGRATE]
@@ -123,11 +134,24 @@ def outcome(source, out, kind):
     return "run", res.exit_code, res.trajectory.states
 
 
+def wrong_container(scen):
+    """The container field of ``scen`` whose type the checker refuses, if
+    any: params, positions and velocities are dicts, and outputs a dict
+    of flags or a collection of names."""
+    types = {"params": dict, "positions": dict, "velocities": dict,
+             "outputs": (dict, set, frozenset, list, tuple)}
+    return next((name for name, kind in types.items()
+                 if not isinstance(getattr(scen, name), kind)), None)
+
+
 @settings(max_examples=150)
 @given(scen=scenarios())
 def test_scenario_runs_or_is_refused_by_name(scen, tmp_path_factory):
     base = tmp_path_factory.mktemp("scenario")
     code = outcome(scen, base / "code", scen.kind)
+    wrong = wrong_container(scen)
+    if wrong:
+        assert code[:2] == ("refused", f"scenario 'x', field '{wrong}'"), code
     lines = spelled(scen)
     if lines is None:
         return

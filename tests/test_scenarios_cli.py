@@ -2,6 +2,7 @@ import ast
 import json
 import math
 import re
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -239,6 +240,17 @@ class TestScenarioInCode:
          "field 'frame': ref:p5_sub23 is not the full table of p = 5"),
         ({"kind": "quasiharmonic", "params": {"p": 5}, "frame": "ref:p3_full"},
          "field 'frame': ref:p3_full is not the full table of p = 5"),
+        # a container of the wrong type ended in an AttributeError or a
+        # TypeError, or for a string of outputs in its first letter
+        ({"kind": "reduced", "params": None}, "field 'params': must be a dict, got None"),
+        ({"kind": "reduced", "positions": [0.1]},
+         "field 'positions': must be a dict, got [0.1]"),
+        ({"kind": "reduced", "velocities": (0.1,)},
+         "field 'velocities': must be a dict, got (0.1,)"),
+        ({"kind": "reduced", "outputs": None},
+         "field 'outputs': must be a dict or a set, got None"),
+        ({"kind": "reduced", "outputs": "trajectory"},
+         "field 'outputs': must be a dict or a set, got 'trajectory'"),
     ])
     def test_refused_with_the_field(self, tmp_path, fields, message):
         scen = Scenario(name="x", **{"params": {"p": 3}, **fields})
@@ -288,6 +300,12 @@ class TestScenarioInCode:
         assert res.scenario == ref.scenario
         assert np.array_equal(res.trajectory.states, ref.trajectory.states)
 
+    def test_outputs_as_a_list_run(self, tmp_path):
+        scen = Scenario(name="x", kind="reduced", params={}, t_end=1.0,
+                        outputs=["energy"])
+        res = run_scenario(scen, tmp_path)
+        assert res.exit_code == 0 and res.scenario.outputs == {"energy"}
+
     def test_numeric_string_runs(self, tmp_path):
         scen = Scenario(name="x", kind="reduced", params={"p": 3},
                         positions={1: "0.1"}, t_end=2.0)
@@ -334,6 +352,25 @@ class TestKindsTable:
             f"scenario 'k', field 'outputs': kind {kind!r} cannot write "
             f"output {output!r}; it writes {writes}")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("params, rule", [
+        ({"omega1": 0.5}, "cartoon 1 has two oscillators: give omega1 to omega2 "
+                          "or none, got 1 values"),
+        ({"omega1": 0.1, "omega2": 1.0, "omega3": 1.05},
+         "give omega1 to omega2 or none, got 3 values"),
+        ({"id": 2, "omega1": 0.1, "omega3": 1.05},
+         "cartoon 2 has three oscillators: give omega1 to omega3 or none, "
+         "got 2 values"),
+    ])
+    def test_cartoon_takes_all_its_omegas_or_none(self, tmp_path, params, rule):
+        # the README's kinds table says so; the unset omegas are not
+        # filled from the model
+        scen = Scenario(name="k", kind="cartoon", params=params)
+        with pytest.raises(ValueError, match=re.escape(rule)):
+            run_scenario(scen, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+        readme = (SCENARIO_DIR.parent / "README.md").read_text()
+        assert "all of its omegas or none" in readme
 
     def test_unrequested_output_is_not_refused(self, tmp_path):
         scn = tmp_path / "s.scn"
@@ -487,6 +524,19 @@ class TestCli:
         out = capsys.readouterr().out
         assert "cartoon_bounded: ok" in out
         assert (tmp_path / "cartoon_bounded_manifest.json").exists()
+
+    def test_manifest_phase_times(self, tmp_path, capsys):
+        start = time.perf_counter()
+        code = main(["run", str(SCENARIO_DIR / "fig_p3_forcing.scn"),
+                     "--out-dir", str(tmp_path), "--t-end", "20"])
+        job = time.perf_counter() - start
+        manifest = json.loads((tmp_path / "fig_p3_forcing_manifest.json").read_text())
+        phases = manifest["phase_s"]
+        assert code == 0
+        assert list(phases) == ["build", "energy", "integrate", "writers"]
+        assert all(seconds >= 0.0 for seconds in phases.values())
+        assert phases["integrate"] == manifest["wall_time_s"]
+        assert sum(phases.values()) <= job
 
     def test_missing_scenario_is_usage_error(self, tmp_path, capsys):
         code = main(["run", str(tmp_path / "ghost.scn"), "--out-dir", str(tmp_path)])
