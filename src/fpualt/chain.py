@@ -141,18 +141,26 @@ def require_finite(**values):
             raise ValueError(f"{name} must be a finite number, got {value}")
 
 
+def require_mass_parameter(a):
+    """Refuse a mass parameter a that is not positive, or so small that
+    the heavy mass 1/a overflows, naming it."""
+    if not a > 0:
+        raise ValueError(f"mass parameter a must be positive, got {a}")
+    if not math.isfinite(1.0 / a):
+        raise ValueError(f"mass parameter a = {a!r} is too small: 1/a overflows")
+
+
 def build_chain(params: ChainParams) -> FullChainSystem:
     """Construct the periodic chain described by ``params``.
 
-    Raises ValueError for a non-finite parameter, a non-positive mass
-    parameter or fewer than two mass pairs (the ring needs at least 4
-    particles).
+    Raises ValueError for a non-finite parameter, a mass parameter that
+    is not positive or whose 1/a overflows, or fewer than two mass pairs
+    (the ring needs at least 4 particles).
     """
     if params.n_pairs < 2:
         raise ValueError(f"n_pairs must be >= 2, got {params.n_pairs}")
     require_finite(a=params.a, alpha=params.alpha, beta=params.beta)
-    if not params.a > 0:
-        raise ValueError(f"mass parameter a must be positive, got {params.a}")
+    require_mass_parameter(params.a)
     n = 2 * params.n_pairs
     masses = np.empty(n)
     masses[0::2] = 1.0        # odd particles in 1-based counting

@@ -17,9 +17,10 @@ arbitrary Y.
 Every step reads the system's monomial list (``sys.monomials``), and a
 coefficient is present iff it is listed.  That is exact for systems
 built by :func:`fpualt.spectral.to_quasi_harmonic`, whose lists hold
-only the entries the sine-mode selection rule allows and that do not
-cancel to round-off, and for tables read from files, whose absent
-entries are not printed.
+exactly the entries the sine-mode selection rule allows, with no
+magnitude cutoff (at the equal-mass a = 1, those of each mode's single
+cosine; an a within round-off of 1 is refused), and for tables read
+from files, whose absent entries are not printed.
 
 Mode and pair indices in this module's public objects are 1-based,
 matching every printed report; array storage stays 0-based.

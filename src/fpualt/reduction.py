@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import (BondSystem, FullChainSystem, State, eval_accel_full,
-                    hamiltonian, require_finite)
+                    hamiltonian, require_finite, require_mass_parameter)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -69,12 +69,11 @@ ReducedState = State
 
 def build_reduced(p: int, a: float, alpha: float = 1.0) -> ReducedSystem:
     """Build the reduced (p-1)-dof system for odd p >= 3, finite a > 0
-    and finite alpha."""
+    with a finite 1/a, and finite alpha."""
     if p < 3 or p % 2 == 0:
         raise ValueError(f"p must be an odd integer >= 3, got {p}")
     require_finite(a=a, alpha=alpha)
-    if not a > 0:
-        raise ValueError(f"mass parameter a must be positive, got {a}")
+    require_mass_parameter(a)
     d = p - 1
     masses = np.empty(d)
     masses[0::2] = 1.0

@@ -608,7 +608,8 @@ def sweep_odd_p(p_max: int = 47, a: float = 0.01,
     whose squares break it records that failure.  A rho that disagrees
     with min(2i, p-2i) and, for prime p >= 5, any invariant set are
     failures too.  They are recorded per p without aborting the sweep.
-    Each p's wall time and candidate count are logged at INFO level.
+    Each p's wall time, candidate count and smallest listed coupling
+    relative to the largest are logged at INFO level.
     """
     if p_max > 199:
         raise ValueError("sweep guard: p_max must be <= 199 for desk-scale "
@@ -619,8 +620,10 @@ def sweep_odd_p(p_max: int = 47, a: float = 0.01,
         sys = to_quasi_harmonic(build_reduced(p, a, alpha))
         # the shipped tables are for alpha = 1
         rows.append(structure_census(sys, fit=alpha == 1.0))
-        log.info("sweep p=%d: %.3f s, %d invariant candidates tested",
-                 p, time.perf_counter() - t0, rows[-1].n_candidates)
+        coeff = np.abs(sys.monomials.coeff)
+        log.info("sweep p=%d: %.3f s, %d invariant candidates tested, smallest "
+                 "coupling %.3g of the largest", p, time.perf_counter() - t0,
+                 rows[-1].n_candidates, coeff.min() / coeff.max())
     return SweepReport(a=a, alpha=alpha, rows=rows)
 
 

@@ -32,10 +32,13 @@ for a mode of pair J.  A bond sum of three such cosines is p/4 times
 [one index is the sum of the other two] - [the three sum to 2p], so an
 entry vanishes identically unless the pair indices I, J, K satisfy
 I + J + K = p or one is the sum of the other two, and each allowed
-2x2x2 block costs O(1) (:func:`_closed_form_monomials`).  The list also
-leaves out allowed entries that cancel to round-off (below
-DROP_THRESHOLD_REL of the largest entry, as at a = 1), so a coupling is
-present iff it is listed.  Tables read from files, extracted
+2x2x2 block costs O(1) (:func:`_closed_form_monomials`).  Presence is
+this pair rule alone, with no magnitude test: at a != 1 every allowed
+entry is listed, however small.  At the equal-mass a = 1 every mode is a
+single cosine, so the weights of the other cosine are exact zeros and
+the entries they would carry are left out; an a within round-off of 1,
+where an allowed entry comes out as exactly 0, is refused.  So a
+coupling is present iff it is listed.  Tables read from files, extracted
 subsystems and the cartoon models of :mod:`fpualt.dynamics` are given
 their list instead.  The dense tensor ``bilinear`` is a view made from
 the list on demand; nothing in the package reads it.
@@ -69,7 +72,8 @@ from .reduction import ReducedSystem
 
 
 class DegenerateSpectrumError(RuntimeError):
-    """Two eigenvalues are too close to assign a canonical mode order."""
+    """The system is too near a degenerate one to resolve: two eigenvalues
+    are too close to order, or a is so near 1 that couplings cancel to 0."""
 
 
 @dataclass(frozen=True)
@@ -310,7 +314,7 @@ class QuasiHarmonicSystem:
         operator G and the modal masses diag(T^T M T), so its energy
         sum m_j v_j^2/2 + sum_b V((G x)_b) is exact for any column scaling
         of T.  A given list whose tensor is fully symmetric within
-        DROP_THRESHOLD_REL is the gradient of a cubic potential, so the
+        SYMMETRY_TOL_REL is the gradient of a cubic potential, so the
         energy is (|v|^2 + sum lambda x^2)/2 - (alpha/3) B(x, x, x), with
         B(x, x, x) = x . F (G x)^2.  Other lists (the printed tables) carry
         no exact invariant: None.
@@ -367,11 +371,9 @@ class QuasiHarmonicSystem:
         return float(np.abs(self.monomials.coeff).max(initial=0.0))
 
 
-# Pure round-off relative to the largest entry, far below any physical
-# coupling: built systems drop smaller entries from their lists, and the
-# cubic-potential energy of systems given a list tests full symmetry to
-# this tolerance.
-DROP_THRESHOLD_REL = 1e-12
+# Relative to the largest entry, the tolerance to which the cubic-potential
+# energy of a system given a list tests the tensor's full symmetry.
+SYMMETRY_TOL_REL = 1e-12
 
 
 def _modal_masses(sys: ReducedSystem, basis: ModalBasis):
@@ -424,7 +426,7 @@ def _checked_monomials(monomials, d) -> Monomials:
 
 def _fully_symmetric(m: Monomials, d) -> bool:
     """Whether the tensor B of a monomial list is symmetric in all three
-    indices within DROP_THRESHOLD_REL of its largest entry.
+    indices within SYMMETRY_TOL_REL of its largest entry.
 
     B is symmetric in j, k by construction, so it is fully symmetric iff
     each listed B_ijk (c, or c/2 for j < k) equals its two partners that
@@ -435,7 +437,7 @@ def _fully_symmetric(m: Monomials, d) -> bool:
     i, j, k, c = m
     b = np.append(np.where(j == k, c, 0.5 * c), 0.0)
     keys = np.append((i * d + j) * d + k, d ** 3)   # the sentinel ends each search
-    tol = DROP_THRESHOLD_REL * np.abs(b).max()
+    tol = SYMMETRY_TOL_REL * np.abs(b).max()
     for first, (u, w) in ((j, (i, k)), (k, (i, j))):
         partner = (first * d + np.minimum(u, w)) * d + np.maximum(u, w)
         at = np.searchsorted(keys, partner)
@@ -491,8 +493,13 @@ def _closed_form_monomials(sys: ReducedSystem, basis: ModalBasis) -> Monomials:
     p/4 times an entry of ``_COSINE_RULES``.  So only the pair triples
     with I + J + K = p or one pair the sum of the other two couple, each
     in a 2x2x2 block of O(1) cost.  c_o and c_e are read from the first
-    two rows of T.  Entries below ``DROP_THRESHOLD_REL`` of the largest
-    one (allowed couplings that cancel, as at a = 1) are dropped.
+    two rows of T.  Every entry of an allowed block is listed, however
+    small, except at a = 1: there c_o = c_e for an acoustic mode and
+    c_o = -c_e for an optical one, so w1 of an acoustic mode and w0 of an
+    optical one are set to an exact 0 and the entries they carry are left
+    out.  Raises
+    DegenerateSpectrumError if, at any other a, an allowed entry comes
+    out as exactly 0 (a within a few ulps of 1).
     """
     p, t = sys.p, basis.t
     d = t.shape[1]
@@ -501,6 +508,9 @@ def _closed_form_monomials(sys: ReducedSystem, basis: ModalBasis) -> Monomials:
     c_o, c_e = t[:2] / np.sin(np.pi * np.outer((1, 2), pair) / p)
     half = np.pi * pair / (2 * p)
     w = np.array([(c_o + c_e) * np.sin(half), (c_o - c_e) * np.cos(half)])
+    if sys.a == 1.0:                        # every mode is a single cosine
+        optical = np.array([lab.kind == "optical" for lab in basis.labels])
+        w[0, optical] = w[1, ~optical] = 0.0
     modes = np.argsort(pair, kind="stable").reshape(npairs, 2)
     wp = w.T[modes]                         # [pair - 1, mode of pair, cosine]
 
@@ -516,10 +526,13 @@ def _closed_form_monomials(sys: ReducedSystem, basis: ModalBasis) -> Monomials:
     block = (wp[ii] @ block.reshape(-1, 2, 4)).reshape(-1, 2, 2, 2)
     mi, mj, mk = modes[ii], modes[jj], modes[kk]
     block *= (-0.25 * p / _modal_masses(sys, basis)[mi])[:, :, None, None]
-    block[jj == kk, :, 1, 0] = 0.0              # the repeat of [:, :, 0, 1]
-
-    mag = np.abs(block)
-    keep = (mag > 0.0) & (mag >= DROP_THRESHOLD_REL * mag.max())
+    repeat = np.zeros(block.shape, dtype=bool)
+    repeat[jj == kk, :, 1, 0] = True            # the repeat of [:, :, 0, 1]
+    keep = (block != 0.0) & ~repeat
+    if sys.a != 1.0 and not (keep | repeat).all():
+        raise DegenerateSpectrumError(
+            f"an allowed coupling cancels to 0 for p={p}, a={sys.a!r}: a is "
+            "within round-off of the equal-mass a = 1")
     shape = block.shape
     i = np.broadcast_to(mi[:, :, None, None], shape)[keep]
     j = np.broadcast_to(mj[:, None, :, None], shape)[keep]
@@ -535,9 +548,9 @@ def to_quasi_harmonic(sys: ReducedSystem, basis: ModalBasis = None,
 
     The bond factors G = D T, F = -T^{-1} M^{-1} D^T and the monomial
     list are formed on first use (:func:`_closed_form_monomials`).  The
-    list holds only the couplings the sine-mode selection rule allows
-    and that do not cancel to round-off, so a coupling is present iff it
-    is listed.
+    list holds exactly the couplings the sine-mode selection rule allows
+    (at a = 1, those of the single cosine of each mode), so a coupling is
+    present iff it is listed.
     """
     if basis is None:
         basis = eigendecompose(sys)

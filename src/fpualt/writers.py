@@ -102,6 +102,8 @@ def write_svg_lines(path, x, series, labels=None, title="", xlabel="t",
     ys = [s[keep] for s in series]
 
     xlo, xhi = float(xs.min()), float(xs.max())
+    if xhi == xlo:                  # one sample
+        xlo, xhi = xlo - 1.0, xhi + 1.0
     ylo = min(float(s.min()) for s in ys)
     yhi = max(float(s.max()) for s in ys)
     if yhi == ylo:

@@ -7,7 +7,6 @@ import pytest
 from fpualt import (InvariantCandidate, QuasiHarmonicSystem, build_reduced,
                     check_invariance, cycle_decomposition, eigendecompose,
                     run_scenario, square_map, to_quasi_harmonic)
-from fpualt.spectral import DROP_THRESHOLD_REL
 
 REPO = Path(__file__).resolve().parent.parent
 SCENARIO_DIR = REPO / "scenarios"
@@ -178,9 +177,10 @@ def _split_rows(mask):
 
 
 # The dense coupling build that the closed-form monomial list replaced,
-# kept verbatim as an oracle for ``QuasiHarmonicSystem.monomials``: one
-# GEMM F (G x G), symmetrisation, the DROP_THRESHOLD_REL cutoff and the
-# selection-rule mask over all d^3 entries.
+# kept as an oracle for ``QuasiHarmonicSystem.monomials``: one GEMM
+# F (G x G), symmetrisation, the cutoff at 1e-12 of the largest entry
+# that the build then applied, and the selection-rule mask over all d^3
+# entries.
 
 
 def selection_rule(pairs, p: int) -> np.ndarray:
@@ -195,17 +195,23 @@ def selection_rule(pairs, p: int) -> np.ndarray:
     return (i + j + k == p) | (i == j + k) | (j == i + k) | (k == i + j)
 
 
+def dense_gemm(sys, basis):
+    """The symmetrised dense GEMM F (G x G) of the dense build, before its
+    cutoff and mask."""
+    g = sys.bonds @ basis.t
+    f = -(basis.t_inv * (1.0 / sys.masses)[None, :]) @ sys.bonds.T
+    p, d = g.shape
+    b = (f @ (g[:, :, None] * g[:, None, :]).reshape(p, d * d)).reshape(d, d, d)
+    return 0.5 * (b + b.transpose(0, 2, 1))
+
+
 def dense_tensor_oracle(sys, basis=None):
     """The dense (d, d, d) coupling tensor of ``to_quasi_harmonic(sys, basis)``
     as the dense build computed it."""
     if basis is None:
         basis = eigendecompose(sys)
-    g = sys.bonds @ basis.t
-    f = -(basis.t_inv * (1.0 / sys.masses)[None, :]) @ sys.bonds.T
-    p, d = g.shape
-    b = (f @ (g[:, :, None] * g[:, None, :]).reshape(p, d * d)).reshape(d, d, d)
-    b = 0.5 * (b + b.transpose(0, 2, 1))
-    cutoff = DROP_THRESHOLD_REL * np.abs(b).max()
+    b = dense_gemm(sys, basis)
+    cutoff = 1e-12 * np.abs(b).max()
     b[(np.abs(b) < cutoff) | ~selection_rule([lab.pair for lab in basis.labels], sys.p)] = 0.0
     return b
 
@@ -221,15 +227,32 @@ def tensor_monomials(b):
 
 
 def assert_matches_dense_build(p, a):
-    """The closed-form list of a built system against the dense build:
-    the same entries, coefficients within 1e-13 of the largest."""
+    """The closed-form list of a built system against the dense build.
+
+    The list holds the entries the selection rule allows; at a = 1, the
+    entries the dense build's cutoff keeps, which leaves out those that
+    cancel there.  Near a = 1 that cutoff also drops genuine couplings of
+    size (a - 1), so it gives the pattern only at a = 1.  The coefficient
+    of every allowed entry, an unlisted one counting as 0, is within
+    1e-13 of the largest of the dense GEMM's.
+    """
     red = build_reduced(p, a, 1.0)
     qh = to_quasi_harmonic(red)
-    *index, coeff = tensor_monomials(dense_tensor_oracle(red, qh.basis))
+    d = qh.dof
+    upper = np.arange(d)[:, None] <= np.arange(d)
+    allowed = selection_rule([lab.pair for lab in qh.labels], p) & upper
+    pattern = allowed
+    if a == 1.0:
+        pattern = (dense_tensor_oracle(red, qh.basis) != 0.0) & upper
     got = qh.monomials
-    for column, want in zip(got[:3], index):
+    for column, want in zip(got[:3], np.nonzero(pattern)):
         assert np.array_equal(column, want)
-    assert np.abs(got.coeff - coeff).max() <= 1e-13 * np.abs(coeff).max()
+    i, j, k = np.nonzero(allowed)
+    want = dense_gemm(red, qh.basis)[i, j, k] * np.where(j == k, 1.0, 2.0)
+    keys = (i * d + j) * d + k
+    coeff = np.zeros(keys.size)
+    coeff[np.searchsorted(keys, (got.i * d + got.j) * d + got.k)] = got.coeff
+    assert np.abs(coeff - want).max() <= 1e-13 * np.abs(want).max()
 
 
 # The dense-tensor contraction that every quasi-harmonic right-hand side

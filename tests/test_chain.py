@@ -28,6 +28,9 @@ class TestBuild:
     def test_invalid_params(self):
         with pytest.raises(ValueError, match="must be positive"):
             build_chain(ChainParams(3, -1.0, 1.0))
+        with pytest.raises(ValueError, match=r"^mass parameter a = 1e-320 is "
+                                             r"too small: 1/a overflows$"):
+            build_chain(ChainParams(3, 1e-320, 1.0))
         with pytest.raises(ValueError, match="n_pairs"):
             build_chain(ChainParams(1, 0.01, 1.0))
 

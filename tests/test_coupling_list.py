@@ -7,12 +7,14 @@ given list, from code or from a file.  The property tests on generated
 lists are in ``test_coupling_properties.py``.
 """
 
+import re
+
 import numpy as np
 import pytest
 
-from fpualt import (IntegratorConfig, QuasiHarmonicSystem, build_reduced,
-                    first_order_response, integrate, load_system,
-                    to_quasi_harmonic)
+from fpualt import (DegenerateSpectrumError, IntegratorConfig,
+                    QuasiHarmonicSystem, build_reduced, first_order_response,
+                    integrate, load_system, to_quasi_harmonic)
 from fpualt.refdata import REFERENCE_TABLES, load_reference
 from fpualt.scenarios import structure_census
 
@@ -25,6 +27,31 @@ def test_closed_form_matches_dense_build(p, a):
     # Same zero pattern, also at a = 1 where half the allowed entries
     # cancel; entries within 1e-13 of the largest (measured <= 1.6e-14).
     assert_matches_dense_build(p, a)
+
+
+@pytest.mark.parametrize("a", [0.001, 0.3, 1.0001, 1000.0])
+@pytest.mark.parametrize("p", [3, 47, 91, 131, 199])
+def test_list_is_the_pair_rule(p, a):
+    # 8 entries per allowed pair triple (I, J < K) and 6 per (I, J = K),
+    # however small: a cutoff at 1e-12 of the largest entry dropped some
+    # at p >= 131 for a = 0.001 and 1000, and at p >= 91 for a = 1.0001
+    n = (p - 1) // 2
+    i, j, k = np.ogrid[1:n + 1, 1:n + 1, 1:n + 1]
+    allowed = (i + j + k == p) | (i == j + k) | (j == i + k) | (k == i + j)
+    count = (8 * np.count_nonzero(allowed & (j < k))
+             + 6 * np.count_nonzero(allowed & (j == k)))
+    assert to_quasi_harmonic(build_reduced(p, a, 1.0)).monomials.coeff.size == count
+
+
+def test_a_within_round_off_of_one_is_refused():
+    # allowed couplings come out as exactly 0 here; the list silently
+    # left them out, so "present iff listed" did not hold
+    a = 1.0 + 2.0 ** -52
+    qh = to_quasi_harmonic(build_reduced(23, a, 1.0))
+    with pytest.raises(DegenerateSpectrumError,
+                       match=rf"p=23, a={re.escape(repr(a))}: a is within "
+                             "round-off of the equal-mass a = 1"):
+        qh.monomials
 
 
 def _long_double_basis(red, t):

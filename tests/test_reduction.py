@@ -17,6 +17,10 @@ class TestBuild:
                 build_reduced(bad_p, 0.01)
         with pytest.raises(ValueError, match="positive"):
             build_reduced(5, 0.0)
+        for a in (1e-320, 5e-324):
+            with pytest.raises(ValueError, match=rf"^mass parameter a = {a!r} "
+                                                 r"is too small: 1/a overflows$"):
+                build_reduced(5, a)
         for a, alpha, name in ((math.inf, 1.0, "a"), (math.nan, 1.0, "a"),
                                (0.01, math.inf, "alpha"),
                                (0.01, math.nan, "alpha")):

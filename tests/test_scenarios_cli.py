@@ -1,8 +1,10 @@
 import ast
 import json
+import logging
 import math
 import re
 import time
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -460,6 +462,31 @@ class TestSweep:
         with pytest.raises(ValueError, match="p_max"):
             sweep_odd_p(201)
 
+    @pytest.mark.parametrize("p_max, a", [(199, 0.001), (199, 1000.0),
+                                          (99, 1.0001)])
+    def test_no_false_violations_away_from_a_001(self, p_max, a):
+        # a cutoff at 1e-12 of the largest coupling dropped genuine ones
+        # and reported 35, 35 and 5 false "square pattern violated"
+        assert sweep_odd_p(p_max, a=a).failures == []
+
+    def test_equal_masses_violate_the_pattern_at_every_p(self):
+        # at a = 1 every mode is a single cosine and both squares of a pair
+        # land in one equation, which is true of the equal-mass chain
+        report = sweep_odd_p(15, a=1.0)
+        assert [p for p, _ in report.failures] == list(range(3, 16, 2))
+        assert all(f.startswith("square pattern violated: squares of pair 1 ")
+                   for _, f in report.failures)
+
+    def test_sweep_logs_the_smallest_coupling(self, caplog):
+        with caplog.at_level(logging.INFO, logger="fpualt"):
+            sweep_odd_p(9, a=0.3)
+        assert [record.args[0] for record in caplog.records] == [3, 5, 7, 9]
+        for record in caplog.records:
+            p, margin = record.args[0], record.args[-1]
+            coeff = np.abs(to_quasi_harmonic(build_reduced(p, 0.3)).monomials.coeff)
+            assert margin == coeff.min() / coeff.max()
+            assert f"smallest coupling {margin:.3g} of the largest" in record.getMessage()
+
     def test_full_sweep_to_47(self):
         report = sweep_odd_p(47)
         assert report.failures == []
@@ -565,6 +592,12 @@ class TestCli:
         assert main(["sweep", "--pmax", "5", "--a", "1e-13",
                      "--out-dir", str(tmp_path)]) == 1
         assert capsys.readouterr().err.startswith("error: eigenvalue gap")
+        # within a few ulps of a = 1 allowed couplings cancel to exactly 0
+        a = repr(1.0 + 2.0 ** -52)
+        assert main(["sweep", "--pmax", "23", "--a", a,
+                     "--out-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"a={a}: a is within round-off" in err
 
     def test_pattern_violation_is_usage_error(self, tmp_path, capsys,
                                               monkeypatch):
@@ -635,6 +668,28 @@ class TestCli:
         assert captured.err == ("error: mass parameter a = 1e+200 is too large: "
                                 "(1 + a)^2 overflows\n")
         assert list(tmp_path.iterdir()) == []
+        # 1/a overflowed to an infinite mass: a RuntimeWarning in matmul,
+        # then a false "square pattern violated" and exit 3
+        assert main(["sweep", "--pmax", "3", "--a", "1e-320",
+                     "--out-dir", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ("error: mass parameter a = 1e-320 is too small: "
+                                "1/a overflows\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_one_sample_run_writes_finite_plots(self, tmp_path, capsys):
+        # a run that stops at t = 0 has one sample; the zero time span made
+        # every SVG coordinate nan, with a RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["run", str(SCENARIO_DIR / "cartoon_bounded.scn"),
+                         "--abs-tol", "1e-300", "--t-end", "1",
+                         "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert "step_underflow (t_reached 0, 0 steps)" in capsys.readouterr().out
+        plots = sorted(tmp_path.glob("*.svg"))
+        assert len(plots) == 2
+        assert not any("nan" in plot.read_text() for plot in plots)
 
     def test_fit_refusal_names_the_table_and_a_plain_float(self, tmp_path,
                                                            capsys):
@@ -674,13 +729,15 @@ class TestCli:
         assert runs["quiet"][1] == "" and runs["after"][1] == ""
         assert runs["loud"][0] == runs["quiet"][0] == runs["after"][0]
         progress = [re.fullmatch(r"sweep p=(\d+): (\d+\.\d{3}) s, "
-                                 r"(\d+) invariant candidates tested", line)
+                                 r"(\d+) invariant candidates tested, "
+                                 r"smallest coupling (\S+) of the largest", line)
                     for line in runs["loud"][1].splitlines()]
         assert all(progress)
         # p = 9 has the cycles (1 2 4)(3), so 2^2 - 2 unions; 3, 5, 7 have one
         assert [(int(m[1]), int(m[3])) for m in progress] == \
                [(3, 0), (5, 0), (7, 0), (9, 2)]
         assert all(float(m[2]) >= 0.0 for m in progress)
+        assert all(0.0 < float(m[4]) <= 1.0 for m in progress)
 
     def test_analyze_and_equilibria_verbs(self, tmp_path, capsys):
         sysfile = tmp_path / "p3.txt"
