@@ -66,13 +66,13 @@ class BondSystem:
     def dof(self):
         return self.masses.size
 
-    def _bond_map(self, alpha, divisor):
+    def _bond_map(self, divisor):
         """The map q -> D^T V'(D q) / divisor.
 
         The force's sign sits in ``divisor``: IEEE division is
         sign-symmetric, so x / -m has the bits of -(x / m).
         """
-        bonds, bonds_t, beta = self.bonds, self.bonds.T, self.beta
+        bonds, bonds_t, alpha, beta = self.bonds, self.bonds.T, self.alpha, self.beta
 
         def bond_map(q):
             e = bonds.dot(q.T)
@@ -83,14 +83,10 @@ class BondSystem:
 
         return bond_map
 
-    def force(self, alpha=None):
-        """The map q -> -D^T V'(D q); a given ``alpha`` replaces the system's."""
-        return self._bond_map(self.alpha if alpha is None else alpha, -1.0)
-
     @cached_property
     def accel(self):
         """The map q -> qdd = -M^{-1} D^T V'(D q), built once per system."""
-        return self._bond_map(self.alpha, -self.masses)
+        return self._bond_map(-self.masses)
 
     def energy(self, states):
         """Energy sum m v^2 / 2 + sum_b V((D q)_b), vectorised over rows [q, v]."""
@@ -134,6 +130,12 @@ class State:
 FullState = State
 
 
+# The largest p of a reduced system and n_pairs of a chain the builders
+# accept: the reduced and chain operators are dense, so the size bounds
+# the memory, and the sweep's verdicts are checked up to this p.
+SIZE_LIMIT = 199
+
+
 def require_finite(**values):
     """Refuse a parameter that is infinite or NaN, naming it."""
     for name, value in values.items():
@@ -154,11 +156,11 @@ def build_chain(params: ChainParams) -> FullChainSystem:
     """Construct the periodic chain described by ``params``.
 
     Raises ValueError for a non-finite parameter, a mass parameter that
-    is not positive or whose 1/a overflows, or fewer than two mass pairs
-    (the ring needs at least 4 particles).
+    is not positive or whose 1/a overflows, or a number of mass pairs
+    outside 2..SIZE_LIMIT (the ring needs at least 4 particles).
     """
-    if params.n_pairs < 2:
-        raise ValueError(f"n_pairs must be >= 2, got {params.n_pairs}")
+    if not 2 <= params.n_pairs <= SIZE_LIMIT:
+        raise ValueError(f"n_pairs must be in 2..{SIZE_LIMIT}, got {params.n_pairs}")
     require_finite(a=params.a, alpha=params.alpha, beta=params.beta)
     require_mass_parameter(params.a)
     n = 2 * params.n_pairs

@@ -19,9 +19,11 @@ import argparse
 import logging
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
+from .chain import require_finite
 from .coupling import PatternViolationError
 from .scenarios import (ScenarioError, analysis_report, equilibria_report,
                         run_scenario, sweep_odd_p, sweep_report_text)
@@ -120,7 +122,10 @@ def main(argv=None) -> int:
         if args.verb == "analyze":
             suffix, text = "analysis", analysis_report(sys_)
         else:
-            suffix, text = "equilibria", equilibria_report(sys_, alpha=args.alpha)
+            if args.alpha is not None:       # the file's list with another alpha
+                require_finite(alpha=args.alpha)
+                sys_ = replace(sys_, alpha=args.alpha, monomials=sys_.monomials)
+            suffix, text = "equilibria", equilibria_report(sys_)
         _write_report(args, f"{Path(args.system).stem}_{suffix}.txt", text)
         return EXIT_OK
     except (ScenarioError, FileNotFoundError, ValueError,

@@ -158,8 +158,9 @@ def cartoon_system(cid: int, omegas=None) -> QuasiHarmonicSystem:
 # Every system kind has ``dof``, ``accel(q)`` and ``energy(states)``
 # (vectorised over rows [q, v]; None for quasi-harmonic systems without
 # an exact invariant).  Reduced and quasi-harmonic systems also expose
-# ``static_field(alpha)`` -> (F, J) and ``masses``: F = 0 are the static
-# equations and J / masses is the acceleration Jacobian.  The three
+# ``static_field()`` -> (F, J) and ``masses``: F = 0 are the static
+# equations and J / masses is the acceleration Jacobian.  Every map reads
+# the system's own ``alpha``; another alpha is another system.  The three
 # functions below only name these members; perfbench/ imports them.
 
 
@@ -529,8 +530,7 @@ EQUILIBRIUM_DEDUP_TOL = 1e-8       # points closer than this are one point
 _NEWTON_CHUNK = 4096     # seeds per batch; bounds memory at d = 6 (9^6 seeds)
 
 
-def find_equilibria(system, alpha=None, box_halfwidth=4.0, grid_per_dim=9,
-                    max_dim=6):
+def find_equilibria(system, box_halfwidth=4.0, grid_per_dim=9, max_dim=6):
     """All equilibria reachable by Newton from a regular grid of seeds.
 
     Seeds fill [-box_halfwidth, box_halfwidth]^d and are iterated
@@ -539,7 +539,7 @@ def find_equilibria(system, alpha=None, box_halfwidth=4.0, grid_per_dim=9,
     classified.  The count is bounded by the Bezout number 2^d of the quadratic
     static system.
     """
-    fun, jac = system.static_field(alpha)
+    fun, jac = system.static_field()
     d = system.dof
     if d > max_dim:
         raise ValueError(
@@ -557,7 +557,7 @@ def find_equilibria(system, alpha=None, box_halfwidth=4.0, grid_per_dim=9,
         found.append(points[0])
         points = points[np.abs(points - points[0]).max(axis=1) > EQUILIBRIUM_DEDUP_TOL]
     found.sort(key=lambda p: tuple(np.round(p, 9)))
-    return [classify_equilibrium(system, p, alpha=alpha) for p in found]
+    return [classify_equilibrium(system, p) for p in found]
 
 
 def _newton_rows(fun, jac, x):
@@ -594,14 +594,14 @@ def _newton_rows(fun, jac, x):
     return x[converged]
 
 
-def classify_equilibrium(system, point, alpha=None) -> EquilibriumReport:
+def classify_equilibrium(system, point) -> EquilibriumReport:
     """Linearise the flow at an equilibrium and classify its spectrum.
 
     Eigenvalues come in the symplectic patterns (+-i w, +-sigma,
     quadruples); one is counted pure-imaginary when |Re| is below
     1e-8 of the largest magnitude.
     """
-    fun, jac = system.static_field(alpha)
+    fun, jac = system.static_field()
     d = system.dof
     point = np.asarray(point, dtype=float)
     residual = float(np.abs(fun(point)).max())
@@ -653,7 +653,7 @@ class ClosedFormResponse:
 
 
 def first_order_response(sys: QuasiHarmonicSystem, driven: int, driver: int,
-                         amplitude: float, alpha=None) -> ClosedFormResponse:
+                         amplitude: float) -> ClosedFormResponse:
     """Closed-form response of mode ``driven`` to mode ``driver``'s square.
 
     Mode indices are 1-based.  The driver starts at ``amplitude`` with
@@ -663,8 +663,6 @@ def first_order_response(sys: QuasiHarmonicSystem, driven: int, driver: int,
     d = sys.dof
     if not (1 <= driven <= d and 1 <= driver <= d) or driven == driver:
         raise ValueError(f"driven/driver must be distinct modes in 1..{d}")
-    if alpha is None:
-        alpha = sys.alpha
     lam_d = float(sys.lambdas[driven - 1])
     lam_r = float(sys.lambdas[driver - 1])
     if lam_d <= 0 or lam_r <= 0:
@@ -672,7 +670,7 @@ def first_order_response(sys: QuasiHarmonicSystem, driven: int, driver: int,
     if abs(lam_d - 4.0 * lam_r) <= 1e-9 * max(lam_d, 4.0 * lam_r):
         raise ValueError(
             f"exact 2:1 resonance (lambda_driven = 4 lambda_driver = {lam_d!r})")
-    g = alpha * sys.monomial(driven, driver, driver) * amplitude**2
+    g = sys.alpha * sys.monomial(driven, driver, driver) * amplitude**2
     return ClosedFormResponse(
         driven=driven, driver=driver, amplitude=float(amplitude),
         lambda_driven=lam_d, lambda_driver=lam_r, forcing=g,

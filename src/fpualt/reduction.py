@@ -26,8 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import (BondSystem, FullChainSystem, State, eval_accel_full,
-                    hamiltonian, require_finite, require_mass_parameter)
+from .chain import (SIZE_LIMIT, BondSystem, FullChainSystem, State,
+                    eval_accel_full, hamiltonian, require_finite,
+                    require_mass_parameter)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -35,16 +36,16 @@ class ReducedSystem(BondSystem):
     """Fixed-end reduced system with p-1 particles.
 
     ``bonds`` is the bond-difference operator D, (p, p-1), and
-    ``stiffness`` is K = D^T D (2 on the diagonal, -1 off it).  The
-    static field takes an ``alpha`` in place of the system's, which
-    allows alpha sweeps without rebuilding.
+    ``stiffness`` is K = D^T D (2 on the diagonal, -1 off it).  Its
+    static field, like its acceleration and energy, reads the system's
+    ``alpha``; another alpha is another system.
     """
 
     p: int
     a: float
     stiffness: np.ndarray
 
-    def static_field(self, alpha=None):
+    def static_field(self):
         """Return (force, jac): q -> -K q + alpha N(q) and its Jacobian.
 
         The force is the shared bond-space force -D^T (e + alpha e^2),
@@ -52,26 +53,24 @@ class ReducedSystem(BondSystem):
         acceleration is force(q) / masses.  Both maps take one state
         (d,) or rows (n, d).
         """
-        if alpha is None:
-            alpha = self.alpha
-        bonds = self.bonds
+        bonds, alpha = self.bonds, self.alpha
         bonds_t = bonds.T
 
         def jac(q):
             e = (bonds @ q.T).T
             return -(bonds_t * (1.0 + 2.0 * alpha * e[..., None, :])) @ bonds
 
-        return self.force(alpha), jac
+        return self._bond_map(-1.0), jac
 
 
 ReducedState = State
 
 
 def build_reduced(p: int, a: float, alpha: float = 1.0) -> ReducedSystem:
-    """Build the reduced (p-1)-dof system for odd p >= 3, finite a > 0
-    with a finite 1/a, and finite alpha."""
-    if p < 3 or p % 2 == 0:
-        raise ValueError(f"p must be an odd integer >= 3, got {p}")
+    """Build the reduced (p-1)-dof system for odd p in 3..SIZE_LIMIT,
+    finite a > 0 with a finite 1/a, and finite alpha."""
+    if not 3 <= p <= SIZE_LIMIT or p % 2 == 0:
+        raise ValueError(f"p must be an odd integer in 3..{SIZE_LIMIT}, got {p}")
     require_finite(a=a, alpha=alpha)
     require_mass_parameter(a)
     d = p - 1

@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .chain import ChainParams, build_chain
+from .chain import SIZE_LIMIT, ChainParams, build_chain
 from .coupling import (CycleDecomposition, PatternViolationError, ScalingFit,
                        SquareMap, _invariant_unions, cycle_decomposition,
                        excitation_digraph, jan_check, map_reference_state,
@@ -442,72 +442,51 @@ class SweepRow:
     """The structure census of one quasi-harmonic system.
 
     ``violation`` is the square-pattern failure, if any; the census then
-    stops, with no squares, cycles, candidates or fit.  The high-low
-    interaction verdicts are that pattern: ``square_map`` returns only
-    when both squares of every pair i fill both equations of pair
-    rho(i), so in every pair the optical square forces an acoustic
-    equation and the acoustic square an optical one.
+    stops, with no squares, rho, cycles, candidates or fit.  The
+    high-low interaction verdicts are that pattern: ``square_map``
+    returns only when both squares of every pair i fill both equations
+    of pair rho(i), so in every pair the optical square forces an
+    acoustic equation and the acoustic square an optical one.
+
+    ``rho`` is numbered by the system's pair slots (modes 2i-1, 2i).
+    ``formula`` lists the chain pairs i whose rho(i) differs from
+    min(2i, p - 2i), rho renumbered by the pairs the mode labels name;
+    it is None when the labels do not number every pair 1..(p-1)/2 once
+    (a subsystem, which keeps its parent's p, or a cartoon).
+    ``failures`` are the sweep's assertion failures for this system.
     """
 
     p: int
     lambdas: np.ndarray
     squares: SquareMap = None
     violation: str = None
+    rho: dict = field(default_factory=dict)
+    formula: list = None
     cycles: tuple = ()
     n_candidates: int = 0
     invariants: list = field(default_factory=list)
     fit: ScalingFit = None       # against the shipped table ``fit_table``
     fit_table: str = None
+    failures: list = field(default_factory=list)
 
-    @property
-    def rho(self):
-        return {} if self.squares is None else self.squares.rho
 
-    @property
-    def optical_forces_acoustic(self):
-        return bool(self.rho)
-
-    acoustic_forces_optical = optical_forces_acoustic
-
-    @property
-    def full_system(self):
-        """True when the system has all p - 1 modes of its chain.
-
-        Only then are its pairs numbered 1..(p-1)/2 as min(2i, p - 2i)
-        assumes; a subsystem keeps its parent's p but renumbers its
-        pairs, and a cartoon has no p.
-        """
-        return len(self.lambdas) == self.p - 1
-
-    @property
-    def rho_disagreements(self):
-        """The pairs i with rho(i) != min(2i, p - 2i); none unless full."""
-        if not self.full_system:
-            return []
-        return [i for i, (_, _, ok) in jan_check(self.p, self.rho).items()
-                if not ok]
-
-    @property
-    def jan_ok(self):
-        return bool(self.rho) and not self.rho_disagreements
-
-    @property
-    def failures(self):
-        """The sweep's assertion failures for this p."""
-        if self.violation:
-            return [f"square pattern violated: {self.violation}"]
-        failures = []
-        if self.rho_disagreements:
-            failures.append(f"rho disagrees with min(2i, p-2i) at "
-                            f"{self.rho_disagreements}")
-        if _is_prime(self.p) and self.p >= 5 and self.invariants:
-            failures.append(f"unexpected invariant sets for prime p: "
-                            f"{[c.kept_modes for c in self.invariants]}")
-        return failures
+def _chain_pairs(sys):
+    """{slot: chain pair} as the mode labels number the pair slots, or
+    None unless both labels of every slot name one pair and the slots
+    name every pair 1..(p-1)/2 once."""
+    labels = sys.labels
+    if None in labels:
+        return None
+    pairs = [lab.pair for lab in labels[0::2]]
+    if ([lab.pair for lab in labels[1::2]] != pairs
+            or sorted(pairs) != list(range(1, (sys.p - 1) // 2 + 1))):
+        return None
+    return dict(enumerate(pairs, start=1))
 
 
 def structure_census(sys, fit=True) -> SweepRow:
-    """Square map, rho, cycles, invariant sets and table fit of one system.
+    """Square map, rho, formula check, cycles, invariant sets, table fit
+    and the sweep's failures of one system, each found once.
 
     The analysis report and the odd-p sweep both read their verdicts
     from this census.  With ``fit`` the system is fitted against the
@@ -518,7 +497,16 @@ def structure_census(sys, fit=True) -> SweepRow:
         row.squares = square_map(sys)
     except PatternViolationError as exc:
         row.violation = str(exc)
+        row.failures.append(f"square pattern violated: {exc}")
         return row
+    row.rho = row.squares.rho
+    pair = _chain_pairs(sys)
+    if pair is not None:
+        chain_rho = {pair[i]: pair[j] for i, j in row.rho.items()}
+        row.formula = [i for i, (_, _, ok) in jan_check(sys.p, chain_rho).items()
+                       if not ok]
+        if row.formula:
+            row.failures.append(f"rho disagrees with min(2i, p-2i) at {row.formula}")
     row.cycles = cycle_decomposition(row.rho).cycles
     # every nonempty proper union of cycles is a candidate
     row.n_candidates = max(2 ** len(row.cycles) - 2, 0)
@@ -526,6 +514,9 @@ def structure_census(sys, fit=True) -> SweepRow:
     ref = reference_for(sys.p, sys.a) if fit else None
     if ref is not None and ref.dof == sys.dof:
         row.fit, row.fit_table = scaling_equivalence(sys, ref), ref.name
+    if _is_prime(sys.p) and sys.p >= 5 and row.invariants:
+        row.failures.append(f"unexpected invariant sets for prime p: "
+                            f"{[c.kept_modes for c in row.invariants]}")
     return row
 
 
@@ -553,10 +544,9 @@ def analysis_report(sys) -> str:
         return "\n".join(lines) + "\n"
     lines.append("forcing squares: rho = "
                  + " ".join(f"{i}->{j}" for i, j in sorted(row.rho.items())))
-    if row.full_system:
-        bad = row.rho_disagreements
+    if row.formula is not None:
         lines.append("min(2i, p-2i) formula: "
-                     + (f"DISAGREES at {bad}" if bad else "agrees"))
+                     + (f"DISAGREES at {row.formula}" if row.formula else "agrees"))
     lines.append(f"cycles: {CycleDecomposition(row.cycles)}")
     lines.append("cross-group excitation: " + "  ".join(
         f"x{a}->x{b}" for a, b in excitation_digraph(row.squares)))
@@ -571,8 +561,8 @@ def analysis_report(sys) -> str:
     return "\n".join(lines) + "\n"
 
 
-def equilibria_report(sys, alpha=None) -> str:
-    reports = find_equilibria(sys, alpha=alpha)
+def equilibria_report(sys) -> str:
+    reports = find_equilibria(sys)
     lines = [f"equilibria of {getattr(sys, 'name', '') or type(sys).__name__} "
              f"({len(reports)} found; static residual tolerance "
              f"{EQUILIBRIUM_RESIDUAL_TOL:g})"]
@@ -609,11 +599,12 @@ def sweep_odd_p(p_max: int = 47, a: float = 0.01,
     with min(2i, p-2i) and, for prime p >= 5, any invariant set are
     failures too.  They are recorded per p without aborting the sweep.
     Each p's wall time, candidate count and smallest listed coupling
-    relative to the largest are logged at INFO level.
+    relative to the largest are logged at INFO level.  A p_max outside
+    3..SIZE_LIMIT is refused.
     """
-    if p_max > 199:
-        raise ValueError("sweep guard: p_max must be <= 199 for desk-scale "
-                         f"runtime, got {p_max}")
+    if not 3 <= p_max <= SIZE_LIMIT:
+        raise ValueError(f"sweep guard: p_max must be in 3..{SIZE_LIMIT}, "
+                         f"got {p_max}")
     rows = []
     for p in range(3, p_max + 1, 2):
         t0 = time.perf_counter()
@@ -643,11 +634,11 @@ def sweep_report_text(report: SweepReport) -> str:
                                               for i, j in sorted(row.rho.items())))
             lines.append(f"  cycles: {CycleDecomposition(row.cycles)}")
             lines.append(f"  min(2i,p-2i) formula: "
-                         f"{'agrees' if row.jan_ok else 'DISAGREES'}")
-            lines.append(f"  interaction: optical squares force acoustic "
-                         f"equations: {'yes' if row.optical_forces_acoustic else 'no'}; "
-                         f"acoustic force optical: "
-                         f"{'yes' if row.acoustic_forces_optical else 'no'}")
+                         f"{'DISAGREES' if row.formula else 'agrees'}")
+            # a rho means the square pattern holds, and the pattern is
+            # the verdict: both squares of a pair fill both equations
+            lines.append("  interaction: optical squares force acoustic "
+                         "equations: yes; acoustic force optical: yes")
         lines += (_invariant_lines(row.invariants, "invariant V(Y): ")
                   or ["  invariant V(Y): none"])
         if row.fit is not None:

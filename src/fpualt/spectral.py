@@ -282,15 +282,14 @@ class QuasiHarmonicSystem:
         """The (d, n_bonds) bond factor F."""
         return self._factors[1]
 
-    def static_field(self, alpha=None):
+    def static_field(self):
         """Return (rhs, jac): x -> -Lambda x + alpha F (G x)^2 and its
         Jacobian diag(-Lambda) + 2 alpha F diag(G x) G.
 
-        A given ``alpha`` replaces the system's.  Both maps take one state
-        (d,) or rows (n, d) and return (d,) / (d, d) or (n, d) / (n, d, d).
+        Both maps take one state (d,) or rows (n, d) and return (d,) /
+        (d, d) or (n, d) / (n, d, d).
         """
-        alpha = self.alpha if alpha is None else alpha
-        lam, g, f = self.lambdas, self.g, self.f
+        alpha, lam, g, f = self.alpha, self.lambdas, self.g, self.f
 
         def rhs(x):
             return alpha * f.dot(g.dot(x.T) ** 2).T - lam * x
@@ -563,12 +562,12 @@ def to_quasi_harmonic(sys: ReducedSystem, basis: ModalBasis = None,
     )
 
 
-def eval_qh_rhs(sys: QuasiHarmonicSystem, x, alpha=None):
+def eval_qh_rhs(sys: QuasiHarmonicSystem, x):
     """xdd = -Lambda x + alpha * C(x, x)."""
     x = np.asarray(x, dtype=float)
     if x.size != sys.dof:
         raise ValueError(f"state has {x.size} modes, system has {sys.dof}")
-    return sys.static_field(alpha)[0](x)
+    return sys.accel(x)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from fpualt.reduction import quadratic_vector
 
 class TestBuild:
     def test_validation(self):
-        for bad_p in (4, 2, 1, -3):
+        for bad_p in (4, 2, 1, -3, 201, 100001):
             with pytest.raises(ValueError, match="odd integer"):
                 build_reduced(bad_p, 0.01)
         with pytest.raises(ValueError, match="positive"):

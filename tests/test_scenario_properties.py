@@ -29,7 +29,7 @@ VALID = {"p": (3, 5, 9), "n_pairs": (2, 4), "id": (1, 2), "a": (0.01, 0.5),
          "omega2": (0.8, 1.2), "omega3": (1.05,), "t_end": (0.5, 2.0),
          "abs_tol": (1e-10, 1e-8), "rel_tol": (1e-10, 1e-8),
          "sample_dt": (0.05, 0.5), "initial": (0.0, 0.1, -0.05)}
-BUILDER_REFUSES = {"p": (1, 4), "n_pairs": (1,), "id": (3,), "a": (0.0, -0.5)}
+BUILDER_REFUSES = {"p": (1, 4, 201), "n_pairs": (1, 200), "id": (3,), "a": (0.0, -0.5)}
 # Values of the wrong type for a container field (params, positions,
 # velocities, outputs), which the checker refuses first, naming it.
 WRONG_CONTAINERS = (None, [0.1], (0.1,), "trajectory", 3.5)

@@ -26,6 +26,7 @@ from conftest import BOUNDED_SCENARIOS, DIVERGENT_SCENARIOS, SCENARIO_DIR
 # Golden report files: any change to a line of the sweep or analysis
 # report output fails the tests that compare against them.
 GOLDEN = Path(__file__).resolve().parent / "data"
+TABLE_DIR = Path(fpualt.scenarios.__file__).resolve().parent / "data"
 
 
 class TestScenarioParsing:
@@ -462,6 +463,11 @@ class TestSweep:
         with pytest.raises(ValueError, match="p_max"):
             sweep_odd_p(201)
 
+    def test_pmax_below_three_is_refused(self):
+        # a p_max below 3 swept no system and exited 0
+        with pytest.raises(ValueError, match=r"p_max must be in 3\.\.199, got 1$"):
+            sweep_odd_p(1)
+
     @pytest.mark.parametrize("p_max, a", [(199, 0.001), (199, 1000.0),
                                           (99, 1.0001)])
     def test_no_false_violations_away_from_a_001(self, p_max, a):
@@ -495,9 +501,7 @@ class TestSweep:
         # every prime shows two-way high-low interaction, no invariant sets
         primes = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
         for p in primes:
-            assert rows[p].optical_forces_acoustic
-            assert rows[p].acoustic_forces_optical
-            assert rows[p].jan_ok
+            assert rows[p].rho and rows[p].formula == []
             if p >= 5:
                 assert rows[p].invariants == []
         # the composite census carried by the report rows
@@ -523,12 +527,19 @@ class TestSweep:
         for sub in (extract_subsystem(qh9, [5, 6]), load_reference("p9_sub34")):
             row = structure_census(sub)
             assert (sub.p, sub.dof, row.rho) == (9, 2, {1: 1})
-            assert not row.full_system
-            assert row.rho_disagreements == [] and row.failures == []
+            assert row.formula is None and row.failures == []
             report = analysis_report(sub)
             assert "forcing squares: rho = 1->1" in report
             assert "formula" not in report
-        assert structure_census(qh9).full_system
+        assert structure_census(qh9).formula == []
+
+    def test_formula_reads_the_pairs_the_labels_name(self):
+        # the shipped p = 9 table lists its pairs from 4 down to 1; its slot
+        # rho 1->4 2->2 3->1 4->3 is 4->1 3->3 2->4 1->2 in those pairs,
+        # which is min(2i, p-2i)
+        row = structure_census(load_reference("p9_full"))
+        assert row.rho == {1: 4, 2: 2, 3: 1, 4: 3}
+        assert row.formula == [] and row.failures == []
 
     def test_census_maps_the_squares_once(self, monkeypatch):
         calls = []
@@ -650,6 +661,18 @@ class TestCli:
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_equilibria_alpha_is_usage_error(self, tmp_path, capsys,
+                                                        value):
+        # nan found no equilibrium, not even the origin, and exited 0
+        assert main(["equilibria", str(TABLE_DIR / "p3_a001.txt"),
+                     f"--alpha={value}", "--out-dir", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: alpha must be a finite number, "
+                                f"got {float(value)}\n")
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
     def test_non_finite_t_end_is_usage_error(self, tmp_path, capsys):
         # --t-end inf ran no step, printed "ok" and exited 0
         out = tmp_path / "out"
@@ -676,6 +699,22 @@ class TestCli:
         assert captured.err == ("error: mass parameter a = 1e-320 is too small: "
                                 "1/a overflows\n")
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv, message", [
+        (["sweep", "--pmax", "-7"], "sweep guard: p_max must be in 3..199, got -7"),
+        (["run", "kind = reduced\np = 100001"],
+         "p must be an odd integer in 3..199, got 100001"),
+        (["run", "kind = full\nn_pairs = 200"], "n_pairs must be in 2..199, got 200")])
+    def test_oversized_system_is_usage_error(self, tmp_path, capsys, argv, message):
+        # p = 100001 tried to allocate 74.5 GiB; --pmax -7 swept nothing, exit 0
+        if argv[0] == "run":
+            scn = tmp_path / "big.scn"
+            scn.write_text(f"[system]\n{argv[1]}\n[initial]\nq1 = 0.1\n")
+            argv = ["run", str(scn)]
+        out = tmp_path / "out"
+        assert main([*argv, "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     def test_one_sample_run_writes_finite_plots(self, tmp_path, capsys):
         # a run that stops at t = 0 has one sample; the zero time span made
@@ -751,6 +790,20 @@ class TestCli:
         out = capsys.readouterr().out
         assert "4 found" in out
         assert (tmp_path / "p3_equilibria.txt").exists()
+
+    def test_equilibria_alpha_flag_scales_the_points(self, tmp_path, capsys):
+        # the static equations -Lambda x + alpha C(x, x) = 0 have the
+        # solutions x / alpha, so alpha = 2 halves every alpha = 1 point
+        points = []
+        for flags in ([], ["--alpha", "2"]):
+            out = tmp_path / f"out{len(flags)}"
+            assert main(["equilibria", str(TABLE_DIR / "p3_a001.txt"), *flags,
+                         "--out-dir", str(out)]) == 0
+            points.append([[float(v) for v in m.split(", ")] for m in
+                           re.findall(r"point \((.*)\)", capsys.readouterr().out)])
+        once, twice = np.array(points[0]), np.array(points[1])
+        assert once.shape == twice.shape == (4, 2)
+        assert np.abs(twice - once / 2).max() <= 1e-9
 
     def test_out_dir_env_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv("FPUALT_OUT_DIR", str(tmp_path / "envout"))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 from pathlib import Path
@@ -193,10 +194,9 @@ class TestQuasiHarmonic:
     def test_alpha_scales_at_evaluation(self, systems):
         _, _, qh = systems[3]
         x = np.array([0.3, -0.2])
-        base = eval_qh_rhs(qh, x, alpha=0.0)
+        base, full, twice = (eval_qh_rhs(dataclasses.replace(qh, alpha=alpha), x)
+                             for alpha in (0.0, 1.0, 2.0))
         assert np.abs(base + qh.lambdas * x).max() == 0.0
-        full = eval_qh_rhs(qh, x, alpha=1.0)
-        twice = eval_qh_rhs(qh, x, alpha=2.0)
         assert np.abs((twice - base) - 2.0 * (full - base)).max() <= 1e-14
 
     def test_p5_square_placement(self, systems):

@@ -1,13 +1,19 @@
-"""Run every shipped scenario with two source trees and compare the outputs.
+"""Run every shipped scenario and report with two source trees and
+compare the outputs.
 
     python tools/compare_outputs.py OLD_SRC NEW_SRC [--t-end T]
 
 OLD_SRC and NEW_SRC are directories that hold the ``fpualt`` package
 (the ``src`` directory of a checkout).  The scenario files are the ones
-in ``scenarios/`` next to this tool, the same files for both trees.
-Each tree runs all of them through ``fpualt run`` in a subprocess of its
-own, with ``--t-end T`` when given.  Every output file is then compared
-byte for byte, except the manifests, which are compared as JSON without
+in ``scenarios/`` and the system tables the ones in ``src/fpualt/data/``
+next to this tool, the same files for both trees.  Each tree, in a
+subprocess of its own, runs every scenario through ``fpualt run``, with
+``--t-end T`` when given, and writes the reports of ``fpualt sweep
+--pmax 99`` and of ``fpualt analyze`` and ``fpualt equilibria`` (with
+and without ``--alpha 2``) of every table, each verb into a directory of
+its own, with one ``exit_codes.txt`` line per report: its arguments,
+exit code and error output.  Every output file is then compared byte
+for byte, except the manifests, which are compared as JSON without
 their timing fields (``wall_time_s``, ``phase_s``) and with their
 ``outputs`` reduced to file names.
 
@@ -23,16 +29,20 @@ import sys
 import tempfile
 from pathlib import Path
 
-SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIOS = ROOT / "scenarios"
+TABLES = ROOT / "src" / "fpualt" / "data"
 TIMING_FIELDS = ("wall_time_s", "phase_s")
 
-# Runs in the subprocess: sys.argv is [src, out_dir, t_end or "", scenario...].
+# Runs in the subprocess: sys.argv is [src, out_dir, t_end or "",
+# number of scenarios, scenario..., table...].
 _RUNNER = """
 import contextlib, io, sys
 from pathlib import Path
 import fpualt
 from fpualt.cli import main
-src, out, t_end, *scenarios = sys.argv[1:]
+src, out, t_end, n, *paths = sys.argv[1:]
+scenarios, tables = paths[:int(n)], paths[int(n):]
 if not Path(fpualt.__file__).resolve().is_relative_to(Path(src).resolve()):
     sys.exit(f"fpualt imported from {fpualt.__file__}, not from {src}")
 for path in scenarios:
@@ -41,15 +51,31 @@ for path in scenarios:
         code = main(args)
     if code not in (0, 2):
         sys.exit(f"{path}: exit code {code}")
+reports = {"sweep": [["sweep", "--pmax", "99"]],
+           "analyze": [["analyze", t] for t in tables],
+           "equilibria": [["equilibria", t] for t in tables],
+           "equilibria_alpha2": [["equilibria", t, "--alpha", "2"] for t in tables]}
+for verb, jobs in reports.items():
+    report_dir = Path(out) / verb
+    lines = []
+    for args in jobs:
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(args + ["--out-dir", str(report_dir)])
+        lines.append(f"{' '.join(Path(a).name for a in args)}: {code} {err.getvalue()!r}")
+    report_dir.mkdir(exist_ok=True)
+    (report_dir / "exit_codes.txt").write_text("\\n".join(lines) + "\\n")
 """
 
 
 def run_tree(src, out_dir, t_end):
-    """Run every scenario with the fpualt package under ``src``."""
+    """Run every scenario and report with the fpualt package under ``src``."""
     env = dict(os.environ, PYTHONPATH=str(src))
     scenarios = [str(path) for path in sorted(SCENARIOS.glob("*.scn"))]
+    tables = [str(path) for path in sorted(TABLES.glob("*.txt"))]
     subprocess.run([sys.executable, "-c", _RUNNER, str(src), str(out_dir),
-                    "" if t_end is None else repr(t_end), *scenarios],
+                    "" if t_end is None else repr(t_end), str(len(scenarios)),
+                    *scenarios, *tables],
                    env=env, check=True)
 
 
@@ -63,8 +89,9 @@ def manifest_fields(path):
 
 
 def differing_files(old_dir, new_dir):
-    """(names of the files that differ or exist in one tree only, number compared)."""
-    names = sorted({p.name for d in (old_dir, new_dir) for p in d.iterdir()})
+    """(paths of the files that differ or exist in one tree only, number compared)."""
+    names = sorted({str(p.relative_to(d)) for d in (old_dir, new_dir)
+                    for p in d.rglob("*") if p.is_file()})
     differ = []
     for name in names:
         old, new = old_dir / name, new_dir / name
