@@ -23,7 +23,6 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .chain import require_finite
 from .coupling import PatternViolationError
 from .scenarios import (ScenarioError, analysis_report, equilibria_report,
                         run_scenario, sweep_odd_p, sweep_report_text)
@@ -62,7 +61,6 @@ def build_parser():
     sweep = sub.add_parser("sweep", help="analyse every odd p up to --pmax")
     sweep.add_argument("--pmax", type=int, default=47)
     sweep.add_argument("--a", type=float, default=0.01)
-    sweep.add_argument("--alpha", type=float, default=1.0)
     sweep.add_argument("--out-dir", default=None)
 
     analyze = sub.add_parser("analyze", help="structure report for a system file")
@@ -114,7 +112,7 @@ def main(argv=None) -> int:
             return EXIT_OK if result.exit_code == 0 else EXIT_DIVERGED
 
         if args.verb == "sweep":
-            report = sweep_odd_p(p_max=args.pmax, a=args.a, alpha=args.alpha)
+            report = sweep_odd_p(p_max=args.pmax, a=args.a)
             _write_report(args, f"sweep_p{args.pmax}.txt", sweep_report_text(report))
             return EXIT_SWEEP_FAIL if report.failures else EXIT_OK
 
@@ -123,7 +121,6 @@ def main(argv=None) -> int:
             suffix, text = "analysis", analysis_report(sys_)
         else:
             if args.alpha is not None:       # the file's list with another alpha
-                require_finite(alpha=args.alpha)
                 sys_ = replace(sys_, alpha=args.alpha, monomials=sys_.monomials)
             suffix, text = "equilibria", equilibria_report(sys_)
         _write_report(args, f"{Path(args.system).stem}_{suffix}.txt", text)

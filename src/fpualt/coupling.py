@@ -42,13 +42,11 @@ class SquareMap:
     """Location of the forcing squares of every pair.
 
     ``rho[i]`` is the unique pair whose two equations contain both
-    squares of pair i; ``evidence[i]`` lists (equation, square_mode,
-    coefficient) for every nonzero occurrence.
+    squares of pair i; the squares themselves are the entries of the
+    system's monomial list with j == k.
     """
 
-    p: int
     rho: dict
-    evidence: dict
 
 
 @dataclass(frozen=True)
@@ -95,22 +93,17 @@ def square_map(sys: QuasiHarmonicSystem) -> SquareMap:
                          f"(built from odd p), got {d}")
     npairs = d // 2
 
-    # the squares x_m^2 in equation r, ordered by (m, r)
-    square = sys.monomials.j == sys.monomials.k
-    eq, mode, _, coeff = (column[square] for column in sys.monomials)
-    order = np.argsort(mode, kind="stable")
-    present = [set() for _ in range(d)]    # 1-based equations of each square
-    evidence = {i: [] for i in range(1, npairs + 1)}
-    for m, r, c in zip((mode[order] + 1).tolist(), (eq[order] + 1).tolist(),
-                       coeff[order].tolist()):
-        present[m - 1].add(r)
-        evidence[_pair_of_mode(m)].append((r, m, c))
+    # the 1-based equations r of the square x_m^2 of each mode m
+    m = sys.monomials
+    square = m.j == m.k
+    present = [set() for _ in range(d)]
+    for mode, r in zip(m.j[square].tolist(), (m.i[square] + 1).tolist()):
+        present[mode].add(r)
 
     rho = {}
     for i in range(1, npairs + 1):
-        eq_sets = [present[m - 1] for m in _modes_of_pair(i)]
-        occupied = eq_sets[0] | eq_sets[1]
-        target_pairs = {_pair_of_mode(r) for r in occupied}
+        eq_sets = present[2 * i - 2:2 * i]
+        target_pairs = {_pair_of_mode(r) for r in eq_sets[0] | eq_sets[1]}
         if len(target_pairs) != 1:
             raise PatternViolationError(
                 f"squares of pair {i} occur in equations of pairs "
@@ -122,12 +115,7 @@ def square_map(sys: QuasiHarmonicSystem) -> SquareMap:
                 f"acoustic square in {sorted(eq_sets[0])}, "
                 f"optical square in {sorted(eq_sets[1])}")
         rho[i] = j
-    return SquareMap(p=sys.p, rho=rho, evidence=evidence)
-
-
-def jan_formula(p: int, i: int) -> int:
-    """The conjectured image min(2i, p - 2i) of pair i."""
-    return min(2 * i, p - 2 * i)
+    return SquareMap(rho=rho)
 
 
 def jan_check(p: int, rho: dict) -> dict:
@@ -135,8 +123,8 @@ def jan_check(p: int, rho: dict) -> dict:
 
     Returns {i: (rho_i, expected, agree)} for every pair index.
     """
-    return {i: (j, jan_formula(p, i), j == jan_formula(p, i))
-            for i, j in sorted(rho.items())}
+    expected = {i: min(2 * i, p - 2 * i) for i in rho}
+    return {i: (j, expected[i], j == expected[i]) for i, j in sorted(rho.items())}
 
 
 def cycle_decomposition(rho: dict) -> CycleDecomposition:
@@ -347,7 +335,6 @@ class ScalingFit:
     sign_flips: tuple
     residual: float
     max_rel_mismatch: float
-    n_common: int
     pattern_mismatches: list = field(default_factory=list)
     sign_consistent: bool = True
 
@@ -466,7 +453,6 @@ def scaling_equivalence(source: QuasiHarmonicSystem,
         sign_flips=flips,
         residual=residual,
         max_rel_mismatch=max_rel,
-        n_common=len(common),
         pattern_mismatches=mismatches,
         sign_consistent=sign_ok,
     )

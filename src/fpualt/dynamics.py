@@ -537,7 +537,8 @@ def find_equilibria(system, box_halfwidth=4.0, grid_per_dim=9, max_dim=6):
     together, a batch of rows at a time; non-convergent seeds are
     dropped silently, converged points deduplicated in seed order and
     classified.  The count is bounded by the Bezout number 2^d of the quadratic
-    static system.
+    static system.  The seeds are iterated without a numpy warning for
+    the infinities or NaNs of the rows that are dropped.
     """
     fun, jac = system.static_field()
     d = system.dof
@@ -547,10 +548,11 @@ def find_equilibria(system, box_halfwidth=4.0, grid_per_dim=9, max_dim=6):
             f"(got {d}); raise max_dim explicitly for larger systems")
     axis = np.linspace(-box_halfwidth, box_halfwidth, grid_per_dim)
     seeds = np.stack(np.meshgrid(*([axis] * d), indexing="ij"), -1).reshape(-1, d)
-    points = np.concatenate([_newton_rows(fun, jac, seeds[i:i + _NEWTON_CHUNK])
-                             for i in range(0, len(seeds), _NEWTON_CHUNK)]
-                            or [seeds])   # no seeds (grid_per_dim=0): none found
-    residual = np.abs(fun(points)).max(axis=1, initial=0.0)
+    with np.errstate(all="ignore"):
+        points = np.concatenate([_newton_rows(fun, jac, seeds[i:i + _NEWTON_CHUNK])
+                                 for i in range(0, len(seeds), _NEWTON_CHUNK)]
+                                or [seeds])   # no seeds (grid_per_dim=0): none found
+        residual = np.abs(fun(points)).max(axis=1, initial=0.0)
     points = points[residual <= EQUILIBRIUM_RESIDUAL_TOL]
     found = []
     while len(points):   # keep the earliest seed's point, drop the ones near it

@@ -58,7 +58,8 @@ class ReducedSystem(BondSystem):
 
         def jac(q):
             e = (bonds @ q.T).T
-            return -(bonds_t * (1.0 + 2.0 * alpha * e[..., None, :])) @ bonds
+            # 2 before alpha: 2 alpha overflows for alpha >= 2^1023
+            return -(bonds_t * (1.0 + alpha * (2.0 * e[..., None, :]))) @ bonds
 
         return self._bond_map(-1.0), jac
 

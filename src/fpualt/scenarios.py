@@ -484,12 +484,14 @@ def _chain_pairs(sys):
     return dict(enumerate(pairs, start=1))
 
 
-def structure_census(sys, fit=True) -> SweepRow:
+def structure_census(sys) -> SweepRow:
     """Square map, rho, formula check, cycles, invariant sets, table fit
     and the sweep's failures of one system, each found once.
 
     The analysis report and the odd-p sweep both read their verdicts
-    from this census.  With ``fit`` the system is fitted against the
+    from this census.  Every one of them, the table fit included, reads
+    only the lambdas and the monomial list, never alpha, which
+    multiplies every coupling alike.  The system is fitted against the
     shipped table for its (p, a), when that table has as many modes.
     """
     row = SweepRow(p=sys.p, lambdas=sys.lambdas)
@@ -511,7 +513,7 @@ def structure_census(sys, fit=True) -> SweepRow:
     # every nonempty proper union of cycles is a candidate
     row.n_candidates = max(2 ** len(row.cycles) - 2, 0)
     row.invariants = _invariant_unions(sys, row.cycles)
-    ref = reference_for(sys.p, sys.a) if fit else None
+    ref = reference_for(sys.p, sys.a)
     if ref is not None and ref.dof == sys.dof:
         row.fit, row.fit_table = scaling_equivalence(sys, ref), ref.name
     if _is_prime(sys.p) and sys.p >= 5 and row.invariants:
@@ -582,7 +584,6 @@ def equilibria_report(sys) -> str:
 @dataclass
 class SweepReport:
     a: float
-    alpha: float
     rows: list
 
     @property
@@ -590,9 +591,11 @@ class SweepReport:
         return [(row.p, f) for row in self.rows for f in row.failures]
 
 
-def sweep_odd_p(p_max: int = 47, a: float = 0.01,
-                alpha: float = 1.0) -> SweepReport:
+def sweep_odd_p(p_max: int = 47, a: float = 0.01) -> SweepReport:
     """Reduction -> spectral -> structure census for every odd p <= p_max.
+
+    The census is alpha-free (:func:`structure_census`), so the systems
+    are built at alpha = 1.
 
     The forcing-square pattern is the high-low interaction verdict: a p
     whose squares break it records that failure.  A rho that disagrees
@@ -608,19 +611,17 @@ def sweep_odd_p(p_max: int = 47, a: float = 0.01,
     rows = []
     for p in range(3, p_max + 1, 2):
         t0 = time.perf_counter()
-        sys = to_quasi_harmonic(build_reduced(p, a, alpha))
-        # the shipped tables are for alpha = 1
-        rows.append(structure_census(sys, fit=alpha == 1.0))
+        sys = to_quasi_harmonic(build_reduced(p, a))
+        rows.append(structure_census(sys))
         coeff = np.abs(sys.monomials.coeff)
         log.info("sweep p=%d: %.3f s, %d invariant candidates tested, smallest "
                  "coupling %.3g of the largest", p, time.perf_counter() - t0,
                  rows[-1].n_candidates, coeff.min() / coeff.max())
-    return SweepReport(a=a, alpha=alpha, rows=rows)
+    return SweepReport(a=a, rows=rows)
 
 
 def sweep_report_text(report: SweepReport) -> str:
-    lines = [f"odd-p sweep (a={report.a!r}, alpha={report.alpha!r}, "
-             f"{len(report.rows)} systems)", ""]
+    lines = [f"odd-p sweep (a={report.a!r}, {len(report.rows)} systems)", ""]
     for row in report.rows:
         lines.append(f"== p = {row.p} "
                      f"({'prime' if _is_prime(row.p) else 'composite'}) ==")

@@ -37,7 +37,8 @@ this pair rule alone, with no magnitude test: at a != 1 every allowed
 entry is listed, however small.  At the equal-mass a = 1 every mode is a
 single cosine, so the weights of the other cosine are exact zeros and
 the entries they would carry are left out; an a within round-off of 1,
-where an allowed entry comes out as exactly 0, is refused.  So a
+where an allowed entry comes out as exactly 0, is refused, and so is an
+a so small that one underflows to 0.  So a
 coupling is present iff it is listed.  Tables read from files, extracted
 subsystems and the cartoon models of :mod:`fpualt.dynamics` are given
 their list instead.  The dense tensor ``bilinear`` is a view made from
@@ -67,7 +68,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .chain import BondSystem
+from .chain import BondSystem, require_finite
 from .reduction import ReducedSystem
 
 
@@ -229,6 +230,12 @@ class QuasiHarmonicSystem:
     ``bilinear`` is the symmetric tensor B with C(x, x)_i = x . B_i . x,
     a dense view made from the list on demand; nothing in the package
     reads it.
+
+    ``lambdas`` is kept as a 1-d float array.  A non-finite lambda or
+    alpha is refused with a ValueError naming it (``alpha must be a
+    finite number, got nan``), so every system, however it is made, has
+    finite values.  The list and lambdas carry the structure; alpha only
+    multiplies every coupling alike.
     """
 
     lambdas: np.ndarray
@@ -242,6 +249,12 @@ class QuasiHarmonicSystem:
 
     def __init__(self, lambdas, labels, alpha, a=math.nan, p=0, basis=None,
                  reduced=None, name="", monomials=None):
+        lambdas = np.asarray(lambdas, dtype=float)
+        if lambdas.ndim != 1:
+            raise ValueError(f"lambdas must be one-dimensional, got shape {lambdas.shape}")
+        if not np.isfinite(np.append(alpha, lambdas)).all():    # then name the first
+            require_finite(alpha=alpha, **{f"lambda {n}": lam
+                                           for n, lam in enumerate(lambdas, start=1)})
         args = locals()
         for fld in fields(self):
             object.__setattr__(self, fld.name, args[fld.name])
@@ -296,7 +309,8 @@ class QuasiHarmonicSystem:
 
         def jac(x):
             gx = (g @ x.T).T
-            return np.diag(-lam) + 2.0 * alpha * (f * gx[..., None, :]) @ g
+            # 2 before alpha: 2 alpha overflows for alpha >= 2^1023
+            return np.diag(-lam) + alpha * (2.0 * (f * gx[..., None, :]) @ g)
 
         return rhs, jac
 
@@ -364,10 +378,6 @@ class QuasiHarmonicSystem:
         i, j, k, coeff = self.monomials
         return zip((i + 1).tolist(), (j + 1).tolist(), (k + 1).tolist(),
                    coeff.tolist())
-
-    def tensor_scale(self) -> float:
-        """Largest monomial magnitude, a scale for the coupling entries."""
-        return float(np.abs(self.monomials.coeff).max(initial=0.0))
 
 
 # Relative to the largest entry, the tolerance to which the cubic-potential
@@ -498,7 +508,9 @@ def _closed_form_monomials(sys: ReducedSystem, basis: ModalBasis) -> Monomials:
     optical one are set to an exact 0 and the entries they carry are left
     out.  Raises
     DegenerateSpectrumError if, at any other a, an allowed entry comes
-    out as exactly 0 (a within a few ulps of 1).
+    out as exactly 0: a within a few ulps of 1, where a weight w cancels
+    to 0, or an a so small (p = 3, a below about 1e-216) that the entry
+    underflows.
     """
     p, t = sys.p, basis.t
     d = t.shape[1]
@@ -529,9 +541,12 @@ def _closed_form_monomials(sys: ReducedSystem, basis: ModalBasis) -> Monomials:
     repeat[jj == kk, :, 1, 0] = True            # the repeat of [:, :, 0, 1]
     keep = (block != 0.0) & ~repeat
     if sys.a != 1.0 and not (keep | repeat).all():
+        if (w == 0.0).any():                # c_o = -+c_e to the last bit
+            raise DegenerateSpectrumError(
+                f"an allowed coupling cancels to 0 for p={p}, a={sys.a!r}: a is "
+                "within round-off of the equal-mass a = 1")
         raise DegenerateSpectrumError(
-            f"an allowed coupling cancels to 0 for p={p}, a={sys.a!r}: a is "
-            "within round-off of the equal-mass a = 1")
+            f"an allowed coupling underflows to 0 for p={p}, a={sys.a!r}")
     shape = block.shape
     i = np.broadcast_to(mi[:, :, None, None], shape)[keep]
     j = np.broadcast_to(mj[:, None, :, None], shape)[keep]
@@ -587,13 +602,11 @@ def save_system(sys: QuasiHarmonicSystem, path):
     """Write ``sys`` as a system file (format above).
 
     A system that :func:`load_system` could not read back, one without
-    mode labels (a cartoon) or with a non-finite ``a`` or ``alpha``, is
-    refused with a ValueError naming it and what it lacks, before
-    ``path`` is opened.
+    mode labels (a cartoon) or with a non-finite ``a``, is refused with a
+    ValueError naming it and what it lacks, before ``path`` is opened.
     """
     missing = [what for what, ok in (("mode labels", None not in sys.labels),
-                                     ("finite a", math.isfinite(sys.a)),
-                                     ("finite alpha", math.isfinite(sys.alpha)))
+                                     ("finite a", math.isfinite(sys.a)))
                if not ok]
     if missing:
         raise ValueError(f"cannot save system {sys.name!r}: it has no "

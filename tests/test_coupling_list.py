@@ -118,7 +118,6 @@ def test_dense_view_and_lookup_read_the_list():
         i, j, k = (int(index[n]) + 1 for index in m[:3])
         assert qh.monomial(i, j, k) == qh.monomial(i, k, j) == m.coeff[n]
     assert qh.monomial(1, 1, 1) == 0.0          # pair 1 squares force pair 2
-    assert qh.tensor_scale() == np.abs(m.coeff).max()
 
 
 def test_a_system_without_a_coupling_is_refused():

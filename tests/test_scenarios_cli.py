@@ -610,6 +610,15 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f"a={a}: a is within round-off" in err
 
+    def test_underflowing_coupling_is_usage_error(self, tmp_path, capsys):
+        # at p = 3 and a <= about 1e-216 an allowed coupling underflows to
+        # 0; the refusal said that a was within round-off of a = 1
+        assert main(["sweep", "--pmax", "3", "--a", "1e-300",
+                     "--out-dir", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == (
+            "error: an allowed coupling underflows to 0 for p=3, a=1e-300\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_pattern_violation_is_usage_error(self, tmp_path, capsys,
                                               monkeypatch):
         def violate(**kwargs):
@@ -648,8 +657,7 @@ class TestCli:
             f"error: {scn}:4: not a finite number: 'inf'\n")
         assert not out.exists()
 
-    @pytest.mark.parametrize("flag, value", [("--a", "inf"), ("--alpha", "nan"),
-                                             ("--a", "-inf")])
+    @pytest.mark.parametrize("flag, value", [("--a", "inf"), ("--a", "-inf")])
     def test_non_finite_sweep_parameter_is_usage_error(self, tmp_path, capsys,
                                                        flag, value):
         # these printed NaN eigenvalues and "interaction: yes" with exit 0
@@ -672,6 +680,25 @@ class TestCli:
                                 f"got {float(value)}\n")
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == []
+
+    def test_sweep_has_no_alpha_flag(self, tmp_path, capsys):
+        # every structural verdict is alpha-free; the flag only changed the
+        # header and dropped the table fit lines
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--pmax", "3", "--alpha", "2", "--out-dir", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --alpha 2" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_huge_equilibria_alpha_keeps_the_origin(self, tmp_path, capsys):
+        # 2 alpha overflowed, inf * 0 made the Jacobian NaN at the origin,
+        # and the search found 0 points with RuntimeWarnings
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["equilibria", str(TABLE_DIR / "p3_a001.txt"),
+                         "--alpha", "1e308", "--out-dir", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "(1 found;" in out and "point (0, 0)  residual 0.00e+00" in out
 
     def test_non_finite_t_end_is_usage_error(self, tmp_path, capsys):
         # --t-end inf ran no step, printed "ok" and exited 0

@@ -199,10 +199,32 @@ class TestQuasiHarmonic:
         assert np.abs(base + qh.lambdas * x).max() == 0.0
         assert np.abs((twice - base) - 2.0 * (full - base)).max() <= 1e-14
 
+    @pytest.mark.parametrize("lambdas, alpha, message", [
+        # alpha = inf was refused only when the system was saved
+        ([0.5, 1.5], math.inf, "alpha must be a finite number, got inf"),
+        # alpha = nan lost the origin: find_equilibria found 0 points
+        ([0.5, 1.5], math.nan, "alpha must be a finite number, got nan"),
+        ([math.nan, 1.0], 1.0, "lambda 1 must be a finite number, got nan"),
+        ([0.5, -math.inf], math.nan, "alpha must be a finite number, got nan"),
+        ([[0.5, 1.5]], 1.0, r"lambdas must be one-dimensional, got shape \(1, 2\)"),
+    ])
+    def test_non_finite_values_are_refused(self, lambdas, alpha, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            QuasiHarmonicSystem(lambdas=lambdas, labels=pair_labels(3), alpha=alpha,
+                                a=0.01, p=3, name="hot",
+                                monomials=([0], [0], [1], [0.25]))
+
+    def test_lambdas_given_as_a_list(self):
+        # a list ended in AttributeError: 'list' object has no attribute 'size'
+        qh = QuasiHarmonicSystem(lambdas=[1.0, 2.0], labels=pair_labels(3), alpha=1.0,
+                                 monomials=([0], [0], [1], [0.25]))
+        assert qh.dof == 2 and qh.lambdas.dtype == float
+        assert np.array_equal(qh.accel(np.array([1.0, 1.0])), [-0.75, -2.0])
+
     def test_p5_square_placement(self, systems):
         # squares of pair 1 modes live only in pair 2 equations and vice versa
         _, _, qh = systems[5]
-        thresh = 1e-10 * qh.tensor_scale()
+        thresh = 1e-10 * np.abs(qh.monomials.coeff).max()
         for sq_mode, eqs in ((1, (3, 4)), (2, (3, 4)), (3, (1, 2)), (4, (1, 2))):
             present = {r + 1 for r in range(4)
                        if abs(qh.bilinear[r, sq_mode - 1, sq_mode - 1]) > thresh}
@@ -333,10 +355,6 @@ class TestSystemFiles:
         # and the unlabelled mode lines could not be read back
         (lambda: cartoon_system(2),
          "cannot save system 'cartoon2': it has no mode labels, no finite a"),
-        (lambda: QuasiHarmonicSystem(
-            lambdas=np.array([0.5, 1.5]), labels=pair_labels(3), alpha=math.inf,
-            a=0.01, p=3, name="hot", monomials=([0], [0], [1], [0.25])),
-         "cannot save system 'hot': it has no finite alpha"),
     ])
     def test_save_refuses_what_load_cannot_read(self, make, message, tmp_path):
         path = tmp_path / "unsaved.txt"

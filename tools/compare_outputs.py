@@ -9,10 +9,12 @@ in ``scenarios/`` and the system tables the ones in ``src/fpualt/data/``
 next to this tool, the same files for both trees.  Each tree, in a
 subprocess of its own, runs every scenario through ``fpualt run``, with
 ``--t-end T`` when given, and writes the reports of ``fpualt sweep
---pmax 99`` and of ``fpualt analyze`` and ``fpualt equilibria`` (with
-and without ``--alpha 2``) of every table, each verb into a directory of
-its own, with one ``exit_codes.txt`` line per report: its arguments,
-exit code and error output.  Every output file is then compared byte
+--pmax 99`` (at the default a = 0.01 and at ``--a 0.3``), of ``fpualt
+sweep --pmax 15 --a 1`` (exit 3: the equal-mass chain breaks the square
+pattern) and of ``fpualt analyze`` and ``fpualt equilibria`` (with and
+without ``--alpha 2``) of every table, each kind of report into a
+directory of its own, with one ``exit_codes.txt`` line per report: its
+arguments, exit code and error output.  Every output file is then compared byte
 for byte, except the manifests, which are compared as JSON without
 their timing fields (``wall_time_s``, ``phase_s``) and with their
 ``outputs`` reduced to file names.
@@ -52,6 +54,8 @@ for path in scenarios:
     if code not in (0, 2):
         sys.exit(f"{path}: exit code {code}")
 reports = {"sweep": [["sweep", "--pmax", "99"]],
+           "sweep_a0.3": [["sweep", "--pmax", "99", "--a", "0.3"]],
+           "sweep_a1": [["sweep", "--pmax", "15", "--a", "1"]],
            "analyze": [["analyze", t] for t in tables],
            "equilibria": [["equilibria", t] for t in tables],
            "equilibria_alpha2": [["equilibria", t, "--alpha", "2"] for t in tables]}
