@@ -23,7 +23,7 @@ from .dynamics import (ClosedFormResponse, EquilibriumReport,
                        IntegratorConfig, ModeActionSeries, Trajectory,
                        cartoon_system, classify_equilibrium, energy_drift,
                        find_equilibria, first_order_response, integrate,
-                       integrate_fixed_step, mode_actions)
+                       mode_actions)
 from .refdata import REFERENCE_TABLES, load_reference, reference_for
 from .scenarios import (Scenario, ScenarioError, SweepReport, analysis_report,
                         equilibria_report, parse_scenario, run_scenario,

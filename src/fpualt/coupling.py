@@ -458,17 +458,15 @@ def scaling_equivalence(source: QuasiHarmonicSystem,
     )
 
 
-def map_reference_state(fit: ScalingFit, x_ref, v_ref=None):
+def map_reference_state(fit: ScalingFit, x_ref, v_ref):
     """Map positions/velocities given in the reference normalisation onto
     the source system's coordinates (source mode order).
 
     If x_src = P (s * x_ref) with P the fitted alignment, trajectories
     of the source system divided back by the scales reproduce reference
-    trajectories.  Sign flips are folded into the scales here, so with
-    ``v_ref`` None a flipped mode starts at velocity -0.0.
+    trajectories.  Sign flips are folded into the scales here.
     """
     s = fit.signed_scales
-    v_ref = np.zeros_like(s) if v_ref is None else v_ref
     out = np.zeros((2, len(s)))
     out[:, np.array(fit.permutation) - 1] = s * np.array([x_ref, v_ref], dtype=float)
     return out[0], out[1]

@@ -193,34 +193,38 @@ def as_state_vector(system, state) -> np.ndarray:
 # --- integration ------------------------------------------------------------
 
 
+MAX_SAMPLES = 10**6          # t_end / sample_dt at most
+DIVERGENCE_NORM = 1e8        # a run stops once a state entry exceeds this
+
+
 @dataclass(frozen=True)
 class IntegratorConfig:
     """Tolerances and sampling for one integration run.
 
     ``sample_dt`` is the output stride; figure captions count time in
     these unit samples.  Tolerances outside (0, 1e-4] are refused, and
-    so is a sample_dt, t_end, max_step or divergence_norm that is not
-    positive (NaN included), and an infinite t_end.
-    ``max_step`` bounds the controller's step; a step that lands on a
-    sample time may exceed it by at most the landing tolerance
-    1e-12 * max(1, t_end).
+    so is a sample_dt or t_end that is not positive (NaN included), an
+    infinite t_end and more than MAX_SAMPLES samples (t_end / sample_dt).
+    Under that cap the landing tolerance 1e-12 * max(1, t_end) is at
+    most 1e-6 * sample_dt for t_end >= 1.
     """
 
     t_end: float
     abs_tol: float = 1e-10
     rel_tol: float = 1e-10
     sample_dt: float = 1.0
-    max_step: float = math.inf
-    divergence_norm: float = 1e8
 
     def validate(self):
         for name, tol in (("abs_tol", self.abs_tol), ("rel_tol", self.rel_tol)):
             if not 0.0 < tol <= 1e-4:
                 raise ValueError(f"{name} must lie in (0, 1e-4], got {tol}")
-        for name in ("sample_dt", "t_end", "max_step", "divergence_norm"):
+        for name in ("sample_dt", "t_end"):
             if not getattr(self, name) > 0:     # NaN fails too
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         require_finite(t_end=self.t_end)
+        if self.t_end / self.sample_dt > MAX_SAMPLES:
+            raise ValueError(f"sample_dt {self.sample_dt} gives more than {MAX_SAMPLES} "
+                             f"samples up to t_end {self.t_end}")
 
 
 @dataclass
@@ -342,17 +346,12 @@ def _integrate(system, state0, cfg):
     eps_t = 1e-12 * max(1.0, cfg.t_end)
     min_step_rel = 16.0 * np.finfo(float).eps
 
-    def next_target():
-        ts = sample_idx * cfg.sample_dt
-        return min(ts, cfg.t_end)
-
     # h_free is the controller's preferred step; clipping a step to land
     # on a sample time must not shrink that preference.  A rejection
     # shrinks the smaller of the two: a landing step that is clipped to
     # the same length each time (the sample lies within 1.25 eps_t)
     # would otherwise be retried unchanged for ever.
     h_free = _initial_step(accel, y, k[0], cfg.abs_tol, cfg.rel_tol, cfg.t_end)
-    h_free = min(h_free, cfg.max_step)
 
     err_prev = 1e-4
     n_attempts = 0
@@ -361,17 +360,17 @@ def _integrate(system, state0, cfg):
 
     abs_y = np.abs(y)     # |y| of the current state, kept from the error scale
     while t < cfg.t_end - eps_t:
-        if not abs_y.max() <= cfg.divergence_norm:     # NaN fails too
+        if not abs_y.max() <= DIVERGENCE_NORM:     # NaN fails too
             status = "diverged"
             message = (f"state norm {abs_y.max():.3e} exceeded "
-                       f"{cfg.divergence_norm:.1e} at t={t:.6g}")
+                       f"{DIVERGENCE_NORM:.1e} at t={t:.6g}")
             break
         if not h_free >= min_step_rel * max(abs(t), 1.0):    # NaN fails too
             status = "step_underflow"
             message = f"step size underflow (h={h_free:.3e}) at t={t:.6g}"
             break
 
-        target = next_target()
+        target = min(sample_idx * cfg.sample_dt, cfg.t_end)
         landing = t + h_free >= target - eps_t
         h = target - t if landing else h_free
 
@@ -395,9 +394,8 @@ def _integrate(system, state0, cfg):
             accepted_h.append(h)
             y, abs_y = y_new, abs_new
             k[0] = k[_N_STAGES]
-            if landing:
-                if abs(target - sample_idx * cfg.sample_dt) <= eps_t:
-                    sample_idx += 1
+            if landing:     # on t_end short of the grid the loop ends here
+                sample_idx += 1
                 times.append(target)
                 states.append(y.copy())
                 t = target
@@ -409,13 +407,12 @@ def _integrate(system, state0, cfg):
                 factor = _SAFETY * err_norm ** (-_PI_ALPHA) * err_prev ** _PI_BETA
                 factor = min(_MAX_GROWTH, max(_MIN_SHRINK, factor))
             err_prev = max(err_norm, 1e-4)
-            proposed = min(h * factor, cfg.max_step)
-            h_free = max(proposed, h_free) if landing else proposed
+            h_free = max(h * factor, h_free) if landing else h * factor
         else:
             h_free = min(h, h_free) * min(1.0, max(
                 _MIN_SHRINK, _SAFETY * err_norm ** (-_ERROR_EXPONENT)))
 
-    if status != "ok" and (not times or times[-1] < t - eps_t):
+    if status != "ok" and times[-1] < t - eps_t:
         times.append(t)
         states.append(y.copy())
 
@@ -441,26 +438,6 @@ def _step_size_summary(steps):
     median = steps[mid] if len(steps) % 2 else (steps[mid - 1] + steps[mid]) / 2
     return {"h_min": float(steps[0]), "h_median": float(median),
             "h_max": float(steps[-1])}
-
-
-def integrate_fixed_step(system, state0, h: float, t_end: float) -> Trajectory:
-    """Fixed-step variant of the same tableau (for order verification)."""
-    accel = system.accel
-    y = as_state_vector(system, state0)
-    n = int(round(t_end / h))
-    times = [0.0]
-    states = [y.copy()]
-    k = np.empty((_N_STAGES, y.size))
-    sums = _stage_sums(k)
-    for i in range(n):
-        _derivative(accel, y, k[0])
-        y = _rk_stages(accel, y, h, k, sums)
-        times.append((i + 1) * h)
-        states.append(y.copy())
-    return Trajectory(times=np.array(times), states=np.array(states),
-                      status="ok", t_reached=float(times[-1]),
-                      n_steps=n, n_rhs=n * _N_STAGES,
-                      **_step_size_summary([h] * n))
 
 
 # --- diagnostics -------------------------------------------------------------
@@ -524,34 +501,37 @@ class EquilibriumReport:
 
 
 IMAG_CLASSIFY_REL = 1e-8
+EQUILIBRIUM_GRID = np.linspace(-4.0, 4.0, 9)   # the seeds' values on each axis
+EQUILIBRIUM_MAX_DOF = 6            # 9^6 seeds at most
 NEWTON_STEPS = 50                  # iterations per seed at most
 EQUILIBRIUM_RESIDUAL_TOL = 1e-12   # largest static residual of a found point
 EQUILIBRIUM_DEDUP_TOL = 1e-8       # points closer than this are one point
 _NEWTON_CHUNK = 4096     # seeds per batch; bounds memory at d = 6 (9^6 seeds)
 
 
-def find_equilibria(system, box_halfwidth=4.0, grid_per_dim=9, max_dim=6):
+def find_equilibria(system):
     """All equilibria reachable by Newton from a regular grid of seeds.
 
-    Seeds fill [-box_halfwidth, box_halfwidth]^d and are iterated
-    together, a batch of rows at a time; non-convergent seeds are
-    dropped silently, converged points deduplicated in seed order and
-    classified.  The count is bounded by the Bezout number 2^d of the quadratic
-    static system.  The seeds are iterated without a numpy warning for
-    the infinities or NaNs of the rows that are dropped.
+    The seeds are the 9^d points of EQUILIBRIUM_GRID^d, the integers of
+    [-4, 4]^d; a system of more than EQUILIBRIUM_MAX_DOF = 6 modes is
+    refused.  The seeds are iterated together, a batch of rows at a
+    time; non-convergent seeds are dropped silently, converged points
+    deduplicated in seed order and classified.  The count is bounded by
+    the Bezout number 2^d of the quadratic static system.  The seeds are
+    iterated without a numpy warning for the infinities or NaNs of the
+    rows that are dropped.
     """
     fun, jac = system.static_field()
     d = system.dof
-    if d > max_dim:
+    if d > EQUILIBRIUM_MAX_DOF:
         raise ValueError(
-            f"exhaustive grid search limited to dimension {max_dim} "
-            f"(got {d}); raise max_dim explicitly for larger systems")
-    axis = np.linspace(-box_halfwidth, box_halfwidth, grid_per_dim)
-    seeds = np.stack(np.meshgrid(*([axis] * d), indexing="ij"), -1).reshape(-1, d)
+            f"the equilibrium grid search is limited to {EQUILIBRIUM_MAX_DOF} "
+            f"modes; this system has {d} modes")
+    seeds = np.stack(np.meshgrid(*([EQUILIBRIUM_GRID] * d), indexing="ij"),
+                     -1).reshape(-1, d)
     with np.errstate(all="ignore"):
         points = np.concatenate([_newton_rows(fun, jac, seeds[i:i + _NEWTON_CHUNK])
-                                 for i in range(0, len(seeds), _NEWTON_CHUNK)]
-                                or [seeds])   # no seeds (grid_per_dim=0): none found
+                                 for i in range(0, len(seeds), _NEWTON_CHUNK)])
         residual = np.abs(fun(points)).max(axis=1, initial=0.0)
     points = points[residual <= EQUILIBRIUM_RESIDUAL_TOL]
     found = []

@@ -556,8 +556,7 @@ def _closed_form_monomials(sys: ReducedSystem, basis: ModalBasis) -> Monomials:
     return _canonical(i, j, k, np.where(j == k, block, 2.0 * block), d)[0]
 
 
-def to_quasi_harmonic(sys: ReducedSystem, basis: ModalBasis = None,
-                      name: str = "") -> QuasiHarmonicSystem:
+def to_quasi_harmonic(sys: ReducedSystem, basis: ModalBasis = None) -> QuasiHarmonicSystem:
     """Pull the reduced quadratic vector back through the modal basis.
 
     The bond factors G = D T, F = -T^{-1} M^{-1} D^T and the monomial
@@ -573,7 +572,7 @@ def to_quasi_harmonic(sys: ReducedSystem, basis: ModalBasis = None,
     return QuasiHarmonicSystem(
         lambdas=basis.lambdas.copy(), labels=basis.labels,
         alpha=sys.alpha, a=sys.a, p=sys.p, basis=basis, reduced=sys,
-        name=name or f"p{sys.p}",
+        name=f"p{sys.p}",
     )
 
 

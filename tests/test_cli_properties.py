@@ -6,10 +6,11 @@ infinities, the zeros, a negative, the subnormals 5e-324 and 1e-320,
 and no RuntimeWarning, and an exit 1 prints ``error:`` naming one of
 the drawn keys.
 
-Accepted runs are kept short: a run to t_end above 2 or with more than
-100 samples (t_end / sample_dt) is not drawn, since it would integrate
-that long; ``--sample-dt 1e-9`` on the scenario below asks for 2e9
-samples."""
+Accepted runs are kept short: a run the integrator accepts to t_end
+above 2 or with more than 100 samples (t_end / sample_dt) is not drawn,
+since it would integrate that long.  Draws it refuses are kept, such as
+``--t-end 1e308`` or ``--sample-dt 1e-320``, which ask for more than
+10^6 samples: they exit 1 at once."""
 
 import contextlib
 import io
@@ -20,6 +21,7 @@ import warnings
 
 import pytest
 
+from fpualt import parse_scenario
 from fpualt.cli import main
 
 from conftest import SCENARIO_DIR
@@ -31,6 +33,7 @@ EXTREMES = (math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 5e-324, 1e-320, 1e30
 ORDINARY = {"t_end": (0.5, 2.0), "abs_tol": (1e-10, 1e-8), "rel_tol": (1e-10, 1e-8),
             "sample_dt": (0.05, 0.5), "a": (0.01, 0.3, 1.0), "alpha": (0.5, 2.0)}
 SCENARIO = SCENARIO_DIR / "fig_p3_forcing.scn"      # sample_dt = 1.0
+BASE = parse_scenario(SCENARIO)
 TABLE = SCENARIO_DIR.parent / "src" / "fpualt" / "data" / "p3_a001.txt"
 
 
@@ -51,8 +54,13 @@ def calls(draw):
     for key in ("abs_tol", "rel_tol", "sample_dt"):
         if draw(st.booleans()):
             drawn[key] = draw(value(key))
-    t_end, sample_dt = drawn["t_end"], drawn.get("sample_dt", 1.0)
-    hypothesis.assume(not (t_end > 2.0 or (sample_dt > 0 and t_end / sample_dt > 100)))
+    cfg = BASE.config(drawn)
+    try:
+        cfg.validate()
+    except ValueError:      # refused before a step
+        pass
+    else:
+        hypothesis.assume(cfg.t_end <= 2.0 and cfg.t_end / cfg.sample_dt <= 100)
     return (["run", str(SCENARIO)]
             + [f"--{key.replace('_', '-')}={v!r}" for key, v in drawn.items()], set(drawn))
 

@@ -7,9 +7,9 @@ from fpualt import (ChainParams, IntegratorConfig, QuasiHarmonicSystem,
                     ReducedState, build_chain, build_reduced, cartoon_system,
                     classify_equilibrium,
                     energy_drift, find_equilibria, first_order_response,
-                    integrate, integrate_fixed_step, load_reference,
-                    mode_actions)
-from fpualt.dynamics import _RK_C, energy_function
+                    integrate, load_reference, mode_actions)
+from fpualt.dynamics import (MAX_SAMPLES, _N_STAGES, _RK_C, _derivative,
+                             _rk_stages, _stage_sums, energy_function)
 
 from conftest import tensor_monomials
 
@@ -31,13 +31,21 @@ class TestIntegratorBasics:
         # an infinite t_end ran no step and reported "ok"
         with pytest.raises(ValueError, match="t_end must be a finite number"):
             IntegratorConfig(t_end=math.inf).validate()
+        # --sample-dt 1e-9 ran for ever; --t-end 1e13 made the landing
+        # tolerance 1e-12 t_end exceed sample_dt and stopped at t = 0
+        IntegratorConfig(t_end=MAX_SAMPLES * 0.5, sample_dt=0.5).validate()
+        for t_end, sample_dt in ((200.0, 1e-9), (1e13, 1.0), (1.0, 5e-324)):
+            with pytest.raises(ValueError) as err:
+                IntegratorConfig(t_end=t_end, sample_dt=sample_dt).validate()
+            assert str(err.value) == (f"sample_dt {sample_dt} gives more than "
+                                      f"1000000 samples up to t_end {t_end}")
 
-    @pytest.mark.parametrize("field", ["max_step", "divergence_norm"])
+    @pytest.mark.parametrize("field", ["sample_dt", "t_end"])
     @pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
     def test_config_refuses_non_positive_limits(self, field, value):
-        with pytest.raises(ValueError, match=field):
-            IntegratorConfig(t_end=1.0, **{field: value}).validate()
-        IntegratorConfig(t_end=1.0, **{field: math.inf}).validate()
+        with pytest.raises(ValueError, match=f"{field} must be positive"):
+            IntegratorConfig(**{"t_end": 1.0, field: value}).validate()
+        IntegratorConfig(**{"t_end": 1.0, field: 0.5}).validate()
 
     def test_harmonic_oscillator_period(self):
         tr = integrate(single_mode(1.0), np.array([1.0, 0.0]),
@@ -57,8 +65,11 @@ class TestIntegratorBasics:
         y0 = np.array([1.0, 0.0])
         errs = []
         for h in (0.4, 0.2):
-            tr = integrate_fixed_step(sys, y0, h, 20.0)
-            errs.append(abs(tr.states[-1, 0] - math.cos(20.0)))
+            y, k = y0, np.empty((_N_STAGES, 2))
+            for _ in range(round(20.0 / h)):
+                _derivative(sys.accel, y, k[0])
+                y = _rk_stages(sys.accel, y, h, k, _stage_sums(k))
+            errs.append(abs(y[0] - math.cos(20.0)))
         assert errs[0] / errs[1] >= 2 ** 7
 
     def test_determinism(self, systems, rng):
@@ -109,11 +120,13 @@ class TestDivergence:
         # drift diagnostic still works on the truncated trajectory
         assert math.isfinite(energy_drift(red, tr))
 
-    def test_cutoff_configurable(self, systems):
+    def test_cutoff_configurable(self, systems, monkeypatch):
+        # the cutoff is the module constant DIVERGENCE_NORM, read per run
+        monkeypatch.setattr("fpualt.dynamics.DIVERGENCE_NORM", 1e3)
         red, _, _ = systems[3]
         tr = integrate(red, np.array([1.00754, 2.0, 0.0, 0.0]),
-                       IntegratorConfig(t_end=400.0, divergence_norm=1e3))
-        assert tr.status == "diverged" and np.abs(tr.states[-1]).max() >= 1e3
+                       IntegratorConfig(t_end=400.0))
+        assert tr.status == "diverged" and 1e3 <= np.abs(tr.states[-1]).max() < 1e8
 
 
 class _Wall:
@@ -207,15 +220,11 @@ class TestNonFiniteSteps:
 class TestStepSizes:
     def test_accepted_step_range(self):
         tr = integrate(single_mode(), np.array([1.0, 0.0]),
-                       IntegratorConfig(t_end=20.0, max_step=0.05))
+                       IntegratorConfig(t_end=20.0, sample_dt=0.05))
         # a step that lands on a sample may overshoot by the landing
         # tolerance 1e-12 * t_end
         assert 0.0 < tr.h_min <= tr.h_median <= tr.h_max <= 0.05 + 1e-12 * 20.0
         assert tr.n_steps >= 20.0 / 0.05
-
-    def test_fixed_step_range(self):
-        tr = integrate_fixed_step(single_mode(), np.array([1.0, 0.0]), 0.25, 5.0)
-        assert tr.h_min == tr.h_median == tr.h_max == 0.25
 
     def test_no_step_taken(self):
         tr = integrate(single_mode(), np.array([2e8, 0.0]), IntegratorConfig(t_end=1.0))
@@ -342,11 +351,10 @@ class TestEquilibria:
             classify_equilibrium(red, np.array([0.5, 0.5]))
 
 
-def _newton_per_seed(system, box_halfwidth=4.0, grid_per_dim=9):
+def _newton_per_seed(system, axis):
     """The equilibrium search one seed at a time, as a reference."""
     fun, jac = system.static_field()
     d = system.dof
-    axis = np.linspace(-box_halfwidth, box_halfwidth, grid_per_dim)
     found = []
     for seed in np.stack(np.meshgrid(*([axis] * d), indexing="ij"), -1).reshape(-1, d):
         x = seed.copy()
@@ -372,29 +380,27 @@ def _newton_per_seed(system, box_halfwidth=4.0, grid_per_dim=9):
 class TestBatchedNewton:
     @pytest.mark.parametrize("p, kind, grid", [(3, "reduced", 9), (3, "qh", 9),
                                                (5, "reduced", 5), (5, "qh", 5)])
-    def test_matches_per_seed_search(self, systems, p, kind, grid):
+    def test_matches_per_seed_search(self, systems, monkeypatch, p, kind, grid):
+        # at p = 5 the per-seed reference would take seconds on the 9^4 seeds
+        axis = np.linspace(-4.0, 4.0, grid)
+        monkeypatch.setattr("fpualt.dynamics.EQUILIBRIUM_GRID", axis)
         red, _, qh = systems[p]
         system = red if kind == "reduced" else qh
-        expected = _newton_per_seed(system, grid_per_dim=grid)
-        got = np.array([r.point for r in find_equilibria(system, grid_per_dim=grid)])
+        expected = _newton_per_seed(system, axis)
+        got = np.array([r.point for r in find_equilibria(system)])
         assert got.shape == expected.shape
         assert np.abs(got - expected).max() <= 1e-12
 
-    def test_no_seeds_finds_nothing(self, systems):
-        red, _, qh = systems[3]
-        assert find_equilibria(red, grid_per_dim=0) == []
-        assert find_equilibria(qh, grid_per_dim=0) == []
-
     def test_singular_seed_dropped(self):
-        # xdd = x^2 - x: the Jacobian 2x - 1 is singular at the seed 0.5,
-        # which is dropped; the seeds around it still find 0 and 1.
-        sys = QuasiHarmonicSystem(lambdas=np.array([1.0]),
+        # xdd = x^2 - 2x: the Jacobian 2x - 2 is singular at the seed 1,
+        # which is dropped; the other seeds still find 0 and 2.
+        sys = QuasiHarmonicSystem(lambdas=np.array([2.0]),
                                   monomials=([0], [0], [0], [1.0]),
                                   labels=(None,), alpha=1.0)
         fun, jac = sys.static_field()
-        assert jac(np.array([0.5]))[0, 0] == 0.0
-        reports = find_equilibria(sys, box_halfwidth=1.0, grid_per_dim=5)
-        assert [float(r.point[0]) for r in reports] == [0.0, 1.0]
+        assert jac(np.array([1.0]))[0, 0] == 0.0
+        reports = find_equilibria(sys)
+        assert [float(r.point[0]) for r in reports] == [0.0, 2.0]
 
 
 class TestFirstOrderResponse:

@@ -161,6 +161,15 @@ class TestScenarioParsing:
         assert str(err.value) == (
             f"{bad}:6: [system] key 'kind' given twice, first at {bad}:2")
 
+    def test_too_many_samples_names_the_line(self, tmp_path):
+        bad = tmp_path / "s.scn"
+        bad.write_text("[system]\nkind = reduced\n[integrate]\n"
+                       "t_end = 200\nsample_dt = 1e-9\n")
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(bad)
+        assert str(err.value) == (f"{bad}:5: sample_dt 1e-09 gives more than "
+                                  "1000000 samples up to t_end 200.0")
+
     @pytest.mark.parametrize("line", [
         "[system]\nkind = reduced\nalpha = inf",
         "[system]\nkind = full\nbeta = -inf",
@@ -416,9 +425,8 @@ class TestRunScenario:
             assert h == [res.trajectory.h_min, res.trajectory.h_median,
                          res.trajectory.h_max], name
             assert all(math.isfinite(x) and x > 0 for x in h), name
-            # no scenario sets max_step; landing on samples caps every step
-            assert h[0] <= h[1] <= h[2] <= res.scenario.config().max_step, name
-            assert h[2] <= man["integrator"]["sample_dt"], name
+            # landing on samples caps every step
+            assert h[0] <= h[1] <= h[2] <= man["integrator"]["sample_dt"], name
 
     def test_csv_shape_and_header(self, scenario_results):
         res = scenario_results["fig_p3_forcing"]
@@ -709,6 +717,30 @@ class TestCli:
         assert captured.err == "error: t_end must be a finite number, got inf\n"
         assert captured.out == ""
         assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value, t_end, sample_dt", [
+        ("--t-end", "1e13", 1e13, 1.0), ("--sample-dt", "1e-9", 200.0, 1e-9)])
+    def test_too_many_samples_is_usage_error(self, tmp_path, capsys, flag, value,
+                                             t_end, sample_dt):
+        # --t-end 1e13 stopped at t = 0 with a false step_underflow and wrote
+        # 9 files; --sample-dt 1e-9 ran for ever
+        out = tmp_path / "out"
+        assert main(["run", str(SCENARIO_DIR / "fig_p3_forcing.scn"),
+                     flag, value, "--out-dir", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: sample_dt {sample_dt} gives more than "
+                                f"1000000 samples up to t_end {t_end}\n")
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_equilibria_of_too_many_modes_is_usage_error(self, tmp_path, capsys):
+        assert main(["equilibria", str(TABLE_DIR / "p9_a001.txt"),
+                     "--out-dir", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ("error: the equilibrium grid search is limited to "
+                                "6 modes; this system has 8 modes\n")
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
 
     def test_overflowing_mass_parameter_is_usage_error(self, tmp_path, capsys):
         # (1 + a)^2 overflowed into an OverflowError traceback
