@@ -11,14 +11,19 @@ checked for finiteness once per step.  A trajectory records its step,
 rejection and right-hand-side counts and the range of accepted steps.
 
 A step of the shipped scenarios' systems (2 to 6 degrees of freedom)
-costs about 120 us, nearly all of it the overhead of numpy calls on
-arrays of at most 12 entries, and a little over 40 % of it in the
-right-hand side.  So every matrix-vector product of the step (the 11
-stage sums, the solution and the two error estimates) is an
-``ndarray.dot``, which calls the same BLAS routine as ``@`` for less
-overhead, and |y| is computed once per accepted state, for the next
-step's error scale and its divergence test.  Neither changes a bit of
-any output.
+costs about 105 us in the traced ``scenarios`` benchmark, nearly all
+of it the overhead of numpy calls on arrays of at most 12 entries, and
+about half of it in the right-hand side.  So the step loop allocates no array of its own (the right-hand
+side and a kept sample still do): the stage state, the stage-sum
+scratch, the row views of the stage array and the error-norm terms are
+made once per run, and each stage sum is ``ndarray.dot`` into the
+scratch, a product with h and a sum with y, all with ``out=``.  Every
+matrix-vector product (the 11 stage sums, the solution and the two
+error estimates) is an ``ndarray.dot``, which calls the same BLAS
+routine as ``@`` for less overhead, and |y| is computed once per
+accepted state, for the next step's error scale and its divergence
+test.  Each operation and its operand order is the one of the
+allocating expressions, so none of this changes a bit of any output.
 
 Unbounded solutions are a genuine feature of these cubic systems:
 integration terminates with a divergence report (never an exception)
@@ -108,7 +113,9 @@ _RK_A = np.array([
 ])
 
 _N_STAGES = 12
-_RK_A_ROWS = tuple(_RK_A[s, :s] for s in range(_N_STAGES))
+# the weights of the stage sums 1 .. 12: rows 1 .. 11 of A, then b for the
+# order-8 solution, at which stage 12 evaluates f(y_new)
+_STAGE_WEIGHTS = tuple(_RK_A[s, :s] for s in range(1, _N_STAGES)) + (_RK_B,)
 _ERROR_EXPONENT = 1.0 / 8.0      # embedded order 7 -> 1/(q+1)
 _PI_ALPHA = 0.095                # 1/8 - 0.75 * beta, the standard PI pairing
 _PI_BETA = 0.04
@@ -292,24 +299,37 @@ def _derivative(accel, y, out):
     out[d:] = accel(y[:d])
 
 
-def _stage_sums(k):
-    """The views k[:s].T for s = 0 .. len(k), built once per run."""
-    return [k[:s].T for s in range(len(k) + 1)]
+def _stage_buffers(k):
+    """The buffers of the stage loop over the stage array k, built once per run.
 
-
-def _rk_stages(accel, y, h, k, sums):
-    """Fill stages 1..11 of ``k`` for a step h from y, given k[0] = f(y).
-
-    ``sums`` are the views of :func:`_stage_sums`.  Each stage writes its
-    velocity and acceleration straight into its row of ``k``.  Returns
-    the order-8 solution y + h sum_s b_s k_s.
+    Returns the stage state ys with its q and v views, a scratch vector
+    for the stage sums and, for the stages s = 1 .. 12, the view
+    k[:s].T, the weights of its sum and the row views k[s, :d], k[s, d:].
     """
-    d = y.size // 2
-    for s in range(1, _N_STAGES):
-        ys = y + h * sums[s].dot(_RK_A_ROWS[s])
-        k[s, :d] = ys[d:]
-        k[s, d:] = accel(ys[:d])
-    return y + h * sums[_N_STAGES].dot(_RK_B)
+    d = k.shape[1] // 2
+    ys = np.empty(2 * d)
+    stages = [(k[:s].T, w, k[s, :d], k[s, d:])
+              for s, w in enumerate(_STAGE_WEIGHTS, start=1)]
+    return ys, ys[:d], ys[d:], np.empty(2 * d), stages
+
+
+def _rk_stages(accel, y, h, buffers):
+    """Fill stages 1..12 of k for a step h from y, given k[0] = f(y).
+
+    ``buffers`` are those of :func:`_stage_buffers`.  Each stage writes
+    its state y + h (K a_s) into ys, without allocating, and its velocity
+    and acceleration into its row of k.  The last stage state is the
+    order-8 solution y + h (K b), so ys ends as y_new and k[12] as
+    f(y_new).  Returns ys.
+    """
+    ys, q, v, tmp, stages = buffers
+    for sums, a_s, k_v, k_a in stages:
+        sums.dot(a_s, out=tmp)
+        np.multiply(h, tmp, out=tmp)
+        np.add(y, tmp, out=ys)
+        k_v[...] = v
+        k_a[...] = accel(q)
+    return ys
 
 
 def integrate(system, state0, cfg: IntegratorConfig) -> Trajectory:
@@ -334,12 +354,13 @@ def _integrate(system, state0, cfg):
     accel = system.accel
     d = system.dof
 
-    y = as_state_vector(system, state0)
+    y = as_state_vector(system, state0).copy()     # may be the caller's array
     t = 0.0
     times = [0.0]
     states = [y.copy()]
     k = np.empty((_N_STAGES + 1, 2 * d))   # k[0] = f(y); k[12] = f(y_new)
-    sums, k_t = _stage_sums(k), k.T
+    buffers, k_t = _stage_buffers(k), k.T
+    finite = np.empty(k.shape, dtype=bool)
     _derivative(accel, y, k[0])
 
     sample_idx = 1
@@ -358,7 +379,10 @@ def _integrate(system, state0, cfg):
     accepted_h = []
     status, message = "ok", ""
 
-    abs_y = np.abs(y)     # |y| of the current state, kept from the error scale
+    # |y| of the current state and of y_new, swapped on acceptance, and
+    # the error scale and estimates: the error norm allocates nothing
+    abs_y, abs_new = np.abs(y), np.empty(2 * d)
+    scale, err5, err3 = np.empty(2 * d), np.empty(2 * d), np.empty(2 * d)
     while t < cfg.t_end - eps_t:
         if not abs_y.max() <= DIVERGENCE_NORM:     # NaN fails too
             status = "diverged"
@@ -375,16 +399,17 @@ def _integrate(system, state0, cfg):
         h = target - t if landing else h_free
 
         n_attempts += 1
-        y_new = _rk_stages(accel, y, h, k, sums)
-        _derivative(accel, y_new, k[_N_STAGES])
-        if not np.isfinite(k).all():    # a non-finite stage or y_new shows here
+        y_new = _rk_stages(accel, y, h, buffers)
+        if not np.isfinite(k, out=finite).all():    # a non-finite stage or y_new shows here
             h_free = min(h, h_free) * _MIN_SHRINK
             continue
 
-        abs_new = np.abs(y_new)
-        scale = cfg.abs_tol + cfg.rel_tol * np.maximum(abs_y, abs_new)
-        err5 = k_t.dot(_RK_E5) / scale
-        err3 = k_t.dot(_RK_E3) / scale
+        np.abs(y_new, out=abs_new)
+        np.maximum(abs_y, abs_new, out=scale)
+        np.multiply(cfg.rel_tol, scale, out=scale)
+        np.add(cfg.abs_tol, scale, out=scale)
+        np.divide(k_t.dot(_RK_E5, out=err5), scale, out=err5)
+        np.divide(k_t.dot(_RK_E3, out=err3), scale, out=err3)
         n5 = float(np.dot(err5, err5))
         n3 = float(np.dot(err3, err3))
         denom = n5 + 0.01 * n3
@@ -392,7 +417,8 @@ def _integrate(system, state0, cfg):
 
         if err_norm <= 1.0:
             accepted_h.append(h)
-            y, abs_y = y_new, abs_new
+            y[...] = y_new
+            abs_y, abs_new = abs_new, abs_y
             k[0] = k[_N_STAGES]
             if landing:     # on t_end short of the grid the loop ends here
                 sample_idx += 1

@@ -9,7 +9,7 @@ from fpualt import (ChainParams, IntegratorConfig, QuasiHarmonicSystem,
                     energy_drift, find_equilibria, first_order_response,
                     integrate, load_reference, mode_actions)
 from fpualt.dynamics import (MAX_SAMPLES, _N_STAGES, _RK_C, _derivative,
-                             _rk_stages, _stage_sums, energy_function)
+                             _rk_stages, _stage_buffers, energy_function)
 
 from conftest import tensor_monomials
 
@@ -65,12 +65,29 @@ class TestIntegratorBasics:
         y0 = np.array([1.0, 0.0])
         errs = []
         for h in (0.4, 0.2):
-            y, k = y0, np.empty((_N_STAGES, 2))
+            y, k = y0, np.empty((_N_STAGES + 1, 2))
+            buffers = _stage_buffers(k)
             for _ in range(round(20.0 / h)):
                 _derivative(sys.accel, y, k[0])
-                y = _rk_stages(sys.accel, y, h, k, _stage_sums(k))
+                y = _rk_stages(sys.accel, y, h, buffers).copy()
             errs.append(abs(y[0] - math.cos(20.0)))
         assert errs[0] / errs[1] >= 2 ** 7
+
+    def test_caller_state_unchanged(self, systems, rng):
+        # the step loop writes into its own buffers, and as_state_vector
+        # may hand it the caller's array
+        red, _, _ = systems[3]
+        y0 = np.concatenate([rng.uniform(-0.3, 0.3, 2), np.zeros(2)])
+        kept = y0.copy()
+        cfg = IntegratorConfig(t_end=5.0)
+        tr1 = integrate(red, y0, cfg)
+        assert np.array_equal(y0, kept) and not np.shares_memory(tr1.states, y0)
+        state = ReducedState(y0[:2].copy(), y0[2:].copy())
+        tr2 = integrate(red, state, cfg)
+        assert np.array_equal(state.q, kept[:2]) and np.array_equal(state.v, kept[2:])
+        assert np.array_equal(tr1.states, tr2.states)
+        assert not np.shares_memory(tr1.states, tr2.states)
+        assert not np.array_equal(tr1.states[0], tr1.states[-1])
 
     def test_determinism(self, systems, rng):
         _, _, qh = systems[5]

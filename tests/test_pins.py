@@ -2,10 +2,13 @@
 
 Every system's acceleration evaluates its matrix-vector products with
 ``ndarray.dot`` and puts the force's sign into the mass divisor; the
-CSV and SVG writers format a chunk of values with one ``%``.  None of
-this may change a bit: each form is compared with the old one, kept
-here verbatim, for single states and rows, and for columns with -0.0,
-subnormals, +-1e308, non-finite values, integers, one row and none.
+RK8 step writes its stage sums and error norm into buffers made once
+per run; the CSV and SVG writers format a chunk of values with one
+``%``.  None of this may change a bit: each form is compared with the
+old one, kept here verbatim, for single states and rows, for whole
+trajectories (with rejected steps and a non-finite wall), and for
+columns with -0.0, subnormals, +-1e308, non-finite values, integers,
+one row and none.
 """
 
 import math
@@ -13,8 +16,13 @@ import math
 import numpy as np
 import pytest
 
-from fpualt import (ChainParams, build_chain, build_reduced, cartoon_system,
-                    load_reference, to_quasi_harmonic)
+from fpualt import (ChainParams, IntegratorConfig, Trajectory, build_chain,
+                    build_reduced, cartoon_system, integrate, load_reference,
+                    to_quasi_harmonic)
+from fpualt.dynamics import (DIVERGENCE_NORM, _ERROR_EXPONENT, _MAX_GROWTH,
+                             _MIN_SHRINK, _N_STAGES, _PI_ALPHA, _PI_BETA, _RK_A,
+                             _RK_B, _RK_E3, _RK_E5, _SAFETY, _derivative,
+                             _initial_step, _step_size_summary, as_state_vector)
 from fpualt.writers import (_H, _MAX_POINTS, _MB, _ML, _MR, _MT, _PALETTE,
                             _ROW_CHUNK, _W, _fmt_num, _ticks, write_csv,
                             write_svg_lines)
@@ -79,6 +87,175 @@ def test_force_matches_the_matmul_form(rng):
     force = sys.static_field()[0]
     for q in states(rng, sys.dof):
         assert same_bits(force(q), old_force(sys)(q)), q
+
+
+# --- the RK8 step ---------------------------------------------------------------
+
+_RK_A_ROWS = tuple(_RK_A[s, :s] for s in range(_N_STAGES))
+
+
+def _stage_sums(k):
+    """The views k[:s].T for s = 0 .. len(k), built once per run."""
+    return [k[:s].T for s in range(len(k) + 1)]
+
+
+def old_rk_stages(accel, y, h, k, sums):
+    """Fill stages 1..11 of ``k`` for a step h from y, given k[0] = f(y).
+
+    ``sums`` are the views of :func:`_stage_sums`.  Each stage writes its
+    velocity and acceleration straight into its row of ``k``.  Returns
+    the order-8 solution y + h sum_s b_s k_s.
+    """
+    d = y.size // 2
+    for s in range(1, _N_STAGES):
+        ys = y + h * sums[s].dot(_RK_A_ROWS[s])
+        k[s, :d] = ys[d:]
+        k[s, d:] = accel(ys[:d])
+    return y + h * sums[_N_STAGES].dot(_RK_B)
+
+
+def old_integrate(system, state0, cfg):
+    """The step loop with a new array for every stage sum and error term."""
+    with np.errstate(all="ignore"):
+        return _old_integrate(system, state0, cfg)
+
+
+def _old_integrate(system, state0, cfg):
+    cfg.validate()
+    accel = system.accel
+    d = system.dof
+
+    y = as_state_vector(system, state0)
+    t = 0.0
+    times = [0.0]
+    states = [y.copy()]
+    k = np.empty((_N_STAGES + 1, 2 * d))   # k[0] = f(y); k[12] = f(y_new)
+    sums, k_t = _stage_sums(k), k.T
+    _derivative(accel, y, k[0])
+
+    sample_idx = 1
+    eps_t = 1e-12 * max(1.0, cfg.t_end)
+    min_step_rel = 16.0 * np.finfo(float).eps
+
+    h_free = _initial_step(accel, y, k[0], cfg.abs_tol, cfg.rel_tol, cfg.t_end)
+
+    err_prev = 1e-4
+    n_attempts = 0
+    accepted_h = []
+    status, message = "ok", ""
+
+    abs_y = np.abs(y)     # |y| of the current state, kept from the error scale
+    while t < cfg.t_end - eps_t:
+        if not abs_y.max() <= DIVERGENCE_NORM:     # NaN fails too
+            status = "diverged"
+            message = (f"state norm {abs_y.max():.3e} exceeded "
+                       f"{DIVERGENCE_NORM:.1e} at t={t:.6g}")
+            break
+        if not h_free >= min_step_rel * max(abs(t), 1.0):    # NaN fails too
+            status = "step_underflow"
+            message = f"step size underflow (h={h_free:.3e}) at t={t:.6g}"
+            break
+
+        target = min(sample_idx * cfg.sample_dt, cfg.t_end)
+        landing = t + h_free >= target - eps_t
+        h = target - t if landing else h_free
+
+        n_attempts += 1
+        y_new = old_rk_stages(accel, y, h, k, sums)
+        _derivative(accel, y_new, k[_N_STAGES])
+        if not np.isfinite(k).all():    # a non-finite stage or y_new shows here
+            h_free = min(h, h_free) * _MIN_SHRINK
+            continue
+
+        abs_new = np.abs(y_new)
+        scale = cfg.abs_tol + cfg.rel_tol * np.maximum(abs_y, abs_new)
+        err5 = k_t.dot(_RK_E5) / scale
+        err3 = k_t.dot(_RK_E3) / scale
+        n5 = float(np.dot(err5, err5))
+        n3 = float(np.dot(err3, err3))
+        denom = n5 + 0.01 * n3
+        err_norm = 0.0 if denom <= 0.0 else abs(h) * n5 / math.sqrt(denom * len(scale))
+
+        if err_norm <= 1.0:
+            accepted_h.append(h)
+            y, abs_y = y_new, abs_new
+            k[0] = k[_N_STAGES]
+            if landing:     # on t_end short of the grid the loop ends here
+                sample_idx += 1
+                times.append(target)
+                states.append(y.copy())
+                t = target
+            else:
+                t = t + h
+            if err_norm == 0.0:
+                factor = _MAX_GROWTH
+            else:
+                factor = _SAFETY * err_norm ** (-_PI_ALPHA) * err_prev ** _PI_BETA
+                factor = min(_MAX_GROWTH, max(_MIN_SHRINK, factor))
+            err_prev = max(err_norm, 1e-4)
+            h_free = max(h * factor, h_free) if landing else h * factor
+        else:
+            h_free = min(h, h_free) * min(1.0, max(
+                _MIN_SHRINK, _SAFETY * err_norm ** (-_ERROR_EXPONENT)))
+
+    if status != "ok" and times[-1] < t - eps_t:
+        times.append(t)
+        states.append(y.copy())
+
+    n_steps = len(accepted_h)
+    return Trajectory(
+        times=np.array(times), states=np.array(states), status=status,
+        t_reached=float(t), message=message, n_steps=n_steps,
+        n_rejected=n_attempts - n_steps, n_rhs=2 + _N_STAGES * n_attempts,
+        **_step_size_summary(accepted_h),
+    )
+
+
+def same_run(new, old):
+    """Every field of two trajectories, the floats and arrays bit for bit."""
+    for name in Trajectory.__dataclass_fields__:
+        a, b = getattr(new, name), getattr(old, name)
+        if isinstance(a, np.ndarray):
+            assert same_bits(a, b), name
+        else:
+            assert type(a) is type(b) and repr(a) == repr(b), name
+
+
+class _Wall:
+    """A free particle whose acceleration is NaN from q = 1 on."""
+
+    dof = 1
+
+    def accel(self, q):
+        return np.where(q < 1.0, 0.0, np.nan)
+
+
+@pytest.mark.parametrize("kind", SYSTEMS)
+def test_step_matches_the_allocating_loop(kind, rng):
+    sys = SYSTEMS[kind]()
+    y0 = np.concatenate([rng.uniform(-0.3, 0.3, sys.dof),
+                         rng.uniform(-0.05, 0.05, sys.dof)])
+    cfg = IntegratorConfig(t_end=20.0, sample_dt=0.5)
+    new, old = integrate(sys, y0, cfg), old_integrate(sys, y0, cfg)
+    assert new.ok and new.n_steps > 20
+    same_run(new, old)
+
+
+def test_rejecting_run_matches_the_allocating_loop():
+    # an unbounded reduced p = 3 run: steps are rejected on the way out
+    sys, y0 = build_reduced(3, 0.01), np.array([1.00754, 2.0, 0.0, 0.0])
+    cfg = IntegratorConfig(t_end=400.0)
+    new, old = integrate(sys, y0, cfg), old_integrate(sys, y0, cfg)
+    assert new.status == "diverged" and new.n_rejected > 10
+    same_run(new, old)
+
+
+def test_wall_run_matches_the_allocating_loop():
+    cfg = IntegratorConfig(t_end=5.0, sample_dt=1.0)
+    y0 = np.array([0.0, 1.0])
+    new, old = integrate(_Wall(), y0, cfg), old_integrate(_Wall(), y0, cfg)
+    assert new.status == "step_underflow" and new.n_rejected > 0
+    same_run(new, old)
 
 
 # --- writers -------------------------------------------------------------------
