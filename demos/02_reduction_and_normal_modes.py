@@ -35,8 +35,8 @@ print("pair sum (always 2 + 2a):", basis.lambdas.sum())
 
 qh = to_quasi_harmonic(red, basis)
 print("\nquasi-harmonic coupling coefficients (this package's scaling):")
-for i, j, k, c in qh.monomial_entries():
-    print(f"  equation {i}:  x{j} x{k}  {c:+.10f}")
+for i, j, k, c in zip(*qh.monomials):       # 0-based indices
+    print(f"  equation {i + 1}:  x{j + 1} x{k + 1}  {c:+.10f}")
 
 # the published table uses a different per-mode scaling; the fit recovers it
 fit = scaling_equivalence(qh, load_reference("p3_full"))

@@ -7,7 +7,8 @@ potential
 
 through a bond operator D: the bond extensions are e = D q, the force is
 -D^T V'(e), the energy is sum m v^2/2 + sum_b V(e_b) and the stiffness
-is K = D^T D.  :class:`BondSystem` owns that force and that energy.  The
+is K = D^T D.  :class:`BondSystem` owns that force, that energy and that
+stiffness, which it reads from D rather than storing beside it.  The
 periodic chain below and the fixed-end reduced system of
 :mod:`fpualt.reduction` are bond-space systems that differ only in D,
 the masses and beta; the bond-factor energy of the quasi-harmonic
@@ -87,6 +88,11 @@ class BondSystem:
     def accel(self):
         """The map q -> qdd = -M^{-1} D^T V'(D q), built once per system."""
         return self._bond_map(-self.masses)
+
+    @cached_property
+    def stiffness(self):
+        """The stiffness K = D^T D of the linearisation about the origin."""
+        return self.bonds.T @ self.bonds
 
     def energy(self, states):
         """Energy sum m v^2 / 2 + sum_b V((D q)_b), vectorised over rows [q, v]."""
@@ -197,11 +203,6 @@ def total_momentum(sys: FullChainSystem, state: FullState) -> float:
     return float(np.sum(sys.masses * state.v))
 
 
-def stiffness_full(sys: FullChainSystem):
-    """Stiffness matrix K = D^T D of the linearisation about the origin (periodic)."""
-    return sys.bonds.T @ sys.bonds
-
-
 def linear_spectrum_full(sys: FullChainSystem):
     """Eigenvalues omega^2 of the linearised chain, sorted descending.
 
@@ -209,7 +210,7 @@ def linear_spectrum_full(sys: FullChainSystem):
     includes the zero eigenvalue of the momentum mode (up to round-off).
     """
     d = 1.0 / np.sqrt(sys.masses)
-    s = d[:, None] * stiffness_full(sys) * d[None, :]
+    s = d[:, None] * sys.stiffness * d[None, :]
     return np.linalg.eigvalsh(s)[::-1]
 
 
@@ -220,7 +221,7 @@ def embed_state(state: FullState, k: int) -> FullState:
     its evolution there, restricted to one period, reproduces the small
     chain's evolution.
     """
-    if int(k) != k or k < 1:
+    if not (k >= 1 and k % 1 == 0):        # false for inf and nan too
         raise ValueError(f"repetition factor k must be a positive integer, got {k}")
     k = int(k)
     return FullState(q=np.tile(state.q, k), v=np.tile(state.v, k))

@@ -19,7 +19,6 @@ import argparse
 import logging
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
@@ -70,7 +69,6 @@ def build_parser():
     eq = sub.add_parser("equilibria", help="equilibrium search for a system file")
     eq.add_argument("system", help="path to a saved system file")
     eq.add_argument("--out-dir", default=None)
-    eq.add_argument("--alpha", type=float, default=None)
     return parser
 
 
@@ -120,8 +118,6 @@ def main(argv=None) -> int:
         if args.verb == "analyze":
             suffix, text = "analysis", analysis_report(sys_)
         else:
-            if args.alpha is not None:       # the file's list with another alpha
-                sys_ = replace(sys_, alpha=args.alpha, monomials=sys_.monomials)
             suffix, text = "equilibria", equilibria_report(sys_)
         _write_report(args, f"{Path(args.system).stem}_{suffix}.txt", text)
         return EXIT_OK

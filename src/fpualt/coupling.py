@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import QuasiHarmonicSystem
+from .spectral import QuasiHarmonicSystem, _mode_index
 
 
 class PatternViolationError(RuntimeError):
@@ -163,7 +163,7 @@ def check_invariance(sys: QuasiHarmonicSystem, frozen_modes) -> InvariantCandida
     first (i, j, k) reaching it.
     """
     d = sys.dof
-    frozen = frozenset(int(m) for m in frozen_modes)
+    frozen = frozenset(_mode_index(sys, m, "frozen") for m in frozen_modes)
     if not frozen or not frozen < set(range(1, d + 1)):
         raise ValueError(
             f"Y must be a nonempty proper subset of 1..{d}, got {sorted(frozen)}")
@@ -271,10 +271,7 @@ def extract_subsystem(sys: QuasiHarmonicSystem, kept_modes) -> QuasiHarmonicSyst
     non-invariant complement is refused.
     """
     d = sys.dof
-    for m in kept_modes:
-        if not (isinstance(m, (int, np.integer)) and 1 <= m <= d):
-            raise ValueError(f"kept mode {m!r} is not an integer in 1..{d}")
-    kept = sorted(set(int(m) for m in kept_modes))
+    kept = sorted({_mode_index(sys, m, "kept") for m in kept_modes})
     if kept == list(range(1, d + 1)):
         return sys
     frozen = frozenset(range(1, d + 1)) - set(kept)

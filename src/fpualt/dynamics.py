@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import require_finite
-from .spectral import QuasiHarmonicSystem
+from .spectral import QuasiHarmonicSystem, _mode_index
 
 # --- Runge-Kutta tableau (order 8 propagation, 12 stages) ------------------
 
@@ -666,11 +666,15 @@ def first_order_response(sys: QuasiHarmonicSystem, driven: int, driver: int,
 
     Mode indices are 1-based.  The driver starts at ``amplitude`` with
     zero velocity and all other modes at rest.  Exact 2:1 resonance
-    between sqrt(lambda_driven) and 2 sqrt(lambda_driver) is refused.
+    between sqrt(lambda_driven) and 2 sqrt(lambda_driver) is refused, and
+    so are a mode that is not an integer in 1..d, one mode as both and a
+    non-finite amplitude, each by name.
     """
-    d = sys.dof
-    if not (1 <= driven <= d and 1 <= driver <= d) or driven == driver:
-        raise ValueError(f"driven/driver must be distinct modes in 1..{d}")
+    driven = _mode_index(sys, driven, "driven")
+    driver = _mode_index(sys, driver, "driver")
+    if driven == driver:
+        raise ValueError(f"driven/driver must be distinct modes, got {driven} twice")
+    require_finite(amplitude=amplitude)
     lam_d = float(sys.lambdas[driven - 1])
     lam_r = float(sys.lambdas[driver - 1])
     if lam_d <= 0 or lam_r <= 0:
@@ -678,7 +682,9 @@ def first_order_response(sys: QuasiHarmonicSystem, driven: int, driver: int,
     if abs(lam_d - 4.0 * lam_r) <= 1e-9 * max(lam_d, 4.0 * lam_r):
         raise ValueError(
             f"exact 2:1 resonance (lambda_driven = 4 lambda_driver = {lam_d!r})")
-    g = sys.alpha * sys.monomial(driven, driver, driver) * amplitude**2
+    m = sys.monomials       # the square x_driver^2 in equation driven, if listed
+    square = (m.i == driven - 1) & (m.j == driver - 1) & (m.k == driver - 1)
+    g = sys.alpha * float(m.coeff[square].sum()) * amplitude**2
     return ClosedFormResponse(
         driven=driven, driver=driver, amplitude=float(amplitude),
         lambda_driven=lam_d, lambda_driver=lam_r, forcing=g,

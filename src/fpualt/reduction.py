@@ -11,8 +11,9 @@ bond extensions are e = D q, (D q)_b = q_{b+1} - q_b for b = 0 .. p-1,
 where D is the p x (p-1) bond-difference operator.  The reduced system
 is therefore a bond-space system (:class:`fpualt.chain.BondSystem`), the
 same as the chain but for D, and takes its force and energy from there.
-The linear part is K = D^T D, the standard tridiagonal stiffness, and
-the cubic spring terms contribute the quadratic vector
+The linear part is K = D^T D, the standard tridiagonal stiffness, which
+the system reads from D as every bond-space system does, and the cubic
+spring terms contribute the quadratic vector
 
     N(q) = -D^T (D q)^2,   i.e.  N_i = e_i^2 - e_{i-1}^2
          = q_{i+1}^2 - 2 q_i q_{i+1} + 2 q_{i-1} q_i - q_{i-1}^2.
@@ -35,15 +36,14 @@ from .chain import (SIZE_LIMIT, BondSystem, FullChainSystem, State,
 class ReducedSystem(BondSystem):
     """Fixed-end reduced system with p-1 particles.
 
-    ``bonds`` is the bond-difference operator D, (p, p-1), and
-    ``stiffness`` is K = D^T D (2 on the diagonal, -1 off it).  Its
-    static field, like its acceleration and energy, reads the system's
-    ``alpha``; another alpha is another system.
+    ``bonds`` is the bond-difference operator D, (p, p-1), and the
+    inherited ``stiffness`` K = D^T D is 2 on the diagonal, -1 off it.
+    Its static field, like its acceleration and energy, reads the
+    system's ``alpha``; another alpha is another system.
     """
 
     p: int
     a: float
-    stiffness: np.ndarray
 
     def static_field(self):
         """Return (force, jac): q -> -K q + alpha N(q) and its Jacobian.
@@ -79,8 +79,7 @@ def build_reduced(p: int, a: float, alpha: float = 1.0) -> ReducedSystem:
     masses[0::2] = 1.0
     masses[1::2] = 1.0 / a
     bonds = np.eye(p, d) - np.eye(p, d, k=-1)
-    return ReducedSystem(p=p, a=a, alpha=alpha, masses=masses,
-                         stiffness=bonds.T @ bonds, bonds=bonds)
+    return ReducedSystem(p=p, a=a, alpha=alpha, masses=masses, bonds=bonds)
 
 
 def quadratic_vector(sys: ReducedSystem, q):

@@ -41,8 +41,10 @@ where an allowed entry comes out as exactly 0, is refused, and so is an
 a so small that one underflows to 0.  So a
 coupling is present iff it is listed.  Tables read from files, extracted
 subsystems and the cartoon models of :mod:`fpualt.dynamics` are given
-their list instead.  The dense tensor ``bilinear`` is a view made from
-the list on demand; nothing in the package reads it.
+their list instead.  The list is the one reader of the coupling: the
+dense tensor ``bilinear`` is a view made from it on demand, which
+nothing in the package reads and which stays because perfbench/ reads
+it.
 
 A built modal system is itself a bond-space system
 (:class:`fpualt.chain.BondSystem`): bond operator G and the modal masses
@@ -227,9 +229,10 @@ class QuasiHarmonicSystem:
     list (:func:`_polarised_factors`) for a given one.  The right-hand
     side, its Jacobian and the energy read only these.
 
+    The list is the one way the package reads the coupling.
     ``bilinear`` is the symmetric tensor B with C(x, x)_i = x . B_i . x,
     a dense view made from the list on demand; nothing in the package
-    reads it.
+    reads it, and it stays because perfbench/ reads it.
 
     ``lambdas`` is kept as a 1-d float array.  A non-finite lambda or
     alpha is refused with a ValueError naming it (``alpha must be a
@@ -354,7 +357,8 @@ class QuasiHarmonicSystem:
 
     @cached_property
     def bilinear(self) -> np.ndarray:
-        """The dense (d, d, d) tensor B, symmetric in its last two axes."""
+        """The dense (d, d, d) tensor B, symmetric in its last two axes;
+        only perfbench/ reads it."""
         i, j, k, coeff = self.monomials
         d = self.dof
         b = np.zeros((d, d, d))
@@ -363,21 +367,13 @@ class QuasiHarmonicSystem:
         b[i, k, j] = half
         return b
 
-    def monomial(self, i: int, j: int, k: int) -> float:
-        """Coefficient of the monomial x_j x_k in equation i (1-based)."""
-        m = self.monomials
-        start, stop = np.searchsorted(m.i, (i - 1, i))     # equation i's entries
-        at = (m.j[start:stop] == min(j, k) - 1) & (m.k[start:stop] == max(j, k) - 1)
-        return float(m.coeff[start:stop][at].sum())
 
-    def monomial_entries(self):
-        """(i, j, k, coeff) with j <= k, 1-based, for every nonzero coeff.
-
-        Ordered lexicographically by (i, j, k).
-        """
-        i, j, k, coeff = self.monomials
-        return zip((i + 1).tolist(), (j + 1).tolist(), (k + 1).tolist(),
-                   coeff.tolist())
+def _mode_index(sys: QuasiHarmonicSystem, m, what: str) -> int:
+    """Mode ``m`` (1-based) of ``sys`` as an int; a ValueError names a
+    ``what`` mode that is not an integer in 1..d."""
+    if not (isinstance(m, (int, np.integer)) and 1 <= m <= sys.dof):
+        raise ValueError(f"{what} mode {m!r} is not an integer in 1..{sys.dof}")
+    return int(m)
 
 
 # Relative to the largest entry, the tolerance to which the cubic-potential

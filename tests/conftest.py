@@ -94,7 +94,9 @@ def _verdict(sys, frozen, kept, max_violation, worst_flat):
     if max_violation > 0.0:
         i, jk = divmod(int(worst_flat), sys.dof ** 2)
         j, k = sorted(divmod(jk, sys.dof))
-        worst = (i + 1, j + 1, k + 1, sys.monomial(i + 1, j + 1, k + 1))
+        m = sys.monomials
+        at = (m.i == i) & (m.j == j) & (m.k == k)
+        worst = (i + 1, j + 1, k + 1, float(m.coeff[at].sum()))
     return InvariantCandidate(frozen_modes=frozen, kept_modes=kept,
                               invariant=max_violation == 0.0,
                               max_violation=max_violation, worst_entry=worst)

@@ -8,7 +8,6 @@ from fpualt import (ChainParams, FullState, IntegratorConfig, ReducedState,
                     build_chain, embed_chain, embed_state, eval_accel_full,
                     hamiltonian, integrate, linear_spectrum_full,
                     symmetry_residual, total_momentum)
-from fpualt.chain import stiffness_full
 from fpualt.dynamics import relative_drift
 
 
@@ -146,7 +145,7 @@ class TestSpectrum:
     def test_against_lapack(self):
         sys = build_chain(ChainParams(7, 0.01, 1.0))
         d = 1.0 / np.sqrt(sys.masses)
-        s = d[:, None] * stiffness_full(sys) * d[None, :]
+        s = d[:, None] * sys.stiffness * d[None, :]
         ref = np.sort(np.linalg.eigvalsh(s))[::-1]
         assert np.abs(linear_spectrum_full(sys) - ref).max() <= 1e-12
 
@@ -196,8 +195,8 @@ class TestBondSpace:
         periodic = 2.0 * np.eye(n)
         idx = np.arange(n)
         periodic[idx, (idx + 1) % n] = periodic[idx, (idx - 1) % n] = -1.0
-        assert np.array_equal(stiffness_full(sys), sys.bonds.T @ sys.bonds)
-        assert np.array_equal(stiffness_full(sys), periodic)
+        assert np.array_equal(sys.stiffness, sys.bonds.T @ sys.bonds)
+        assert np.array_equal(sys.stiffness, periodic)
 
     @pytest.mark.parametrize("p", [3, 5, 7])
     def test_symmetric_subspace_invariant(self, p, rng):
@@ -229,9 +228,11 @@ class TestEmbedding:
         assert np.array_equal(big.q, [1, 2, 3, 4, 1, 2, 3, 4])
         assert np.array_equal(big.v, [5, 6, 7, 8, 5, 6, 7, 8])
 
-    def test_bad_factor(self):
-        with pytest.raises(ValueError, match="positive integer"):
-            embed_state(FullState(np.zeros(4), np.zeros(4)), 0)
+    @pytest.mark.parametrize("k", [0, 1.5, math.inf, math.nan])
+    def test_bad_factor(self, k):
+        with pytest.raises(ValueError, match=rf"^repetition factor k must be a "
+                                             rf"positive integer, got {k}$"):
+            embed_state(FullState(np.zeros(4), np.zeros(4)), k)
 
     def test_embedded_dynamics(self, rng):
         # evolving the tiled state in the doubled chain reproduces the

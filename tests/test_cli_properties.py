@@ -1,8 +1,7 @@
 """Property test of the CLI's numeric options, with Hypothesis: ``run``
 with ``--t-end``, ``--abs-tol``, ``--rel-tol`` and ``--sample-dt``,
-``sweep --a`` and ``equilibria --alpha``, each drawn from NaN, the
-infinities, the zeros, a negative, the subnormals 5e-324 and 1e-320,
-1e308 and ordinary values.  Every call exits 0 to 3 with no traceback
+and ``sweep --a``, each drawn from NaN, the infinities, the zeros, a
+negative, the subnormals 5e-324 and 1e-320, 1e308 and ordinary values.  Every call exits 0 to 3 with no traceback
 and no RuntimeWarning, and an exit 1 prints ``error:`` naming one of
 the drawn keys.
 
@@ -31,10 +30,9 @@ given, settings, st = hypothesis.given, hypothesis.settings, hypothesis.strategi
 
 EXTREMES = (math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 5e-324, 1e-320, 1e308)
 ORDINARY = {"t_end": (0.5, 2.0), "abs_tol": (1e-10, 1e-8), "rel_tol": (1e-10, 1e-8),
-            "sample_dt": (0.05, 0.5), "a": (0.01, 0.3, 1.0), "alpha": (0.5, 2.0)}
+            "sample_dt": (0.05, 0.5), "a": (0.01, 0.3, 1.0)}
 SCENARIO = SCENARIO_DIR / "fig_p3_forcing.scn"      # sample_dt = 1.0
 BASE = parse_scenario(SCENARIO)
-TABLE = SCENARIO_DIR.parent / "src" / "fpualt" / "data" / "p3_a001.txt"
 
 
 def value(key):
@@ -44,12 +42,10 @@ def value(key):
 @st.composite
 def calls(draw):
     """(argv, drawn keys) of one CLI call."""
-    verb = draw(st.sampled_from(("run", "sweep", "equilibria")))
+    verb = draw(st.sampled_from(("run", "sweep")))
     if verb == "sweep":
         return ["sweep", "--pmax", str(draw(st.sampled_from((3, 5)))),
                 f"--a={draw(value('a'))!r}"], {"a"}
-    if verb == "equilibria":
-        return ["equilibria", str(TABLE), f"--alpha={draw(value('alpha'))!r}"], {"alpha"}
     drawn = {"t_end": draw(value("t_end"))}
     for key in ("abs_tol", "rel_tol", "sample_dt"):
         if draw(st.booleans()):

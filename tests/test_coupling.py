@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -6,8 +7,9 @@ import pytest
 from fpualt import (IntegratorConfig, PatternViolationError, build_reduced,
                     check_invariance, cycle_decomposition, eigendecompose,
                     enumerate_invariant_candidates, excitation_digraph,
-                    extract_subsystem, integrate, jan_check, load_reference,
-                    scaling_equivalence, square_map, to_quasi_harmonic)
+                    extract_subsystem, first_order_response, integrate,
+                    jan_check, load_reference, scaling_equivalence,
+                    square_map, to_quasi_harmonic)
 from fpualt.spectral import ModalBasis, all_pair_eigenvalues
 
 from conftest import brute_force_candidates, table_oracle, tensor_monomials
@@ -245,6 +247,20 @@ class TestExtraction:
                            match=rf"^kept mode {bad} is not an integer in 1\.\.8$"):
             extract_subsystem(systems[9][2], kept)
 
+    @pytest.mark.parametrize("bad", [1.5, "1", np.nan, 0, 5])
+    @pytest.mark.parametrize("what, call", [
+        ("frozen", lambda qh, m: check_invariance(qh, {m, 4})),
+        ("kept", lambda qh, m: extract_subsystem(qh, (m, 4))),
+        ("driven", lambda qh, m: first_order_response(qh, m, 2, 1e-3)),
+    ])
+    def test_mode_indices_refused_by_name(self, systems, what, call, bad):
+        # check_invariance read 1.5 and '1' as mode 1, and nan, like a
+        # non-integer driven mode of first_order_response, ended in an
+        # unnamed conversion error or a bare IndexError
+        with pytest.raises(ValueError, match=rf"^{what} mode {re.escape(repr(bad))} "
+                                             rf"is not an integer in 1\.\.4$"):
+            call(systems[5][2], bad)
+
     def test_p9_subsystem_lambdas(self, systems):
         sub = extract_subsystem(systems[9][2], (5, 6))
         assert sub.lambdas[0] == pytest.approx(0.0149623, abs=5e-8)
@@ -323,10 +339,11 @@ class TestScalingFit:
         s = fit.scales.copy()
         for m in fit.sign_flips:
             s[m - 1] = -s[m - 1]
+        coeff = {(i + 1, j + 1, k + 1): c for i, j, k, c in zip(*qh.monomials)}
         ours_scaled = {}
         for (i, j, k), ref_val in (((1, 1, 1), 0.0074805894),
                                    ((2, 1, 2), -2.0048858034)):
-            val = qh.monomial(i, j, k) * s[j - 1] * s[k - 1] / s[i - 1]
+            val = coeff[(i, j, k)] * s[j - 1] * s[k - 1] / s[i - 1]
             ours_scaled[(i, j, k)] = val
             assert val == pytest.approx(ref_val, rel=1e-6)
         ratio = ours_scaled[(1, 1, 1)] / ours_scaled[(2, 1, 2)]

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -362,6 +363,18 @@ class TestEquilibria:
         with pytest.raises(AttributeError, match="static_field"):
             find_equilibria(chain)
 
+    def test_huge_alpha_keeps_the_origin(self):
+        # 2 alpha overflowed, inf * 0 made the Jacobian NaN at the origin,
+        # and the search found 0 points with RuntimeWarnings
+        ref = load_reference("p3_full")
+        huge = QuasiHarmonicSystem(lambdas=ref.lambdas, labels=ref.labels,
+                                   alpha=1e308, monomials=ref.monomials)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            reports = find_equilibria(huge)
+        assert [r.point.tolist() for r in reports] == [[0.0, 0.0]]
+        assert reports[0].residual == 0.0
+
     def test_rejects_non_equilibrium(self, systems):
         red, _, _ = systems[3]
         with pytest.raises(ValueError, match="not an equilibrium"):
@@ -439,6 +452,14 @@ class TestFirstOrderResponse:
         resp = first_order_response(systems[3][2], 1, 2, 0.0)
         t = np.linspace(0, 100, 101)
         assert np.all(resp(t) == 0.0)
+
+    @pytest.mark.parametrize("amplitude", [math.nan, math.inf])
+    def test_non_finite_amplitude_refused(self, amplitude):
+        # nan gave a NaN response and inf a forcing of -inf, both silently
+        with pytest.raises(ValueError, match=rf"^amplitude must be a finite "
+                                             rf"number, got {amplitude}$"):
+            first_order_response(load_reference("p3_full"), driven=1, driver=2,
+                                 amplitude=amplitude)
 
     def test_resonance_rejected(self):
         sys = QuasiHarmonicSystem(lambdas=np.array([4.0, 1.0]),

@@ -165,7 +165,9 @@ def _monomial_loop(qh):
 @pytest.mark.parametrize("which", ("p9", "p5_full"))
 def test_monomial_entries_match_loop(which, systems):
     qh = systems[9][2] if which == "p9" else load_reference("p5_full")
-    assert list(qh.monomial_entries()) == list(_monomial_loop(qh))
+    i, j, k, c = qh.monomials
+    assert list(zip((i + 1).tolist(), (j + 1).tolist(), (k + 1).tolist(),
+                    c.tolist())) == list(_monomial_loop(qh))
 
 
 def test_actions_refused_without_modal_coordinates(tmp_path, monkeypatch):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -34,6 +35,8 @@ class TestBuild:
         assert np.array_equal(np.diag(k), [2, 2, 2, 2])
         assert np.array_equal(np.diag(k, 1), [-1, -1, -1])
         assert np.array_equal(k, k.T)
+        # K is read from the bonds, not stored beside them where it could differ
+        assert "stiffness" not in {f.name for f in dataclasses.fields(sys)}
 
     def test_p3_equations_explicit(self, rng):
         # the two-row system: qdd1 + 2q1 - q2 = a(q2^2 - 2q1q2),

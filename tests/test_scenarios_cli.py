@@ -677,18 +677,6 @@ class TestCli:
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("value", ["nan", "inf"])
-    def test_non_finite_equilibria_alpha_is_usage_error(self, tmp_path, capsys,
-                                                        value):
-        # nan found no equilibrium, not even the origin, and exited 0
-        assert main(["equilibria", str(TABLE_DIR / "p3_a001.txt"),
-                     f"--alpha={value}", "--out-dir", str(tmp_path)]) == 1
-        captured = capsys.readouterr()
-        assert captured.err == (f"error: alpha must be a finite number, "
-                                f"got {float(value)}\n")
-        assert captured.out == ""
-        assert list(tmp_path.iterdir()) == []
-
     def test_sweep_has_no_alpha_flag(self, tmp_path, capsys):
         # every structural verdict is alpha-free; the flag only changed the
         # header and dropped the table fit lines
@@ -697,16 +685,6 @@ class TestCli:
         assert exc.value.code == 2
         assert "unrecognized arguments: --alpha 2" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
-
-    def test_huge_equilibria_alpha_keeps_the_origin(self, tmp_path, capsys):
-        # 2 alpha overflowed, inf * 0 made the Jacobian NaN at the origin,
-        # and the search found 0 points with RuntimeWarnings
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert main(["equilibria", str(TABLE_DIR / "p3_a001.txt"),
-                         "--alpha", "1e308", "--out-dir", str(tmp_path)]) == 0
-        out = capsys.readouterr().out
-        assert "(1 found;" in out and "point (0, 0)  residual 0.00e+00" in out
 
     def test_non_finite_t_end_is_usage_error(self, tmp_path, capsys):
         # --t-end inf ran no step, printed "ok" and exited 0
@@ -850,19 +828,15 @@ class TestCli:
         assert "4 found" in out
         assert (tmp_path / "p3_equilibria.txt").exists()
 
-    def test_equilibria_alpha_flag_scales_the_points(self, tmp_path, capsys):
-        # the static equations -Lambda x + alpha C(x, x) = 0 have the
-        # solutions x / alpha, so alpha = 2 halves every alpha = 1 point
-        points = []
-        for flags in ([], ["--alpha", "2"]):
-            out = tmp_path / f"out{len(flags)}"
-            assert main(["equilibria", str(TABLE_DIR / "p3_a001.txt"), *flags,
-                         "--out-dir", str(out)]) == 0
-            points.append([[float(v) for v in m.split(", ")] for m in
-                           re.findall(r"point \((.*)\)", capsys.readouterr().out)])
-        once, twice = np.array(points[0]), np.array(points[1])
-        assert once.shape == twice.shape == (4, 2)
-        assert np.abs(twice - once / 2).max() <= 1e-9
+    def test_equilibria_has_no_alpha_flag(self, tmp_path, capsys):
+        # the equilibria at alpha are the alpha = 1 points divided by
+        # alpha, with the same classification, so the flag told nothing new
+        with pytest.raises(SystemExit) as exc:
+            main(["equilibria", str(TABLE_DIR / "p3_a001.txt"), "--alpha", "2",
+                  "--out-dir", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --alpha 2" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_out_dir_env_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv("FPUALT_OUT_DIR", str(tmp_path / "envout"))

@@ -156,21 +156,25 @@ class TestEigendecompose:
         assert any(np.any(basis.t[near[:, c], c] < 0) for c in tied)
 
     def test_unfitting_system_refused(self):
-        # Same p and a, but a stiffness the sine modes do not diagonalise:
-        # the eigenvalue gaps are fine, the conjugation residual is not.
+        # Same p and a, but one bond 5 % stiffer, so the stiffness D^T D is
+        # one the sine modes do not diagonalise: the eigenvalue gaps are
+        # fine, the conjugation residual is not.
         sys = build_reduced(5, 0.01, 1.0)
+        bonds = sys.bonds.copy()
+        bonds[2] *= 1.05
         bent = ReducedSystem(p=5, a=0.01, alpha=1.0, masses=sys.masses,
-                             stiffness=sys.stiffness + 0.01 * np.eye(4),
-                             bonds=sys.bonds)
+                             bonds=bonds)
         with pytest.raises(DegenerateSpectrumError, match="do not diagonalise"):
             eigendecompose(bent)
 
     def test_degenerate_spectrum_refused(self):
-        # a synthetic system whose linear part has a double eigenvalue
+        # a synthetic system without bonds, whose stiffness is 0: the
+        # closed-form eigenvalues of p = 5 are distinct, so the residual
+        # check refuses it
         d = 4
         sys = ReducedSystem(p=5, a=0.01, alpha=1.0, masses=np.ones(d),
-                            stiffness=np.eye(d), bonds=np.zeros((d + 1, d)))
-        with pytest.raises(DegenerateSpectrumError):
+                            bonds=np.zeros((d + 1, d)))
+        with pytest.raises(DegenerateSpectrumError, match="do not diagonalise"):
             eigendecompose(sys)
 
 
@@ -286,7 +290,7 @@ class TestSystemFiles:
         good.write_text("# comment\n3 0.01 1.0\n0.5 acoustic 1\n1.5 optical 1\n"
                         "1 1 2 0.25  # inline comment\n")
         sys = load_system(good)
-        assert sys.dof == 2 and sys.monomial(1, 1, 2) == 0.25
+        assert sys.dof == 2 and list(zip(*sys.monomials)) == [(0, 0, 1, 0.25)]
 
         bad = tmp_path / "bad.txt"
         bad.write_text("3 0.01 1.0\n0.5 acoustic 1\nnot a line at all here\n")
@@ -382,8 +386,8 @@ def _save_per_line(qh, path):
         fh.write(f"{qh.p} {qh.a!r} {qh.alpha!r}\n")
         for lam, lab in zip(qh.lambdas, qh.labels):
             fh.write(f"{lam:.16e} {lab.kind} {lab.pair}\n")
-        for i, j, k, c in qh.monomial_entries():
-            fh.write(f"{i} {j} {k} {c:.16e}\n")
+        for i, j, k, c in zip(*qh.monomials):
+            fh.write(f"{i + 1} {j + 1} {k + 1} {c:.16e}\n")
 
 
 def _load_per_line(path):

@@ -11,9 +11,8 @@ subprocess of its own, runs every scenario through ``fpualt run``, with
 ``--t-end T`` when given, and writes the reports of ``fpualt sweep
 --pmax 99`` (at the default a = 0.01 and at ``--a 0.3``), of ``fpualt
 sweep --pmax 15 --a 1`` (exit 3: the equal-mass chain breaks the square
-pattern) and of ``fpualt analyze`` and ``fpualt equilibria`` (with and
-without ``--alpha 2``) of every table, each kind of report into a
-directory of its own, with one ``exit_codes.txt`` line per report: its
+pattern) and of ``fpualt analyze`` and ``fpualt equilibria`` of every
+table, each kind of report into a directory of its own, with one ``exit_codes.txt`` line per report: its
 arguments, exit code and error output.  Every output file is then compared byte
 for byte, except the manifests, which are compared as JSON without
 their timing fields (``wall_time_s``, ``phase_s``) and with their
@@ -57,8 +56,7 @@ reports = {"sweep": [["sweep", "--pmax", "99"]],
            "sweep_a0.3": [["sweep", "--pmax", "99", "--a", "0.3"]],
            "sweep_a1": [["sweep", "--pmax", "15", "--a", "1"]],
            "analyze": [["analyze", t] for t in tables],
-           "equilibria": [["equilibria", t] for t in tables],
-           "equilibria_alpha2": [["equilibria", t, "--alpha", "2"] for t in tables]}
+           "equilibria": [["equilibria", t] for t in tables]}
 for verb, jobs in reports.items():
     report_dir = Path(out) / verb
     lines = []
