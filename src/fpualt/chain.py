@@ -44,7 +44,7 @@ class ChainParams:
     beta: float = 0.0
 
 
-def spring_potential(z, alpha, beta=0.0):
+def spring_potential(z, alpha, beta):
     """V(z) = z^2/2 + alpha z^3/3 + beta z^4/4, elementwise."""
     return 0.5 * z * z + (alpha / 3.0) * z**3 + (beta / 4.0) * z**4
 

@@ -23,8 +23,8 @@ from pathlib import Path
 
 from . import __version__
 from .coupling import PatternViolationError
-from .scenarios import (ScenarioError, analysis_report, equilibria_report,
-                        run_scenario, sweep_odd_p, sweep_report_text)
+from .scenarios import (analysis_report, equilibria_report, run_scenario,
+                        sweep_odd_p, sweep_report_text)
 from .spectral import DegenerateSpectrumError, load_system
 
 EXIT_OK = 0
@@ -121,8 +121,8 @@ def main(argv=None) -> int:
             suffix, text = "equilibria", equilibria_report(sys_)
         _write_report(args, f"{Path(args.system).stem}_{suffix}.txt", text)
         return EXIT_OK
-    except (ScenarioError, FileNotFoundError, ValueError,
-            DegenerateSpectrumError, PatternViolationError) as exc:
+    except (OSError, ValueError, DegenerateSpectrumError,
+            PatternViolationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     finally:

@@ -145,8 +145,6 @@ def cycle_decomposition(rho: dict) -> CycleDecomposition:
         seen.add(start)
         nxt = rho[start]
         while nxt != start:
-            if nxt in seen:
-                raise ValueError(f"not a permutation: {rho}")
             cyc.append(nxt)
             seen.add(nxt)
             nxt = rho[nxt]
@@ -399,16 +397,15 @@ def scaling_equivalence(source: QuasiHarmonicSystem,
         raise ValueError(f"dimension mismatch: {d} vs {ref.dof}")
 
     # Permutation aligning source modes with the reference order.
-    used = set()
     perm = []
     for lam_ref in ref.lambdas:
         diffs = np.abs(source.lambdas - lam_ref)
-        cand = int(np.argmin(np.where([i in used for i in range(d)], np.inf, diffs)))
+        diffs[perm] = np.inf
+        cand = int(np.argmin(diffs))
         if diffs[cand] > LAMBDA_MATCH_TOL * max(1.0, abs(lam_ref)):
             raise ValueError(
                 f"no source eigenvalue matches reference {ref.name!r} "
                 f"eigenvalue {float(lam_ref)!r} within {LAMBDA_MATCH_TOL}")
-        used.add(cand)
         perm.append(cand)
     perm0 = np.array(perm)
 

@@ -52,11 +52,7 @@ from .chain import require_finite
 from .spectral import QuasiHarmonicSystem, _mode_index
 
 # --- Runge-Kutta tableau (order 8 propagation, 12 stages) ------------------
-
-_RK_C = np.array([
-    0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
-    0.2816496580927726, 0.3333333333333333, 0.25, 0.3076923076923077,
-    0.6512820512820513, 0.6, 0.8571428571428571, 1.0])
+# The nodes c_i = sum_j a_ij are not kept: every system is autonomous.
 
 _RK_B = np.array([
     0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409,

@@ -429,8 +429,8 @@ def run_scenario(scenario, out_dir, overrides=None) -> RunResult:
 # --- structure census ----------------------------------------------------------
 
 
-def _fmt(x, digits=17):
-    return f"{x:.{digits - 1}e}"
+def _fmt(x):
+    return f"{x:.11e}"
 
 
 def _is_prime(n):
@@ -467,6 +467,7 @@ class SweepRow:
     invariants: list = field(default_factory=list)
     fit: ScalingFit = None       # against the shipped table ``fit_table``
     fit_table: str = None
+    fit_error: str = None        # why that fit could not be made
     failures: list = field(default_factory=list)
 
 
@@ -492,7 +493,9 @@ def structure_census(sys) -> SweepRow:
     from this census.  Every one of them, the table fit included, reads
     only the lambdas and the monomial list, never alpha, which
     multiplies every coupling alike.  The system is fitted against the
-    shipped table for its (p, a), when that table has as many modes.
+    shipped table for its (p, a), when that table has as many modes; a
+    fit whose modes do not align leaves ``fit`` None and says why in
+    ``fit_error``, as no verdict reads the fit.
     """
     row = SweepRow(p=sys.p, lambdas=sys.lambdas)
     try:
@@ -515,7 +518,11 @@ def structure_census(sys) -> SweepRow:
     row.invariants = _invariant_unions(sys, row.cycles)
     ref = reference_for(sys.p, sys.a)
     if ref is not None and ref.dof == sys.dof:
-        row.fit, row.fit_table = scaling_equivalence(sys, ref), ref.name
+        row.fit_table = ref.name
+        try:
+            row.fit = scaling_equivalence(sys, ref)
+        except ValueError as exc:        # the modes do not align
+            row.fit_error = str(exc)
     if _is_prime(sys.p) and sys.p >= 5 and row.invariants:
         row.failures.append(f"unexpected invariant sets for prime p: "
                             f"{[c.kept_modes for c in row.invariants]}")
@@ -539,7 +546,7 @@ def analysis_report(sys) -> str:
     lines.append("modes (1-based, pair order unless loaded from file):")
     for i, (lam, lab) in enumerate(zip(sys.lambdas, sys.labels), start=1):
         tag = f"{lab.kind:<9s} pair {lab.pair}" if lab else "?"
-        lines.append(f"  x{i:<3d} lambda = {_fmt(lam, 12)}   {tag}")
+        lines.append(f"  x{i:<3d} lambda = {_fmt(lam)}   {tag}")
     row = structure_census(sys)
     if row.violation:
         lines.append(f"forcing squares: PATTERN VIOLATION: {row.violation}")
@@ -560,6 +567,8 @@ def analysis_report(sys) -> str:
             f"scaling fit vs table {row.fit_table}: residual {row.fit.residual:.3e}, "
             f"max entry mismatch {row.fit.max_rel_mismatch:.3e}, "
             f"{len(row.fit.pattern_mismatches)} pattern mismatches")
+    if row.fit_error:
+        lines.append(f"scaling fit vs table {row.fit_table}: not made ({row.fit_error})")
     return "\n".join(lines) + "\n"
 
 
@@ -627,8 +636,8 @@ def sweep_report_text(report: SweepReport) -> str:
                      f"({'prime' if _is_prime(row.p) else 'composite'}) ==")
         npairs = (row.p - 1) // 2
         for j in range(1, npairs + 1):
-            lines.append(f"  pair {j}: lambda = {_fmt(row.lambdas[2 * j - 2], 12)} "
-                         f"(acoustic), {_fmt(row.lambdas[2 * j - 1], 12)} (optical)"
+            lines.append(f"  pair {j}: lambda = {_fmt(row.lambdas[2 * j - 2])} "
+                         f"(acoustic), {_fmt(row.lambdas[2 * j - 1])} (optical)"
                          f"   sum {row.lambdas[2 * j - 2] + row.lambdas[2 * j - 1]:.12f}")
         if row.rho:
             lines.append("  rho: " + " ".join(f"{i}->{j}"

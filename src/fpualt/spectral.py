@@ -59,8 +59,8 @@ Modes are kept in pair order: (acoustic, optical) for j = 1, 2, ...
 
 System files (:func:`save_system`, :func:`load_system`) are plain text:
 a header, the mode lines, then the entry lines, in that order.  The
-entry block is written with one %-format per chunk of lines and read
-with one ``numpy.loadtxt`` pass.
+entry block is written with one %-format and read with one
+``numpy.loadtxt`` pass.
 """
 
 import math
@@ -234,7 +234,9 @@ class QuasiHarmonicSystem:
     a dense view made from the list on demand; nothing in the package
     reads it, and it stays because perfbench/ reads it.
 
-    ``lambdas`` is kept as a 1-d float array.  A non-finite lambda or
+    ``lambdas`` is kept as a 1-d float array, ``alpha`` and ``a`` as
+    Python floats, so a numpy scalar is written as its number in a
+    system file or a report header.  A non-finite lambda or
     alpha is refused with a ValueError naming it (``alpha must be a
     finite number, got nan``), so every system, however it is made, has
     finite values.  The list and lambdas carry the structure; alpha only
@@ -258,6 +260,7 @@ class QuasiHarmonicSystem:
         if not np.isfinite(np.append(alpha, lambdas)).all():    # then name the first
             require_finite(alpha=alpha, **{f"lambda {n}": lam
                                            for n, lam in enumerate(lambdas, start=1)})
+        alpha, a = float(alpha), float(a)
         args = locals()
         for fld in fields(self):
             object.__setattr__(self, fld.name, args[fld.name])
@@ -588,7 +591,6 @@ def eval_qh_rhs(sys: QuasiHarmonicSystem, x):
 # ---------------------------------------------------------------------------
 
 _ENTRY_LINE = "%d %d %d %.16e\n"
-_ENTRY_CHUNK = 8192                     # lines per formatted write
 _ENTRY_DTYPE = np.dtype([("i", np.int64), ("j", np.int64), ("k", np.int64),
                          ("c", np.float64)])
 
@@ -611,14 +613,11 @@ def save_system(sys: QuasiHarmonicSystem, path):
     flat = [None] * (4 * len(columns[0]))        # i, j, k, coeff per line
     for n, column in enumerate(columns):
         flat[n::4] = column
-    step = 4 * _ENTRY_CHUNK
     with open(path, "w") as fh:
         fh.write(f"{sys.p} {sys.a!r} {sys.alpha!r}\n")
         for lam, lab in zip(sys.lambdas, sys.labels):
             fh.write(f"{lam:.16e} {lab.kind} {lab.pair}\n")
-        for start in range(0, len(flat), step):
-            chunk = tuple(flat[start:start + step])
-            fh.write(_ENTRY_LINE * (len(chunk) // 4) % chunk)
+        fh.write(_ENTRY_LINE * len(columns[0]) % tuple(flat))
 
 
 def load_system(path, name: str = "") -> QuasiHarmonicSystem:

@@ -28,7 +28,7 @@ def write_csv(path, header, columns):
             fh.write(row_fmt * len(chunk) % tuple(chunk.ravel().tolist()))
 
 
-def trajectory_csv(path, trajectory, coord="x"):
+def trajectory_csv(path, trajectory, coord):
     """Trajectory samples as t, x1, v1, x2, v2, ... (or q/v)."""
     d = trajectory.dof
     header = ["t"]
@@ -74,11 +74,8 @@ _ML, _MR, _MT, _MB = 70, 20, 40, 50
 _MAX_POINTS = 2500   # plot thinning stride; CSV keeps every sample
 
 
-def _ticks(lo, hi, n=5):
-    if hi <= lo:
-        hi = lo + 1.0
-    span = hi - lo
-    raw = span / n
+def _ticks(lo, hi):
+    raw = (hi - lo) / 5
     mag = 10.0 ** np.floor(np.log10(raw))
     step = min((s for s in (1, 2, 2.5, 5, 10) if s * mag >= raw),
                default=10) * mag
@@ -90,12 +87,14 @@ def _fmt_num(x):
     return f"{x:.6g}"
 
 
-def write_svg_lines(path, x, series, labels=None, title="", xlabel="t",
-                    ylabel=""):
-    """Minimal multi-series line plot; one polyline per series."""
+def write_svg_lines(path, x, series, labels, title, xlabel, ylabel):
+    """Minimal multi-series line plot; one polyline per series.
+
+    All four labels are required: one label per series, the title and
+    both axis labels.
+    """
     x = np.asarray(x, dtype=float)
     series = [np.asarray(s, dtype=float) for s in series]
-    labels = labels or [f"series {i + 1}" for i in range(len(series))]
     stride = max(1, int(np.ceil(x.size / _MAX_POINTS)))
     keep = np.r_[np.arange(0, x.size - 1, stride), x.size - 1]
     xs = x[keep]
@@ -121,9 +120,8 @@ def write_svg_lines(path, x, series, labels=None, title="", xlabel="t",
     out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
            f'viewBox="0 0 {_W} {_H}" font-family="sans-serif" font-size="12">',
            f'<rect width="{_W}" height="{_H}" fill="white"/>']
-    if title:
-        out.append(f'<text x="{_W / 2:.0f}" y="22" text-anchor="middle" '
-                   f'font-size="15">{title}</text>')
+    out.append(f'<text x="{_W / 2:.0f}" y="22" text-anchor="middle" '
+               f'font-size="15">{title}</text>')
     # axes
     out.append(f'<line x1="{_ML}" y1="{_MT + ph}" x2="{_ML + pw}" y2="{_MT + ph}" '
                'stroke="black"/>')
@@ -141,9 +139,8 @@ def write_svg_lines(path, x, series, labels=None, title="", xlabel="t",
                    f'text-anchor="end">{_fmt_num(ty)}</text>')
     out.append(f'<text x="{_ML + pw / 2:.0f}" y="{_H - 12}" '
                f'text-anchor="middle">{xlabel}</text>')
-    if ylabel:
-        out.append(f'<text x="16" y="{_MT + ph / 2:.0f}" text-anchor="middle" '
-                   f'transform="rotate(-90 16 {_MT + ph / 2:.0f})">{ylabel}</text>')
+    out.append(f'<text x="16" y="{_MT + ph / 2:.0f}" text-anchor="middle" '
+               f'transform="rotate(-90 16 {_MT + ph / 2:.0f})">{ylabel}</text>')
     for idx, (ser, lab) in enumerate(zip(ys, labels)):
         color = _PALETTE[idx % len(_PALETTE)]
         pts = np.stack((px(xs), py(ser)), axis=1).ravel().tolist()

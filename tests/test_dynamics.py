@@ -9,7 +9,7 @@ from fpualt import (ChainParams, IntegratorConfig, QuasiHarmonicSystem,
                     classify_equilibrium,
                     energy_drift, find_equilibria, first_order_response,
                     integrate, load_reference, mode_actions)
-from fpualt.dynamics import (MAX_SAMPLES, _N_STAGES, _RK_C, _derivative,
+from fpualt.dynamics import (MAX_SAMPLES, _N_STAGES, _RK_A, _derivative,
                              _rk_stages, _stage_buffers, energy_function)
 
 from conftest import tensor_monomials
@@ -228,8 +228,9 @@ class TestNonFiniteSteps:
         attempts = np.array(wall.calls[2:]).reshape(-1, 12)
         rejected = np.any(attempts >= 1.0, axis=1)
         assert rejected.sum() == tr.n_rejected > 0
-        # stage 1 sits at c_1 h and stage 11 at h past the step's start
-        h = (attempts[:, 10] - attempts[:, 0]) / (_RK_C[11] - _RK_C[1])
+        # stage 1 sits at c_1 h and stage 11 at h past the step's start,
+        # with the nodes c_i = sum_j a_ij
+        h = (attempts[:, 10] - attempts[:, 0]) / (_RK_A[11].sum() - _RK_A[1].sum())
         after = np.flatnonzero(rejected[:-1] & (h[:-1] > 1e-4))
         assert after.size > 0
         assert np.allclose(h[after + 1], 0.2 * h[after], rtol=1e-9, atol=0.0)

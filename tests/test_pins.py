@@ -396,7 +396,7 @@ def svg_series(rng):
 def test_svg_matches_the_per_point_loop(plot, tmp_path, rng):
     x, series = svg_series(rng)[plot]
     kwargs = {"labels": [f"s{n}" for n in range(len(series))], "title": plot,
-              "ylabel": "y"}
+              "xlabel": "t", "ylabel": "y"}
     write_svg_lines(tmp_path / "new.svg", x, series, **kwargs)
     old_write_svg_lines(tmp_path / "old.svg", x, series, **kwargs)
     assert (tmp_path / "new.svg").read_bytes() == (tmp_path / "old.svg").read_bytes()

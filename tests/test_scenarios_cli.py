@@ -838,6 +838,35 @@ class TestCli:
         assert "unrecognized arguments: --alpha 2" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_analyze_reports_a_table_fit_that_cannot_align(self, tmp_path, capsys):
+        # the failed optional fit refused the whole report, although no
+        # structure verdict reads it
+        table = (TABLE_DIR / "p3_a001.txt").read_text()
+        assert table.count("2.00504 optical 1\n") == 1
+        sysfile = tmp_path / "p3_moved.txt"
+        sysfile.write_text(table.replace("2.00504 optical 1\n", "2.2 optical 1\n"))
+        assert main(["analyze", str(sysfile), "--out-dir", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "forcing squares: rho = 1->1" in out
+        assert ("scaling fit vs table p3_full: not made (no source eigenvalue "
+                "matches reference 'p3_full' eigenvalue 2.00504 within 0.0001)\n") in out
+
+    @pytest.mark.parametrize("argv", [
+        ["run", str(SCENARIO_DIR)],
+        ["analyze", str(SCENARIO_DIR)],
+        ["equilibria", str(TABLE_DIR / "p3_a001.txt")],
+        ["run", str(SCENARIO_DIR / "cartoon_bounded.scn"), "--t-end", "1"],
+    ], ids=["run-directory", "analyze-directory", "equilibria-out-dir-file",
+            "run-out-dir-file"])
+    def test_file_system_error_is_usage_error(self, tmp_path, capsys, argv):
+        # a directory as the input file, or a file as the output directory,
+        # ended in an IsADirectoryError or FileExistsError traceback
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert main(argv + ["--out-dir", str(taken)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_out_dir_env_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv("FPUALT_OUT_DIR", str(tmp_path / "envout"))
         monkeypatch.chdir(tmp_path)

@@ -15,6 +15,7 @@ from fpualt import (DegenerateSpectrumError, IntegratorConfig,
 from fpualt.linalg import jacobi_eigh
 from fpualt.reduction import ReducedSystem
 from fpualt.refdata import REFERENCE_TABLES
+from fpualt.scenarios import analysis_report
 from fpualt.spectral import all_pair_eigenvalues, pair_labels
 
 from conftest import selection_rule
@@ -285,6 +286,20 @@ class TestSystemFiles:
         assert [(l.kind, l.pair) for l in loaded.labels] == \
                [(l.kind, l.pair) for l in qh.labels]
 
+    def test_numpy_scalar_parameters_round_trip(self, tmp_path):
+        # np.float64 parameters were written as "np.float64(0.01)", a header
+        # load_system refused, and printed so in the report header
+        qh = to_quasi_harmonic(build_reduced(3, np.float64(0.01), np.float64(1.0)))
+        path = tmp_path / "p3.txt"
+        save_system(qh, path)
+        assert path.read_text().splitlines()[0] == "3 0.01 1.0"
+        loaded = load_system(path)
+        assert loaded.a == 0.01 and loaded.alpha == 1.0
+        assert all(np.array_equal(got, want)
+                   for got, want in zip(loaded.monomials, qh.monomials))
+        assert "(p=3, a=0.01, alpha=1.0, modes=2)" in \
+            analysis_report(qh).splitlines()[0]
+
     def test_comments_and_errors(self, tmp_path):
         good = tmp_path / "ok.txt"
         good.write_text("# comment\n3 0.01 1.0\n0.5 acoustic 1\n1.5 optical 1\n"
@@ -303,7 +318,7 @@ class TestSystemFiles:
         with pytest.raises(ValueError, match="out of range"):
             load_system(out_of_range)
 
-    @pytest.mark.parametrize("p", [9, 47, 99])
+    @pytest.mark.parametrize("p", [9, 47, 99, 199])
     def test_save_matches_per_line_writer(self, p, tmp_path):
         qh = to_quasi_harmonic(build_reduced(p, 0.01, 1.0))
         save_system(qh, tmp_path / "bulk.txt")
