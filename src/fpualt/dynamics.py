@@ -43,6 +43,7 @@ Which outputs a scenario kind writes is decided by the kinds table in
 ``scenarios``, which never asks for actions of a non-modal system.
 """
 
+import logging
 import math
 from dataclasses import dataclass
 
@@ -50,6 +51,8 @@ import numpy as np
 
 from .chain import require_finite
 from .spectral import QuasiHarmonicSystem, _mode_index
+
+log = logging.getLogger(__name__)
 
 # --- Runge-Kutta tableau (order 8 propagation, 12 stages) ------------------
 # The nodes c_i = sum_j a_ij are not kept: every system is autonomous.
@@ -528,7 +531,8 @@ EQUILIBRIUM_MAX_DOF = 6            # 9^6 seeds at most
 NEWTON_STEPS = 50                  # iterations per seed at most
 EQUILIBRIUM_RESIDUAL_TOL = 1e-12   # largest static residual of a found point
 EQUILIBRIUM_DEDUP_TOL = 1e-8       # points closer than this are one point
-_NEWTON_CHUNK = 4096     # seeds per batch; bounds memory at d = 6 (9^6 seeds)
+_NEWTON_FIRST = 512      # seeds in the first batch; each next batch doubles
+_NEWTON_CHUNK = 4096     # seeds per batch at most; bounds memory at d = 6 (9^6 seeds)
 
 
 def find_equilibria(system):
@@ -536,12 +540,20 @@ def find_equilibria(system):
 
     The seeds are the 9^d points of EQUILIBRIUM_GRID^d, the integers of
     [-4, 4]^d; a system of more than EQUILIBRIUM_MAX_DOF = 6 modes is
-    refused.  The seeds are iterated together, a batch of rows at a
-    time; non-convergent seeds are dropped silently, converged points
-    deduplicated in seed order and classified.  The count is bounded by
-    the Bezout number 2^d of the quadratic static system.  The seeds are
-    iterated without a numpy warning for the infinities or NaNs of the
-    rows that are dropped.
+    refused.  The seeds are iterated together in seed order, a batch of
+    rows at a time, 512 in the first batch and twice as many in each next
+    one up to 4096.  Non-convergent seeds are dropped silently; after each
+    batch the converged points are deduplicated in seed order against the
+    points found so far, keeping the earliest seed's point.  The static
+    system is d quadratic equations, so by Bezout's theorem it has at most
+    2^d isolated solutions: the search stops once it has 2^d points (at
+    p = 5 within the first batch), and a system with fewer real solutions
+    runs every seed.  The static field's products go through BLAS, whose
+    rounding depends on the number of rows, so a point can move in its
+    last bits with the batch sizes.  The seeds are iterated without a
+    numpy warning for the infinities or NaNs of the rows that are
+    dropped, and one INFO line on the ``fpualt`` logger says how many
+    seeds ran.
     """
     fun, jac = system.static_field()
     d = system.dof
@@ -551,15 +563,22 @@ def find_equilibria(system):
             f"modes; this system has {d} modes")
     seeds = np.stack(np.meshgrid(*([EQUILIBRIUM_GRID] * d), indexing="ij"),
                      -1).reshape(-1, d)
-    with np.errstate(all="ignore"):
-        points = np.concatenate([_newton_rows(fun, jac, seeds[i:i + _NEWTON_CHUNK])
-                                 for i in range(0, len(seeds), _NEWTON_CHUNK)])
-        residual = np.abs(fun(points)).max(axis=1, initial=0.0)
-    points = points[residual <= EQUILIBRIUM_RESIDUAL_TOL]
     found = []
-    while len(points):   # keep the earliest seed's point, drop the ones near it
-        found.append(points[0])
-        points = points[np.abs(points - points[0]).max(axis=1) > EQUILIBRIUM_DEDUP_TOL]
+    start, size = 0, _NEWTON_FIRST
+    while start < len(seeds) and len(found) < 2 ** d:
+        with np.errstate(all="ignore"):
+            points = _newton_rows(fun, jac, seeds[start:start + size])
+            residual = np.abs(fun(points)).max(axis=1, initial=0.0)
+        start, size = min(start + size, len(seeds)), min(2 * size, _NEWTON_CHUNK)
+        points = points[residual <= EQUILIBRIUM_RESIDUAL_TOL]
+        for x in found:      # drop the points of this batch near an earlier one
+            points = points[np.abs(points - x).max(axis=1) > EQUILIBRIUM_DEDUP_TOL]
+        while len(points):   # keep the earliest seed's point, drop the ones near it
+            found.append(points[0])
+            points = points[np.abs(points - points[0]).max(axis=1) > EQUILIBRIUM_DEDUP_TOL]
+    log.info("equilibria: %d points from %d of %d seeds (Bezout bound 2^%d %s)",
+             len(found), start, len(seeds), d,
+             "reached" if len(found) == 2 ** d else "not reached")
     found.sort(key=lambda p: tuple(np.round(p, 9)))
     return [classify_equilibrium(system, p) for p in found]
 

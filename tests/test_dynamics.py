@@ -1,3 +1,4 @@
+import functools
 import math
 import warnings
 
@@ -8,8 +9,10 @@ from fpualt import (ChainParams, IntegratorConfig, QuasiHarmonicSystem,
                     ReducedState, build_chain, build_reduced, cartoon_system,
                     classify_equilibrium,
                     energy_drift, find_equilibria, first_order_response,
-                    integrate, load_reference, mode_actions)
-from fpualt.dynamics import (MAX_SAMPLES, _N_STAGES, _RK_A, _derivative,
+                    integrate, load_reference, mode_actions,
+                    to_quasi_harmonic)
+from fpualt.dynamics import (EQUILIBRIUM_GRID, MAX_SAMPLES, _N_STAGES,
+                             _NEWTON_FIRST, _RK_A, _derivative, _newton_rows,
                              _rk_stages, _stage_buffers, energy_function)
 
 from conftest import tensor_monomials
@@ -291,6 +294,15 @@ class TestActionsAndEnergy:
             energy_drift(ref, tr)
 
 
+def _assert_symplectic_spectra(reports, d):
+    for r in reports:
+        eig = r.eigenvalues
+        for z in eig:
+            assert min(abs(eig + z)) <= 1e-9          # closed under negation
+            assert min(abs(eig - z.conjugate())) <= 1e-9  # and conjugation
+        assert r.n_center + r.n_unstable + r.n_stable == 2 * d
+
+
 class TestEquilibria:
     def test_p3_complete_set(self, systems):
         red, _, _ = systems[3]
@@ -324,11 +336,7 @@ class TestEquilibria:
 
     def test_spectral_symmetry(self, systems):
         red, _, _ = systems[5]
-        for r in find_equilibria(red):
-            eig = r.eigenvalues
-            for z in eig:
-                assert min(abs(eig + z)) <= 1e-9          # closed under negation
-                assert min(abs(eig - z.conjugate())) <= 1e-9  # and conjugation
+        _assert_symplectic_spectra(find_equilibria(red), red.dof)
 
     def test_p5_equilibrium_set(self, systems):
         # The grid search resolves the full Bezout count 2^4 = 16, all
@@ -381,6 +389,14 @@ class TestEquilibria:
         with pytest.raises(ValueError, match="not an equilibrium"):
             classify_equilibrium(red, np.array([0.5, 0.5]))
 
+    def test_p7_census(self, systems):
+        # d = 6, the largest system the grid search accepts: all 2^6 points,
+        # found long before the 9^6 = 531 441 seeds run out
+        reports = find_equilibria(systems[7][0])
+        assert len(reports) == 64
+        assert all(r.residual <= 1e-12 for r in reports)
+        _assert_symplectic_spectra(reports, 6)
+
 
 def _newton_per_seed(system, axis):
     """The equilibrium search one seed at a time, as a reference."""
@@ -406,6 +422,79 @@ def _newton_per_seed(system, axis):
             found.append(x)
     found.sort(key=lambda p: tuple(np.round(p, 9)))
     return np.array(found)
+
+
+def _full_grid_equilibria(system):
+    """Every one of the 9^d grid seeds through Newton, deduplicated in seed order."""
+    fun, jac = system.static_field()
+    d = system.dof
+    seeds = np.stack(np.meshgrid(*([EQUILIBRIUM_GRID] * d), indexing="ij"),
+                     -1).reshape(-1, d)
+    with np.errstate(all="ignore"):
+        points = _newton_rows(fun, jac, seeds)
+        points = points[np.abs(fun(points)).max(axis=1, initial=0.0) <= 1e-12]
+    found = []
+    while len(points):
+        found.append(points[0])
+        points = points[np.abs(points - points[0]).max(axis=1) > 1e-8]
+    found.sort(key=lambda p: tuple(np.round(p, 9)))
+    return np.array(found)
+
+
+@functools.cache
+def _census_case(name, a):
+    """A system of the equivalence test and its full-grid equilibria."""
+    if name.endswith("_full"):
+        system = load_reference(name)
+    else:
+        red = build_reduced(int(name[-1]), a, 1.0)
+        system = red if name.startswith("reduced") else to_quasi_harmonic(red)
+    return system, _full_grid_equilibria(system)
+
+
+@pytest.fixture()
+def newton_rows(monkeypatch):
+    """The number of seeds of each batch that find_equilibria runs."""
+    rows = []
+
+    def counting(fun, jac, x):
+        rows.append(len(x))
+        return _newton_rows(fun, jac, x)
+
+    monkeypatch.setattr("fpualt.dynamics._newton_rows", counting)
+    return rows
+
+
+class TestBezoutStop:
+    # A first batch of one seed puts a batch boundary, and so a check of
+    # the stop and a deduplication across batches, at every power of two
+    @pytest.mark.parametrize("first", [_NEWTON_FIRST, 1])
+    @pytest.mark.parametrize("name, a", [
+        *((f"{kind}{p}", a) for p in (3, 5) for kind in ("reduced", "qh")
+          for a in (0.01, 0.3, 3.0)),
+        ("p3_full", None), ("p5_full", None)])
+    def test_matches_the_full_grid(self, monkeypatch, name, a, first):
+        monkeypatch.setattr("fpualt.dynamics._NEWTON_FIRST", first)
+        system, expected = _census_case(name, a)
+        got = np.array([r.point for r in find_equilibria(system)])
+        assert got.shape == expected.shape
+        assert np.abs(got - expected).max() <= 1e-12
+
+    def test_stops_at_the_bezout_bound(self, systems, newton_rows):
+        assert len(find_equilibria(systems[5][0])) == 16
+        assert sum(newton_rows) < 9 ** 4
+
+    def test_runs_every_seed_below_the_bound(self, newton_rows):
+        # x0'' = x0^2 - x0 and x_i'' = -lambda_i x_i: 2 real roots of 2^4
+        system = QuasiHarmonicSystem(lambdas=np.array([1.0, 2.0, 3.0, 4.0]),
+                                     monomials=([0], [0], [0], [1.0]),
+                                     labels=(None,) * 4, alpha=1.0)
+        expected = _full_grid_equilibria(system)
+        got = np.array([r.point for r in find_equilibria(system)])
+        assert sum(newton_rows) == 9 ** 4
+        assert len(expected) == 2
+        assert got.shape == expected.shape
+        assert np.abs(got - expected).max() <= 1e-12
 
 
 class TestBatchedNewton:

@@ -815,6 +815,20 @@ class TestCli:
         assert all(float(m[2]) >= 0.0 for m in progress)
         assert all(0.0 < float(m[4]) <= 1.0 for m in progress)
 
+    def test_verbose_equilibria_logs_where_the_census_stopped(self, tmp_path, capsys):
+        # -v logs one line to stderr and leaves the report alone
+        runs = {}
+        for name, flags in (("quiet", []), ("loud", ["-v"])):
+            out = tmp_path / name
+            assert main([*flags, "equilibria", str(TABLE_DIR / "p5_a001.txt"),
+                         "--out-dir", str(out)]) == 0
+            runs[name] = ((out / "p5_a001_equilibria.txt").read_bytes(),
+                          capsys.readouterr().err)
+        assert runs["loud"][0] == runs["quiet"][0]
+        assert runs["quiet"][1] == ""
+        assert runs["loud"][1] == ("equilibria: 16 points from 512 of 6561 seeds "
+                                   "(Bezout bound 2^4 reached)\n")
+
     def test_analyze_and_equilibria_verbs(self, tmp_path, capsys):
         sysfile = tmp_path / "p3.txt"
         save_system(to_quasi_harmonic(build_reduced(3, 0.01, 1.0)), sysfile)
