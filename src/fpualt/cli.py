@@ -16,6 +16,7 @@ directory is $FPUALT_OUT_DIR, falling back to ./fpualt_out.
 """
 
 import argparse
+import functools
 import logging
 import os
 import sys
@@ -39,7 +40,11 @@ def _default_out_dir():
     return os.environ.get("FPUALT_OUT_DIR", "fpualt_out")
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: ``main`` runs many
+    times in one process in the tests and the benchmark, and parsing
+    leaves the parser as it was."""
     parser = argparse.ArgumentParser(
         prog="fpualt",
         description="Alternating-mass FPU chains: experiments and "

@@ -5,21 +5,25 @@ The integrator is an explicit 12-stage Runge-Kutta method of order 8
 with the companion 5th/3rd-order embedded error estimate and a PI step
 controller (safety 0.9, growth capped at 5x).  Output samples land
 exactly on the requested time grid by clipping the step, so results are
-bit-reproducible for fixed inputs.  Each stage writes [v, accel(q)]
-straight into its row of a preallocated stage array, and the stages are
-checked for finiteness once per step.  A trajectory records its step,
-rejection and right-hand-side counts and the range of accepted steps.
+bit-reproducible for fixed inputs.  Each stage writes v and
+accel(q, out) straight into its row of a preallocated stage array, and
+the stages are checked for finiteness once per step.  A trajectory
+records its step, rejection and right-hand-side counts and the range of
+accepted steps.
 
 A step of the shipped scenarios' systems (2 to 6 degrees of freedom)
-costs about 105 us in the traced ``scenarios`` benchmark, nearly all
-of it the overhead of numpy calls on arrays of at most 12 entries, and
-about half of it in the right-hand side.  So the step loop allocates no array of its own (the right-hand
-side and a kept sample still do): the stage state, the stage-sum
-scratch, the row views of the stage array and the error-norm terms are
-made once per run, and each stage sum is ``ndarray.dot`` into the
-scratch, a product with h and a sum with y, all with ``out=``.  Every
-matrix-vector product (the 11 stage sums, the solution and the two
-error estimates) is an ``ndarray.dot``, which calls the same BLAS
+costs about 92 us in the traced ``scenarios`` benchmark, nearly all
+of it the overhead of numpy calls on arrays of at most 12 entries.  So
+the step loop allocates no array (only a kept sample does): the stage
+state, the stage-sum scratch, the row views of the stage array and the
+error-norm terms are made once per run; each stage sum is
+``ndarray.dot`` into the scratch, a product with h and a sum with y;
+and the right-hand side writes into the stage row through the scratch
+of its system.  Every output but np.maximum's is passed positionally,
+and the step h and the tolerances are 0-d arrays, because numpy takes
+a slower path for a keyword ``out`` and for a Python-float operand.
+Every matrix-vector product (the 11 stage sums, the solution and the
+two error estimates) is an ``ndarray.dot``, which calls the same BLAS
 routine as ``@`` for less overhead, and |y| is computed once per
 accepted state, for the next step's error scale and its divergence
 test.  Each operation and its operand order is the one of the
@@ -32,8 +36,8 @@ once the state norm passes the cutoff or the step size underflows.
 Nothing here branches on the kind of system, except that
 ``mode_actions`` refuses a system whose coordinates are not modes (one
 that is not quasi-harmonic) with a TypeError.  Every system (full
-chain, reduced, quasi-harmonic) has ``dof``, ``accel(q)`` and a
-vectorised ``energy(states)``; reduced and quasi-harmonic systems also
+chain, reduced, quasi-harmonic) has ``dof``, ``accel(q, out=None)`` and
+a vectorised ``energy(states)``; reduced and quasi-harmonic systems also
 give the static field used by the equilibrium census.  The full chain
 has none: its translation mode leaves its equilibria non-isolated.  The
 two cartoon models are quasi-harmonic systems given fixed monomial
@@ -161,9 +165,12 @@ def cartoon_system(cid: int, omegas=None) -> QuasiHarmonicSystem:
 
 
 # --- the system interface -----------------------------------------------------
-# Every system kind has ``dof``, ``accel(q)`` and ``energy(states)``
-# (vectorised over rows [q, v]; None for quasi-harmonic systems without
-# an exact invariant).  Reduced and quasi-harmonic systems also expose
+# Every system kind has ``dof``, ``accel(q, out=None)`` and
+# ``energy(states)`` (vectorised over rows [q, v]; None for
+# quasi-harmonic systems without an exact invariant).  ``accel`` takes
+# one state or rows; given ``out``, a (d,) array, it takes one state,
+# fills ``out`` and returns it, allocating nothing, and the integrator
+# calls it so.  Reduced and quasi-harmonic systems also expose
 # ``static_field()`` -> (F, J) and ``masses``: F = 0 are the static
 # equations and J / masses is the acceleration Jacobian.  Every map reads
 # the system's own ``alpha``; another alpha is another system.  The three
@@ -295,7 +302,7 @@ def _derivative(accel, y, out):
     """Write the first-order derivative [v, accel(q)] of y = [q, v] into out."""
     d = y.size // 2
     out[:d] = y[d:]
-    out[d:] = accel(y[:d])
+    accel(y[:d], out[d:])
 
 
 def _stage_buffers(k):
@@ -319,15 +326,16 @@ def _rk_stages(accel, y, h, buffers):
     its state y + h (K a_s) into ys, without allocating, and its velocity
     and acceleration into its row of k.  The last stage state is the
     order-8 solution y + h (K b), so ys ends as y_new and k[12] as
-    f(y_new).  Returns ys.
+    f(y_new).  ``h`` may be a 0-d array, which numpy multiplies faster
+    than a Python float.  Returns ys.
     """
     ys, q, v, tmp, stages = buffers
     for sums, a_s, k_v, k_a in stages:
-        sums.dot(a_s, out=tmp)
-        np.multiply(h, tmp, out=tmp)
-        np.add(y, tmp, out=ys)
+        sums.dot(a_s, tmp)
+        np.multiply(h, tmp, tmp)
+        np.add(y, tmp, ys)
         k_v[...] = v
-        k_a[...] = accel(q)
+        accel(q, k_a)
     return ys
 
 
@@ -379,9 +387,12 @@ def _integrate(system, state0, cfg):
     status, message = "ok", ""
 
     # |y| of the current state and of y_new, swapped on acceptance, and
-    # the error scale and estimates: the error norm allocates nothing
+    # the error scale and estimates: the error norm allocates nothing.
+    # The step and the tolerances are 0-d arrays, which numpy multiplies
+    # and adds faster than Python floats.
     abs_y, abs_new = np.abs(y), np.empty(2 * d)
     scale, err5, err3 = np.empty(2 * d), np.empty(2 * d), np.empty(2 * d)
+    h_0d, rel_tol, abs_tol = np.empty(()), np.array(cfg.rel_tol), np.array(cfg.abs_tol)
     while t < cfg.t_end - eps_t:
         if not abs_y.max() <= DIVERGENCE_NORM:     # NaN fails too
             status = "diverged"
@@ -398,19 +409,20 @@ def _integrate(system, state0, cfg):
         h = target - t if landing else h_free
 
         n_attempts += 1
-        y_new = _rk_stages(accel, y, h, buffers)
-        if not np.isfinite(k, out=finite).all():    # a non-finite stage or y_new shows here
+        h_0d[()] = h
+        y_new = _rk_stages(accel, y, h_0d, buffers)
+        if not np.isfinite(k, finite).all():    # a non-finite stage or y_new shows here
             h_free = min(h, h_free) * _MIN_SHRINK
             continue
 
-        np.abs(y_new, out=abs_new)
-        np.maximum(abs_y, abs_new, out=scale)
-        np.multiply(cfg.rel_tol, scale, out=scale)
-        np.add(cfg.abs_tol, scale, out=scale)
-        np.divide(k_t.dot(_RK_E5, out=err5), scale, out=err5)
-        np.divide(k_t.dot(_RK_E3, out=err3), scale, out=err3)
-        n5 = float(np.dot(err5, err5))
-        n3 = float(np.dot(err3, err3))
+        np.abs(y_new, abs_new)
+        np.maximum(abs_y, abs_new, out=scale)    # a positional out is deprecated here
+        np.multiply(rel_tol, scale, scale)
+        np.add(abs_tol, scale, scale)
+        np.divide(k_t.dot(_RK_E5, err5), scale, err5)
+        np.divide(k_t.dot(_RK_E3, err3), scale, err3)
+        n5 = float(err5.dot(err5))
+        n3 = float(err3.dot(err3))
         denom = n5 + 0.01 * n3
         err_norm = 0.0 if denom <= 0.0 else abs(h) * n5 / math.sqrt(denom * len(scale))
 

@@ -306,12 +306,23 @@ class QuasiHarmonicSystem:
         Jacobian diag(-Lambda) + 2 alpha F diag(G x) G.
 
         Both maps take one state (d,) or rows (n, d) and return (d,) /
-        (d, d) or (n, d) / (n, d, d).
+        (d, d) or (n, d) / (n, d, d).  ``rhs(x, out)`` takes one state,
+        writes into the (d,) array ``out`` and returns it, with every
+        intermediate in scratch arrays made with the map, which must not
+        run in two threads at once; alpha is a 0-d array, which numpy
+        multiplies faster than a Python float.
         """
         alpha, lam, g, f = self.alpha, self.lambdas, self.g, self.f
+        alpha_0d, scratch = np.array(alpha), (np.empty(len(g)), np.empty(self.dof))
 
-        def rhs(x):
-            return alpha * f.dot(g.dot(x.T) ** 2).T - lam * x
+        def rhs(x, out=None):
+            gx, fgx = scratch if out is not None else (None, None)
+            gx = g.dot(x.T, gx)
+            np.multiply(gx, gx, gx)
+            fgx = f.dot(gx, fgx)
+            np.multiply(alpha_0d, fgx, fgx)
+            lam_x = np.multiply(lam, x, out)
+            return np.subtract(fgx.T, lam_x, lam_x)
 
         def jac(x):
             gx = (g @ x.T).T
@@ -322,7 +333,8 @@ class QuasiHarmonicSystem:
 
     @cached_property
     def accel(self):
-        """The map x -> xdd = -Lambda x + alpha C(x, x), built once per system."""
+        """The map (x, out=None) -> xdd = -Lambda x + alpha C(x, x), built once
+        per system, so its ``out`` form shares one scratch per system object."""
         return self.static_field()[0]
 
     @cached_property

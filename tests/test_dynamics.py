@@ -158,9 +158,10 @@ class _Wall:
     def __init__(self):
         self.calls = []
 
-    def accel(self, q):
+    def accel(self, q, out):
         self.calls.append(float(q[0]))
-        return np.where(q < 1.0, 0.0, np.nan)
+        out[...] = np.where(q < 1.0, 0.0, np.nan)
+        return out
 
 
 class _NaNField:
@@ -171,9 +172,10 @@ class _NaNField:
     def __init__(self):
         self.calls = 0
 
-    def accel(self, q):
+    def accel(self, q, out):
         self.calls += 1
-        return np.full(2, np.nan)
+        out.fill(np.nan)
+        return out
 
 
 class _InfField:
@@ -184,9 +186,10 @@ class _InfField:
     def __init__(self):
         self.calls = 0
 
-    def accel(self, q):
+    def accel(self, q, out):
         self.calls += 1
-        return np.full(2, np.inf)
+        out.fill(np.inf)
+        return out
 
 
 class TestNonFiniteSteps:

@@ -1,9 +1,9 @@
-"""The one system interface: ``dof``, ``accel(q)`` and ``energy(states)``.
+"""The one system interface: ``dof``, ``accel(q, out=None)`` and ``energy(states)``.
 
 Every system kind (full chain, reduced, quasi-harmonic, cartoon) has a
-single right-hand side and a vectorised energy; the public ``eval_*`` and
-energy entry points delegate to them.  Cartoons are quasi-harmonic
-systems with fixed, fully symmetric tensors.
+single right-hand side, which fills a given ``out``, and a vectorised
+energy; the public ``eval_*`` and energy entry points delegate to them.
+Cartoons are quasi-harmonic systems with fixed, fully symmetric tensors.
 """
 
 import re
@@ -73,6 +73,16 @@ def test_accel_is_the_eval_entry_point(name, interface_systems, rng):
     system, entry = interface_systems[name]
     for y in _states(system, rng):
         assert np.array_equal(system.accel(y[:system.dof]), entry(system, y))
+
+
+@pytest.mark.parametrize("name", INTERFACE_SYSTEMS)
+def test_accel_fills_out(name, interface_systems, rng):
+    system, _ = interface_systems[name]
+    d = system.dof
+    for y in _states(system, rng):
+        out = np.empty(d)
+        assert system.accel(y[:d], out) is out
+        assert np.array_equal(out, system.accel(y[:d]))
 
 
 @pytest.mark.parametrize("name", INTERFACE_SYSTEMS)

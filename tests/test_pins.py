@@ -1,14 +1,15 @@
 """The hot paths pinned bitwise to the expressions they replaced.
 
 Every system's acceleration evaluates its matrix-vector products with
-``ndarray.dot`` and puts the force's sign into the mass divisor; the
-RK8 step writes its stage sums and error norm into buffers made once
-per run; the CSV and SVG writers format a chunk of values with one
-``%``.  None of this may change a bit: each form is compared with the
-old one, kept here verbatim, for single states and rows, for whole
-trajectories (with rejected steps and a non-finite wall), and for
-columns with -0.0, subnormals, +-1e308, non-finite values, integers,
-one row and none.
+``ndarray.dot`` and puts the force's sign into the mass divisor, and
+its ``out`` form writes through scratch made once per system; the RK8
+step writes its stage sums, error norm and right-hand sides into
+buffers made once per run; the CSV and SVG writers format a chunk of
+values with one ``%``.  None of this may change a bit: each form is
+compared with the old one, kept here verbatim, for single states and
+rows, for whole trajectories (with rejected steps and a non-finite
+wall), and for columns with -0.0, subnormals, +-1e308, non-finite
+values, integers, one row and none.
 """
 
 import math
@@ -21,8 +22,8 @@ from fpualt import (ChainParams, IntegratorConfig, Trajectory, build_chain,
                     to_quasi_harmonic)
 from fpualt.dynamics import (DIVERGENCE_NORM, _ERROR_EXPONENT, _MAX_GROWTH,
                              _MIN_SHRINK, _N_STAGES, _PI_ALPHA, _PI_BETA, _RK_A,
-                             _RK_B, _RK_E3, _RK_E5, _SAFETY, _derivative,
-                             _initial_step, _step_size_summary, as_state_vector)
+                             _RK_B, _RK_E3, _RK_E5, _SAFETY, _step_size_summary,
+                             as_state_vector)
 from fpualt.writers import (_H, _MAX_POINTS, _MB, _ML, _MR, _MT, _PALETTE,
                             _ROW_CHUNK, _W, _fmt_num, _ticks, write_csv,
                             write_svg_lines)
@@ -31,7 +32,9 @@ SYSTEMS = {
     "full": lambda: build_chain(ChainParams(n_pairs=3, a=0.01)),
     "full_quartic": lambda: build_chain(ChainParams(n_pairs=2, a=0.3, beta=0.25)),
     "reduced": lambda: build_reduced(5, 0.01),
+    "reduced_alpha": lambda: build_reduced(5, 0.01, alpha=0.7),
     "built_qh": lambda: to_quasi_harmonic(build_reduced(5, 0.01)),
+    "built_qh_alpha": lambda: to_quasi_harmonic(build_reduced(5, 0.01, alpha=0.7)),
     "given_qh": lambda: load_reference("p5_full"),
     "cartoon1": lambda: cartoon_system(1),
     "cartoon2": lambda: cartoon_system(2),
@@ -75,11 +78,22 @@ def states(rng, d):
     return [rows[n] for n in range(len(rows))] + [rows, rows[:1]]
 
 
+def filled(accel, q):
+    """accel(q, out) for one state: checks that it returns ``out`` and
+    leaves q as it was, and returns the result."""
+    kept, out = q.copy(), np.full(q.shape, np.nan)
+    assert accel(q, out) is out
+    assert same_bits(q, kept)
+    return out
+
+
 @pytest.mark.parametrize("kind", SYSTEMS)
 def test_accel_matches_the_matmul_form(kind, rng):
     sys = SYSTEMS[kind]()
     for q in states(rng, sys.dof):
         assert same_bits(sys.accel(q), old_accel(sys)(q)), q
+        if q.ndim == 1:
+            assert same_bits(filled(sys.accel, q), old_accel(sys)(q)), q
 
 
 def test_force_matches_the_matmul_form(rng):
@@ -87,6 +101,26 @@ def test_force_matches_the_matmul_form(rng):
     force = sys.static_field()[0]
     for q in states(rng, sys.dof):
         assert same_bits(force(q), old_force(sys)(q)), q
+        if q.ndim == 1:
+            assert same_bits(filled(force, q), old_force(sys)(q)), q
+
+
+PAIRS = {
+    "reduced": lambda: (build_reduced(5, 0.01), build_reduced(7, 0.01)),
+    "built_qh": lambda: (to_quasi_harmonic(build_reduced(5, 0.01)),
+                         to_quasi_harmonic(build_reduced(47, 0.01))),
+}
+
+
+@pytest.mark.parametrize("kind", PAIRS)
+def test_out_forms_keep_their_own_scratch(kind, rng):
+    # the out form of each system writes its intermediates into scratch
+    # of its own: interleaved calls on two systems of one kind and
+    # different sizes must not disturb each other
+    first, second = PAIRS[kind]()
+    for q, x in zip(states(rng, first.dof)[:24], states(rng, second.dof)[:24]):
+        assert same_bits(filled(first.accel, q), old_accel(first)(q))
+        assert same_bits(filled(second.accel, x), old_accel(second)(x))
 
 
 # --- the RK8 step ---------------------------------------------------------------
@@ -114,8 +148,33 @@ def old_rk_stages(accel, y, h, k, sums):
     return y + h * sums[_N_STAGES].dot(_RK_B)
 
 
+def old_derivative(accel, y, out):
+    """Write [v, accel(q)] of y = [q, v] into out, from the allocating accel."""
+    d = y.size // 2
+    out[:d] = y[d:]
+    out[d:] = accel(y[:d])
+
+
+def old_initial_step(accel, y0, f0, atol, rtol, t_span):
+    """Hairer's starting step, probing with :func:`old_derivative`."""
+    scale = atol + rtol * np.abs(y0)
+    d0 = float(np.sqrt(np.mean((y0 / scale) ** 2)))
+    d1 = float(np.sqrt(np.mean((f0 / scale) ** 2)))
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    y1 = y0 + h0 * f0
+    f1 = np.empty_like(y1)
+    old_derivative(accel, y1, f1)
+    d2 = float(np.sqrt(np.mean(((f1 - f0) / scale) ** 2)) / h0)
+    if max(d1, d2) <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** _ERROR_EXPONENT
+    return min(100.0 * h0, h1, t_span)
+
+
 def old_integrate(system, state0, cfg):
-    """The step loop with a new array for every stage sum and error term."""
+    """The step loop with a new array for every stage sum, error term and
+    right-hand side: it never calls the ``out`` form of ``accel``."""
     with np.errstate(all="ignore"):
         return _old_integrate(system, state0, cfg)
 
@@ -131,13 +190,13 @@ def _old_integrate(system, state0, cfg):
     states = [y.copy()]
     k = np.empty((_N_STAGES + 1, 2 * d))   # k[0] = f(y); k[12] = f(y_new)
     sums, k_t = _stage_sums(k), k.T
-    _derivative(accel, y, k[0])
+    old_derivative(accel, y, k[0])
 
     sample_idx = 1
     eps_t = 1e-12 * max(1.0, cfg.t_end)
     min_step_rel = 16.0 * np.finfo(float).eps
 
-    h_free = _initial_step(accel, y, k[0], cfg.abs_tol, cfg.rel_tol, cfg.t_end)
+    h_free = old_initial_step(accel, y, k[0], cfg.abs_tol, cfg.rel_tol, cfg.t_end)
 
     err_prev = 1e-4
     n_attempts = 0
@@ -162,7 +221,7 @@ def _old_integrate(system, state0, cfg):
 
         n_attempts += 1
         y_new = old_rk_stages(accel, y, h, k, sums)
-        _derivative(accel, y_new, k[_N_STAGES])
+        old_derivative(accel, y_new, k[_N_STAGES])
         if not np.isfinite(k).all():    # a non-finite stage or y_new shows here
             h_free = min(h, h_free) * _MIN_SHRINK
             continue
@@ -226,8 +285,11 @@ class _Wall:
 
     dof = 1
 
-    def accel(self, q):
-        return np.where(q < 1.0, 0.0, np.nan)
+    def accel(self, q, out=None):
+        if out is None:
+            out = np.empty_like(q)
+        out[...] = np.where(q < 1.0, 0.0, np.nan)
+        return out
 
 
 @pytest.mark.parametrize("kind", SYSTEMS)
