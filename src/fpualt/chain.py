@@ -67,24 +67,27 @@ class BondSystem:
     def dof(self):
         return self.masses.size
 
-    def _bond_map(self, divisor):
-        """The map (q, out=None) -> D^T V'(D q) / divisor.
+    @cached_property
+    def accel(self):
+        """The map (q, out=None) -> qdd = -M^{-1} D^T V'(D q), built once per
+        system.
 
-        The force's sign sits in ``divisor``: IEEE division is
+        The force's sign sits in the mass divisor: IEEE division is
         sign-symmetric, so x / -m has the bits of -(x / m).  Without
         ``out`` the map allocates its result and takes one state (d,) or
         rows (n, d).  Given ``out``, a (d,) array, it takes one state,
         writes the result into ``out`` and returns it, with every
-        intermediate in scratch arrays made with the map: the ``out`` form
-        of one map must not run in two threads at once.  The scalars are
-        0-d arrays, which numpy multiplies faster than Python floats.
+        intermediate in scratch arrays made once per system object: the
+        ``out`` form of one system must not run in two threads at once.
+        The scalars are 0-d arrays, which numpy multiplies faster than
+        Python floats.
         """
         bonds, bonds_t, quartic = self.bonds, self.bonds.T, self.beta != 0
         alpha, beta, three = (np.array(float(x)) for x in (self.alpha, self.beta, 3.0))
-        divisor = np.asarray(divisor, dtype=float)
+        minus_m = -self.masses
         scratch = tuple(np.empty(len(bonds)) for _ in range(3)) + (np.empty(self.dof),)
 
-        def bond_map(q, out=None):
+        def accel(q, out=None):
             e, f, cube, force = scratch if out is not None else (None,) * 4
             e = bonds.dot(q.T, e)
             f = np.multiply(alpha, e, f)
@@ -94,15 +97,9 @@ class BondSystem:
                 cube = np.power(e, three, cube)
                 np.multiply(beta, cube, cube)
                 np.add(f, cube, f)
-            return np.divide(bonds_t.dot(f, force).T, divisor, out)
+            return np.divide(bonds_t.dot(f, force).T, minus_m, out)
 
-        return bond_map
-
-    @cached_property
-    def accel(self):
-        """The map (q, out=None) -> qdd = -M^{-1} D^T V'(D q), built once per
-        system, so its ``out`` form shares one scratch per system object."""
-        return self._bond_map(-self.masses)
+        return accel
 
     @cached_property
     def stiffness(self):

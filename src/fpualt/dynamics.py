@@ -38,11 +38,12 @@ Nothing here branches on the kind of system, except that
 that is not quasi-harmonic) with a TypeError.  Every system (full
 chain, reduced, quasi-harmonic) has ``dof``, ``accel(q, out=None)`` and
 a vectorised ``energy(states)``; reduced and quasi-harmonic systems also
-give the static field used by the equilibrium census.  The full chain
-has none: its translation mode leaves its equilibria non-isolated.  The
-two cartoon models are quasi-harmonic systems given fixed monomial
-lists, so they take the one right-hand side F (G x)^2 of every such
-system.
+have the acceleration Jacobian ``jac(q)``, which with ``accel`` is all
+the equilibrium census reads.  The full chain has none: its translation
+mode leaves its equilibria non-isolated, and the census refuses it with
+a TypeError.  The two cartoon models are quasi-harmonic systems given
+fixed monomial lists, so they take the one right-hand side F (G x)^2 of
+every such system.
 Which outputs a scenario kind writes is decided by the kinds table in
 ``scenarios``, which never asks for actions of a non-modal system.
 """
@@ -170,11 +171,12 @@ def cartoon_system(cid: int, omegas=None) -> QuasiHarmonicSystem:
 # quasi-harmonic systems without an exact invariant).  ``accel`` takes
 # one state or rows; given ``out``, a (d,) array, it takes one state,
 # fills ``out`` and returns it, allocating nothing, and the integrator
-# calls it so.  Reduced and quasi-harmonic systems also expose
-# ``static_field()`` -> (F, J) and ``masses``: F = 0 are the static
-# equations and J / masses is the acceleration Jacobian.  Every map reads
-# the system's own ``alpha``; another alpha is another system.  The three
-# functions below only name these members; perfbench/ imports them.
+# calls it so.  Reduced and quasi-harmonic systems also have
+# ``jac(q)``, the Jacobian of ``accel`` at one state (d, d) or at rows
+# (n, d, d): accel = 0 are the static equations and jac their
+# linearisation.  Every map reads the system's own ``alpha``; another
+# alpha is another system.  The three functions below only name these
+# members; perfbench/ imports them.
 
 
 def system_dof(system) -> int:
@@ -524,9 +526,11 @@ def energy_drift(system, trajectory: Trajectory) -> float:
 class EquilibriumReport:
     """An equilibrium point with its linearisation.
 
-    ``eigenvalues`` belong to the first-order system of dimension
-    2(p-1); counts classify them as pure-imaginary / positive-real /
-    negative-real with the relative threshold stated below.
+    ``residual`` is the largest magnitude of the acceleration at
+    ``point``.  ``eigenvalues`` belong to the first-order system of
+    dimension 2(p-1); counts classify them as pure-imaginary /
+    positive-real / negative-real with the relative threshold stated
+    below.
     """
 
     point: np.ndarray
@@ -541,7 +545,7 @@ IMAG_CLASSIFY_REL = 1e-8
 EQUILIBRIUM_GRID = np.linspace(-4.0, 4.0, 9)   # the seeds' values on each axis
 EQUILIBRIUM_MAX_DOF = 6            # 9^6 seeds at most
 NEWTON_STEPS = 50                  # iterations per seed at most
-EQUILIBRIUM_RESIDUAL_TOL = 1e-12   # largest static residual of a found point
+EQUILIBRIUM_RESIDUAL_TOL = 1e-12   # largest acceleration at a found point
 EQUILIBRIUM_DEDUP_TOL = 1e-8       # points closer than this are one point
 _NEWTON_FIRST = 512      # seeds in the first batch; each next batch doubles
 _NEWTON_CHUNK = 4096     # seeds per batch at most; bounds memory at d = 6 (9^6 seeds)
@@ -560,14 +564,22 @@ def find_equilibria(system):
     system is d quadratic equations, so by Bezout's theorem it has at most
     2^d isolated solutions: the search stops once it has 2^d points (at
     p = 5 within the first batch), and a system with fewer real solutions
-    runs every seed.  The static field's products go through BLAS, whose
-    rounding depends on the number of rows, so a point can move in its
-    last bits with the batch sizes.  The seeds are iterated without a
-    numpy warning for the infinities or NaNs of the rows that are
-    dropped, and one INFO line on the ``fpualt`` logger says how many
-    seeds ran.
+    runs every seed.  Newton solves accel = 0 with the system's ``jac``;
+    their products go through BLAS, whose rounding depends on the number
+    of rows, so a point can move in its last bits with the batch sizes.
+    The seeds are iterated without a numpy warning for the infinities or
+    NaNs of the rows that are dropped, and one INFO line on the
+    ``fpualt`` logger says how many seeds ran.
+
+    The grid lies in the system's own coordinates, so two forms of one
+    system can find different sets.  The acoustic modal coordinate of a
+    reduced equilibrium grows like a^(-1/2), far outside the grid, and
+    whether Newton reaches it from a grid seed depends on a: the built
+    p = 3 quasi-harmonic system finds 3 of the 4 points of its reduced
+    system at a = 0.03, 0.003, 1e-3 and 1e-4, and all 4 at a = 0.1 and
+    0.01; at p = 5 both forms find all 16 at each of these a.
     """
-    fun, jac = system.static_field()
+    fun, jac = _linearisation(system)
     d = system.dof
     if d > EQUILIBRIUM_MAX_DOF:
         raise ValueError(
@@ -593,6 +605,16 @@ def find_equilibria(system):
              "reached" if len(found) == 2 ** d else "not reached")
     found.sort(key=lambda p: tuple(np.round(p, 9)))
     return [classify_equilibrium(system, p) for p in found]
+
+
+def _linearisation(system):
+    """(accel, jac) of a system with isolated equilibria; a TypeError
+    naming the system for one without a Jacobian (the full chain)."""
+    if not hasattr(system, "jac"):
+        raise TypeError(f"the equilibrium census needs a Jacobian jac, which "
+                        f"{type(system).__name__} lacks: the chain's translation "
+                        "mode leaves its equilibria non-isolated")
+    return system.accel, system.jac
 
 
 def _newton_rows(fun, jac, x):
@@ -634,17 +656,22 @@ def classify_equilibrium(system, point) -> EquilibriumReport:
 
     Eigenvalues come in the symplectic patterns (+-i w, +-sigma,
     quadruples); one is counted pure-imaginary when |Re| is below
-    1e-8 of the largest magnitude.
+    1e-8 of the largest magnitude.  A point that is not d finite
+    coordinates, or whose acceleration exceeds 1e-10, is refused with a
+    ValueError that says which; a system without ``jac`` (the full
+    chain) with a TypeError.
     """
-    fun, jac = system.static_field()
+    accel, jac = _linearisation(system)
     d = system.dof
     point = np.asarray(point, dtype=float)
-    residual = float(np.abs(fun(point)).max())
-    if residual > 1e-10:
+    if point.shape != (d,) or not np.isfinite(point).all():
+        raise ValueError(f"point must be {d} finite coordinates, got {point.tolist()}")
+    residual = float(np.abs(accel(point)).max())
+    if not residual <= 1e-10:
         raise ValueError(f"point is not an equilibrium (residual {residual:.3e})")
     flow = np.zeros((2 * d, 2 * d))
     flow[:d, d:] = np.eye(d)
-    flow[d:, :d] = jac(point) / system.masses[:, None]
+    flow[d:, :d] = jac(point)
     eig = np.linalg.eigvals(flow)
     eig = np.array(sorted(eig, key=lambda z: (round(z.real, 12), z.imag)))
     thr = IMAG_CLASSIFY_REL * max(np.abs(eig).max(initial=0.0), 1e-30)

@@ -38,30 +38,20 @@ class ReducedSystem(BondSystem):
 
     ``bonds`` is the bond-difference operator D, (p, p-1), and the
     inherited ``stiffness`` K = D^T D is 2 on the diagonal, -1 off it.
-    Its static field, like its acceleration and energy, reads the
+    Its acceleration, energy and acceleration Jacobian ``jac`` read the
     system's ``alpha``; another alpha is another system.
     """
 
     p: int
     a: float
 
-    def static_field(self):
-        """Return (force, jac): q -> -K q + alpha N(q) and its Jacobian.
-
-        The force is the shared bond-space force -D^T (e + alpha e^2),
-        e = D q; force(q) = 0 are the static equations and the
-        acceleration is force(q) / masses.  Both maps take one state
-        (d,) or rows (n, d).
-        """
-        bonds, alpha = self.bonds, self.alpha
-        bonds_t = bonds.T
-
-        def jac(q):
-            e = (bonds @ q.T).T
-            # 2 before alpha: 2 alpha overflows for alpha >= 2^1023
-            return -(bonds_t * (1.0 + alpha * (2.0 * e[..., None, :]))) @ bonds
-
-        return self._bond_map(-1.0), jac
+    def jac(self, q):
+        """The acceleration Jacobian -M^{-1} D^T diag(1 + 2 alpha e) D,
+        e = D q, of one state (d,) or of rows (n, d): (d, d) or (n, d, d)."""
+        e = (self.bonds @ q.T).T
+        # 2 before alpha: 2 alpha overflows for alpha >= 2^1023
+        force_jac = -(self.bonds.T * (1.0 + self.alpha * (2.0 * e[..., None, :]))) @ self.bonds
+        return force_jac / self.masses[:, None]
 
 
 ReducedState = State

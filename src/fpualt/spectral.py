@@ -226,8 +226,8 @@ class QuasiHarmonicSystem:
     Every system has bond factors ``g`` and ``f`` with
     C(x, x) = F (G x)^2, formed on first use: G = D T and
     F = -T^{-1} M^{-1} D^T for a built system, the polarisation of the
-    list (:func:`_polarised_factors`) for a given one.  The right-hand
-    side, its Jacobian and the energy read only these.
+    list (:func:`_polarised_factors`) for a given one.  The acceleration
+    ``accel``, its Jacobian ``jac`` and the energy read only these.
 
     The list is the one way the package reads the coupling.
     ``bilinear`` is the symmetric tensor B with C(x, x)_i = x . B_i . x,
@@ -277,11 +277,6 @@ class QuasiHarmonicSystem:
     def dof(self):
         return self.lambdas.size
 
-    @property
-    def masses(self):
-        """Ones: the static field is already the acceleration."""
-        return np.ones(self.dof)
-
     @cached_property
     def _factors(self):
         """(G, F), see the class docstring."""
@@ -301,41 +296,39 @@ class QuasiHarmonicSystem:
         """The (d, n_bonds) bond factor F."""
         return self._factors[1]
 
-    def static_field(self):
-        """Return (rhs, jac): x -> -Lambda x + alpha F (G x)^2 and its
-        Jacobian diag(-Lambda) + 2 alpha F diag(G x) G.
+    @cached_property
+    def accel(self):
+        """The map (x, out=None) -> xdd = -Lambda x + alpha F (G x)^2, built
+        once per system.
 
-        Both maps take one state (d,) or rows (n, d) and return (d,) /
-        (d, d) or (n, d) / (n, d, d).  ``rhs(x, out)`` takes one state,
-        writes into the (d,) array ``out`` and returns it, with every
-        intermediate in scratch arrays made with the map, which must not
-        run in two threads at once; alpha is a 0-d array, which numpy
-        multiplies faster than a Python float.
+        Without ``out`` it takes one state (d,) or rows (n, d).
+        ``accel(x, out)`` takes one state, writes into the (d,) array
+        ``out`` and returns it, with every intermediate in scratch arrays
+        made once per system object, so it must not run in two threads at
+        once; alpha is a 0-d array, which numpy multiplies faster than a
+        Python float.
         """
-        alpha, lam, g, f = self.alpha, self.lambdas, self.g, self.f
-        alpha_0d, scratch = np.array(alpha), (np.empty(len(g)), np.empty(self.dof))
+        lam, g, f = self.lambdas, self.g, self.f
+        alpha, scratch = np.array(self.alpha), (np.empty(len(g)), np.empty(self.dof))
 
-        def rhs(x, out=None):
+        def accel(x, out=None):
             gx, fgx = scratch if out is not None else (None, None)
             gx = g.dot(x.T, gx)
             np.multiply(gx, gx, gx)
             fgx = f.dot(gx, fgx)
-            np.multiply(alpha_0d, fgx, fgx)
+            np.multiply(alpha, fgx, fgx)
             lam_x = np.multiply(lam, x, out)
             return np.subtract(fgx.T, lam_x, lam_x)
 
-        def jac(x):
-            gx = (g @ x.T).T
-            # 2 before alpha: 2 alpha overflows for alpha >= 2^1023
-            return np.diag(-lam) + alpha * (2.0 * (f * gx[..., None, :]) @ g)
+        return accel
 
-        return rhs, jac
-
-    @cached_property
-    def accel(self):
-        """The map (x, out=None) -> xdd = -Lambda x + alpha C(x, x), built once
-        per system, so its ``out`` form shares one scratch per system object."""
-        return self.static_field()[0]
+    def jac(self, x):
+        """The acceleration Jacobian diag(-Lambda) + 2 alpha F diag(G x) G of
+        one state (d,) or of rows (n, d): (d, d) or (n, d, d)."""
+        g, f = self.g, self.f
+        gx = (g @ x.T).T
+        # 2 before alpha: 2 alpha overflows for alpha >= 2^1023
+        return np.diag(-self.lambdas) + self.alpha * (2.0 * (f * gx[..., None, :]) @ g)
 
     @cached_property
     def energy(self):

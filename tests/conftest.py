@@ -259,7 +259,7 @@ def assert_matches_dense_build(p, a):
 
 # The dense-tensor contraction that every quasi-harmonic right-hand side
 # used before the bond factors F (G x)^2 served all of them, kept as an
-# oracle for ``QuasiHarmonicSystem.static_field``.
+# oracle for ``QuasiHarmonicSystem.accel`` and ``jac``.
 
 
 def einsum_field(sys):
@@ -276,11 +276,11 @@ def einsum_field(sys):
 
 
 def assert_field_matches_oracle(sys, x, rtol=1e-13):
-    """``sys.static_field()`` agrees with :func:`einsum_field` at the state
-    ``x`` within ``rtol`` of the largest term of the expanded sums:
-    sum_b |F_ib| (|G| |x|)_b^2 (or |lambda x|) for the right-hand side,
-    2 |F| diag(|G| |x|) |G| (or lambda) for the Jacobian."""
-    rhs, jac = sys.static_field()
+    """``sys.accel`` and ``sys.jac`` agree with :func:`einsum_field` at
+    the state ``x`` within ``rtol`` of the largest term of the expanded
+    sums: sum_b |F_ib| (|G| |x|)_b^2 (or |lambda x|) for the right-hand
+    side, 2 |F| diag(|G| |x|) |G| (or lambda) for the Jacobian."""
+    rhs, jac = sys.accel, sys.jac
     rhs_t, jac_t = einsum_field(sys)
     abs_f, abs_g = np.abs(sys.f), np.abs(sys.g)
     bonds = abs_g @ np.abs(x)

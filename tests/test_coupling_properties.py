@@ -58,7 +58,7 @@ def coupling_lists(draw):
 @settings(max_examples=150)
 @given(case=coupling_lists())
 def test_given_list_field_and_file_round_trip(case, tmp_path_factory):
-    # static_field reads the polarised factors; it must match the tensor
+    # accel and jac read the polarised factors; they must match the tensor
     # contraction within 1e-13 of the expanded sum, as the built systems'
     # factors do, and a saved list must load back exactly
     d, entries, lambdas, x = case

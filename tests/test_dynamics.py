@@ -1,5 +1,6 @@
 import functools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -348,7 +349,6 @@ class TestEquilibria:
         # rows by integer amounts (static residuals (0,-6,-4,0) and
         # (0,-6,0,0)) and are correctly absent.
         red, _, _ = systems[5]
-        fun, _ = red.static_field()
         reports = find_equilibria(red)
         assert len(reports) == 16
         points = {tuple(np.round(r.point, 8)) for r in reports}
@@ -356,7 +356,8 @@ class TestEquilibria:
         assert (2.0, -1.0, 1.0, -2.0) in points
         assert (2.0, -1.0, 1.0, 3.0) in points
         for bogus in ((3.0, -1.0, 1.0, -1.0), (3.0, -1.0, 1.0, 3.0)):
-            assert np.abs(fun(np.array(bogus))).max() >= 4.0
+            force = red.masses * red.accel(np.array(bogus))
+            assert np.abs(force).max() >= 4.0
             assert bogus not in points
         # the boundary rows factor exactly: eq1 forces q2 = 2 q1 or
         # q2 = -1, eq4 forces q3 = 1 or q3 = 2 q4; every root obeys both
@@ -366,14 +367,19 @@ class TestEquilibria:
 
     def test_full_chain_refused_before_newton(self, monkeypatch):
         # the translation mode makes the chain's equilibria non-isolated:
-        # it has no static field, and the search stops before any seed
+        # it has no Jacobian, and the search stops before any seed;
+        # classify_equilibrium refuses it alike
         def no_newton(*args):
             raise AssertionError("Newton ran on a full chain")
 
         monkeypatch.setattr("fpualt.dynamics._newton_rows", no_newton)
         chain = build_chain(ChainParams(n_pairs=2, a=0.01))
-        with pytest.raises(AttributeError, match="static_field"):
+        why = (r"needs a Jacobian jac, which FullChainSystem lacks: the chain's "
+               r"translation mode leaves its equilibria non-isolated")
+        with pytest.raises(TypeError, match=why):
             find_equilibria(chain)
+        with pytest.raises(TypeError, match=why):
+            classify_equilibrium(chain, np.zeros(4))
 
     def test_huge_alpha_keeps_the_origin(self):
         # 2 alpha overflowed, inf * 0 made the Jacobian NaN at the origin,
@@ -392,6 +398,24 @@ class TestEquilibria:
         with pytest.raises(ValueError, match="not an equilibrium"):
             classify_equilibrium(red, np.array([0.5, 0.5]))
 
+    @pytest.mark.parametrize("point", [[math.nan, 0.0], [0.0, math.inf], [0.0],
+                                       [0.0, 0.0, 0.0], [[0.0, 0.0]]])
+    def test_rejects_a_point_that_is_not_d_finite_numbers(self, systems, point):
+        # NaN compares false with any bound, and a wrong length reached
+        # numpy's shape error: both are refused by name, before LAPACK
+        red, _, _ = systems[3]
+        with pytest.raises(ValueError, match=re.escape(
+                f"point must be 2 finite coordinates, got {point}")):
+            classify_equilibrium(red, point)
+
+    def test_rejects_an_overflowing_residual(self, systems):
+        # a finite point whose acceleration overflows to NaN (with numpy's
+        # overflow warnings) is refused as no equilibrium, not in LAPACK
+        red, _, _ = systems[3]
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                ValueError, match=r"not an equilibrium \(residual nan\)"):
+            classify_equilibrium(red, [1e200, -1e200])
+
     def test_p7_census(self, systems):
         # d = 6, the largest system the grid search accepts: all 2^6 points,
         # found long before the 9^6 = 531 441 seeds run out
@@ -403,7 +427,7 @@ class TestEquilibria:
 
 def _newton_per_seed(system, axis):
     """The equilibrium search one seed at a time, as a reference."""
-    fun, jac = system.static_field()
+    fun, jac = system.accel, system.jac
     d = system.dof
     found = []
     for seed in np.stack(np.meshgrid(*([axis] * d), indexing="ij"), -1).reshape(-1, d):
@@ -429,7 +453,7 @@ def _newton_per_seed(system, axis):
 
 def _full_grid_equilibria(system):
     """Every one of the 9^d grid seeds through Newton, deduplicated in seed order."""
-    fun, jac = system.static_field()
+    fun, jac = system.accel, system.jac
     d = system.dof
     seeds = np.stack(np.meshgrid(*([EQUILIBRIUM_GRID] * d), indexing="ij"),
                      -1).reshape(-1, d)
@@ -520,8 +544,7 @@ class TestBatchedNewton:
         sys = QuasiHarmonicSystem(lambdas=np.array([2.0]),
                                   monomials=([0], [0], [0], [1.0]),
                                   labels=(None,), alpha=1.0)
-        fun, jac = sys.static_field()
-        assert jac(np.array([1.0]))[0, 0] == 0.0
+        assert sys.jac(np.array([1.0]))[0, 0] == 0.0
         reports = find_equilibria(sys)
         assert [float(r.point[0]) for r in reports] == [0.0, 2.0]
 

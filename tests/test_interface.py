@@ -1,9 +1,12 @@
-"""The one system interface: ``dof``, ``accel(q, out=None)`` and ``energy(states)``.
+"""The one system interface: ``dof``, ``accel(q, out=None)``,
+``energy(states)`` and, for reduced and quasi-harmonic systems, ``jac(q)``.
 
 Every system kind (full chain, reduced, quasi-harmonic, cartoon) has a
 single right-hand side, which fills a given ``out``, and a vectorised
 energy; the public ``eval_*`` and energy entry points delegate to them.
-Cartoons are quasi-harmonic systems with fixed, fully symmetric tensors.
+Every kind but the full chain has the acceleration Jacobian ``jac``, the
+derivative of ``accel`` at one state or at rows.  Cartoons are
+quasi-harmonic systems with fixed, fully symmetric tensors.
 """
 
 import re
@@ -83,6 +86,27 @@ def test_accel_fills_out(name, interface_systems, rng):
         out = np.empty(d)
         assert system.accel(y[:d], out) is out
         assert np.array_equal(out, system.accel(y[:d]))
+
+
+@pytest.mark.parametrize("name", INTERFACE_SYSTEMS)
+def test_jac_is_the_derivative_of_accel(name, interface_systems, rng):
+    # every accel is quadratic in q (beta = 0), so its central difference
+    # is exact up to rounding, and the rows form is the per-state one
+    system, _ = interface_systems[name]
+    if not hasattr(system, "jac"):
+        assert name == "full6"
+        return
+    d, h = system.dof, 1e-3
+    rows = _states(system, rng)[:, :d]
+    jacs = system.jac(rows)
+    assert jacs.shape == (len(rows), d, d)
+    for q, jac_rows in zip(rows, jacs):
+        jac = system.jac(q)
+        assert np.abs(jac_rows - jac).max() <= 1e-14 * np.abs(jac).max()
+        for dq in rng.uniform(-1.0, 1.0, (3, d)):
+            central = (system.accel(q + h * dq) - system.accel(q - h * dq)) / (2 * h)
+            scale = np.abs(system.accel(q + h * dq)).max() / h + np.abs(jac).max()
+            assert np.abs(jac @ dq - central).max() <= 1e-14 * scale
 
 
 @pytest.mark.parametrize("name", INTERFACE_SYSTEMS)

@@ -57,15 +57,6 @@ def old_accel(sys):
     return lambda x: sys.alpha * (sys.f @ (sys.g @ x.T) ** 2).T - sys.lambdas * x
 
 
-def old_force(sys):
-    """The reduced static force -D^T V'(D q) as the @ expression computed it."""
-    def force(q):
-        e = sys.bonds @ q.T
-        return -(sys.bonds.T @ (e + sys.alpha * e * e)).T
-
-    return force
-
-
 def same_bits(a, b):
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
@@ -94,15 +85,6 @@ def test_accel_matches_the_matmul_form(kind, rng):
         assert same_bits(sys.accel(q), old_accel(sys)(q)), q
         if q.ndim == 1:
             assert same_bits(filled(sys.accel, q), old_accel(sys)(q)), q
-
-
-def test_force_matches_the_matmul_form(rng):
-    sys = build_reduced(7, 0.01)
-    force = sys.static_field()[0]
-    for q in states(rng, sys.dof):
-        assert same_bits(force(q), old_force(sys)(q)), q
-        if q.ndim == 1:
-            assert same_bits(filled(force, q), old_force(sys)(q)), q
 
 
 PAIRS = {
