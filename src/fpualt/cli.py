@@ -24,8 +24,8 @@ from pathlib import Path
 
 from . import __version__
 from .coupling import PatternViolationError
-from .scenarios import (analysis_report, equilibria_report, run_scenario,
-                        sweep_odd_p, sweep_report_text)
+from .scenarios import (_INTEGRATE, analysis_report, equilibria_report,
+                        run_scenario, sweep_odd_p, sweep_report_text)
 from .spectral import DegenerateSpectrumError, load_system
 
 EXIT_OK = 0
@@ -34,10 +34,6 @@ EXIT_DIVERGED = 2
 EXIT_SWEEP_FAIL = 3
 
 _LOG = logging.getLogger("fpualt")
-
-
-def _default_out_dir():
-    return os.environ.get("FPUALT_OUT_DIR", "fpualt_out")
 
 
 @functools.cache
@@ -57,10 +53,8 @@ def build_parser():
     run = sub.add_parser("run", help="run a scenario file")
     run.add_argument("scenario", help="path to a scenario file")
     run.add_argument("--out-dir", default=None)
-    run.add_argument("--abs-tol", type=float, default=None)
-    run.add_argument("--rel-tol", type=float, default=None)
-    run.add_argument("--t-end", type=float, default=None)
-    run.add_argument("--sample-dt", type=float, default=None)
+    for name in _INTEGRATE:           # each overrides the [integrate] key
+        run.add_argument(f"--{name.replace('_', '-')}", type=float, default=None)
 
     sweep = sub.add_parser("sweep", help="analyse every odd p up to --pmax")
     sweep.add_argument("--pmax", type=int, default=47)
@@ -78,17 +72,17 @@ def build_parser():
 
 
 def _out_dir(args):
-    out = Path(args.out_dir or _default_out_dir())
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    """--out-dir, else $FPUALT_OUT_DIR, else fpualt_out; not made here."""
+    return Path(args.out_dir or os.environ.get("FPUALT_OUT_DIR", "fpualt_out"))
 
 
 def _write_report(args, name, text):
     """Write a report into the output directory, echo it, and say where."""
-    out = _out_dir(args) / name
-    out.write_text(text)
+    out = _out_dir(args)
+    out.mkdir(parents=True, exist_ok=True)
+    (out / name).write_text(text)
     print(text, end="")
-    print(f"wrote {out}")
+    print(f"wrote {out / name}")
 
 
 def main(argv=None) -> int:
@@ -99,13 +93,10 @@ def main(argv=None) -> int:
         _LOG.setLevel(logging.INFO)
     try:
         if args.verb == "run":
-            overrides = {k: v for k, v in (
-                ("abs_tol", args.abs_tol), ("rel_tol", args.rel_tol),
-                ("t_end", args.t_end), ("sample_dt", args.sample_dt))
-                if v is not None}
+            overrides = {name: getattr(args, name) for name in _INTEGRATE
+                         if getattr(args, name) is not None}
             # run_scenario makes the directory once the scenario passes
-            result = run_scenario(args.scenario,
-                                  args.out_dir or _default_out_dir(), overrides)
+            result = run_scenario(args.scenario, _out_dir(args), overrides)
             print(f"{result.scenario.name}: {result.trajectory.status} "
                   f"(t_reached {result.trajectory.t_reached:g}, "
                   f"{result.trajectory.n_steps} steps)")

@@ -559,12 +559,17 @@ def find_equilibria(system):
     refused.  The seeds are iterated together in seed order, a batch of
     rows at a time, 512 in the first batch and twice as many in each next
     one up to 4096.  Non-convergent seeds are dropped silently; after each
-    batch the converged points are deduplicated in seed order against the
-    points found so far, keeping the earliest seed's point.  The static
-    system is d quadratic equations, so by Bezout's theorem it has at most
-    2^d isolated solutions: the search stops once it has 2^d points (at
-    p = 5 within the first batch), and a system with fewer real solutions
-    runs every seed.  Newton solves accel = 0 with the system's ``jac``;
+    batch one greedy pass over the points found so far, then the batch's
+    converged points in seed order, keeps each point not within
+    EQUILIBRIUM_DEDUP_TOL of a kept one, so the earliest seed's point.  The
+    static system is d quadratic equations, so by Bezout's theorem it has
+    at most 2^d isolated solutions: the search stops once it has 2^d points
+    (at p = 5 within the first batch), and a system with fewer real
+    solutions runs every seed.  Every reduced system has exactly 2^d real
+    static points, its uniform-tension states (every bond carries one
+    tension, and the extensions sum to zero), so its census always stops
+    at the bound; a built modal system has the same points mapped by
+    T^-1.  Newton solves accel = 0 with the system's ``jac``;
     their products go through BLAS, whose rounding depends on the number
     of rows, so a point can move in its last bits with the batch sizes.
     The seeds are iterated without a numpy warning for the infinities or
@@ -572,12 +577,15 @@ def find_equilibria(system):
     ``fpualt`` logger says how many seeds ran.
 
     The grid lies in the system's own coordinates, so two forms of one
-    system can find different sets.  The acoustic modal coordinate of a
-    reduced equilibrium grows like a^(-1/2), far outside the grid, and
-    whether Newton reaches it from a grid seed depends on a: the built
-    p = 3 quasi-harmonic system finds 3 of the 4 points of its reduced
-    system at a = 0.03, 0.003, 1e-3 and 1e-4, and all 4 at a = 0.1 and
-    0.01; at p = 5 both forms find all 16 at each of these a.
+    system can find different sets.  The acoustic modal coordinate of the
+    p = 3 point q = (1, 2) / alpha grows like a^(-1/2) / alpha, far outside
+    the grid, and whether Newton reaches it from a grid seed depends on a
+    and alpha: at alpha = 1 the built p = 3 quasi-harmonic system finds 3
+    of the 4 points of its reduced system at a = 0.03, 0.003, 1e-3 and
+    1e-4, and all 4 at a = 0.1 and 0.01; at alpha = -2 it finds 3 at
+    a = 0.01 and 1e-3.  A modal census that misses a point runs every
+    seed.  At p = 5 both forms find all 16 at a = 1e-3, 0.01, 0.3 and 3
+    with alpha = 1, 0.7 and -2.
     """
     fun, jac = _linearisation(system)
     d = system.dof
@@ -594,10 +602,12 @@ def find_equilibria(system):
             points = _newton_rows(fun, jac, seeds[start:start + size])
             residual = np.abs(fun(points)).max(axis=1, initial=0.0)
         start, size = min(start + size, len(seeds)), min(2 * size, _NEWTON_CHUNK)
-        points = points[residual <= EQUILIBRIUM_RESIDUAL_TOL]
-        for x in found:      # drop the points of this batch near an earlier one
-            points = points[np.abs(points - x).max(axis=1) > EQUILIBRIUM_DEDUP_TOL]
-        while len(points):   # keep the earliest seed's point, drop the ones near it
+        # the points found so far, all further apart than the tolerance,
+        # then this batch's: keep the earliest, drop the ones near it
+        points = np.concatenate([np.reshape(found, (-1, d)),
+                                 points[residual <= EQUILIBRIUM_RESIDUAL_TOL]])
+        found = []
+        while len(points):
             found.append(points[0])
             points = points[np.abs(points - points[0]).max(axis=1) > EQUILIBRIUM_DEDUP_TOL]
     log.info("equilibria: %d points from %d of %d seeds (Bezout bound 2^%d %s)",
@@ -666,7 +676,8 @@ def classify_equilibrium(system, point) -> EquilibriumReport:
     point = np.asarray(point, dtype=float)
     if point.shape != (d,) or not np.isfinite(point).all():
         raise ValueError(f"point must be {d} finite coordinates, got {point.tolist()}")
-    residual = float(np.abs(accel(point)).max())
+    with np.errstate(over="ignore", invalid="ignore"):    # refused below
+        residual = float(np.abs(accel(point)).max())
     if not residual <= 1e-10:
         raise ValueError(f"point is not an equilibrium (residual {residual:.3e})")
     flow = np.zeros((2 * d, 2 * d))

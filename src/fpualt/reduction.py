@@ -72,12 +72,6 @@ def build_reduced(p: int, a: float, alpha: float = 1.0) -> ReducedSystem:
     return ReducedSystem(p=p, a=a, alpha=alpha, masses=masses, bonds=bonds)
 
 
-def quadratic_vector(sys: ReducedSystem, q):
-    """N(q) = -D^T (D q)^2, the alpha-free quadratic part of the force."""
-    q = np.asarray(q, dtype=float)
-    return -(sys.bonds.T @ (sys.bonds @ q) ** 2)
-
-
 # A reduced system is a bond-space system, so the chain's state entry
 # points serve it: qdd = M^{-1} (-K q + alpha N(q)) and the conserved
 # energy sum M_i v_i^2 / 2 + U(q).  perfbench/ imports these names.

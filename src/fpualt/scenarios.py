@@ -26,7 +26,7 @@ import math
 import operator
 import time
 from collections import namedtuple
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -65,9 +65,9 @@ class Scenario:
     positions: dict = field(default_factory=dict)   # 1-based index -> value
     velocities: dict = field(default_factory=dict)
     t_end: float = 100.0
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-10
-    sample_dt: float = 1.0
+    abs_tol: float = IntegratorConfig.abs_tol
+    rel_tol: float = IntegratorConfig.rel_tol
+    sample_dt: float = IntegratorConfig.sample_dt
     outputs: set = field(default_factory=lambda: {"trajectory", "energy"})
     path: str = ""
     # file:line of each value read from a file, keyed by (field, key): the
@@ -75,13 +75,10 @@ class Scenario:
     lines: dict = field(default_factory=dict, repr=False)
 
     def config(self, overrides=None) -> IntegratorConfig:
-        o = overrides or {}
-        return IntegratorConfig(
-            t_end=o.get("t_end", self.t_end),
-            abs_tol=o.get("abs_tol", self.abs_tol),
-            rel_tol=o.get("rel_tol", self.rel_tol),
-            sample_dt=o.get("sample_dt", self.sample_dt),
-        )
+        """The integrator settings, each of ``overrides`` replacing the
+        scenario's own."""
+        return IntegratorConfig(**{name: getattr(self, name) for name in _INTEGRATE}
+                                | (overrides or {}))
 
 
 # Each kind's [system] keys with their defaults, its builder, which
@@ -108,7 +105,7 @@ _KINDS = {
                          if k != "id" and w is not None] or None),
                      "x", ("trajectory", "actions", "energy")),
 }
-_INTEGRATE = ("t_end", "abs_tol", "rel_tol", "sample_dt")
+_INTEGRATE = tuple(f.name for f in fields(IntegratorConfig))   # the [integrate] keys
 _TRUE = ("true", "yes", "1")             # output flags; false, no, 0 are off
 _SECTIONS = ("scenario", "system", "initial", "integrate", "outputs")
 # The (section, key) of each field that holds one value; the rest are dicts.
@@ -442,13 +439,13 @@ class SweepRow:
     """The structure census of one quasi-harmonic system.
 
     ``violation`` is the square-pattern failure, if any; the census then
-    stops, with no squares, rho, cycles, candidates or fit.  The
+    stops, with no squares (so no rho), cycles, candidates or fit.  The
     high-low interaction verdicts are that pattern: ``square_map``
     returns only when both squares of every pair i fill both equations
     of pair rho(i), so in every pair the optical square forces an
     acoustic equation and the acoustic square an optical one.
 
-    ``rho`` is numbered by the system's pair slots (modes 2i-1, 2i).
+    ``squares.rho`` is numbered by the system's pair slots (modes 2i-1, 2i).
     ``formula`` lists the chain pairs i whose rho(i) differs from
     min(2i, p - 2i), rho renumbered by the pairs the mode labels name;
     it is None when the labels do not number every pair 1..(p-1)/2 once
@@ -460,7 +457,6 @@ class SweepRow:
     lambdas: np.ndarray
     squares: SquareMap = None
     violation: str = None
-    rho: dict = field(default_factory=dict)
     formula: list = None
     cycles: tuple = ()
     n_candidates: int = 0
@@ -504,15 +500,14 @@ def structure_census(sys) -> SweepRow:
         row.violation = str(exc)
         row.failures.append(f"square pattern violated: {exc}")
         return row
-    row.rho = row.squares.rho
     pair = _chain_pairs(sys)
     if pair is not None:
-        chain_rho = {pair[i]: pair[j] for i, j in row.rho.items()}
+        chain_rho = {pair[i]: pair[j] for i, j in row.squares.rho.items()}
         row.formula = [i for i, (_, _, ok) in jan_check(sys.p, chain_rho).items()
                        if not ok]
         if row.formula:
             row.failures.append(f"rho disagrees with min(2i, p-2i) at {row.formula}")
-    row.cycles = cycle_decomposition(row.rho).cycles
+    row.cycles = cycle_decomposition(row.squares.rho).cycles
     # every nonempty proper union of cycles is a candidate
     row.n_candidates = max(2 ** len(row.cycles) - 2, 0)
     row.invariants = _invariant_unions(sys, row.cycles)
@@ -552,7 +547,7 @@ def analysis_report(sys) -> str:
         lines.append(f"forcing squares: PATTERN VIOLATION: {row.violation}")
         return "\n".join(lines) + "\n"
     lines.append("forcing squares: rho = "
-                 + " ".join(f"{i}->{j}" for i, j in sorted(row.rho.items())))
+                 + " ".join(f"{i}->{j}" for i, j in sorted(row.squares.rho.items())))
     if row.formula is not None:
         lines.append("min(2i, p-2i) formula: "
                      + (f"DISAGREES at {row.formula}" if row.formula else "agrees"))
@@ -639,13 +634,13 @@ def sweep_report_text(report: SweepReport) -> str:
             lines.append(f"  pair {j}: lambda = {_fmt(row.lambdas[2 * j - 2])} "
                          f"(acoustic), {_fmt(row.lambdas[2 * j - 1])} (optical)"
                          f"   sum {row.lambdas[2 * j - 2] + row.lambdas[2 * j - 1]:.12f}")
-        if row.rho:
-            lines.append("  rho: " + " ".join(f"{i}->{j}"
-                                              for i, j in sorted(row.rho.items())))
+        if row.squares is not None:
+            lines.append("  rho: " + " ".join(f"{i}->{j}" for i, j
+                                              in sorted(row.squares.rho.items())))
             lines.append(f"  cycles: {CycleDecomposition(row.cycles)}")
             lines.append(f"  min(2i,p-2i) formula: "
                          f"{'DISAGREES' if row.formula else 'agrees'}")
-            # a rho means the square pattern holds, and the pattern is
+            # squares mean the square pattern holds, and the pattern is
             # the verdict: both squares of a pair fill both equations
             lines.append("  interaction: optical squares force acoustic "
                          "equations: yes; acoustic force optical: yes")

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import json
 import logging
@@ -13,13 +14,13 @@ import pytest
 
 import fpualt.coupling
 import fpualt.scenarios
-from fpualt import (PatternViolationError, Scenario, ScenarioError,
-                    analysis_report, build_reduced, extract_subsystem,
+from fpualt import (IntegratorConfig, PatternViolationError, Scenario,
+                    ScenarioError, analysis_report, build_reduced, extract_subsystem,
                     load_reference, parse_scenario, run_scenario, save_system,
                     square_map, sweep_odd_p, sweep_report_text,
                     to_quasi_harmonic)
-from fpualt.cli import main
-from fpualt.scenarios import _KINDS, structure_census
+from fpualt.cli import build_parser, main
+from fpualt.scenarios import _INTEGRATE, _KINDS, structure_census
 
 from conftest import BOUNDED_SCENARIOS, DIVERGENT_SCENARIOS, SCENARIO_DIR
 
@@ -462,7 +463,7 @@ class TestSweep:
         report = sweep_odd_p(9)
         assert [row.p for row in report.rows] == [3, 5, 7, 9]
         assert report.failures == []
-        assert report.rows[0].rho == {1: 1}
+        assert report.rows[0].squares.rho == {1: 1}
         assert report.rows[3].cycles == ((1, 2, 4), (3,))
         text = sweep_report_text(report)
         assert "== p = 9" in text and "0 assertion failure(s)" in text
@@ -509,7 +510,7 @@ class TestSweep:
         # every prime shows two-way high-low interaction, no invariant sets
         primes = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
         for p in primes:
-            assert rows[p].rho and rows[p].formula == []
+            assert rows[p].squares.rho and rows[p].formula == []
             if p >= 5:
                 assert rows[p].invariants == []
         # the composite census carried by the report rows
@@ -534,7 +535,7 @@ class TestSweep:
         qh9 = to_quasi_harmonic(build_reduced(9, 0.01, 1.0))
         for sub in (extract_subsystem(qh9, [5, 6]), load_reference("p9_sub34")):
             row = structure_census(sub)
-            assert (sub.p, sub.dof, row.rho) == (9, 2, {1: 1})
+            assert (sub.p, sub.dof, row.squares.rho) == (9, 2, {1: 1})
             assert row.formula is None and row.failures == []
             report = analysis_report(sub)
             assert "forcing squares: rho = 1->1" in report
@@ -546,7 +547,7 @@ class TestSweep:
         # rho 1->4 2->2 3->1 4->3 is 4->1 3->3 2->4 1->2 in those pairs,
         # which is min(2i, p-2i)
         row = structure_census(load_reference("p9_full"))
-        assert row.rho == {1: 4, 2: 2, 3: 1, 4: 3}
+        assert row.squares.rho == {1: 4, 2: 2, 3: 1, 4: 3}
         assert row.formula == [] and row.failures == []
 
     def test_census_maps_the_squares_once(self, monkeypatch):
@@ -887,6 +888,31 @@ class TestCli:
         code = main(["sweep", "--pmax", "3"])
         assert code == 0
         assert (tmp_path / "envout" / "sweep_p3.txt").exists()
+
+
+class TestRunSettings:
+    """IntegratorConfig names the run settings and states their defaults;
+    a scenario and the run verb take both from there."""
+
+    def test_scenario_defaults_are_the_integrators(self):
+        assert (Scenario(name="x", kind="reduced", params={}).config()
+                == IntegratorConfig(t_end=100.0))
+
+    def test_run_flags_are_the_integrate_keys(self):
+        verbs = next(action for action in build_parser()._actions
+                     if isinstance(action, argparse._SubParsersAction))
+        flags = [action.dest for action in verbs.choices["run"]._actions
+                 if action.option_strings and action.dest not in ("help", "out_dir")]
+        assert flags == list(_INTEGRATE)
+
+    def test_each_run_flag_overrides_its_key(self, tmp_path, capsys):
+        settings = {"t_end": 2.0, "abs_tol": 1e-9, "rel_tol": 1e-8, "sample_dt": 0.5}
+        flags = [arg for name, value in settings.items()
+                 for arg in (f"--{name.replace('_', '-')}", str(value))]
+        assert main(["run", str(SCENARIO_DIR / "cartoon_bounded.scn"),
+                     "--out-dir", str(tmp_path), *flags]) == 0
+        manifest = json.loads((tmp_path / "cartoon_bounded_manifest.json").read_text())
+        assert manifest["integrator"] == settings
 
 
 class TestReadme:
