@@ -19,9 +19,8 @@ for name in ("fig_p3_forcing", "fig_p5_forcing", "cartoon_bounded",
              "cartoon_forced", "fig_p3_divergent"):
     result = run_scenario(SCEN / f"{name}.scn", OUT / name)
     man = result.manifest
-    print(f"{name}: status={man['status']}  steps={man['n_steps']}", end="")
-    if man["energy_drift"] is not None:
-        print(f"  energy drift={man['energy_drift']:.2e}", end="")
+    print(f"{name}: status={man['status']}  steps={man['n_steps']}  "
+          f"energy drift={man['energy_drift']:.2e}", end="")
     if man["status"] != "ok":
         print(f"  ({man['message']})", end="")
     print()

@@ -3,9 +3,9 @@ normal-mode coupling analysis, and interaction experiments."""
 
 __version__ = "0.1.0"
 
-from .chain import (ChainParams, FullChainSystem, FullState, build_chain,
-                    embed_chain, embed_state, eval_accel_full, hamiltonian,
-                    linear_spectrum_full, total_momentum)
+from .chain import (ChainParams, FullChainSystem, FullState, alternating_masses,
+                    build_chain, embed_chain, embed_state, eval_accel_full,
+                    hamiltonian, linear_spectrum_full, total_momentum)
 from .reduction import (ReducedState, ReducedSystem, build_reduced,
                         eval_accel_reduced, lift_symmetric, reduced_energy,
                         symmetry_residual)

@@ -24,7 +24,8 @@ O(a) and a high-frequency optical group near 2.
 """
 
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -119,13 +120,11 @@ class FullChainSystem(BondSystem):
     """A periodic alternating-mass chain, immutable after construction.
 
     Row j of ``accel`` reads m_j qdd_j = V'(q_{j+1}-q_j) - V'(q_j-q_{j-1}).
+    ``n_particles`` is the chain's name for ``dof``.
     """
 
     params: ChainParams
-
-    @property
-    def n_particles(self):
-        return self.masses.size
+    n_particles = BondSystem.dof
 
 
 @dataclass
@@ -161,13 +160,31 @@ def require_finite(**values):
             raise ValueError(f"{name} must be a finite number, got {value}")
 
 
-def require_mass_parameter(a):
-    """Refuse a mass parameter a that is not positive, or so small that
-    the heavy mass 1/a overflows, naming it."""
+def is_index(value):
+    """Whether ``value`` is an integer (anything ``operator.index`` takes:
+    an int or a numpy integer) and not a float, even an integral one, so
+    that a size or index guard, not numpy, refuses the float."""
+    try:
+        operator.index(value)
+    except TypeError:
+        return False
+    return True
+
+
+def alternating_masses(n_pairs, a):
+    """The masses 1, 1/a, 1, 1/a, ... of ``n_pairs`` (light, heavy) pairs.
+
+    Refuses a mass parameter a that is not positive, or so small that
+    the heavy mass 1/a overflows, naming it.
+    """
     if not a > 0:
         raise ValueError(f"mass parameter a must be positive, got {a}")
     if not math.isfinite(1.0 / a):
         raise ValueError(f"mass parameter a = {a!r} is too small: 1/a overflows")
+    masses = np.empty(2 * n_pairs)
+    masses[0::2] = 1.0        # odd particles in 1-based counting
+    masses[1::2] = 1.0 / a
+    return masses
 
 
 def build_chain(params: ChainParams) -> FullChainSystem:
@@ -175,16 +192,14 @@ def build_chain(params: ChainParams) -> FullChainSystem:
 
     Raises ValueError for a non-finite parameter, a mass parameter that
     is not positive or whose 1/a overflows, or a number of mass pairs
-    outside 2..SIZE_LIMIT (the ring needs at least 4 particles).
+    that is not an integer in 2..SIZE_LIMIT (the ring needs at least 4
+    particles).
     """
-    if not 2 <= params.n_pairs <= SIZE_LIMIT:
+    if not (is_index(params.n_pairs) and 2 <= params.n_pairs <= SIZE_LIMIT):
         raise ValueError(f"n_pairs must be in 2..{SIZE_LIMIT}, got {params.n_pairs}")
     require_finite(a=params.a, alpha=params.alpha, beta=params.beta)
-    require_mass_parameter(params.a)
-    n = 2 * params.n_pairs
-    masses = np.empty(n)
-    masses[0::2] = 1.0        # odd particles in 1-based counting
-    masses[1::2] = 1.0 / params.a
+    masses = alternating_masses(params.n_pairs, params.a)
+    n = masses.size
     bonds = np.eye(n, k=1) - np.eye(n)
     bonds[-1, 0] = 1.0        # the wrap bond q_1 - q_N
     return FullChainSystem(params=params, masses=masses, bonds=bonds,
@@ -241,6 +256,4 @@ def embed_state(state: FullState, k: int) -> FullState:
 
 def embed_chain(sys: FullChainSystem, k: int) -> FullChainSystem:
     """The 2kn-particle chain with the same a, alpha, beta."""
-    p = sys.params
-    return build_chain(ChainParams(n_pairs=k * p.n_pairs, a=p.a,
-                                   alpha=p.alpha, beta=p.beta))
+    return build_chain(replace(sys.params, n_pairs=k * sys.params.n_pairs))

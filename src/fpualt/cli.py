@@ -10,8 +10,10 @@ The global flag -v logs progress (each p of a sweep, with its wall
 time and candidate count) to stderr; the files written do not change.
 
 Exit codes: 0 success, 1 usage/config error or a system the analysis
-refuses (degenerate spectrum, square-pattern violation), 2 divergence
-detected, 3 assertion failure inside a sweep.  The default output
+refuses (degenerate spectrum), 2 divergence detected, 3 assertion
+failure inside a sweep.  A square-pattern violation is a finding, not
+a refusal: ``analyze`` writes it into its report and exits 0, and
+``sweep`` counts it as a failure and exits 3.  The default output
 directory is $FPUALT_OUT_DIR, falling back to ./fpualt_out.
 """
 

@@ -85,7 +85,8 @@ def square_map(sys: QuasiHarmonicSystem) -> SquareMap:
 
     A coefficient counts as present iff it is listed.  Raises
     PatternViolationError when the squares of some pair do not occupy
-    exactly the two equations of exactly one pair.
+    exactly the two equations of exactly one pair, or when two pairs
+    force one pair, so that rho is not a permutation.
     """
     d = sys.dof
     if d % 2:
@@ -100,7 +101,7 @@ def square_map(sys: QuasiHarmonicSystem) -> SquareMap:
     for mode, r in zip(m.j[square].tolist(), (m.i[square] + 1).tolist()):
         present[mode].add(r)
 
-    rho = {}
+    rho, forced = {}, {}        # forced[j]: the pair whose squares force j
     for i in range(1, npairs + 1):
         eq_sets = present[2 * i - 2:2 * i]
         target_pairs = {_pair_of_mode(r) for r in eq_sets[0] | eq_sets[1]}
@@ -114,7 +115,11 @@ def square_map(sys: QuasiHarmonicSystem) -> SquareMap:
                 f"squares of pair {i} do not fill both equations of pair {j}: "
                 f"acoustic square in {sorted(eq_sets[0])}, "
                 f"optical square in {sorted(eq_sets[1])}")
-        rho[i] = j
+        if j in forced:
+            raise PatternViolationError(
+                f"squares of pairs {forced[j]} and {i} both force pair {j} "
+                f"(rho is not a permutation)")
+        rho[i], forced[j] = j, i
     return SquareMap(rho=rho)
 
 

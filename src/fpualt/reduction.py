@@ -28,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import (SIZE_LIMIT, BondSystem, FullChainSystem, State,
-                    eval_accel_full, hamiltonian, require_finite,
-                    require_mass_parameter)
+                    alternating_masses, eval_accel_full, hamiltonian,
+                    is_index, require_finite)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -58,17 +58,13 @@ ReducedState = State
 
 
 def build_reduced(p: int, a: float, alpha: float = 1.0) -> ReducedSystem:
-    """Build the reduced (p-1)-dof system for odd p in 3..SIZE_LIMIT,
-    finite a > 0 with a finite 1/a, and finite alpha."""
-    if not 3 <= p <= SIZE_LIMIT or p % 2 == 0:
+    """Build the reduced (p-1)-dof system for an odd integer p in
+    3..SIZE_LIMIT, finite a > 0 with a finite 1/a, and finite alpha."""
+    if not (is_index(p) and 3 <= p <= SIZE_LIMIT and p % 2):
         raise ValueError(f"p must be an odd integer in 3..{SIZE_LIMIT}, got {p}")
     require_finite(a=a, alpha=alpha)
-    require_mass_parameter(a)
-    d = p - 1
-    masses = np.empty(d)
-    masses[0::2] = 1.0
-    masses[1::2] = 1.0 / a
-    bonds = np.eye(p, d) - np.eye(p, d, k=-1)
+    masses = alternating_masses((p - 1) // 2, a)
+    bonds = np.eye(p, p - 1) - np.eye(p, p - 1, k=-1)
     return ReducedSystem(p=p, a=a, alpha=alpha, masses=masses, bonds=bonds)
 
 
@@ -79,17 +75,18 @@ eval_accel_reduced = eval_accel_full
 reduced_energy = hamiltonian
 
 
+def _lift(x):
+    """The symmetric 2p-vector [x, 0, -x reversed, 0] of a (p-1)-vector x."""
+    return np.concatenate([x, [0.0], -x[::-1], [0.0]])
+
+
 def lift_symmetric(state: ReducedState) -> State:
     """Lift a reduced state to the symmetric 2p-particle state.
 
     Positions p and 2p are zero and the second half mirrors the first
     with a sign flip; the same pattern applies to velocities.
     """
-
-    def lift(x):
-        return np.concatenate([x, [0.0], -x[::-1], [0.0]])
-
-    return State(q=lift(state.q), v=lift(state.v))
+    return State(q=_lift(state.q), v=_lift(state.v))
 
 
 def symmetry_residual(sys: FullChainSystem, state: ReducedState) -> float:
@@ -97,16 +94,13 @@ def symmetry_residual(sys: FullChainSystem, state: ReducedState) -> float:
 
     The symmetric subspace is exactly invariant, so for every reduced
     state the full-chain acceleration of the lifted state must itself
-    satisfy acc_p = acc_{2p} = 0 and acc_{2p-i} = -acc_i.
+    satisfy acc_p = acc_{2p} = 0 and acc_{2p-i} = -acc_i, that is, equal
+    the lift of its own first p-1 entries.
     """
     p = state.q.size + 1
     if sys.n_particles != 2 * p:
         raise ValueError(
             f"chain has {sys.n_particles} particles, expected {2 * p} for p={p}"
         )
-    acc = eval_accel_full(sys, lift_symmetric(state))
-    head, mid = acc[: p - 1], acc[p - 1]
-    tail, last = acc[p : 2 * p - 1], acc[2 * p - 1]
-    return float(
-        max(abs(mid), abs(last), np.abs(tail + head[::-1]).max(initial=0.0))
-    )
+    acc = sys.accel(_lift(state.q))
+    return float(np.abs(acc - _lift(acc[: p - 1])).max())

@@ -26,19 +26,19 @@ import math
 import operator
 import time
 from collections import namedtuple
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .chain import SIZE_LIMIT, ChainParams, build_chain
+from .chain import SIZE_LIMIT, ChainParams, build_chain, is_index
 from .coupling import (CycleDecomposition, PatternViolationError, ScalingFit,
                        SquareMap, _invariant_unions, cycle_decomposition,
                        excitation_digraph, jan_check, map_reference_state,
                        map_to_reference_frame, scaling_equivalence,
                        square_map)
-from .dynamics import (EQUILIBRIUM_RESIDUAL_TOL, IntegratorConfig,
+from .dynamics import (EQUILIBRIUM_RESIDUAL_TOL, IntegratorConfig, Trajectory,
                        cartoon_system, find_equilibria, integrate,
                        mode_actions, relative_drift)
 from .refdata import FULL_TABLES, REFERENCE_TABLES, load_reference, reference_for
@@ -341,6 +341,14 @@ def run_scenario(scenario, out_dir, overrides=None) -> RunResult:
     through the one checker (``_checked``).  Every check runs before the
     output directory is made, so a refused scenario writes nothing.  Returns exit code 0 on success and 2 when
     the integration ended in a divergence or step-underflow report.
+
+    The manifest holds the scenario (``name``, ``scenario_file``,
+    ``version``, ``system``, ``initial``), the ``integrator`` settings
+    as :class:`IntegratorConfig` holds them, every field of
+    :class:`Trajectory` but ``times`` and ``states`` (so a field added
+    there is recorded with no edit here), ``energy_drift``,
+    ``wall_time_s``, ``phase_s``, ``outputs`` and, for a run in a
+    reference frame, ``reference_frame``.
     """
     scen = (_checked(scenario) if isinstance(scenario, Scenario)
             else parse_scenario(scenario))
@@ -394,16 +402,9 @@ def run_scenario(scenario, out_dir, overrides=None) -> RunResult:
         "initial": {"frame": scen.frame,
                     "positions": scen.positions, "velocities": scen.velocities,
                     "state_vector": y0},
-        "integrator": {name: getattr(cfg, name) for name in _INTEGRATE},
-        "status": tr.status,
-        "message": tr.message,
-        "t_reached": tr.t_reached,
-        "n_steps": tr.n_steps,
-        "n_rejected": tr.n_rejected,
-        "n_rhs": tr.n_rhs,
-        "h_min": tr.h_min,
-        "h_median": tr.h_median,
-        "h_max": tr.h_max,
+        "integrator": asdict(cfg),
+        **{f.name: getattr(tr, f.name) for f in fields(Trajectory)
+           if f.name not in ("times", "states")},
         "energy_drift": relative_drift(energies),
         "wall_time_s": phase_s["integrate"],
         "phase_s": phase_s,
@@ -609,7 +610,7 @@ def sweep_odd_p(p_max: int = 47, a: float = 0.01) -> SweepReport:
     relative to the largest are logged at INFO level.  A p_max outside
     3..SIZE_LIMIT is refused.
     """
-    if not 3 <= p_max <= SIZE_LIMIT:
+    if not (is_index(p_max) and 3 <= p_max <= SIZE_LIMIT):
         raise ValueError(f"sweep guard: p_max must be in 3..{SIZE_LIMIT}, "
                          f"got {p_max}")
     rows = []

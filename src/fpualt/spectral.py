@@ -70,7 +70,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .chain import BondSystem, require_finite
+from .chain import BondSystem, is_index, require_finite
 from .reduction import ReducedSystem
 
 
@@ -379,7 +379,7 @@ class QuasiHarmonicSystem:
 def _mode_index(sys: QuasiHarmonicSystem, m, what: str) -> int:
     """Mode ``m`` (1-based) of ``sys`` as an int; a ValueError names a
     ``what`` mode that is not an integer in 1..d."""
-    if not (isinstance(m, (int, np.integer)) and 1 <= m <= sys.dof):
+    if not (is_index(m) and 1 <= m <= sys.dof):
         raise ValueError(f"{what} mode {m!r} is not an integer in 1..{sys.dof}")
     return int(m)
 

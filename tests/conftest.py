@@ -4,9 +4,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fpualt import (InvariantCandidate, QuasiHarmonicSystem, build_reduced,
-                    check_invariance, cycle_decomposition, eigendecompose,
-                    run_scenario, square_map, to_quasi_harmonic)
+from fpualt import (InvariantCandidate, ModeLabel, QuasiHarmonicSystem,
+                    build_reduced, check_invariance, cycle_decomposition,
+                    eigendecompose, run_scenario, square_map, to_quasi_harmonic)
 
 REPO = Path(__file__).resolve().parent.parent
 SCENARIO_DIR = REPO / "scenarios"
@@ -76,6 +76,17 @@ def brute_force_candidates(qh):
                 qh, {m for cycle in combo for i in cycle for m in (2 * i - 1, 2 * i)}))
     out.sort(key=lambda c: (len(c.frozen_modes), sorted(c.frozen_modes)))
     return out
+
+
+def non_permutation_table():
+    """A p = 5 table whose four squares all sit in equations 1 and 2."""
+    i, j = [0, 1] * 4, [0, 0, 1, 1, 2, 2, 3, 3]
+    labels = tuple(ModeLabel(kind, pair) for pair in (1, 2)
+                   for kind in ("acoustic", "optical"))
+    return QuasiHarmonicSystem(lambdas=[0.01, 2.0, 0.02, 2.1], labels=labels,
+                               alpha=1.0, a=0.01, p=5,
+                               monomials=[np.array(i), np.array(j), np.array(j),
+                                          np.full(8, 0.5)])
 
 
 # The cycle coupling table enumerator that listed every union of cycles

@@ -30,10 +30,12 @@ class TestBuild:
         with pytest.raises(ValueError, match=r"^mass parameter a = 1e-320 is "
                                              r"too small: 1/a overflows$"):
             build_chain(ChainParams(3, 1e-320, 1.0))
-        for n_pairs in (1, 200):
+        # an integral float failed inside numpy, not at the guard
+        for n_pairs in (1, 200, 2.0, np.float64(3.0)):
             with pytest.raises(ValueError, match=rf"^n_pairs must be in 2\.\.199, "
                                                  rf"got {n_pairs}$"):
                 build_chain(ChainParams(n_pairs, 0.01, 1.0))
+        assert build_chain(ChainParams(np.int64(3), 0.01)).n_particles == 6
 
     @pytest.mark.parametrize("field", ("a", "alpha", "beta"))
     @pytest.mark.parametrize("value", (math.inf, -math.inf, math.nan))

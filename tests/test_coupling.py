@@ -12,7 +12,8 @@ from fpualt import (IntegratorConfig, PatternViolationError, build_reduced,
                     square_map, to_quasi_harmonic)
 from fpualt.spectral import ModalBasis, all_pair_eigenvalues
 
-from conftest import brute_force_candidates, table_oracle, tensor_monomials
+from conftest import (brute_force_candidates, non_permutation_table, table_oracle,
+                      tensor_monomials)
 
 
 class TestSquareMap:
@@ -59,6 +60,14 @@ class TestSquareMap:
                            match="pair 1 do not fill both equations of pair 2"):
             square_map(qh)
 
+    def test_two_pairs_forcing_one_pair_violate_pattern(self):
+        # every square of a 4-mode p = 5 table in equations 1 and 2 gave
+        # rho = {1: 1, 2: 1}, which cycle_decomposition then refused
+        with pytest.raises(PatternViolationError, match=r"^squares of pairs 1 and 2 "
+                                                        r"both force pair 1 \(rho is "
+                                                        r"not a permutation\)$"):
+            square_map(non_permutation_table())
+
     def test_odd_mode_count_rejected(self, systems):
         with pytest.raises(ValueError, match="even number"):
             square_map(extract_subsystem(systems[3][2], (1, 2)).__class__(
@@ -102,6 +111,8 @@ class TestCycles:
     def test_rejects_non_permutation(self):
         with pytest.raises(ValueError, match="permutation"):
             cycle_decomposition({1: 2, 2: 2})
+        with pytest.raises(ValueError, match=r"^not a permutation: \{1: 1, 2: 1\}$"):
+            cycle_decomposition({1: 1, 2: 1})
 
 
 class TestInvariance:

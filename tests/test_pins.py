@@ -1,8 +1,10 @@
 """The hot paths pinned bitwise to the expressions they replaced.
 
-Every system's acceleration evaluates its matrix-vector products with
-``ndarray.dot`` and puts the force's sign into the mass divisor, and
-its ``out`` form writes through scratch made once per system; the RK8
+Both builders take the chain's masses from one layout, and the symmetry
+residual compares the lifted acceleration with the lift of its own
+head.  Every system's acceleration evaluates its matrix-vector products
+with ``ndarray.dot`` and puts the force's sign into the mass divisor,
+and its ``out`` form writes through scratch made once per system; the RK8
 step writes its stage sums, error norm and right-hand sides into
 buffers made once per run; the CSV and SVG writers format a chunk of
 values with one ``%``.  None of this may change a bit: each form is
@@ -12,14 +14,15 @@ wall), and for columns with -0.0, subnormals, +-1e308, non-finite
 values, integers, one row and none.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from fpualt import (ChainParams, IntegratorConfig, Trajectory, build_chain,
-                    build_reduced, cartoon_system, integrate, load_reference,
-                    to_quasi_harmonic)
+from fpualt import (ChainParams, IntegratorConfig, ReducedState, Trajectory,
+                    build_chain, build_reduced, cartoon_system, integrate,
+                    load_reference, symmetry_residual, to_quasi_harmonic)
 from fpualt.dynamics import (DIVERGENCE_NORM, _ERROR_EXPONENT, _MAX_GROWTH,
                              _MIN_SHRINK, _N_STAGES, _PI_ALPHA, _PI_BETA, _RK_A,
                              _RK_B, _RK_E3, _RK_E5, _SAFETY, _step_size_summary,
@@ -103,6 +106,48 @@ def test_out_forms_keep_their_own_scratch(kind, rng):
     for q, x in zip(states(rng, first.dof)[:24], states(rng, second.dof)[:24]):
         assert same_bits(filled(first.accel, q), old_accel(first)(q))
         assert same_bits(filled(second.accel, x), old_accel(second)(x))
+
+
+# --- the chain's masses and its symmetric manifold ------------------------------
+
+
+@pytest.mark.parametrize("a", [0.01, 0.3, 3.0, 1e-8, np.float64(0.7)])
+def test_builders_share_the_alternating_masses(a):
+    # each builder filled the masses 1, 1/a, 1, 1/a, ... of its own
+    for n_pairs in (2, 3, 8):
+        layout = np.array([1.0, 1.0 / a] * n_pairs)
+        assert same_bits(build_chain(ChainParams(n_pairs, a)).masses, layout)
+        assert same_bits(build_reduced(2 * n_pairs + 1, a).masses, layout)
+
+
+def old_symmetry_residual(sys, state):
+    """The residual as three parts: acc_p, acc_2p and acc_{2p-i} + acc_i."""
+    p = state.q.size + 1
+
+    def lift(x):
+        return np.concatenate([x, [0.0], -x[::-1], [0.0]])
+
+    acc = sys.accel(lift(state.q))
+    head, mid = acc[: p - 1], acc[p - 1]
+    tail, last = acc[p : 2 * p - 1], acc[2 * p - 1]
+    return float(
+        max(abs(mid), abs(last), np.abs(tail + head[::-1]).max(initial=0.0))
+    )
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_symmetry_residual_matches_the_three_part_max(p, rng):
+    # masses perturbed by 1e-3 break the mirror relation acc_{2p-i} =
+    # -acc_i, so the residual is not 0 (acc_p and acc_2p stay 0: the
+    # forces on a site between mirrored neighbours cancel for any mass)
+    chain = build_chain(ChainParams(p, 0.01, beta=0.25))
+    chain = dataclasses.replace(
+        chain, masses=chain.masses * (1.0 + 1e-3 * rng.uniform(-1.0, 1.0, 2 * p)))
+    for q in states(rng, p - 1)[:24]:
+        state = ReducedState(q, np.zeros(p - 1))
+        new = symmetry_residual(chain, state)
+        assert same_bits(np.float64(new), np.float64(old_symmetry_residual(chain, state)))
+        assert new > 0.0 or not q.any()
 
 
 # --- the RK8 step ---------------------------------------------------------------

@@ -12,9 +12,14 @@ from fpualt import (ChainParams, FullState, IntegratorConfig, ReducedState,
 
 class TestBuild:
     def test_validation(self):
-        for bad_p in (4, 2, 1, -3, 201, 100001):
+        for bad_p in (4, 2, 1, -3, 201, 100001, 3.0, np.float64(5.0), 5.5):
             with pytest.raises(ValueError, match="odd integer"):
                 build_reduced(bad_p, 0.01)
+        # an integral float failed inside numpy's eye, not at the guard
+        with pytest.raises(ValueError, match=r"^p must be an odd integer in "
+                                             r"3\.\.199, got 3\.0$"):
+            build_reduced(3.0, 0.01)
+        assert build_reduced(np.int64(5), 0.01).dof == 4
         with pytest.raises(ValueError, match="positive"):
             build_reduced(5, 0.0)
         for a in (1e-320, 5e-324):

@@ -22,7 +22,8 @@ from fpualt import (IntegratorConfig, PatternViolationError, Scenario,
 from fpualt.cli import build_parser, main
 from fpualt.scenarios import _INTEGRATE, _KINDS, structure_census
 
-from conftest import BOUNDED_SCENARIOS, DIVERGENT_SCENARIOS, SCENARIO_DIR
+from conftest import (BOUNDED_SCENARIOS, DIVERGENT_SCENARIOS, SCENARIO_DIR,
+                      non_permutation_table)
 
 # Golden report files: any change to a line of the sweep or analysis
 # report output fails the tests that compare against them.
@@ -409,6 +410,25 @@ class TestRunScenario:
         assert man["integrator"]["abs_tol"] == 1e-10
         assert "mode_scales" in man["reference_frame"]
 
+    def test_manifest_key_set(self, scenario_results):
+        # the run fields are read from Trajectory, the settings from
+        # IntegratorConfig; the samples themselves are the CSV's
+        run = ("status", "message", "t_reached", "n_steps", "n_rejected",
+               "n_rhs", "h_min", "h_median", "h_max")
+        keys = {"name", "scenario_file", "version", "system", "initial",
+                "integrator", *run, "energy_drift", "wall_time_s", "phase_s",
+                "outputs"}
+        for name in BOUNDED_SCENARIOS + DIVERGENT_SCENARIOS:
+            res = scenario_results[name]
+            man = json.loads(Path(res.files[-1]).read_text())
+            framed = res.scenario.frame != "native"
+            assert set(man) == keys | ({"reference_frame"} if framed else set()), name
+            assert set(res.manifest) == set(man), name
+            assert man["integrator"] == {key: getattr(res.scenario, key)
+                                         for key in _INTEGRATE}, name
+            for key in run:
+                assert man[key] == getattr(res.trajectory, key), (name, key)
+
     def test_manifest_counts_rhs_calls(self, scenario_results):
         # one call at the start, one for the initial-step heuristic, and
         # 12 per attempted step of the 12-stage FSAL tableau
@@ -476,6 +496,14 @@ class TestSweep:
         # a p_max below 3 swept no system and exited 0
         with pytest.raises(ValueError, match=r"p_max must be in 3\.\.199, got 1$"):
             sweep_odd_p(1)
+
+    def test_pmax_must_be_an_integer(self):
+        # a float p_max passed the guard and failed inside range()
+        for p_max in (3.5, 5.0):
+            with pytest.raises(ValueError, match=rf"^sweep guard: p_max must be "
+                                                 rf"in 3\.\.199, got {p_max}$"):
+                sweep_odd_p(p_max)
+        assert [row.p for row in sweep_odd_p(np.int64(5)).rows] == [3, 5]
 
     @pytest.mark.parametrize("p_max, a", [(199, 0.001), (199, 1000.0),
                                           (99, 1.0001)])
@@ -865,6 +893,18 @@ class TestCli:
         assert "forcing squares: rho = 1->1" in out
         assert ("scaling fit vs table p3_full: not made (no source eigenvalue "
                 "matches reference 'p3_full' eigenvalue 2.00504 within 0.0001)\n") in out
+
+    def test_analyze_reports_a_rho_that_is_not_a_permutation(self, tmp_path, capsys):
+        # the square map returned rho = {1: 1, 2: 1}; analyze then exited 1
+        # with "error: not a permutation" and wrote no report
+        sysfile = tmp_path / "p5_bad.txt"
+        save_system(non_permutation_table(), sysfile)
+        assert main(["analyze", str(sysfile), "--out-dir", str(tmp_path)]) == 0
+        captured = capsys.readouterr()
+        line = ("forcing squares: PATTERN VIOLATION: squares of pairs 1 and 2 "
+                "both force pair 1 (rho is not a permutation)\n")
+        assert line in captured.out and captured.err == ""
+        assert line in (tmp_path / "p5_bad_analysis.txt").read_text()
 
     @pytest.mark.parametrize("argv", [
         ["run", str(SCENARIO_DIR)],

@@ -3,10 +3,12 @@ token, less blank lines, ``#`` comments and docstrings.
 
     python tools/count_code_lines.py [path ...]     # default: src/fpualt
 
-Prints one line per file and the total.
+Prints one line per file and the total.  A reader that closes the pipe
+early (``| head``) ends the run quietly, with exit code 1.
 """
 
 import ast
+import os
 import sys
 import tokenize
 from pathlib import Path
@@ -46,4 +48,10 @@ def main(argv):
 
 
 if __name__ == "__main__":
-    main(sys.argv[1:])
+    try:
+        main(sys.argv[1:])
+    except BrokenPipeError:
+        # the reader left early (``| head``): stop without a traceback, and
+        # point stdout at devnull so the exit-time flush cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
