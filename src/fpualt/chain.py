@@ -80,25 +80,39 @@ class BondSystem:
         writes the result into ``out`` and returns it, with every
         intermediate in scratch arrays made once per system object: the
         ``out`` form of one system must not run in two threads at once.
-        The scalars are 0-d arrays, which numpy multiplies faster than
-        Python floats.
+        That form is the integrator's hot path, so it makes only the
+        numpy calls its arithmetic needs: the bound ``dot`` methods and
+        ufuncs are closure locals, the scalars are 0-d arrays (numpy
+        multiplies them faster than Python floats) and the multiply by
+        alpha is skipped when alpha is 1, which 1 * x = x makes exact.
         """
-        bonds, bonds_t, quartic = self.bonds, self.bonds.T, self.beta != 0
+        bonds, quartic, scaled = self.bonds, self.beta != 0, self.alpha != 1.0
         alpha, beta, three = (np.array(float(x)) for x in (self.alpha, self.beta, 3.0))
         minus_m = -self.masses
-        scratch = tuple(np.empty(len(bonds)) for _ in range(3)) + (np.empty(self.dof),)
+        e, f, cube = (np.empty(len(bonds)) for _ in range(3))
+        force = np.empty(self.dof)
+        dot_e, dot_f = bonds.dot, bonds.T.dot
+        multiply, add, power, divide = np.multiply, np.add, np.power, np.divide
 
         def accel(q, out=None):
-            e, f, cube, force = scratch if out is not None else (None,) * 4
-            e = bonds.dot(q.T, e)
-            f = np.multiply(alpha, e, f)
-            np.multiply(f, e, f)
-            np.add(e, f, f)
+            if out is None:
+                ext = bonds.dot(q.T)
+                tension = ext + alpha * ext * ext
+                if quartic:
+                    tension = tension + beta * ext**3
+                return bonds.T.dot(tension).T / minus_m
+            dot_e(q, e)
+            if scaled:
+                multiply(alpha, e, f)
+                multiply(f, e, f)
+            else:
+                multiply(e, e, f)
+            add(e, f, f)
             if quartic:
-                cube = np.power(e, three, cube)
-                np.multiply(beta, cube, cube)
-                np.add(f, cube, f)
-            return np.divide(bonds_t.dot(f, force).T, minus_m, out)
+                power(e, three, cube)
+                multiply(beta, cube, cube)
+                add(f, cube, f)
+            return divide(dot_f(f, force), minus_m, out)
 
         return accel
 

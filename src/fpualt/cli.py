@@ -25,7 +25,6 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .coupling import PatternViolationError
 from .scenarios import (_INTEGRATE, analysis_report, equilibria_report,
                         run_scenario, sweep_odd_p, sweep_report_text)
 from .spectral import DegenerateSpectrumError, load_system
@@ -119,8 +118,7 @@ def main(argv=None) -> int:
             suffix, text = "equilibria", equilibria_report(sys_)
         _write_report(args, f"{Path(args.system).stem}_{suffix}.txt", text)
         return EXIT_OK
-    except (OSError, ValueError, DegenerateSpectrumError,
-            PatternViolationError) as exc:
+    except (OSError, ValueError, DegenerateSpectrumError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     finally:

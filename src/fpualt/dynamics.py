@@ -12,14 +12,16 @@ records its step, rejection and right-hand-side counts and the range of
 accepted steps.
 
 A step of the shipped scenarios' systems (2 to 6 degrees of freedom)
-costs about 92 us in the traced ``scenarios`` benchmark, nearly all
+costs about 72 us in the traced ``scenarios`` benchmark, nearly all
 of it the overhead of numpy calls on arrays of at most 12 entries.  So
 the step loop allocates no array (only a kept sample does): the stage
 state, the stage-sum scratch, the row views of the stage array and the
 error-norm terms are made once per run; each stage sum is
-``ndarray.dot`` into the scratch, a product with h and a sum with y;
-and the right-hand side writes into the stage row through the scratch
-of its system.  Every output but np.maximum's is passed positionally,
+``ndarray.dot`` into the scratch, a product with h and a sum with y,
+through ufuncs bound once per step; and the right-hand side writes
+into the stage row through the scratch of its system, with its own
+ufuncs bound once per system and no multiply by alpha = 1 (1 * x is x
+for every double).  Every output but np.maximum's is passed positionally,
 and the step h and the tolerances are 0-d arrays, because numpy takes
 a slower path for a keyword ``out`` and for a Python-float operand.
 Every matrix-vector product (the 11 stage sums, the solution and the
@@ -332,10 +334,11 @@ def _rk_stages(accel, y, h, buffers):
     than a Python float.  Returns ys.
     """
     ys, q, v, tmp, stages = buffers
+    multiply, add = np.multiply, np.add
     for sums, a_s, k_v, k_a in stages:
         sums.dot(a_s, tmp)
-        np.multiply(h, tmp, tmp)
-        np.add(y, tmp, ys)
+        multiply(h, tmp, tmp)
+        add(y, tmp, ys)
         k_v[...] = v
         accel(q, k_a)
     return ys

@@ -305,20 +305,27 @@ class QuasiHarmonicSystem:
         ``accel(x, out)`` takes one state, writes into the (d,) array
         ``out`` and returns it, with every intermediate in scratch arrays
         made once per system object, so it must not run in two threads at
-        once; alpha is a 0-d array, which numpy multiplies faster than a
-        Python float.
+        once.  That form is the integrator's hot path, so it makes only
+        the numpy calls its arithmetic needs: the bound ``dot`` methods
+        and ufuncs are closure locals, alpha is a 0-d array (numpy
+        multiplies it faster than a Python float) and its multiply is
+        skipped when alpha is 1, which 1 * x = x makes exact.
         """
-        lam, g, f = self.lambdas, self.g, self.f
-        alpha, scratch = np.array(self.alpha), (np.empty(len(g)), np.empty(self.dof))
+        lam, g, f, scaled = self.lambdas, self.g, self.f, self.alpha != 1.0
+        alpha, gx, fgx = np.array(self.alpha), np.empty(len(g)), np.empty(self.dof)
+        dot_g, dot_f = g.dot, f.dot
+        multiply, subtract = np.multiply, np.subtract
 
         def accel(x, out=None):
-            gx, fgx = scratch if out is not None else (None, None)
-            gx = g.dot(x.T, gx)
-            np.multiply(gx, gx, gx)
-            fgx = f.dot(gx, fgx)
-            np.multiply(alpha, fgx, fgx)
-            lam_x = np.multiply(lam, x, out)
-            return np.subtract(fgx.T, lam_x, lam_x)
+            if out is None:
+                return alpha * f.dot(g.dot(x.T) ** 2).T - lam * x
+            dot_g(x, gx)
+            multiply(gx, gx, gx)
+            dot_f(gx, fgx)
+            if scaled:
+                multiply(alpha, fgx, fgx)
+            multiply(lam, x, out)
+            return subtract(fgx, out, out)
 
         return accel
 

@@ -6,6 +6,7 @@ are static polyline renderings with axes and labels, nothing more.
 """
 
 import json
+import math
 
 import numpy as np
 
@@ -83,6 +84,25 @@ def _ticks(lo, hi):
     return np.arange(start, hi + 0.5 * step, step)
 
 
+def _y_range(ylo, yhi):
+    """The y axis of data in [ylo, yhi]: that range padded by 5 % each way.
+
+    Where the padded span is not a positive finite number with a nonzero
+    fifth, which ``_ticks`` needs (one value, a span that underflows or
+    one that overflows), the range is first widened by 1 each way; where
+    that does not help either (values whose spacing exceeds 1, or a span
+    that still overflows), it is +-1.1 max|y|, with max|y| capped at
+    1e307 so that the span stays finite.
+    """
+    for lo, hi in ((ylo, yhi), (ylo - 1.0, yhi + 1.0)):
+        pad = 0.05 * (hi - lo)
+        lo, hi = lo - pad, hi + pad
+        if 0.0 < (hi - lo) / 5 < math.inf:
+            return lo, hi
+    half = 1.1 * min(max(-ylo, yhi), 1e307)
+    return -half, half
+
+
 def _fmt_num(x):
     return f"{x:.6g}"
 
@@ -103,12 +123,8 @@ def write_svg_lines(path, x, series, labels, title, xlabel, ylabel):
     xlo, xhi = float(xs.min()), float(xs.max())
     if xhi == xlo:                  # one sample
         xlo, xhi = xlo - 1.0, xhi + 1.0
-    ylo = min(float(s.min()) for s in ys)
-    yhi = max(float(s.max()) for s in ys)
-    if yhi == ylo:
-        ylo, yhi = ylo - 1.0, yhi + 1.0
-    pad = 0.05 * (yhi - ylo)
-    ylo, yhi = ylo - pad, yhi + pad
+    ylo, yhi = _y_range(min(float(s.min()) for s in ys),
+                        max(float(s.max()) for s in ys))
     pw, ph = _W - _ML - _MR, _H - _MT - _MB
 
     def px(v):

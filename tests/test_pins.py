@@ -4,25 +4,32 @@ Both builders take the chain's masses from one layout, and the symmetry
 residual compares the lifted acceleration with the lift of its own
 head.  Every system's acceleration evaluates its matrix-vector products
 with ``ndarray.dot`` and puts the force's sign into the mass divisor,
-and its ``out`` form writes through scratch made once per system; the RK8
-step writes its stage sums, error norm and right-hand sides into
-buffers made once per run; the CSV and SVG writers format a chunk of
-values with one ``%``.  None of this may change a bit: each form is
-compared with the old one, kept here verbatim, for single states and
-rows, for whole trajectories (with rejected steps and a non-finite
-wall), and for columns with -0.0, subnormals, +-1e308, non-finite
-values, integers, one row and none.
+and its ``out`` form writes through scratch made once per system and
+skips the multiply by alpha when alpha is 1.  The systems below take
+both sides of that branch for bond systems with and without a quartic
+term and for built and given quasi-harmonic systems, and two of the
+scratch pairs mix alpha = 1 with alpha != 1.  The RK8 step writes its
+stage sums, error norm and right-hand sides into buffers made once per
+run; the CSV and SVG writers format a chunk of values with one ``%``.
+None of this may change a bit: each form is compared with the old one,
+kept here verbatim, for single states and rows, for whole trajectories
+(with rejected steps and a non-finite wall), and for columns with -0.0,
+subnormals, +-1e308, non-finite values, integers, one row and none.  A
+y range the old SVG writer could not draw is widened instead.
 """
 
 import dataclasses
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
 
-from fpualt import (ChainParams, IntegratorConfig, ReducedState, Trajectory,
-                    build_chain, build_reduced, cartoon_system, integrate,
-                    load_reference, symmetry_residual, to_quasi_harmonic)
+from fpualt import (ChainParams, IntegratorConfig, QuasiHarmonicSystem,
+                    ReducedState, Trajectory, build_chain, build_reduced,
+                    cartoon_system, integrate, load_reference, symmetry_residual,
+                    to_quasi_harmonic)
 from fpualt.dynamics import (DIVERGENCE_NORM, _ERROR_EXPONENT, _MAX_GROWTH,
                              _MIN_SHRINK, _N_STAGES, _PI_ALPHA, _PI_BETA, _RK_A,
                              _RK_B, _RK_E3, _RK_E5, _SAFETY, _step_size_summary,
@@ -31,14 +38,24 @@ from fpualt.writers import (_H, _MAX_POINTS, _MB, _ML, _MR, _MT, _PALETTE,
                             _ROW_CHUNK, _W, _fmt_num, _ticks, write_csv,
                             write_svg_lines)
 
+
+def given_at_alpha(sys, alpha):
+    """The quasi-harmonic system with the given list of ``sys`` at another alpha."""
+    m = sys.monomials
+    return QuasiHarmonicSystem(sys.lambdas, sys.labels, alpha,
+                               monomials=(m.i, m.j, m.k, m.coeff))
+
+
 SYSTEMS = {
     "full": lambda: build_chain(ChainParams(n_pairs=3, a=0.01)),
     "full_quartic": lambda: build_chain(ChainParams(n_pairs=2, a=0.3, beta=0.25)),
+    "full_quartic_alpha": lambda: build_chain(ChainParams(2, 0.3, alpha=-2.0, beta=0.25)),
     "reduced": lambda: build_reduced(5, 0.01),
     "reduced_alpha": lambda: build_reduced(5, 0.01, alpha=0.7),
     "built_qh": lambda: to_quasi_harmonic(build_reduced(5, 0.01)),
     "built_qh_alpha": lambda: to_quasi_harmonic(build_reduced(5, 0.01, alpha=0.7)),
     "given_qh": lambda: load_reference("p5_full"),
+    "given_qh_alpha": lambda: given_at_alpha(load_reference("p5_full"), 0.5),
     "cartoon1": lambda: cartoon_system(1),
     "cartoon2": lambda: cartoon_system(2),
 }
@@ -94,6 +111,10 @@ PAIRS = {
     "reduced": lambda: (build_reduced(5, 0.01), build_reduced(7, 0.01)),
     "built_qh": lambda: (to_quasi_harmonic(build_reduced(5, 0.01)),
                          to_quasi_harmonic(build_reduced(47, 0.01))),
+    "full_quartic": lambda: (build_chain(ChainParams(2, 0.3, beta=0.25)),
+                             build_chain(ChainParams(3, 0.3, alpha=-2.0, beta=0.25))),
+    "given_qh": lambda: (load_reference("p5_full"),
+                         given_at_alpha(load_reference("p3_full"), 0.5)),
 }
 
 
@@ -101,7 +122,8 @@ PAIRS = {
 def test_out_forms_keep_their_own_scratch(kind, rng):
     # the out form of each system writes its intermediates into scratch
     # of its own: interleaved calls on two systems of one kind and
-    # different sizes must not disturb each other
+    # different sizes (alpha 1 and alpha -2 or 0.5 in the last two pairs)
+    # must not disturb each other
     first, second = PAIRS[kind]()
     for q, x in zip(states(rng, first.dof)[:24], states(rng, second.dof)[:24]):
         assert same_bits(filled(first.accel, q), old_accel(first)(q))
@@ -477,11 +499,13 @@ def svg_series(rng):
         "constant": (np.arange(5.0), [np.full(5, -0.0), np.full(5, 2.0)]),
         "integers": (np.arange(10), [np.arange(10) ** 2]),
         "two_points": (np.array([0.0, 1e-3]), [np.array([1e8, -1e8])]),
+        "one_value": (np.arange(3.0), [np.full(3, -123456.789), np.full(3, -123456.789)]),
+        "one_large_value": (np.arange(3.0), [np.full(3, 2.0**53)]),
     }
 
 
 @pytest.mark.parametrize("plot", ["thinned", "special", "constant", "integers",
-                                  "two_points"])
+                                  "two_points", "one_value", "one_large_value"])
 def test_svg_matches_the_per_point_loop(plot, tmp_path, rng):
     x, series = svg_series(rng)[plot]
     kwargs = {"labels": [f"s{n}" for n in range(len(series))], "title": plot,
@@ -489,3 +513,23 @@ def test_svg_matches_the_per_point_loop(plot, tmp_path, rng):
     write_svg_lines(tmp_path / "new.svg", x, series, **kwargs)
     old_write_svg_lines(tmp_path / "old.svg", x, series, **kwargs)
     assert (tmp_path / "new.svg").read_bytes() == (tmp_path / "old.svg").read_bytes()
+
+
+@pytest.mark.parametrize("values, ticks", [
+    ([0.0, 5e-324], ["-1", "-0.5", "0", "0.5", "1"]),
+    ([-1e308, 1e308], ["-1e+307", "-5e+306", "0", "5e+306", "1e+307"]),
+    ([1e20, 1e20], ["-1e+20", "-5e+19", "0", "5e+19", "1e+20"]),
+])
+def test_svg_widens_a_degenerate_range(values, ticks, tmp_path):
+    # spans whose fifth rounds to 0 or that overflow reached np.log10(0) or
+    # inf in _ticks: two RuntimeWarnings, then "arange: cannot compute length"
+    path = tmp_path / "plot.svg"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        write_svg_lines(path, np.arange(2.0), [np.array(values)], labels=["s"],
+                        title="t", xlabel="t", ylabel="y")
+    text = path.read_text()
+    assert re.findall(r'text-anchor="end">([^<]*)<', text) == ticks
+    points = re.search(r'points="([^"]*)"', text)[1].replace(",", " ").split()
+    assert all(math.isfinite(float(v)) for v in points)
+

@@ -14,11 +14,10 @@ import pytest
 
 import fpualt.coupling
 import fpualt.scenarios
-from fpualt import (IntegratorConfig, PatternViolationError, Scenario,
-                    ScenarioError, analysis_report, build_reduced, extract_subsystem,
-                    load_reference, parse_scenario, run_scenario, save_system,
-                    square_map, sweep_odd_p, sweep_report_text,
-                    to_quasi_harmonic)
+from fpualt import (IntegratorConfig, Scenario, ScenarioError, analysis_report,
+                    build_reduced, extract_subsystem, load_reference,
+                    parse_scenario, run_scenario, save_system, square_map,
+                    sweep_odd_p, sweep_report_text, to_quasi_harmonic)
 from fpualt.cli import build_parser, main
 from fpualt.scenarios import _INTEGRATE, _KINDS, structure_census
 
@@ -656,14 +655,17 @@ class TestCli:
             "error: an allowed coupling underflows to 0 for p=3, a=1e-300\n")
         assert list(tmp_path.iterdir()) == []
 
-    def test_pattern_violation_is_usage_error(self, tmp_path, capsys,
-                                              monkeypatch):
-        def violate(**kwargs):
-            raise PatternViolationError("squares of pair 1 occur nowhere")
-
-        monkeypatch.setattr("fpualt.cli.sweep_odd_p", violate)
-        assert main(["sweep", "--pmax", "5", "--out-dir", str(tmp_path)]) == 1
-        assert capsys.readouterr().err == "error: squares of pair 1 occur nowhere\n"
+    def test_pattern_violation_fails_a_sweep(self, tmp_path, capsys):
+        # a violation is a finding: the sweep reports it and exits 3 (the
+        # analyze verb writes it into its report and exits 0, see
+        # test_analyze_reports_a_rho_that_is_not_a_permutation)
+        assert main(["sweep", "--pmax", "15", "--a", "1",
+                     "--out-dir", str(tmp_path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.count("FAILURE: square pattern violated: ") == 7
+        assert "sweep result: 7 systems, 7 assertion failure(s)\n" in captured.out
+        assert (tmp_path / "sweep_p15.txt").exists()
 
     @pytest.mark.parametrize("kind, line, output", [
         ("reduced", "p = 3", "actions = true"),
@@ -795,6 +797,23 @@ class TestCli:
         plots = sorted(tmp_path.glob("*.svg"))
         assert len(plots) == 2
         assert not any("nan" in plot.read_text() for plot in plots)
+
+    def test_subnormal_start_writes_every_output(self, tmp_path, capsys):
+        # x1 = 5e-324 gives a y span whose fifth rounds to 0: the SVG
+        # writer warned twice, failed with "arange: cannot compute length"
+        # and left only the trajectory CSV, with no manifest
+        scn = tmp_path / "tiny.scn"
+        scn.write_text("[system]\nkind = cartoon\nid = 1\n[initial]\nx1 = 5e-324\n"
+                       "[integrate]\nt_end = 10\n"
+                       "[outputs]\ntrajectory = true\nactions = true\n")
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", str(scn), "--out-dir", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert sorted(f.name for f in out.iterdir()) == [
+            "tiny_actions.csv", "tiny_actions.svg", "tiny_manifest.json",
+            "tiny_trajectory.csv", "tiny_trajectory.svg"]
 
     def test_fit_refusal_names_the_table_and_a_plain_float(self, tmp_path,
                                                            capsys):
