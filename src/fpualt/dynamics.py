@@ -52,6 +52,7 @@ Which outputs a scenario kind writes is decided by the kinds table in
 
 import logging
 import math
+import statistics
 from dataclasses import dataclass
 
 import numpy as np
@@ -222,8 +223,10 @@ class IntegratorConfig:
     these unit samples.  Tolerances outside (0, 1e-4] are refused, and
     so is a sample_dt or t_end that is not positive (NaN included), an
     infinite t_end and more than MAX_SAMPLES samples (t_end / sample_dt).
-    Under that cap the landing tolerance 1e-12 * max(1, t_end) is at
-    most 1e-6 * sample_dt for t_end >= 1.
+    A step lands on a sample time, and the run ends, within the landing
+    tolerance 1e-12 * t_end, which under that cap is at most
+    1e-6 * sample_dt for every accepted configuration.  A t_end shorter
+    than the step floor 16 eps * max(|t|, 1) ends as a step_underflow.
     """
 
     t_end: float
@@ -376,7 +379,9 @@ def _integrate(system, state0, cfg):
     _derivative(accel, y, k[0])
 
     sample_idx = 1
-    eps_t = 1e-12 * max(1.0, cfg.t_end)
+    # one landing tolerance for every t_end, at most 1e-6 sample_dt under
+    # MAX_SAMPLES; a t_end below the step floor ends as a step_underflow
+    eps_t = 1e-12 * cfg.t_end
     min_step_rel = 16.0 * np.finfo(float).eps
 
     # h_free is the controller's preferred step; clipping a step to land
@@ -471,15 +476,13 @@ def _step_size_summary(steps):
     """h_min, h_median and h_max of the accepted steps; None without steps.
 
     Plain Python: the first np.median call of a process adds about 1 MB
-    to its resident memory.
+    to its resident memory.  float(): an integer t_end can reach h as
+    the whole span.
     """
     if not steps:
         return {}
-    steps = sorted(steps)
-    mid = len(steps) // 2
-    median = steps[mid] if len(steps) % 2 else (steps[mid - 1] + steps[mid]) / 2
-    return {"h_min": float(steps[0]), "h_median": float(median),
-            "h_max": float(steps[-1])}
+    return {"h_min": float(min(steps)), "h_median": float(statistics.median(steps)),
+            "h_max": float(max(steps))}
 
 
 # --- diagnostics -------------------------------------------------------------

@@ -63,6 +63,7 @@ entry block is written with one %-format and read with one
 ``numpy.loadtxt`` pass.
 """
 
+import io
 import math
 from dataclasses import dataclass, fields
 from functools import cached_property
@@ -610,25 +611,32 @@ _ENTRY_DTYPE = np.dtype([("i", np.int64), ("j", np.int64), ("k", np.int64),
 def save_system(sys: QuasiHarmonicSystem, path):
     """Write ``sys`` as a system file (format above).
 
-    A system that :func:`load_system` could not read back, one without
-    mode labels (a cartoon) or with a non-finite ``a``, is refused with a
-    ValueError naming it and what it lacks, before ``path`` is opened.
+    A system that :func:`load_system` could not read back is refused
+    with a ValueError naming it, before ``path`` is opened: one without
+    mode labels (a cartoon) or with a non-finite ``a`` names what it
+    lacks; one with no modes, a non-integer ``p`` or pair, or a label
+    kind other than acoustic and optical names the header or mode line
+    that the loader's own :func:`_read_preamble` refuses or leaves unread.
     """
+    where = f"cannot save system {sys.name!r}"
     missing = [what for what, ok in (("mode labels", None not in sys.labels),
                                      ("finite a", math.isfinite(sys.a)))
                if not ok]
     if missing:
-        raise ValueError(f"cannot save system {sys.name!r}: it has no "
-                         f"{', no '.join(missing)}")
+        raise ValueError(f"{where}: it has no {', no '.join(missing)}")
+    preamble = io.StringIO(f"{sys.p} {sys.a!r} {sys.alpha!r}\n" + "".join(
+        f"{lam:.16e} {lab}\n" for lam, lab in zip(sys.lambdas, sys.labels)))
+    _read_preamble(preamble, where)
+    unread = preamble.readline().strip()
+    if unread:
+        raise ValueError(f"{where}: {unread!r} is not a mode line")
     columns = [(index + 1).tolist() for index in sys.monomials[:3]]
     columns.append(sys.monomials.coeff.tolist())
     flat = [None] * (4 * len(columns[0]))        # i, j, k, coeff per line
     for n, column in enumerate(columns):
         flat[n::4] = column
     with open(path, "w") as fh:
-        fh.write(f"{sys.p} {sys.a!r} {sys.alpha!r}\n")
-        for lam, lab in zip(sys.lambdas, sys.labels):
-            fh.write(f"{lam:.16e} {lab.kind} {lab.pair}\n")
+        fh.write(preamble.getvalue())
         fh.write(_ENTRY_LINE * len(columns[0]) % tuple(flat))
 
 
@@ -679,7 +687,8 @@ def _read_preamble(fh, path):
             what = "mode line" if header else "header"
             raise ValueError(f"{path}: malformed {what} {line!r}") from None
     if header is None or not lams:
-        raise ValueError(f"{path}: missing header or mode lines")
+        stop = f"; {line!r} is not a mode line" if line else ""
+        raise ValueError(f"{path}: missing header or mode lines{stop}")
     fh.seek(start)
     return header, lams, labels
 

@@ -54,8 +54,7 @@ def energy_csv(path, times, energies):
 
 def write_manifest(path, manifest: dict):
     with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True, default=_json_default)
-        fh.write("\n")
+        fh.write(json.dumps(manifest, indent=2, sort_keys=True, default=_json_default) + "\n")
 
 
 def _json_default(obj):

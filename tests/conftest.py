@@ -124,9 +124,10 @@ def _cycle_table(sys: QuasiHarmonicSystem, cycle_of):
     it.  Blocks without a nonzero entry hold 0 and the tensor size.
     """
     c = int(cycle_of.max()) + 1
-    b = sys.bilinear.ravel()
+    dense = dense_bilinear(sys)
+    b = dense.ravel()
     flat = np.flatnonzero(b)
-    i, j, k = np.unravel_index(flat, sys.bilinear.shape)
+    i, j, k = np.unravel_index(flat, dense.shape)
     mags = np.abs(b[flat]) * np.where(j == k, 1.0, 2.0)
     block = (cycle_of[i] * c + cycle_of[j]) * c + cycle_of[k]
     largest = np.zeros(c ** 3)
@@ -169,7 +170,7 @@ def table_oracle(sys: QuasiHarmonicSystem):
         max_violation = violations.max(axis=1)
         at_max = violations == max_violation[:, None]
         worst_flat = np.where(at_max, first[block].reshape(n, -1),
-                              sys.bilinear.size).min(axis=1)
+                              sys.dof ** 3).min(axis=1)
         frozen_mode = is_frozen[:, cycle_of]
         frozen = _split_rows(frozen_mode)
         kept = _split_rows(~frozen_mode)
@@ -229,6 +230,18 @@ def dense_tensor_oracle(sys, basis=None):
     return b
 
 
+def dense_bilinear(sys):
+    """The dense (d, d, d) tensor B of ``sys`` with C(x, x)_i = x . B_i . x,
+    scattered from its monomial list on its own: each square's coefficient
+    at (i, j, j), half of each cross coefficient at (i, j, k) and (i, k, j)."""
+    i, j, k, coeff = sys.monomials
+    b = np.zeros((sys.dof,) * 3)
+    half = np.where(j == k, coeff, 0.5 * coeff)
+    b[i, j, k] = half
+    b[i, k, j] = half
+    return b
+
+
 def tensor_monomials(b):
     """The 0-based (i, j, k, coeff) list of a dense (d, d, d) tensor, read
     from the nonzeros of its j <= k half: coeff is 2 B_ijk for j < k and
@@ -274,8 +287,9 @@ def assert_matches_dense_build(p, a):
 
 
 def einsum_field(sys):
-    """(rhs, jac) of ``sys`` by contracting its dense view ``bilinear``."""
-    alpha, b, lam = sys.alpha, sys.bilinear, sys.lambdas
+    """(rhs, jac) of ``sys`` by contracting its dense tensor
+    (:func:`dense_bilinear`)."""
+    alpha, b, lam = sys.alpha, dense_bilinear(sys), sys.lambdas
 
     def rhs(x):
         return alpha * np.einsum("ijk,...j,...k->...i", b, x, x) - lam * x

@@ -12,8 +12,8 @@ from fpualt import (IntegratorConfig, PatternViolationError, build_reduced,
                     square_map, to_quasi_harmonic)
 from fpualt.spectral import ModalBasis, all_pair_eigenvalues
 
-from conftest import (brute_force_candidates, non_permutation_table, table_oracle,
-                      tensor_monomials)
+from conftest import (brute_force_candidates, dense_bilinear, non_permutation_table,
+                      table_oracle, tensor_monomials)
 
 
 class TestSquareMap:
@@ -42,7 +42,7 @@ class TestSquareMap:
         # presence means nonzero: a tensor whose pair-1 squares are all
         # zero has nowhere to put them
         qh = systems[5][2]
-        b = qh.bilinear.copy()
+        b = dense_bilinear(qh)
         b[:, [0, 1], [0, 1]] = 0.0
         missing = dataclasses.replace(qh, monomials=tensor_monomials(b))
         with pytest.raises(PatternViolationError,
@@ -54,8 +54,9 @@ class TestSquareMap:
         # of pair 2.  The optical entry, which the selection rule allows,
         # cancels to round-off (~1e-16 relative) and is stored as zero.
         qh = to_quasi_harmonic(build_reduced(5, 1.0, 1.0))
-        assert np.all(qh.bilinear[2, [0, 1], [0, 1]] != 0.0)
-        assert np.all(qh.bilinear[3, [0, 1], [0, 1]] == 0.0)
+        b = dense_bilinear(qh)
+        assert np.all(b[2, [0, 1], [0, 1]] != 0.0)
+        assert np.all(b[3, [0, 1], [0, 1]] == 0.0)
         with pytest.raises(PatternViolationError,
                            match="pair 1 do not fill both equations of pair 2"):
             square_map(qh)
@@ -229,8 +230,8 @@ class TestEnumeration:
         # (i, j, k) reaching the maximum, as in the table oracle, and the
         # listed sets are the invariant unions
         qh = systems[45][2]
-        b = np.where(qh.bilinear != 0.0,
-                     rng.choice([-2.0, -1.0, 1.0, 2.0], qh.bilinear.shape), 0.0)
+        dense = dense_bilinear(qh)
+        b = np.where(dense != 0.0, rng.choice([-2.0, -1.0, 1.0, 2.0], dense.shape), 0.0)
         tied = dataclasses.replace(qh, monomials=tensor_monomials(b))
         every = brute_force_candidates(tied)
         assert len(every) == 2 ** 5 - 2
@@ -312,8 +313,8 @@ class TestScalingFit:
     def test_recovers_constructed_scaling(self, systems, rng):
         qh = systems[5][2]
         s = np.array([2.5, -0.4, 1.3, -3.0])
-        scaled = qh.bilinear * (s[None, None, :] * s[None, :, None]
-                                / s[:, None, None])
+        scaled = dense_bilinear(qh) * (s[None, None, :] * s[None, :, None]
+                                       / s[:, None, None])
         ref = qh.__class__(lambdas=qh.lambdas.copy(),
                            monomials=tensor_monomials(scaled),
                            labels=qh.labels, alpha=qh.alpha, a=qh.a, p=qh.p)
@@ -364,11 +365,11 @@ class TestScalingFit:
         # (1, 1, 1) and (1, 2, 2) both have the GF(2) row eps_1, so with
         # one of them flipped no sign assignment fits both
         ref = load_reference("p3_full")
-        bilinear = ref.bilinear.copy()
-        bilinear[0, 0, 0] *= -1.0
+        flipped = dense_bilinear(ref)
+        flipped[0, 0, 0] *= -1.0
         fit = scaling_equivalence(systems[3][2],
                                   dataclasses.replace(
-                                      ref, monomials=tensor_monomials(bilinear)))
+                                      ref, monomials=tensor_monomials(flipped)))
         assert fit.sign_consistent is False
         assert fit.residual == np.inf
         assert fit.sign_flips == ()

@@ -18,7 +18,7 @@ from fpualt import (DegenerateSpectrumError, IntegratorConfig,
 from fpualt.refdata import REFERENCE_TABLES, load_reference
 from fpualt.scenarios import structure_census
 
-from conftest import assert_matches_dense_build
+from conftest import assert_matches_dense_build, dense_bilinear
 
 
 @pytest.mark.parametrize("a", [0.01, 0.3, 1.0])
@@ -111,6 +111,7 @@ def test_integration_forms_no_coupling():
 def test_dense_view_reads_the_list():
     qh = to_quasi_harmonic(build_reduced(9, 0.01, 1.0))
     b, m = qh.bilinear, qh.monomials
+    assert b.tobytes() == dense_bilinear(qh).tobytes()
     assert np.array_equal(b, b.transpose(0, 2, 1))
     assert np.count_nonzero(b[:, np.arange(8), np.arange(8)]) == \
         np.count_nonzero(m.j == m.k)

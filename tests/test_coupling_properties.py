@@ -12,7 +12,8 @@ import pytest
 from fpualt import QuasiHarmonicSystem, load_system, save_system
 from fpualt.spectral import SYMMETRY_TOL_REL, DegenerateSpectrumError, ModeLabel
 
-from conftest import assert_field_matches_oracle, assert_matches_dense_build
+from conftest import (assert_field_matches_oracle, assert_matches_dense_build,
+                      dense_bilinear)
 
 hypothesis = pytest.importorskip("hypothesis")
 given, settings, st = hypothesis.given, hypothesis.settings, hypothesis.strategies
@@ -69,8 +70,8 @@ def test_given_list_field_and_file_round_trip(case, tmp_path_factory):
         monomials=[np.array(column) for column in zip(*entries)] or [[]] * 4)
     assert_field_matches_oracle(sys, x)
     assert_field_matches_oracle(sys, 1e3 * x)
-    # the energy's symmetry test reads the list; the dense view agrees
-    b = sys.bilinear
+    # the energy's symmetry test reads the list; a dense oracle agrees
+    b = dense_bilinear(sys)
     tol = SYMMETRY_TOL_REL * np.abs(b).max(initial=0.0)
     symmetric = all(np.abs(b - b.transpose(axes)).max(initial=0.0) <= tol
                     for axes in ((1, 0, 2), (0, 2, 1)))

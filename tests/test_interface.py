@@ -23,7 +23,7 @@ from fpualt import (ChainParams, FullState, IntegratorConfig, ReducedState,
                     reduced_energy, run_scenario, to_quasi_harmonic)
 from fpualt.spectral import ModalBasis, QuasiHarmonicSystem
 
-from conftest import REPO, SCENARIO_DIR
+from conftest import REPO, SCENARIO_DIR, dense_bilinear
 
 INTERFACE_SYSTEMS = ("full6", "reduced5", "qh5", "qh47", "p3_full",
                      "cartoon1", "cartoon2")
@@ -187,11 +187,11 @@ def test_invariant_subsystem_conserves_energy(systems):
 
 
 def _monomial_loop(qh):
-    d = qh.dof
+    d, b = qh.dof, dense_bilinear(qh)
     for i in range(d):
         for j in range(d):
             for k in range(j, d):
-                c = qh.bilinear[i, j, k] * (1.0 if j == k else 2.0)
+                c = b[i, j, k] * (1.0 if j == k else 2.0)
                 if c != 0.0:
                     yield i + 1, j + 1, k + 1, c
 

@@ -10,10 +10,13 @@ both sides of that branch for bond systems with and without a quartic
 term and for built and given quasi-harmonic systems, and two of the
 scratch pairs mix alpha = 1 with alpha != 1.  The RK8 step writes its
 stage sums, error norm and right-hand sides into buffers made once per
-run; the CSV and SVG writers format a chunk of values with one ``%``.
+run, and its step-size summary takes the median from ``statistics``;
+the CSV and SVG writers format a chunk of values with one ``%``.
 None of this may change a bit: each form is compared with the old one,
-kept here verbatim, for single states and rows, for whole trajectories
-(with rejected steps and a non-finite wall), and for columns with -0.0,
+kept here verbatim but for the landing tolerance 1e-12 * t_end, for
+single states and rows, for whole trajectories (with t_end below and
+above 1, rejected steps and a non-finite wall), for step lists of odd,
+even and one length and of integers, and for columns with -0.0,
 subnormals, +-1e308, non-finite values, integers, one row and none.  A
 y range the old SVG writer could not draw is widened instead.
 """
@@ -242,7 +245,7 @@ def _old_integrate(system, state0, cfg):
     old_derivative(accel, y, k[0])
 
     sample_idx = 1
-    eps_t = 1e-12 * max(1.0, cfg.t_end)
+    eps_t = 1e-12 * cfg.t_end
     min_step_rel = 16.0 * np.finfo(float).eps
 
     h_free = old_initial_step(accel, y, k[0], cfg.abs_tol, cfg.rel_tol, cfg.t_end)
@@ -315,8 +318,27 @@ def _old_integrate(system, state0, cfg):
         times=np.array(times), states=np.array(states), status=status,
         t_reached=float(t), message=message, n_steps=n_steps,
         n_rejected=n_attempts - n_steps, n_rhs=2 + _N_STAGES * n_attempts,
-        **_step_size_summary(accepted_h),
+        **old_step_size_summary(accepted_h),
     )
+
+
+def old_step_size_summary(steps):
+    """h_min, h_median and h_max by a sort and a hand-written median."""
+    if not steps:
+        return {}
+    steps = sorted(steps)
+    mid = len(steps) // 2
+    median = steps[mid] if len(steps) % 2 else (steps[mid - 1] + steps[mid]) / 2
+    return {"h_min": float(steps[0]), "h_median": float(median),
+            "h_max": float(steps[-1])}
+
+
+@pytest.mark.parametrize("steps", [
+    [0.3, 0.1, 0.2], [0.4, 0.1, 0.3, 0.2], [0.1, 0.2], [0.7], [],
+    [3, 1, 4, 2], [5], [1e-300, 5e-324, 1e308, 1e308]])
+def test_step_size_summary_matches_the_sorted_median(steps):
+    new, old = _step_size_summary(steps), old_step_size_summary(steps)
+    assert {k: repr(v) for k, v in new.items()} == {k: repr(v) for k, v in old.items()}
 
 
 def same_run(new, old):
@@ -343,12 +365,20 @@ class _Wall:
 
 @pytest.mark.parametrize("kind", SYSTEMS)
 def test_step_matches_the_allocating_loop(kind, rng):
-    sys = SYSTEMS[kind]()
+    _assert_step_matches(SYSTEMS[kind](), IntegratorConfig(t_end=20.0, sample_dt=0.5), rng)
+
+
+@pytest.mark.parametrize("kind", SYSTEMS)
+def test_short_run_step_matches_the_allocating_loop(kind, rng):
+    # t_end below 1: the landing tolerance 1e-12 * t_end is below 1e-12
+    _assert_step_matches(SYSTEMS[kind](), IntegratorConfig(t_end=0.5, sample_dt=0.0125), rng)
+
+
+def _assert_step_matches(sys, cfg, rng):
     y0 = np.concatenate([rng.uniform(-0.3, 0.3, sys.dof),
                          rng.uniform(-0.05, 0.05, sys.dof)])
-    cfg = IntegratorConfig(t_end=20.0, sample_dt=0.5)
     new, old = integrate(sys, y0, cfg), old_integrate(sys, y0, cfg)
-    assert new.ok and new.n_steps > 20
+    assert new.ok and new.n_steps > 20 and new.times[-1] == cfg.t_end
     same_run(new, old)
 
 

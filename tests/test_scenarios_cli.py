@@ -742,6 +742,25 @@ class TestCli:
         assert captured.out == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("t_end, sample_dt, code, status, rows", [
+        ("1e-8", "1e-13", 0, "ok", 100_001),
+        ("1e-12", "1e-14", 0, "ok", 101),
+        ("1e-300", "1e-301", 2, "step_underflow", 1)])
+    def test_short_run_lands_on_t_end_or_underflows(self, tmp_path, capsys, t_end,
+                                                    sample_dt, code, status, rows):
+        # the absolute landing tolerance 1e-12 stopped 1e-8 at t = 9.999e-9
+        # after 99 991 samples, and reported 1e-12 and 1e-300 ok after 0 steps
+        assert main(["run", str(SCENARIO_DIR / "cartoon_bounded.scn"), "--t-end", t_end,
+                     "--sample-dt", sample_dt, "--out-dir", str(tmp_path)]) == code
+        manifest = json.loads((tmp_path / "cartoon_bounded_manifest.json").read_text())
+        times = np.loadtxt(tmp_path / "cartoon_bounded_trajectory.csv", delimiter=",",
+                           skiprows=1, usecols=0, ndmin=1)
+        assert manifest["status"] == status and times.size == rows
+        if status == "ok":
+            assert times[-1] == manifest["t_reached"] == float(t_end)
+        else:
+            assert manifest["message"] == "step size underflow (h=1.000e-300) at t=0"
+
     def test_equilibria_of_too_many_modes_is_usage_error(self, tmp_path, capsys):
         assert main(["equilibria", str(TABLE_DIR / "p9_a001.txt"),
                      "--out-dir", str(tmp_path)]) == 1

@@ -10,15 +10,15 @@ import fpualt
 from fpualt import (DegenerateSpectrumError, IntegratorConfig,
                     QuasiHarmonicSystem, ReducedState, build_reduced,
                     cartoon_system, eigendecompose, eval_accel_reduced,
-                    eval_qh_rhs, integrate, load_system, pair_eigenvalues,
-                    save_system, to_quasi_harmonic)
+                    eval_qh_rhs, extract_subsystem, integrate, load_system,
+                    pair_eigenvalues, save_system, to_quasi_harmonic)
 from fpualt.linalg import jacobi_eigh
 from fpualt.reduction import ReducedSystem
-from fpualt.refdata import REFERENCE_TABLES
+from fpualt.refdata import REFERENCE_TABLES, load_reference
 from fpualt.scenarios import analysis_report
-from fpualt.spectral import all_pair_eigenvalues, pair_labels
+from fpualt.spectral import ModeLabel, all_pair_eigenvalues, pair_labels
 
-from conftest import selection_rule
+from conftest import dense_bilinear, selection_rule
 
 
 class TestJacobi:
@@ -230,9 +230,10 @@ class TestQuasiHarmonic:
         # squares of pair 1 modes live only in pair 2 equations and vice versa
         _, _, qh = systems[5]
         thresh = 1e-10 * np.abs(qh.monomials.coeff).max()
+        b = dense_bilinear(qh)
         for sq_mode, eqs in ((1, (3, 4)), (2, (3, 4)), (3, (1, 2)), (4, (1, 2))):
             present = {r + 1 for r in range(4)
-                       if abs(qh.bilinear[r, sq_mode - 1, sq_mode - 1]) > thresh}
+                       if abs(b[r, sq_mode - 1, sq_mode - 1]) > thresh}
             assert present == set(eqs)
 
     def test_trajectory_equivalence(self, systems, rng):
@@ -271,7 +272,7 @@ class TestSelectionRule:
     def test_built_tensor_is_exactly_the_rule(self, p):
         qh = to_quasi_harmonic(build_reduced(p, 0.01, 1.0))
         allowed = selection_rule([lab.pair for lab in qh.labels], p)
-        assert np.array_equal(qh.bilinear != 0.0, allowed)
+        assert np.array_equal(dense_bilinear(qh) != 0.0, allowed)
 
 
 class TestSystemFiles:
@@ -282,7 +283,7 @@ class TestSystemFiles:
         loaded = load_system(path)
         assert loaded.p == 5 and loaded.a == 0.01 and loaded.alpha == 1.0
         assert np.abs(loaded.lambdas - qh.lambdas).max() == 0.0
-        assert np.abs(loaded.bilinear - qh.bilinear).max() <= 1e-17
+        assert np.abs(dense_bilinear(loaded) - dense_bilinear(qh)).max() <= 1e-17
         assert [(l.kind, l.pair) for l in loaded.labels] == \
                [(l.kind, l.pair) for l in qh.labels]
 
@@ -354,6 +355,8 @@ class TestSystemFiles:
         ("3 0.01 1.0\n0.5 acoustic 1\n1.5 optical 1\n2 2 1 0.25\n",
          r"out of range: \(2, 2, 1\)"),
         ("3 0.01 1.0\n1 1 1 0.5\n", "missing header or mode lines"),
+        ("3 0.01 1.0\n0.5 foo 1\n",
+         "missing header or mode lines; '0.5 foo 1' is not a mode line$"),
         ("3 inf 1.0\n0.5 acoustic 1\n", "malformed header '3 inf 1.0'"),
         ("3 0.01 nan\n0.5 acoustic 1\n", "malformed header '3 0.01 nan'"),
         ("3 0.01 1.0\n-inf acoustic 1\n", "malformed mode line '-inf acoustic 1'"),
@@ -374,6 +377,21 @@ class TestSystemFiles:
         # and the unlabelled mode lines could not be read back
         (lambda: cartoon_system(2),
          "cannot save system 'cartoon2': it has no mode labels, no finite a"),
+        # each of these was written, and then refused by load_system
+        (lambda: _p3(labels=(ModeLabel("foo", 1), ModeLabel("optical", 1))),
+         "cannot save system 'p3': missing header or mode lines; "
+         "'1.4962312271540212e-02 foo 1' is not a mode line"),
+        (lambda: _p3(labels=(ModeLabel("acoustic", 1), ModeLabel("optical 2", 1))),
+         "cannot save system 'p3': '2.0050376877284597e+00 optical 2 1' "
+         "is not a mode line"),
+        (lambda: _p3(labels=(ModeLabel("acoustic", 1), ModeLabel("optical", 1.5))),
+         "cannot save system 'p3': malformed mode line "
+         "'2.0050376877284597e+00 optical 1.5'"),
+        (lambda: _p3(p=3.0),
+         "cannot save system 'p3': malformed header '3.0 0.01 1.0'"),
+        (lambda: QuasiHarmonicSystem(np.zeros(0), (), 1.0, 0.01, 3, name="empty",
+                                     monomials=[[]] * 4),
+         "cannot save system 'empty': missing header or mode lines"),
     ])
     def test_save_refuses_what_load_cannot_read(self, make, message, tmp_path):
         path = tmp_path / "unsaved.txt"
@@ -382,6 +400,22 @@ class TestSystemFiles:
         assert str(err.value) == message
         assert not path.exists()
 
+    @pytest.mark.parametrize("make", [
+        *(lambda name=name: load_reference(name) for name in sorted(REFERENCE_TABLES)),
+        *(lambda p=p: to_quasi_harmonic(build_reduced(p, 0.01, 1.0)) for p in (3, 5, 9, 15)),
+        lambda: extract_subsystem(to_quasi_harmonic(build_reduced(9, 0.01, 1.0)), (5, 6)),
+    ])
+    def test_saved_systems_load_back_exactly(self, make, tmp_path):
+        sys = make()
+        path = tmp_path / "system.txt"
+        save_system(sys, path)
+        back = load_system(path)
+        assert (back.p, back.a, back.alpha) == (sys.p, sys.a, sys.alpha)
+        assert back.lambdas.tobytes() == sys.lambdas.tobytes()
+        assert back.labels == sys.labels
+        for got, want in zip(back.monomials, sys.monomials):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
     def test_no_entry_lines_loads_quietly(self, tmp_path):
         path = tmp_path / "linear.txt"
         path.write_text("3 0.01 1.0\n0.5 acoustic 1\n1.5 optical 1\n"
@@ -389,10 +423,15 @@ class TestSystemFiles:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             sys = load_system(path)
-        assert sys.dof == 2 and not sys.bilinear.any()
+        assert sys.dof == 2 and not dense_bilinear(sys).any()
 
 
 DATA_DIR = Path(fpualt.__file__).parent / "data"
+
+
+def _p3(**changes):
+    """The built p = 3 system with some fields replaced."""
+    return dataclasses.replace(to_quasi_harmonic(build_reduced(3, 0.01, 1.0)), **changes)
 
 
 def _save_per_line(qh, path):
@@ -438,4 +477,4 @@ def _assert_loads_like_per_line_parser(path):
     assert (sys.p, sys.a, sys.alpha) == header
     assert sys.lambdas.tobytes() == lams.tobytes()
     assert [(lab.kind, lab.pair) for lab in sys.labels] == labels
-    assert sys.bilinear.tobytes() == b.tobytes()
+    assert dense_bilinear(sys).tobytes() == b.tobytes()

@@ -12,11 +12,14 @@ subprocess of its own, runs every scenario through ``fpualt run``, with
 --pmax 99`` (at the default a = 0.01 and at ``--a 0.3``), of ``fpualt
 sweep --pmax 15 --a 1`` (exit 3: the equal-mass chain breaks the square
 pattern) and of ``fpualt analyze`` and ``fpualt equilibria`` of every
-table, each kind of report into a directory of its own, with one ``exit_codes.txt`` line per report: its
-arguments, exit code and error output.  Every output file is then compared byte
-for byte, except the manifests, which are compared as JSON without
-their timing fields (``wall_time_s``, ``phase_s``) and with their
-``outputs`` reduced to file names.
+table, each kind of report into a directory of its own, with one
+``exit_codes.txt`` line per report: its arguments, exit code and error
+output.  It also writes, with ``save_system``, every table as loaded and
+the built p = 3, 5, 9 and 15 systems (a = 0.01) into ``systems/``.
+Every output file is then compared byte for byte, except the manifests,
+which are compared as JSON without their timing fields
+(``wall_time_s``, ``phase_s``) and with their ``outputs`` reduced to
+file names.
 
 Prints one line per differing file and a summary; exits 0 when every
 file matches and 1 when any differs or is missing from one tree.
@@ -41,6 +44,7 @@ _RUNNER = """
 import contextlib, io, sys
 from pathlib import Path
 import fpualt
+from fpualt import build_reduced, load_system, save_system, to_quasi_harmonic
 from fpualt.cli import main
 src, out, t_end, n, *paths = sys.argv[1:]
 scenarios, tables = paths[:int(n)], paths[int(n):]
@@ -67,6 +71,12 @@ for verb, jobs in reports.items():
         lines.append(f"{' '.join(Path(a).name for a in args)}: {code} {err.getvalue()!r}")
     report_dir.mkdir(exist_ok=True)
     (report_dir / "exit_codes.txt").write_text("\\n".join(lines) + "\\n")
+systems = Path(out) / "systems"
+systems.mkdir()
+for t in tables:
+    save_system(load_system(t), systems / Path(t).name)
+for p in (3, 5, 9, 15):
+    save_system(to_quasi_harmonic(build_reduced(p, 0.01, 1.0)), systems / f"built_p{p}.txt")
 """
 
 
