@@ -8,7 +8,7 @@ from .chain import (ChainParams, FullChainSystem, FullState, alternating_masses,
                     hamiltonian, linear_spectrum_full, total_momentum)
 from .reduction import (ReducedState, ReducedSystem, build_reduced,
                         eval_accel_reduced, lift_symmetric, reduced_energy,
-                        symmetry_residual)
+                        symmetry_residual, uniform_tension_points)
 from .spectral import (DegenerateSpectrumError, ModalBasis, ModeLabel,
                        QuasiHarmonicSystem, eigendecompose, eval_qh_rhs,
                        load_system, pair_eigenvalues, save_system,

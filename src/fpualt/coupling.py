@@ -457,18 +457,18 @@ def scaling_equivalence(source: QuasiHarmonicSystem,
     )
 
 
-def map_reference_state(fit: ScalingFit, x_ref, v_ref):
-    """Map positions/velocities given in the reference normalisation onto
-    the source system's coordinates (source mode order).
+def map_reference_state(fit: ScalingFit, *rows):
+    """Map each argument, positions, velocities or rows of them (..., d)
+    given in the reference normalisation, onto the source system's
+    coordinates (source mode order); one array per argument.
 
     If x_src = P (s * x_ref) with P the fitted alignment, trajectories
     of the source system divided back by the scales reproduce reference
     trajectories.  Sign flips are folded into the scales here.
     """
-    s = fit.signed_scales
-    out = np.zeros((2, len(s)))
-    out[:, np.array(fit.permutation) - 1] = s * np.array([x_ref, v_ref], dtype=float)
-    return out[0], out[1]
+    order = np.argsort(fit.permutation)       # the ref slot of each source mode
+    return tuple((fit.signed_scales * np.asarray(x, dtype=float))[..., order]
+                 for x in rows)
 
 
 def map_to_reference_frame(fit: ScalingFit, x_src_traj):

@@ -37,15 +37,17 @@ once the state norm passes the cutoff or the step size underflows.
 
 Nothing here branches on the kind of system, except that
 ``mode_actions`` refuses a system whose coordinates are not modes (one
-that is not quasi-harmonic) with a TypeError.  Every system (full
-chain, reduced, quasi-harmonic) has ``dof``, ``accel(q, out=None)`` and
-a vectorised ``energy(states)``; reduced and quasi-harmonic systems also
-have the acceleration Jacobian ``jac(q)``, which with ``accel`` is all
-the equilibrium census reads.  The full chain has none: its translation
-mode leaves its equilibria non-isolated, and the census refuses it with
-a TypeError.  The two cartoon models are quasi-harmonic systems given
-fixed monomial lists, so they take the one right-hand side F (G x)^2 of
-every such system.
+that is not quasi-harmonic) with a TypeError, and that the equilibrium
+census seeds a reduced system with its closed-form static points
+directly and a quasi-harmonic one through its scaling fit.  Every
+system (full chain, reduced, quasi-harmonic) has ``dof``,
+``accel(q, out=None)`` and a vectorised ``energy(states)``; reduced and
+quasi-harmonic systems also have the acceleration Jacobian ``jac(q)``,
+which with ``accel`` is all the equilibrium census solves.  The full
+chain has none: its translation mode leaves its equilibria
+non-isolated, and the census refuses it with a TypeError.  The two
+cartoon models are quasi-harmonic systems given fixed monomial lists,
+so they take the one right-hand side F (G x)^2 of every such system.
 Which outputs a scenario kind writes is decided by the kinds table in
 ``scenarios``, which never asks for actions of a non-modal system.
 """
@@ -58,7 +60,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import require_finite
-from .spectral import QuasiHarmonicSystem, _mode_index
+from .coupling import map_reference_state, scaling_equivalence
+from .reduction import (EQUILIBRIUM_MAX_DOF, ReducedSystem, build_reduced,
+                        uniform_tension_points)
+from .spectral import (DegenerateSpectrumError, QuasiHarmonicSystem, _mode_index,
+                       to_quasi_harmonic)
 
 log = logging.getLogger(__name__)
 
@@ -549,49 +555,52 @@ class EquilibriumReport:
 
 IMAG_CLASSIFY_REL = 1e-8
 EQUILIBRIUM_GRID = np.linspace(-4.0, 4.0, 9)   # the seeds' values on each axis
-EQUILIBRIUM_MAX_DOF = 6            # 9^6 seeds at most
 NEWTON_STEPS = 50                  # iterations per seed at most
-EQUILIBRIUM_RESIDUAL_TOL = 1e-12   # largest acceleration at a found point
-EQUILIBRIUM_DEDUP_TOL = 1e-8       # points closer than this are one point
-_NEWTON_FIRST = 512      # seeds in the first batch; each next batch doubles
+EQUILIBRIUM_RESIDUAL_TOL = 1e-12   # largest acceleration at a found point, over max(1, |x|)
+EQUILIBRIUM_DEDUP_TOL = 1e-8       # points this close, over max(1, |alpha|), are one
 _NEWTON_CHUNK = 4096     # seeds per batch at most; bounds memory at d = 6 (9^6 seeds)
 
 
 def find_equilibria(system):
-    """All equilibria reachable by Newton from a regular grid of seeds.
+    """Every static point that Newton reaches from the census's seeds.
 
-    The seeds are the 9^d points of EQUILIBRIUM_GRID^d, the integers of
-    [-4, 4]^d; a system of more than EQUILIBRIUM_MAX_DOF = 6 modes is
-    refused.  The seeds are iterated together in seed order, a batch of
-    rows at a time, 512 in the first batch and twice as many in each next
-    one up to 4096.  Non-convergent seeds are dropped silently; after each
-    batch one greedy pass over the points found so far, then the batch's
-    converged points in seed order, keeps each point not within
-    EQUILIBRIUM_DEDUP_TOL of a kept one, so the earliest seed's point.  The
-    static system is d quadratic equations, so by Bezout's theorem it has
-    at most 2^d isolated solutions: the search stops once it has 2^d points
-    (at p = 5 within the first batch), and a system with fewer real
-    solutions runs every seed.  Every reduced system has exactly 2^d real
-    static points, its uniform-tension states (every bond carries one
-    tension, and the extensions sum to zero), so its census always stops
-    at the bound; a built modal system has the same points mapped by
-    T^-1.  Newton solves accel = 0 with the system's ``jac``;
-    their products go through BLAS, whose rounding depends on the number
-    of rows, so a point can move in its last bits with the batch sizes.
+    The seeds follow one rule.  A system with a reduction is seeded first
+    with its 2^d static points in closed form, the uniform-tension states
+    (:func:`fpualt.reduction.uniform_tension_points`): a reduced system
+    directly, and a quasi-harmonic system of odd p and d = p - 1 through
+    T^-1 of the built system at its (p, a, alpha) and the scaling fit
+    (:func:`fpualt.coupling.scaling_equivalence`) of its modes onto that
+    system's, when the fit is sign-consistent with the same coupling
+    pattern; this covers built, saved and loaded systems and the full
+    tables.  Then come the 9^d points of EQUILIBRIUM_GRID^d, the
+    integers of [-4, 4]^d, which every other system (a cartoon, a
+    subsystem table, a hand-made list, or one whose fit raises or does
+    not align) starts from.  A system of more than EQUILIBRIUM_MAX_DOF =
+    6 modes is refused.
+
+    Newton solves accel = 0 with the system's ``jac``, on the closed-form
+    seeds and then on the grid in batches of at most 4096 seeds.  Every
+    threshold follows one scale rule, relative to max(1, |x|_inf): a row
+    stops when its step is at most 1e-13 of the scale of its iterate,
+    and is dropped when its Jacobian is singular, its iterate is not
+    finite or exceeds 1e3 times the scale of its seed; a converged point
+    is kept when its acceleration is at most EQUILIBRIUM_RESIDUAL_TOL of
+    its scale, the test that :func:`classify_equilibrium` makes.  After
+    each batch one greedy pass over the points found so far, then the
+    batch's in seed order, keeps each point not within
+    EQUILIBRIUM_DEDUP_TOL / max(1, |alpha|) of a kept one: the static
+    points of every system here scale as 1/alpha.  The static system is
+    d quadratic equations, so by Bezout's theorem it has at most 2^d
+    isolated solutions, and the search stops once it has 2^d points.  So
+    the closed-form seeds of a system whose coupling is the built one
+    are all it runs, while one whose coupling differs (an edited file,
+    say), and so whose static points moved, goes on to the grid, and a
+    census with fewer than 2^d real points runs every seed.
+    The products go through BLAS, whose rounding depends on the number of
+    rows, so a point can move in its last bits with the batch sizes.
     The seeds are iterated without a numpy warning for the infinities or
     NaNs of the rows that are dropped, and one INFO line on the
-    ``fpualt`` logger says how many seeds ran.
-
-    The grid lies in the system's own coordinates, so two forms of one
-    system can find different sets.  The acoustic modal coordinate of the
-    p = 3 point q = (1, 2) / alpha grows like a^(-1/2) / alpha, far outside
-    the grid, and whether Newton reaches it from a grid seed depends on a
-    and alpha: at alpha = 1 the built p = 3 quasi-harmonic system finds 3
-    of the 4 points of its reduced system at a = 0.03, 0.003, 1e-3 and
-    1e-4, and all 4 at a = 0.1 and 0.01; at alpha = -2 it finds 3 at
-    a = 0.01 and 1e-3.  A modal census that misses a point runs every
-    seed.  At p = 5 both forms find all 16 at a = 1e-3, 0.01, 0.3 and 3
-    with alpha = 1, 0.7 and -2.
+    ``fpualt`` logger says how many seeds of each rule ran.
     """
     fun, jac = _linearisation(system)
     d = system.dof
@@ -599,28 +608,59 @@ def find_equilibria(system):
         raise ValueError(
             f"the equilibrium grid search is limited to {EQUILIBRIUM_MAX_DOF} "
             f"modes; this system has {d} modes")
-    seeds = np.stack(np.meshgrid(*([EQUILIBRIUM_GRID] * d), indexing="ij"),
-                     -1).reshape(-1, d)
-    found = []
-    start, size = 0, _NEWTON_FIRST
-    while start < len(seeds) and len(found) < 2 ** d:
+    tol = EQUILIBRIUM_DEDUP_TOL / max(1.0, abs(system.alpha))   # the points scale as 1/alpha
+    found, ran = [], {"uniform-tension": 0, "grid": 0}
+    for rule, seeds in _seed_batches(system):
+        if len(found) == 2 ** d:          # Bezout: 2^d isolated points at most
+            break
+        ran[rule] += len(seeds)
         with np.errstate(all="ignore"):
-            points = _newton_rows(fun, jac, seeds[start:start + size])
-            residual = np.abs(fun(points)).max(axis=1, initial=0.0)
-        start, size = min(start + size, len(seeds)), min(2 * size, _NEWTON_CHUNK)
-        # the points found so far, all further apart than the tolerance,
-        # then this batch's: keep the earliest, drop the ones near it
-        points = np.concatenate([np.reshape(found, (-1, d)),
-                                 points[residual <= EQUILIBRIUM_RESIDUAL_TOL]])
+            points = _newton_rows(fun, jac, seeds)
+        # the points found so far, then this batch's: keep the earliest
+        points = np.concatenate([np.reshape(found, (-1, d)), points])
         found = []
         while len(points):
             found.append(points[0])
-            points = points[np.abs(points - points[0]).max(axis=1) > EQUILIBRIUM_DEDUP_TOL]
-    log.info("equilibria: %d points from %d of %d seeds (Bezout bound 2^%d %s)",
-             len(found), start, len(seeds), d,
-             "reached" if len(found) == 2 ** d else "not reached")
+            points = points[np.abs(points - points[0]).max(axis=1) > tol]
+    log.info("equilibria: %d points from %d uniform-tension and %d of %d grid seeds",
+             len(found), ran["uniform-tension"], ran["grid"], len(EQUILIBRIUM_GRID) ** d)
     found.sort(key=lambda p: tuple(np.round(p, 9)))
     return [classify_equilibrium(system, p) for p in found]
+
+
+def _seed_batches(system):
+    """The census's (rule, seeds) batches: the closed-form static points of
+    a system with a reduction, then the grid, built only when it is reached."""
+    closed = _uniform_tension_seeds(system)
+    if closed is not None:
+        yield "uniform-tension", closed
+    d = system.dof
+    grid = np.stack(np.meshgrid(*([EQUILIBRIUM_GRID] * d), indexing="ij"), -1).reshape(-1, d)
+    for start in range(0, len(grid), _NEWTON_CHUNK):
+        yield "grid", grid[start:start + _NEWTON_CHUNK]
+
+
+def _uniform_tension_seeds(system):
+    """The closed-form static points of a system with a reduction, in its
+    own coordinates; None for a system without one (see find_equilibria)."""
+    if not (system.p % 2 and system.dof == system.p - 1):
+        return None
+    points = uniform_tension_points(system.p, system.alpha)
+    if isinstance(system, ReducedSystem):
+        return points
+    try:
+        built = to_quasi_harmonic(build_reduced(system.p, system.a, system.alpha))
+        fit = scaling_equivalence(system, built)
+    except (ValueError, DegenerateSpectrumError):
+        return None
+    if fit.sign_consistent and not fit.pattern_mismatches:
+        return map_reference_state(fit, points @ built.basis.t_inv.T)[0]
+    return None
+
+
+def _scale(x):
+    """max(1, |x|_inf) of a point or of each row: the census's unit."""
+    return np.maximum(1.0, np.abs(x).max(axis=-1))
 
 
 def _linearisation(system):
@@ -634,13 +674,14 @@ def _linearisation(system):
 
 
 def _newton_rows(fun, jac, x):
-    """Newton on every row of x at once; returns the converged rows in order.
+    """Newton on every row of x at once; returns the converged rows, in
+    order, whose acceleration is within the scale rule (find_equilibria).
 
-    A row stops when its step is <= 1e-13 (converged) or when its
-    Jacobian is singular, its iterate is not finite or exceeds 1e3 in
-    magnitude (dropped).
+    A row stops when its step is at most 1e-13 of its scale (converged)
+    or when its Jacobian is singular, its iterate is not finite or
+    exceeds 1e3 times its seed's scale (dropped).
     """
-    x = x.copy()
+    x, bound = x.copy(), 1e3 * _scale(x)
     active = np.ones(len(x), dtype=bool)
     converged = np.zeros(len(x), dtype=bool)
     for _ in range(NEWTON_STEPS):
@@ -649,22 +690,20 @@ def _newton_rows(fun, jac, x):
             break
         xa = x[idx]
         rhs, jacs = -fun(xa)[..., None], jac(xa)
-        try:
-            step = np.linalg.solve(jacs, rhs)[..., 0]
-        except np.linalg.LinAlgError:   # solve row by row; NaN drops singular rows
-            step = np.full(xa.shape, np.nan)
-            for r in range(len(idx)):
-                try:
-                    step[r] = np.linalg.solve(jacs[r], rhs[r])[:, 0]
-                except np.linalg.LinAlgError:
-                    pass
+        # an exact zero pivot of the LU factors, which solve would refuse,
+        # marks a singular row: its step is NaN, and the row is dropped
+        regular = np.linalg.slogdet(jacs)[0] != 0.0
+        step = np.full(xa.shape, np.nan)
+        step[regular] = np.linalg.solve(jacs[regular], rhs[regular])[..., 0]
         xa = xa + step
         x[idx] = xa
-        bad = ~np.all(np.isfinite(xa), axis=1) | (np.abs(xa).max(axis=1) > 1e3)
-        done = ~bad & (np.abs(step).max(axis=1) <= 1e-13)
+        size = np.abs(xa).max(axis=1)
+        bad = ~np.isfinite(size) | (size > bound[idx])
+        done = ~bad & (np.abs(step).max(axis=1) <= 1e-13 * np.maximum(1.0, size))
         converged[idx[done]] = True
         active[idx[bad | done]] = False
-    return x[converged]
+    x = x[converged]
+    return x[np.abs(fun(x)).max(axis=1) <= EQUILIBRIUM_RESIDUAL_TOL * _scale(x)]
 
 
 def classify_equilibrium(system, point) -> EquilibriumReport:
@@ -673,9 +712,10 @@ def classify_equilibrium(system, point) -> EquilibriumReport:
     Eigenvalues come in the symplectic patterns (+-i w, +-sigma,
     quadruples); one is counted pure-imaginary when |Re| is below
     1e-8 of the largest magnitude.  A point that is not d finite
-    coordinates, or whose acceleration exceeds 1e-10, is refused with a
-    ValueError that says which; a system without ``jac`` (the full
-    chain) with a TypeError.
+    coordinates, or whose acceleration exceeds EQUILIBRIUM_RESIDUAL_TOL
+    of max(1, |point|_inf), the scale rule of :func:`find_equilibria`,
+    is refused with a ValueError that says which; a system without
+    ``jac`` (the full chain) with a TypeError.
     """
     accel, jac = _linearisation(system)
     d = system.dof
@@ -684,7 +724,7 @@ def classify_equilibrium(system, point) -> EquilibriumReport:
         raise ValueError(f"point must be {d} finite coordinates, got {point.tolist()}")
     with np.errstate(over="ignore", invalid="ignore"):    # refused below
         residual = float(np.abs(accel(point)).max())
-    if not residual <= 1e-10:
+    if not residual <= EQUILIBRIUM_RESIDUAL_TOL * _scale(point):
         raise ValueError(f"point is not an equilibrium (residual {residual:.3e})")
     flow = np.zeros((2 * d, 2 * d))
     flow[:d, d:] = np.eye(d)

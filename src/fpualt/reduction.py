@@ -21,8 +21,12 @@ spring terms contribute the quadratic vector
 The equations of motion are M qdd + K q = alpha N(q), which is exactly
 minus the gradient of the fixed-end potential sum_b V(e_b); that
 potential provides an exact conserved energy for the reduced flow.
+
+Its static points are known in closed form (:func:`uniform_tension_points`):
+D^T (e + alpha e^2) = 0 holds exactly when every bond carries one tension.
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,6 +70,34 @@ def build_reduced(p: int, a: float, alpha: float = 1.0) -> ReducedSystem:
     masses = alternating_masses((p - 1) // 2, a)
     bonds = np.eye(p, p - 1) - np.eye(p, p - 1, k=-1)
     return ReducedSystem(p=p, a=a, alpha=alpha, masses=masses, bonds=bonds)
+
+
+# The equilibrium census's modes at most: 9^6 grid seeds, 2^6 closed-form points
+EQUILIBRIUM_MAX_DOF = 6
+
+
+def uniform_tension_points(p: int, alpha: float) -> np.ndarray:
+    """The static points of the reduced p system, (2^(p-1), p-1), in closed form,
+    for an odd integer p in 3..2 EQUILIBRIUM_MAX_DOF + 1, the census's range.
+
+    With fixed ends, D^T (e + alpha e^2) = 0 holds exactly when every
+    bond carries one tension c = e + alpha e^2, so each extension is
+    e = (-1 +- s) / (2 alpha), s = sqrt(1 + 4 alpha c), and the ends
+    q_0 = q_p = 0 ask for sum e = 0.  With k bonds on the + branch that
+    gives s = p / (2k - p), which is positive for k = (p+1)/2 .. p: the
+    2^(p-1) points q = cumsum(e), the same for every a and scaling as
+    1/alpha.  At alpha = 0 every point but the origin is at infinity, so
+    the origin is the one row.
+    """
+    if not (is_index(p) and 3 <= p <= 2 * EQUILIBRIUM_MAX_DOF + 1 and p % 2):
+        raise ValueError(f"p must be an odd integer in 3..{2 * EQUILIBRIUM_MAX_DOF + 1}, "
+                         f"got {p}")
+    if alpha == 0.0:
+        return np.zeros((1, p - 1))
+    # each row the branch signs of one point; 2k - p is their sum
+    sign = np.array([row for row in itertools.product((1.0, -1.0), repeat=p) if sum(row) > 0])
+    s = p / sign.sum(axis=1)
+    return np.cumsum((-1.0 + sign * s[:, None]) / (2.0 * alpha), axis=1)[:, :-1]
 
 
 # A reduced system is a bond-space system, so the chain's state entry

@@ -572,7 +572,7 @@ def equilibria_report(sys) -> str:
     reports = find_equilibria(sys)
     lines = [f"equilibria of {getattr(sys, 'name', '') or type(sys).__name__} "
              f"({len(reports)} found; static residual tolerance "
-             f"{EQUILIBRIUM_RESIDUAL_TOL:g})"]
+             f"{EQUILIBRIUM_RESIDUAL_TOL:g} * max(1, |x|))"]
     for r in reports:
         eig = ", ".join(f"{z.real:+.6g}{z.imag:+.6g}j" for z in r.eigenvalues)
         lines.append(f"  point ({', '.join(f'{v:.10g}' for v in r.point)})  "

@@ -63,7 +63,6 @@ entry block is written with one %-format and read with one
 ``numpy.loadtxt`` pass.
 """
 
-import io
 import math
 from dataclasses import dataclass, fields
 from functools import cached_property
@@ -239,9 +238,12 @@ class QuasiHarmonicSystem:
     Python floats, so a numpy scalar is written as its number in a
     system file or a report header.  A non-finite lambda or
     alpha is refused with a ValueError naming it (``alpha must be a
-    finite number, got nan``), so every system, however it is made, has
-    finite values.  The list and lambdas carry the structure; alpha only
-    multiplies every coupling alike.
+    finite number, got nan``), and so are no modes, a ``p`` that is not
+    an integer and a mode label (``None`` for an unlabelled mode) whose
+    kind is not exactly acoustic or optical or whose pair is not a
+    positive integer, so every system, however it is made, has finite
+    values and labels a system file can hold.  The list and lambdas
+    carry the structure; alpha only multiplies every coupling alike.
     """
 
     lambdas: np.ndarray
@@ -265,8 +267,17 @@ class QuasiHarmonicSystem:
         args = locals()
         for fld in fields(self):
             object.__setattr__(self, fld.name, args[fld.name])
+        if not lambdas.size:
+            raise ValueError("a quasi-harmonic system needs at least one mode")
         if len(labels) != len(lambdas):
             raise ValueError(f"{len(labels)} labels for {len(lambdas)} modes")
+        if not is_index(p):
+            raise ValueError(f"p must be an integer, got {p!r}")
+        for n, lab in enumerate(labels, start=1):     # None: an unlabelled mode
+            if lab is not None and not (lab.kind in ("acoustic", "optical")
+                                        and is_index(lab.pair) and lab.pair >= 1):
+                raise ValueError(f"mode {n} label ({lab.kind!r}, {lab.pair!r}) is not "
+                                 "acoustic or optical with a positive integer pair")
         self.__dict__["_built"] = monomials is None
         if monomials is not None:
             self.__dict__["monomials"] = _checked_monomials(monomials, len(lambdas))
@@ -611,32 +622,25 @@ _ENTRY_DTYPE = np.dtype([("i", np.int64), ("j", np.int64), ("k", np.int64),
 def save_system(sys: QuasiHarmonicSystem, path):
     """Write ``sys`` as a system file (format above).
 
-    A system that :func:`load_system` could not read back is refused
-    with a ValueError naming it, before ``path`` is opened: one without
-    mode labels (a cartoon) or with a non-finite ``a`` names what it
-    lacks; one with no modes, a non-integer ``p`` or pair, or a label
-    kind other than acoustic and optical names the header or mode line
-    that the loader's own :func:`_read_preamble` refuses or leaves unread.
+    Every system the constructor accepts has a header and mode lines that
+    :func:`load_system` reads back, but for one without mode labels (a
+    cartoon) or with a non-finite ``a``: such a system is refused with a
+    ValueError naming what it lacks, before ``path`` is opened.
     """
-    where = f"cannot save system {sys.name!r}"
     missing = [what for what, ok in (("mode labels", None not in sys.labels),
                                      ("finite a", math.isfinite(sys.a)))
                if not ok]
     if missing:
-        raise ValueError(f"{where}: it has no {', no '.join(missing)}")
-    preamble = io.StringIO(f"{sys.p} {sys.a!r} {sys.alpha!r}\n" + "".join(
-        f"{lam:.16e} {lab}\n" for lam, lab in zip(sys.lambdas, sys.labels)))
-    _read_preamble(preamble, where)
-    unread = preamble.readline().strip()
-    if unread:
-        raise ValueError(f"{where}: {unread!r} is not a mode line")
+        raise ValueError(f"cannot save system {sys.name!r}: it has no "
+                         f"{', no '.join(missing)}")
     columns = [(index + 1).tolist() for index in sys.monomials[:3]]
     columns.append(sys.monomials.coeff.tolist())
     flat = [None] * (4 * len(columns[0]))        # i, j, k, coeff per line
     for n, column in enumerate(columns):
         flat[n::4] = column
     with open(path, "w") as fh:
-        fh.write(preamble.getvalue())
+        fh.write(f"{sys.p} {sys.a!r} {sys.alpha!r}\n" + "".join(
+            f"{lam:.16e} {lab}\n" for lam, lab in zip(sys.lambdas, sys.labels)))
         fh.write(_ENTRY_LINE * len(columns[0]) % tuple(flat))
 
 

@@ -2,7 +2,9 @@ import functools
 import itertools
 import math
 import re
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,10 +13,10 @@ from fpualt import (ChainParams, IntegratorConfig, QuasiHarmonicSystem,
                     ReducedState, build_chain, build_reduced, cartoon_system,
                     classify_equilibrium,
                     energy_drift, find_equilibria, first_order_response,
-                    integrate, load_reference, mode_actions,
-                    to_quasi_harmonic)
+                    integrate, load_reference, load_system, mode_actions,
+                    save_system, to_quasi_harmonic, uniform_tension_points)
 from fpualt.dynamics import (EQUILIBRIUM_GRID, MAX_SAMPLES, _N_STAGES,
-                             _NEWTON_FIRST, _RK_A, _derivative, _newton_rows,
+                             _RK_A, _derivative, _newton_rows,
                              _rk_stages, _stage_buffers, energy_function)
 
 from conftest import tensor_monomials
@@ -344,7 +346,7 @@ class TestEquilibria:
         _assert_symplectic_spectra(find_equilibria(red), red.dof)
 
     def test_p5_equilibrium_set(self, systems):
-        # The grid search resolves the full Bezout count 2^4 = 16, all
+        # The census resolves the full Bezout count 2^4 = 16, all
         # real.  Two of the four published p=5 points check out exactly;
         # the other two published points fail the system's own middle
         # rows by integer amounts (static residuals (0,-6,-4,0) and
@@ -417,12 +419,17 @@ class TestEquilibria:
             classify_equilibrium(red, [1e200, -1e200])
 
     def test_p7_census(self, systems):
-        # d = 6, the largest system the grid search accepts: all 2^6 points,
-        # found long before the 9^6 = 531 441 seeds run out
+        # d = 6, the largest system the census accepts: all 2^6 points,
+        # each from its own closed-form seed
         reports = find_equilibria(systems[7][0])
         assert len(reports) == 64
         assert all(r.residual <= 1e-12 for r in reports)
         _assert_symplectic_spectra(reports, 6)
+
+
+def _unit(x):
+    """The scale max(1, |x|_inf) of the census's thresholds, per row."""
+    return np.maximum(1.0, np.abs(x).max(axis=-1))
 
 
 def _newton_per_seed(system, axis):
@@ -439,12 +446,12 @@ def _newton_per_seed(system, axis):
             except np.linalg.LinAlgError:
                 break
             x = x + step
-            if not np.all(np.isfinite(x)) or np.abs(x).max() > 1e3:
+            if not np.all(np.isfinite(x)) or np.abs(x).max() > 1e3 * _unit(seed):
                 break
-            if np.abs(step).max() <= 1e-13:
+            if np.abs(step).max() <= 1e-13 * _unit(x):
                 converged = True
                 break
-        if (converged and np.abs(fun(x)).max() <= 1e-12
+        if (converged and np.abs(fun(x)).max() <= 1e-12 * _unit(x)
                 and all(np.abs(x - g).max() > 1e-8 for g in found)):
             found.append(x)
     found.sort(key=lambda p: tuple(np.round(p, 9)))
@@ -459,7 +466,6 @@ def _full_grid_equilibria(system):
                      -1).reshape(-1, d)
     with np.errstate(all="ignore"):
         points = _newton_rows(fun, jac, seeds)
-        points = points[np.abs(fun(points)).max(axis=1, initial=0.0) <= 1e-12]
     found = []
     while len(points):
         found.append(points[0])
@@ -492,47 +498,85 @@ def newton_rows(monkeypatch):
     return rows
 
 
-class TestBezoutStop:
-    # A first batch of one seed puts a batch boundary, and so a check of
-    # the stop and a deduplication across batches, at every power of two
-    @pytest.mark.parametrize("first", [_NEWTON_FIRST, 1])
+class TestSeedRules:
     @pytest.mark.parametrize("name, a", [
         *((f"{kind}{p}", a) for p in (3, 5) for kind in ("reduced", "qh")
           for a in (0.01, 0.3, 3.0)),
         ("p3_full", None), ("p5_full", None)])
-    def test_matches_the_full_grid(self, monkeypatch, name, a, first):
-        monkeypatch.setattr("fpualt.dynamics._NEWTON_FIRST", first)
+    def test_matches_the_full_grid(self, name, a):
+        # every point that Newton reaches from a grid seed is one of the
+        # census's points, which come from the closed-form seeds
         system, expected = _census_case(name, a)
         got = np.array([r.point for r in find_equilibria(system)])
-        assert got.shape == expected.shape
-        assert np.abs(got - expected).max() <= 1e-12
+        assert len(got) == 2 ** system.dof
+        dist = np.abs(expected[:, None, :] - got[None, :, :]).max(axis=2)
+        assert dist.min(axis=1).max() <= 1e-12
+
+    @pytest.mark.parametrize("make", [
+        lambda: build_reduced(5, 0.01, 1.0),
+        lambda: to_quasi_harmonic(build_reduced(5, 0.01, 1.0)),
+        lambda: load_reference("p5_full")], ids=["reduced", "built", "table"])
+    def test_runs_one_seed_per_point(self, make, newton_rows):
+        assert len(find_equilibria(make())) == 16
+        assert newton_rows == [16]
 
     def test_stops_at_the_bezout_bound(self, systems, newton_rows):
-        assert len(find_equilibria(systems[5][0])) == 16
-        assert sum(newton_rows) < 9 ** 4
+        # the built p = 5 list given with p = 0 has no reduction: its 16
+        # points come from the first grid batch, and the rest never run
+        assert len(find_equilibria(_as_given_list(systems[5][2]))) == 16
+        assert newton_rows == [4096]
 
-    def test_runs_every_seed_below_the_bound(self, newton_rows):
-        # x0'' = x0^2 - x0 and x_i'' = -lambda_i x_i: 2 real roots of 2^4
+    @pytest.mark.parametrize("p, a, entry, factor, batches, on_grid", [
+        (3, 1e-3, 0, 1.00001, [4], 3), (5, 0.01, 3, 0.1, [16, 4096], 16)])
+    def test_an_edited_coupling_goes_on_to_the_grid(self, tmp_path, newton_rows, p, a,
+                                                    entry, factor, batches, on_grid):
+        # one coupling of a saved built system scaled by factor: the fit
+        # still aligns its modes, so the closed-form seeds come first, but
+        # its static points moved.  At p = 3 they find all 4, one of which
+        # the grid misses; at p = 5 they find 14 of 16, and the first grid
+        # batch the other 2.  Every point the full grid finds is found.
+        save_system(to_quasi_harmonic(build_reduced(p, a, 1.0)), tmp_path / "system.txt")
+        saved = load_system(tmp_path / "system.txt")
+        coeff = saved.monomials.coeff.copy()
+        coeff[entry] *= factor
+        system = QuasiHarmonicSystem(lambdas=saved.lambdas, labels=saved.labels,
+                                     alpha=saved.alpha, p=saved.p, a=saved.a,
+                                     monomials=(*saved.monomials[:3], coeff))
+        got = np.array([r.point for r in find_equilibria(system)])
+        expected = _full_grid_equilibria(system)
+        assert newton_rows == batches
+        assert len(got) == 2 ** system.dof and len(expected) == on_grid
+        dist = np.abs(expected[:, None, :] - got[None, :, :]).max(axis=2)
+        assert dist.min(axis=1).max() <= 1e-12
+
+    def test_runs_every_grid_seed(self, newton_rows):
+        # x0'' = x0^2 - x0 and x_i'' = -lambda_i x_i: 2 real roots of 2^4,
+        # from all 9^4 grid seeds in batches of at most 4096
         system = QuasiHarmonicSystem(lambdas=np.array([1.0, 2.0, 3.0, 4.0]),
                                      monomials=([0], [0], [0], [1.0]),
                                      labels=(None,) * 4, alpha=1.0)
         expected = _full_grid_equilibria(system)
         got = np.array([r.point for r in find_equilibria(system)])
-        assert sum(newton_rows) == 9 ** 4
+        assert newton_rows == [4096, 9 ** 4 - 4096]
         assert len(expected) == 2
         assert got.shape == expected.shape
         assert np.abs(got - expected).max() <= 1e-12
 
 
+def _as_given_list(qh):
+    """A built system's coupling given as a list, with p = 0: a system
+    with no reduction, so its census runs the grid."""
+    return QuasiHarmonicSystem(lambdas=qh.lambdas, labels=qh.labels,
+                               alpha=qh.alpha, monomials=qh.monomials)
+
+
 class TestBatchedNewton:
-    @pytest.mark.parametrize("p, kind, grid", [(3, "reduced", 9), (3, "qh", 9),
-                                               (5, "reduced", 5), (5, "qh", 5)])
-    def test_matches_per_seed_search(self, systems, monkeypatch, p, kind, grid):
+    @pytest.mark.parametrize("p, grid", [(3, 9), (5, 5)])
+    def test_matches_per_seed_search(self, systems, monkeypatch, p, grid):
         # at p = 5 the per-seed reference would take seconds on the 9^4 seeds
         axis = np.linspace(-4.0, 4.0, grid)
         monkeypatch.setattr("fpualt.dynamics.EQUILIBRIUM_GRID", axis)
-        red, _, qh = systems[p]
-        system = red if kind == "reduced" else qh
+        system = _as_given_list(systems[p][2])
         expected = _newton_per_seed(system, axis)
         got = np.array([r.point for r in find_equilibria(system)])
         assert got.shape == expected.shape
@@ -549,9 +593,47 @@ class TestBatchedNewton:
         assert [float(r.point[0]) for r in reports] == [0.0, 2.0]
 
 
-def _uniform_tension_points(p, alpha):
-    """The static points of the reduced p system in closed form, sorted
-    as find_equilibria sorts them.
+def _assert_same_points(got, want, rel):
+    """got and want hold the same points in any order: each point of one
+    lies within rel of want's largest coordinate of a point of the other."""
+    assert got.shape == want.shape
+    dist = np.abs(got[:, None, :] - want[None, :, :]).max(axis=2)
+    tol = rel * np.abs(want).max()
+    assert dist.min(axis=0).max() <= tol and dist.min(axis=1).max() <= tol
+
+
+@functools.cache
+def _census_forms(p, a, alpha):
+    """{form: (census points, closed-form points)} of the reduced, built
+    and saved-and-loaded p system, each in that form's coordinates."""
+    red = build_reduced(p, a, alpha)
+    qh = to_quasi_harmonic(red)
+    with tempfile.TemporaryDirectory() as tmp:
+        save_system(qh, Path(tmp) / "system.txt")
+        loaded = load_system(Path(tmp) / "system.txt")
+    points = uniform_tension_points(p, alpha)
+    modal = points @ qh.basis.t_inv.T
+    return {form: (np.array([r.point for r in find_equilibria(system)]), want)
+            for form, system, want in (("reduced", red, points), ("built", qh, modal),
+                                       ("loaded", loaded, modal))}
+
+
+# (p, a, alpha) of the oracle before the census had closed-form seeds
+_ORACLE_CASES = [*((p, a, alpha) for p in (3, 5) for a in (1e-3, 0.01, 0.3, 3.0)
+                   for alpha in (1.0, 0.7, -2.0)), (7, 0.01, 1.0)]
+
+# (a, alpha) of the census cases, each run at p = 3, 5 and 7: the oracle's
+# and smaller a, and the README's alpha rule up to alpha = 1e8, where the
+# points lie within 1e-7 of the origin
+_CENSUS_CASES = [(1e-3, 1.0), (0.01, 1.0), (0.03, 1.0), (0.3, 1.0), (3.0, 1.0),
+                 (1e-4, 1.0), (1e-3, 0.7), (0.01, 0.7), (0.3, 0.7), (3.0, 0.7),
+                 (1e-3, -2.0), (0.01, -2.0), (0.3, -2.0), (3.0, -2.0),
+                 (0.01, 0.1), (0.01, 0.01), (0.01, -0.3), (0.01, 10.0),
+                 (1e-3, 0.01), (0.3, 1e-3), (0.01, 1e8)]
+
+
+def _uniform_tension_loop(p, alpha):
+    """The closed form one point at a time, as a reference.
 
     With fixed ends, D^T (e + alpha e^2) = 0 holds exactly when every
     bond carries one tension c = e + alpha e^2, so each extension is
@@ -567,42 +649,79 @@ def _uniform_tension_points(p, alpha):
             e = np.full(p, (-1.0 - s) / (2.0 * alpha))
             e[list(plus)] = (-1.0 + s) / (2.0 * alpha)
             points.append(np.cumsum(e)[:-1])
-    points.sort(key=lambda q: tuple(np.round(q, 9)))
     return np.array(points)
 
 
 class TestUniformTensionOracle:
-    @pytest.mark.parametrize("p, a, alpha", [
-        *((p, a, alpha) for p in (3, 5) for a in (1e-3, 0.01, 0.3, 3.0)
-          for alpha in (1.0, 0.7, -2.0)),
-        (7, 0.01, 1.0)])
-    def test_census_is_the_uniform_tension_set(self, p, a, alpha):
-        # measured within 1.8e-15 for the reduced census, and 6.4e-14 of
+    @pytest.mark.parametrize("p, alpha", [(3, 1.0), (5, -0.3), (7, 0.1)])
+    def test_closed_form_points_are_static(self, p, alpha):
+        # the loop's points bit for bit: 2^(p-1) distinct points at which
+        # every bond of the reduced system carries one tension, so that
+        # its force vanishes at every a
+        points = uniform_tension_points(p, alpha)
+        assert points.shape == (2 ** (p - 1), p - 1)
+        assert (sorted(map(tuple, points.tolist()))
+                == sorted(map(tuple, _uniform_tension_loop(p, alpha).tolist())))
+        gaps = np.abs(points[:, None, :] - points[None, :, :]).max(axis=2)
+        np.fill_diagonal(gaps, np.inf)
+        assert gaps.min() >= 0.1 / abs(alpha)
+        for a in (1e-3, 3.0):
+            red = build_reduced(p, a, alpha)
+            e = points @ red.bonds.T
+            tension = e + alpha * e * e
+            scale = np.abs(tension).max()
+            assert np.abs(tension - tension[:, :1]).max() <= 1e-13 * scale
+            assert np.abs(red.masses * red.accel(points)).max() <= 1e-13 * scale
+        assert uniform_tension_points(p, 0.0).tolist() == [[0.0] * (p - 1)]
+
+    @pytest.mark.parametrize("p", [1, 4, 3.0, 15, 199])
+    def test_closed_form_refuses_what_the_census_cannot_run(self, p):
+        # an even p has no reduction, and p = 199 would list 2^198 points
+        with pytest.raises(ValueError, match=r"p must be an odd integer in 3\.\.13"):
+            uniform_tension_points(p, 1.0)
+
+    @pytest.mark.parametrize("p, a, alpha", _ORACLE_CASES)
+    @pytest.mark.parametrize("form", ["reduced", "built", "loaded"])
+    def test_census_is_the_uniform_tension_set(self, p, a, alpha, form):
+        # no point is missed in any form: the reduced census is the sorted
+        # closed form, and a modal census the same points through T^-1.
+        # Measured within 1.8e-15 for the reduced census, and 6.5e-14 of
         # the largest coordinate for the modal one
-        red = build_reduced(p, a, alpha)
-        expected = _uniform_tension_points(p, alpha)
-        got = np.array([r.point for r in find_equilibria(red)])
-        assert got.shape == expected.shape == (2 ** (p - 1), p - 1)
-        assert np.abs(got - expected).max() <= 1e-14
-        # the modal census: the same points through T^-1, less those that
-        # the grid misses (TestModalCensusGap), each outside [-4, 4]^d
-        qh = to_quasi_harmonic(red)
-        modal = expected @ qh.basis.t_inv.T
-        got = np.array([r.point for r in find_equilibria(qh)])
-        dist = np.abs(got[:, None, :] - modal[None, :, :]).max(axis=2)
-        assert dist.min(axis=1).max() <= 2e-13 * np.abs(modal).max()
-        missed = np.setdiff1d(np.arange(len(modal)), dist.argmin(axis=1))
-        assert len(got) + len(missed) == len(modal)
-        assert all(np.abs(modal[missed]).max(axis=1) > EQUILIBRIUM_GRID.max())
+        got, want = _census_forms(p, a, alpha)[form]
+        if form == "reduced":
+            want = np.array(sorted(want, key=lambda q: tuple(np.round(q, 9))))
+            assert got.shape == want.shape == (2 ** (p - 1), p - 1)
+            assert np.abs(got - want).max() <= 1e-14
+        else:
+            _assert_same_points(got, want, 2e-13)
+
+    @pytest.mark.parametrize("p, a, alpha", [(p, a, alpha) for a, alpha in _CENSUS_CASES
+                                             for p in (3, 5, 7)])
+    @pytest.mark.parametrize("form", ["reduced", "built", "loaded"])
+    def test_census_scales_as_one_over_alpha(self, p, a, alpha, form):
+        # every case, in every form, has its 2^(p-1) points, and (the
+        # README's alpha rule) is the alpha = 1 census divided by alpha.
+        # Measured: the reduced census within 3.7e-16 of the largest
+        # coordinate, in order; a modal one within 1.7e-13, but 5.8e-13 at
+        # a = 1e-4, where the acoustic coordinates of T^-1 grow like
+        # a^(-1/2) beside the optical ones and lose that many digits; the
+        # alpha rule within 1.6e-14
+        got, want = _census_forms(p, a, alpha)[form]
+        if form == "reduced":
+            want = np.array(sorted(want, key=lambda q: tuple(np.round(q, 9))))
+            assert got.shape == want.shape == (2 ** (p - 1), p - 1)
+            assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+        else:
+            _assert_same_points(got, want, 1e-12 if a == 1e-4 else 2e-13)
+        _assert_same_points(got, _census_forms(p, a, 1.0)[form][0] / alpha, 1e-12)
 
 
 class TestModalCensusGap:
-    # The grid lies in modal coordinates, where the acoustic coordinate of
-    # one p = 3 point grows like a^(-1/2) / alpha: 63.3 at (a, alpha) =
-    # (1e-3, 1), 11.6 at (0.03, 1), -31.6 at (1e-3, -2) and -10.0 at
-    # (0.01, -2).  The built system then finds 3 of its 4 points.
-    @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="the grid misses a point far outside [-4, 4]^2")
+    # In modal coordinates the acoustic coordinate of one p = 3 point grows
+    # like a^(-1/2) / alpha: 63.3 at (a, alpha) = (1e-3, 1), 11.6 at
+    # (0.03, 1), -31.6 at (1e-3, -2) and -10.0 at (0.01, -2), far outside
+    # the grid [-4, 4]^2 from which the census once found 3 of the 4
+    # points.  The closed-form seeds find all 4.
     @pytest.mark.parametrize("a, alpha", [(1e-3, 1.0), (0.03, 1.0),
                                           (1e-3, -2.0), (0.01, -2.0)])
     def test_finds_every_point(self, a, alpha):

@@ -883,7 +883,8 @@ class TestCli:
         assert all(0.0 < float(m[4]) <= 1.0 for m in progress)
 
     def test_verbose_equilibria_logs_where_the_census_stopped(self, tmp_path, capsys):
-        # -v logs one line to stderr and leaves the report alone
+        # -v logs one line to stderr, naming the seed rule, and leaves the
+        # report alone; a subsystem table has no reduction and runs the grid
         runs = {}
         for name, flags in (("quiet", []), ("loud", ["-v"])):
             out = tmp_path / name
@@ -893,8 +894,23 @@ class TestCli:
                           capsys.readouterr().err)
         assert runs["loud"][0] == runs["quiet"][0]
         assert runs["quiet"][1] == ""
-        assert runs["loud"][1] == ("equilibria: 16 points from 512 of 6561 seeds "
-                                   "(Bezout bound 2^4 reached)\n")
+        assert runs["loud"][1] == ("equilibria: 16 points from 16 uniform-tension "
+                                   "and 0 of 6561 grid seeds\n")
+        assert main(["-v", "equilibria", str(TABLE_DIR / "p5_a001_sub14.txt"),
+                     "--out-dir", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == ("equilibria: 3 points from 0 uniform-tension "
+                                           "and 81 of 81 grid seeds\n")
+
+    @pytest.mark.parametrize("p, a, found", [(3, 1e-3, 4), (7, 1e-4, 64)])
+    def test_equilibria_of_a_saved_built_system_is_complete(self, tmp_path, capsys,
+                                                            p, a, found):
+        # from the grid the census found 3 of 4, and 58 of 64 after 23.9 s
+        sysfile = tmp_path / f"p{p}.txt"
+        save_system(to_quasi_harmonic(build_reduced(p, a, 1.0)), sysfile)
+        start = time.perf_counter()
+        assert main(["equilibria", str(sysfile), "--out-dir", str(tmp_path)]) == 0
+        assert time.perf_counter() - start < 1.0
+        assert f"({found} found;" in capsys.readouterr().out
 
     def test_analyze_and_equilibria_verbs(self, tmp_path, capsys):
         sysfile = tmp_path / "p3.txt"

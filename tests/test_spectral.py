@@ -357,6 +357,8 @@ class TestSystemFiles:
         ("3 0.01 1.0\n1 1 1 0.5\n", "missing header or mode lines"),
         ("3 0.01 1.0\n0.5 foo 1\n",
          "missing header or mode lines; '0.5 foo 1' is not a mode line$"),
+        ("3 0.01 1.0\n0.5 acoustic 0\n", r"mode 1 label \('acoustic', 0\) is not "
+         "acoustic or optical with a positive integer pair$"),
         ("3 inf 1.0\n0.5 acoustic 1\n", "malformed header '3 inf 1.0'"),
         ("3 0.01 nan\n0.5 acoustic 1\n", "malformed header '3 0.01 nan'"),
         ("3 0.01 1.0\n-inf acoustic 1\n", "malformed mode line '-inf acoustic 1'"),
@@ -377,21 +379,29 @@ class TestSystemFiles:
         # and the unlabelled mode lines could not be read back
         (lambda: cartoon_system(2),
          "cannot save system 'cartoon2': it has no mode labels, no finite a"),
-        # each of these was written, and then refused by load_system
+        # each of these was written, and then refused by load_system; the
+        # constructor now refuses it, naming the label or field
         (lambda: _p3(labels=(ModeLabel("foo", 1), ModeLabel("optical", 1))),
-         "cannot save system 'p3': missing header or mode lines; "
-         "'1.4962312271540212e-02 foo 1' is not a mode line"),
+         "mode 1 label ('foo', 1) is not acoustic or optical with a positive "
+         "integer pair"),
         (lambda: _p3(labels=(ModeLabel("acoustic", 1), ModeLabel("optical 2", 1))),
-         "cannot save system 'p3': '2.0050376877284597e+00 optical 2 1' "
-         "is not a mode line"),
+         "mode 2 label ('optical 2', 1) is not acoustic or optical with a "
+         "positive integer pair"),
         (lambda: _p3(labels=(ModeLabel("acoustic", 1), ModeLabel("optical", 1.5))),
-         "cannot save system 'p3': malformed mode line "
-         "'2.0050376877284597e+00 optical 1.5'"),
-        (lambda: _p3(p=3.0),
-         "cannot save system 'p3': malformed header '3.0 0.01 1.0'"),
+         "mode 2 label ('optical', 1.5) is not acoustic or optical with a "
+         "positive integer pair"),
+        # a kind with a blank was saved and loaded back as another label,
+        # and a pair 0 was saved and loaded back as it was
+        (lambda: _p3(labels=(ModeLabel("acoustic ", 1), ModeLabel("optical", 1))),
+         "mode 1 label ('acoustic ', 1) is not acoustic or optical with a "
+         "positive integer pair"),
+        (lambda: _p3(labels=(ModeLabel("acoustic", 0), ModeLabel("optical", 0))),
+         "mode 1 label ('acoustic', 0) is not acoustic or optical with a "
+         "positive integer pair"),
+        (lambda: _p3(p=3.0), "p must be an integer, got 3.0"),
         (lambda: QuasiHarmonicSystem(np.zeros(0), (), 1.0, 0.01, 3, name="empty",
                                      monomials=[[]] * 4),
-         "cannot save system 'empty': missing header or mode lines"),
+         "a quasi-harmonic system needs at least one mode"),
     ])
     def test_save_refuses_what_load_cannot_read(self, make, message, tmp_path):
         path = tmp_path / "unsaved.txt"

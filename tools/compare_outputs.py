@@ -15,7 +15,10 @@ pattern) and of ``fpualt analyze`` and ``fpualt equilibria`` of every
 table, each kind of report into a directory of its own, with one
 ``exit_codes.txt`` line per report: its arguments, exit code and error
 output.  It also writes, with ``save_system``, every table as loaded and
-the built p = 3, 5, 9 and 15 systems (a = 0.01) into ``systems/``.
+the built p = 3, 5, 9 and 15 systems (a = 0.01) into ``systems/``, and
+the ``fpualt equilibria`` report of each of those built systems into
+``equilibria_built/`` (p = 9 and 15, of more than 6 modes, are refused
+with exit 1), so that a change of the census shows in its digits.
 Every output file is then compared byte for byte, except the manifests,
 which are compared as JSON without their timing fields
 (``wall_time_s``, ``phase_s``) and with their ``outputs`` reduced to
@@ -41,7 +44,7 @@ TIMING_FIELDS = ("wall_time_s", "phase_s")
 # Runs in the subprocess: sys.argv is [src, out_dir, t_end or "",
 # number of scenarios, scenario..., table...].
 _RUNNER = """
-import contextlib, io, sys
+import contextlib, io, os, sys
 from pathlib import Path
 import fpualt
 from fpualt import build_reduced, load_system, save_system, to_quasi_harmonic
@@ -56,11 +59,22 @@ for path in scenarios:
         code = main(args)
     if code not in (0, 2):
         sys.exit(f"{path}: exit code {code}")
+# a report names its system by the path it was given, so the built systems
+# are given by a path relative to out, the same in both trees
+os.chdir(out)
+systems = Path("systems")
+systems.mkdir()
+for t in tables:
+    save_system(load_system(t), systems / Path(t).name)
+built = {p: str(systems / f"built_p{p}.txt") for p in (3, 5, 9, 15)}
+for p, path in built.items():
+    save_system(to_quasi_harmonic(build_reduced(p, 0.01, 1.0)), path)
 reports = {"sweep": [["sweep", "--pmax", "99"]],
            "sweep_a0.3": [["sweep", "--pmax", "99", "--a", "0.3"]],
            "sweep_a1": [["sweep", "--pmax", "15", "--a", "1"]],
            "analyze": [["analyze", t] for t in tables],
-           "equilibria": [["equilibria", t] for t in tables]}
+           "equilibria": [["equilibria", t] for t in tables],
+           "equilibria_built": [["equilibria", path] for path in built.values()]}
 for verb, jobs in reports.items():
     report_dir = Path(out) / verb
     lines = []
@@ -71,12 +85,6 @@ for verb, jobs in reports.items():
         lines.append(f"{' '.join(Path(a).name for a in args)}: {code} {err.getvalue()!r}")
     report_dir.mkdir(exist_ok=True)
     (report_dir / "exit_codes.txt").write_text("\\n".join(lines) + "\\n")
-systems = Path(out) / "systems"
-systems.mkdir()
-for t in tables:
-    save_system(load_system(t), systems / Path(t).name)
-for p in (3, 5, 9, 15):
-    save_system(to_quasi_harmonic(build_reduced(p, 0.01, 1.0)), systems / f"built_p{p}.txt")
 """
 
 
