@@ -567,16 +567,17 @@ def find_equilibria(system):
     The seeds follow one rule.  A system with a reduction is seeded first
     with its 2^d static points in closed form, the uniform-tension states
     (:func:`fpualt.reduction.uniform_tension_points`): a reduced system
-    directly, and a quasi-harmonic system of odd p and d = p - 1 through
-    T^-1 of the built system at its (p, a, alpha) and the scaling fit
-    (:func:`fpualt.coupling.scaling_equivalence`) of its modes onto that
-    system's, when the fit is sign-consistent with the same coupling
-    pattern; this covers built, saved and loaded systems and the full
-    tables.  Then come the 9^d points of EQUILIBRIUM_GRID^d, the
-    integers of [-4, 4]^d, which every other system (a cartoon, a
-    subsystem table, a hand-made list, or one whose fit raises or does
-    not align) starts from.  A system of more than EQUILIBRIUM_MAX_DOF =
-    6 modes is refused.
+    directly, and a quasi-harmonic system of d modes, when p' = d + 1 is
+    odd, through T^-1 of the system built at (p', a, alpha) and the
+    scaling fit (:func:`fpualt.coupling.scaling_equivalence`) of its
+    modes onto that system's, when the fit is sign-consistent with the
+    same coupling pattern; this covers built, saved and loaded systems,
+    the full tables, and a subsystem whose modes fit the chain p' (the
+    p = 3 pair inside a longer chain, say).  Then come the 9^d points of
+    EQUILIBRIUM_GRID^d, the integers of [-4, 4]^d, which every other
+    system (a cartoon, a subsystem that fits no such chain, a hand-made
+    list, or one whose fit raises or does not align) starts from.  A
+    system of more than EQUILIBRIUM_MAX_DOF = 6 modes is refused.
 
     Newton solves accel = 0 with the system's ``jac``, on the closed-form
     seeds and then on the grid in batches of at most 4096 seeds.  Every
@@ -643,13 +644,14 @@ def _seed_batches(system):
 def _uniform_tension_seeds(system):
     """The closed-form static points of a system with a reduction, in its
     own coordinates; None for a system without one (see find_equilibria)."""
-    if not (system.p % 2 and system.dof == system.p - 1):
+    p = system.dof + 1                   # the chain whose reduction has d modes
+    if not p % 2:
         return None
-    points = uniform_tension_points(system.p, system.alpha)
+    points = uniform_tension_points(p, system.alpha)
     if isinstance(system, ReducedSystem):
         return points
     try:
-        built = to_quasi_harmonic(build_reduced(system.p, system.a, system.alpha))
+        built = to_quasi_harmonic(build_reduced(p, system.a, system.alpha))
         fit = scaling_equivalence(system, built)
     except (ValueError, DegenerateSpectrumError):
         return None

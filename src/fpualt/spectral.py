@@ -59,10 +59,14 @@ Modes are kept in pair order: (acoustic, optical) for j = 1, 2, ...
 
 System files (:func:`save_system`, :func:`load_system`) are plain text:
 a header, the mode lines, then the entry lines, in that order.  The
-entry block is written with one %-format and read with one
-``numpy.loadtxt`` pass.
+entry block is written with one %-format, in which only the coefficient
+is converted per entry (the index fields are the text of each mode
+index, made once per mode), and read in one forward pass over the
+file: the header and mode lines one by one, then the entries in one
+``numpy.loadtxt`` call.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, fields
 from functools import cached_property
@@ -614,7 +618,8 @@ def eval_qh_rhs(sys: QuasiHarmonicSystem, x):
 # The three blocks come in this order; "#" starts a comment anywhere.
 # ---------------------------------------------------------------------------
 
-_ENTRY_LINE = "%d %d %d %.16e\n"
+# the index fields are given as text: the bytes of "%d %d %d %.16e\n"
+_ENTRY_LINE = "%s %s %s %.16e\n"
 _ENTRY_DTYPE = np.dtype([("i", np.int64), ("j", np.int64), ("k", np.int64),
                          ("c", np.float64)])
 
@@ -633,7 +638,8 @@ def save_system(sys: QuasiHarmonicSystem, path):
     if missing:
         raise ValueError(f"cannot save system {sys.name!r}: it has no "
                          f"{', no '.join(missing)}")
-    columns = [(index + 1).tolist() for index in sys.monomials[:3]]
+    names = np.array([str(n) for n in range(1, sys.dof + 1)], dtype=object)
+    columns = [names[index].tolist() for index in sys.monomials[:3]]
     columns.append(sys.monomials.coeff.tolist())
     flat = [None] * (4 * len(columns[0]))        # i, j, k, coeff per line
     for n, column in enumerate(columns):
@@ -647,16 +653,18 @@ def save_system(sys: QuasiHarmonicSystem, path):
 def load_system(path, name: str = "") -> QuasiHarmonicSystem:
     """Read a system file written by :func:`save_system` (comments allowed).
 
-    The header and the mode lines are parsed line by line; the first
-    other line starts the entry block, which is read in one pass.  Any
-    line that does not parse or holds an infinite or NaN value raises
-    ValueError naming ``path``; the entries are then checked, cleaned of
-    zeros and sorted as every given list is (:class:`QuasiHarmonicSystem`),
-    and a refusal there is prefixed with ``path`` too.
+    One forward pass: the header and the mode lines are parsed line by
+    line, and the first other line and the rest of the file make the
+    entry block, which ``numpy.loadtxt`` reads in one call.  Any line
+    that does not parse or holds an infinite or NaN value raises
+    ValueError naming ``path`` (only then is the file read again, to find
+    that line); the entries are then checked, cleaned of zeros and sorted
+    as every given list is (:class:`QuasiHarmonicSystem`), and a refusal
+    there is prefixed with ``path`` too.
     """
     with open(path) as fh:
-        (p, a, alpha), lams, labels = _read_preamble(fh, path)
-        entries = _read_entries(fh, path)
+        (p, a, alpha), lams, labels, first = _read_preamble(fh, path)
+        entries = _read_entries(fh, first, path)
     i, j, k, c = (entries[key] for key in _ENTRY_DTYPE.names)
     try:
         return QuasiHarmonicSystem(np.array(lams), tuple(labels), alpha, a, p,
@@ -667,15 +675,15 @@ def load_system(path, name: str = "") -> QuasiHarmonicSystem:
 
 
 def _read_preamble(fh, path):
-    """Header and mode lines; leaves ``fh`` at the first entry line."""
-    header, lams, labels = None, [], []
-    while True:
-        start = fh.tell()
-        raw = fh.readline()
+    """Header and mode lines, and the first other line as (0-based line
+    number, text), or None at the end of the file."""
+    header, lams, labels, first = None, [], [], None
+    for number, raw in enumerate(fh):
         line = raw.split("#", 1)[0].strip()
         parts = line.split()
-        if not raw or (header is not None and parts and not (
-                len(parts) == 3 and parts[1] in ("acoustic", "optical"))):
+        if header is not None and parts and not (
+                len(parts) == 3 and parts[1] in ("acoustic", "optical")):
+            first = number, raw
             break
         if not parts:
             continue
@@ -691,23 +699,21 @@ def _read_preamble(fh, path):
             what = "mode line" if header else "header"
             raise ValueError(f"{path}: malformed {what} {line!r}") from None
     if header is None or not lams:
-        stop = f"; {line!r} is not a mode line" if line else ""
+        stop = f"; {line!r} is not a mode line" if first else ""
         raise ValueError(f"{path}: missing header or mode lines{stop}")
-    fh.seek(start)
-    return header, lams, labels
+    return header, lams, labels, first
 
 
-def _read_entries(fh, path):
-    """The entry block, from the current position of ``fh`` to the end."""
-    start = fh.tell()
-    if not fh.read(1):        # no entry lines: loadtxt would warn
+def _read_entries(fh, first, path):
+    """The entry block: line ``first`` and the rest of ``fh``."""
+    if first is None:         # no entry lines: loadtxt would warn
         return np.zeros(0, _ENTRY_DTYPE)
-    fh.seek(start)
     try:
-        return np.loadtxt(fh, dtype=_ENTRY_DTYPE, comments="#", ndmin=1)
+        return np.loadtxt(itertools.chain([first[1]], fh), dtype=_ENTRY_DTYPE,
+                          comments="#", ndmin=1)
     except ValueError as exc:
-        fh.seek(start)
-        for raw in fh:        # name the first line that does not parse
+        fh.seek(0)            # name the first entry line that does not parse
+        for raw in itertools.islice(fh, first[0], None):
             line = raw.split("#", 1)[0].strip()
             parts = line.split()
             if parts and len(parts) != 4:

@@ -884,7 +884,7 @@ class TestCli:
 
     def test_verbose_equilibria_logs_where_the_census_stopped(self, tmp_path, capsys):
         # -v logs one line to stderr, naming the seed rule, and leaves the
-        # report alone; a subsystem table has no reduction and runs the grid
+        # report alone; a subsystem table that fits no chain runs the grid
         runs = {}
         for name, flags in (("quiet", []), ("loud", ["-v"])):
             out = tmp_path / name
@@ -901,12 +901,20 @@ class TestCli:
         assert capsys.readouterr().err == ("equilibria: 3 points from 0 uniform-tension "
                                            "and 81 of 81 grid seeds\n")
 
-    @pytest.mark.parametrize("p, a, found", [(3, 1e-3, 4), (7, 1e-4, 64)])
+    @pytest.mark.parametrize("make, found", [
+        pytest.param(lambda: to_quasi_harmonic(build_reduced(3, 1e-3, 1.0)), 4, id="3-0.001-4"),
+        pytest.param(lambda: to_quasi_harmonic(build_reduced(7, 1e-4, 1.0)), 64,
+                     id="7-0.0001-64"),
+        # the p = 3 pair inside the p = 9 chain: its fourth point,
+        # (34.684, -0.013), lies outside the grid
+        pytest.param(lambda: extract_subsystem(
+            to_quasi_harmonic(build_reduced(9, 0.01, 1.0)), (5, 6)), 4, id="p9_sub56-4"),
+    ])
     def test_equilibria_of_a_saved_built_system_is_complete(self, tmp_path, capsys,
-                                                            p, a, found):
-        # from the grid the census found 3 of 4, and 58 of 64 after 23.9 s
-        sysfile = tmp_path / f"p{p}.txt"
-        save_system(to_quasi_harmonic(build_reduced(p, a, 1.0)), sysfile)
+                                                            make, found):
+        # from the grid the census found 3 of 4, 58 of 64 after 23.9 s, and 3 of 4
+        sysfile = tmp_path / "system.txt"
+        save_system(make(), sysfile)
         start = time.perf_counter()
         assert main(["equilibria", str(sysfile), "--out-dir", str(tmp_path)]) == 0
         assert time.perf_counter() - start < 1.0

@@ -319,17 +319,44 @@ class TestSystemFiles:
         with pytest.raises(ValueError, match="out of range"):
             load_system(out_of_range)
 
-    @pytest.mark.parametrize("p", [9, 47, 99, 199])
-    def test_save_matches_per_line_writer(self, p, tmp_path):
-        qh = to_quasi_harmonic(build_reduced(p, 0.01, 1.0))
+    @pytest.mark.parametrize("make", [
+        # p = 199 has index fields up to 198
+        *(pytest.param(lambda p=p: to_quasi_harmonic(build_reduced(p, 0.01, 1.0)), id=str(p))
+          for p in (9, 47, 99, 199)),
+        *(pytest.param(lambda name=name: load_reference(name), id=name)
+          for name in sorted(REFERENCE_TABLES)),
+        pytest.param(lambda: extract_subsystem(
+            to_quasi_harmonic(build_reduced(9, 0.01, 1.0)), (5, 6)), id="p9_sub56"),
+        # subnormal, +-1e308, the smallest normal and negative coefficients
+        pytest.param(lambda: QuasiHarmonicSystem(
+            np.array([0.5, 1.5]), tuple(pair_labels(3)), 1.0, 0.01, 3, name="extreme",
+            monomials=([0, 0, 0, 1, 1, 1], [0, 0, 1, 0, 0, 1], [0, 1, 1, 0, 1, 1],
+                       [5e-324, -1e308, 1e308, -2.2250738585072014e-308, -4.9e-310,
+                        -0.125])), id="extreme"),
+    ])
+    def test_save_matches_per_line_writer(self, make, tmp_path):
+        qh = make()
         save_system(qh, tmp_path / "bulk.txt")
         _save_per_line(qh, tmp_path / "lines.txt")
         assert (tmp_path / "bulk.txt").read_bytes() == \
                (tmp_path / "lines.txt").read_bytes()
 
-    @pytest.mark.parametrize("table", sorted(REFERENCE_TABLES))
-    def test_load_matches_per_line_parser_on_tables(self, table):
-        _assert_loads_like_per_line_parser(DATA_DIR / REFERENCE_TABLES[table])
+    @pytest.mark.parametrize("table, edit", [
+        *(pytest.param(table, None, id=table) for table in sorted(REFERENCE_TABLES)),
+        pytest.param("p5_full", lambda text: text.replace("\n", "\r\n"), id="p5_full-crlf"),
+        pytest.param("p5_full", lambda text: text.rstrip("\n"), id="p5_full-no_final_newline"),
+        pytest.param("p5_full", lambda text: text.replace("\n", "\r\n").rstrip("\r\n"),
+                     id="p5_full-crlf_no_final_newline"),
+        # a comment and a blank line after every line, so between the blocks too
+        pytest.param("p9_full", lambda text: text.replace("\n", "\n# between\n\n"),
+                     id="p9_full-comments_between_blocks"),
+    ])
+    def test_load_matches_per_line_parser_on_tables(self, table, edit, tmp_path):
+        path = DATA_DIR / REFERENCE_TABLES[table]
+        if edit:
+            text, path = edit(path.read_text()), tmp_path / path.name
+            path.write_bytes(text.encode())
+        _assert_loads_like_per_line_parser(path)
 
     def test_load_matches_per_line_parser_p99(self, tmp_path):
         path = tmp_path / "p99.txt"
@@ -362,6 +389,19 @@ class TestSystemFiles:
         ("3 inf 1.0\n0.5 acoustic 1\n", "malformed header '3 inf 1.0'"),
         ("3 0.01 nan\n0.5 acoustic 1\n", "malformed header '3 0.01 nan'"),
         ("3 0.01 1.0\n-inf acoustic 1\n", "malformed mode line '-inf acoustic 1'"),
+        # CRLF line endings, no final newline, comments and blank lines
+        # between the blocks: the same messages
+        ("3 0.01 1.0\r\n0.5 acoustic 1\r\n1.5 optical 1\r\n1 1 1 0.5\r\n"
+         "1.5 1 2 0.25\r\n", "malformed entry line '1.5 1 2 0.25'$"),
+        ("3 0.01 1.0\r\n0.5 acoustic 1\r\n1.5 optical 1\r\n1 1 2\r\n",
+         "unrecognised line '1 1 2'$"),
+        ("3 0.01 1.0\n0.5 acoustic 1\n1.5 optical 1\n1 1 1 0.5\n1 1 2",
+         "unrecognised line '1 1 2'$"),
+        ("3 0.01 1.0\r\n# no mode lines", "missing header or mode lines$"),
+        ("# c\n\n3 0.01 1.0\n# c\n\n0.5 acoustic 1\n1.5 optical 1\n\n# c\n"
+         "1 1 1 0.5\n\n# c\n1 1 x 0.5\n", "malformed entry line '1 1 x 0.5'$"),
+        ("3 0.01 1.0\n\n# c\n1 1 1 0.5\n",
+         "missing header or mode lines; '1 1 1 0.5' is not a mode line$"),
         ("3 0.01 1.0\n0.5 acoustic 1\n1.5 optical 1\n1 1 2 0.25\n"
          "2 1 2 nan\n", r"non-finite entry \(2, 1, 2, nan\)"),
         ("3 0.01 1.0\n0.5 acoustic 1\n1.5 optical 1\n1 1 1 -inf\n",

@@ -14,11 +14,15 @@ sweep --pmax 15 --a 1`` (exit 3: the equal-mass chain breaks the square
 pattern) and of ``fpualt analyze`` and ``fpualt equilibria`` of every
 table, each kind of report into a directory of its own, with one
 ``exit_codes.txt`` line per report: its arguments, exit code and error
-output.  It also writes, with ``save_system``, every table as loaded and
-the built p = 3, 5, 9 and 15 systems (a = 0.01) into ``systems/``, and
-the ``fpualt equilibria`` report of each of those built systems into
-``equilibria_built/`` (p = 9 and 15, of more than 6 modes, are refused
-with exit 1), so that a change of the census shows in its digits.
+output.  It also writes, with ``save_system``, every table as loaded,
+the built p = 3, 5, 9, 15, 99 and 199 systems (a = 0.01; the p = 199
+file has index fields up to 198) and modes 5 and 6 of the built p = 9
+system (the p = 3 pair inside that chain) into ``systems/``, so that a
+change of the writer shows in their bytes, and the ``fpualt
+equilibria`` report of the built p = 3, 5, 9 and 15 systems and of
+that subsystem into ``equilibria_built/`` (p = 9 and 15, of more than 6
+modes, are refused with exit 1), so that a change of the census shows
+in its digits.
 Every output file is then compared byte for byte, except the manifests,
 which are compared as JSON without their timing fields
 (``wall_time_s``, ``phase_s``) and with their ``outputs`` reduced to
@@ -47,7 +51,8 @@ _RUNNER = """
 import contextlib, io, os, sys
 from pathlib import Path
 import fpualt
-from fpualt import build_reduced, load_system, save_system, to_quasi_harmonic
+from fpualt import (build_reduced, extract_subsystem, load_system, save_system,
+                    to_quasi_harmonic)
 from fpualt.cli import main
 src, out, t_end, n, *paths = sys.argv[1:]
 scenarios, tables = paths[:int(n)], paths[int(n):]
@@ -66,15 +71,17 @@ systems = Path("systems")
 systems.mkdir()
 for t in tables:
     save_system(load_system(t), systems / Path(t).name)
-built = {p: str(systems / f"built_p{p}.txt") for p in (3, 5, 9, 15)}
-for p, path in built.items():
-    save_system(to_quasi_harmonic(build_reduced(p, 0.01, 1.0)), path)
+for p in (3, 5, 9, 15, 99, 199):
+    save_system(to_quasi_harmonic(build_reduced(p, 0.01, 1.0)), systems / f"built_p{p}.txt")
+sub56 = extract_subsystem(to_quasi_harmonic(build_reduced(9, 0.01, 1.0)), (5, 6))
+save_system(sub56, systems / "built_p9_sub56.txt")
+built = [str(systems / f"built_{name}.txt") for name in ("p3", "p5", "p9", "p15", "p9_sub56")]
 reports = {"sweep": [["sweep", "--pmax", "99"]],
            "sweep_a0.3": [["sweep", "--pmax", "99", "--a", "0.3"]],
            "sweep_a1": [["sweep", "--pmax", "15", "--a", "1"]],
            "analyze": [["analyze", t] for t in tables],
            "equilibria": [["equilibria", t] for t in tables],
-           "equilibria_built": [["equilibria", path] for path in built.values()]}
+           "equilibria_built": [["equilibria", path] for path in built]}
 for verb, jobs in reports.items():
     report_dir = Path(out) / verb
     lines = []
