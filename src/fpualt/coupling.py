@@ -290,7 +290,7 @@ def extract_subsystem(sys: QuasiHarmonicSystem, kept_modes) -> QuasiHarmonicSyst
     inside = (i >= 0) & (j >= 0) & (k >= 0)
     return QuasiHarmonicSystem(
         lambdas=sys.lambdas[idx].copy(),
-        monomials=[column[inside] for column in (i, j, k, sys.monomials.coeff)],
+        given=[column[inside] for column in (i, j, k, sys.monomials.coeff)],
         labels=tuple(sys.labels[i] for i in idx),
         alpha=sys.alpha, a=sys.a, p=sys.p,
         name=f"{sys.name}|modes{kept}",

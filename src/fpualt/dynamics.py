@@ -170,7 +170,7 @@ def cartoon_system(cid: int, omegas=None) -> QuasiHarmonicSystem:
     require_finite(**{f"omega{n}": w for n, w in enumerate(omegas, start=1)})
     return QuasiHarmonicSystem(
         lambdas=np.array([float(w) * float(w) for w in omegas]),
-        monomials=[np.array(column) for column in zip(*monomials)],
+        given=[np.array(column) for column in zip(*monomials)],
         labels=(None,) * d, alpha=1.0, name=f"cartoon{cid}")
 
 
@@ -226,9 +226,11 @@ class IntegratorConfig:
     """Tolerances and sampling for one integration run.
 
     ``sample_dt`` is the output stride; figure captions count time in
-    these unit samples.  Tolerances outside (0, 1e-4] are refused, and
-    so is a sample_dt or t_end that is not positive (NaN included), an
-    infinite t_end and more than MAX_SAMPLES samples (t_end / sample_dt).
+    these unit samples.  A config is checked when it is made (by the
+    constructor or ``dataclasses.replace``): tolerances outside (0, 1e-4]
+    are refused, and so is a sample_dt or t_end that is not positive
+    (NaN included), an infinite t_end and more than MAX_SAMPLES samples
+    (t_end / sample_dt).
     A step lands on a sample time, and the run ends, within the landing
     tolerance 1e-12 * t_end, which under that cap is at most
     1e-6 * sample_dt for every accepted configuration.  A t_end shorter
@@ -240,7 +242,7 @@ class IntegratorConfig:
     rel_tol: float = 1e-10
     sample_dt: float = 1.0
 
-    def validate(self):
+    def __post_init__(self):
         for name, tol in (("abs_tol", self.abs_tol), ("rel_tol", self.rel_tol)):
             if not 0.0 < tol <= 1e-4:
                 raise ValueError(f"{name} must lie in (0, 1e-4], got {tol}")
@@ -371,7 +373,6 @@ def integrate(system, state0, cfg: IntegratorConfig) -> Trajectory:
 
 
 def _integrate(system, state0, cfg):
-    cfg.validate()
     accel = system.accel
     d = system.dof
 
@@ -570,14 +571,15 @@ def find_equilibria(system):
     directly, and a quasi-harmonic system of d modes, when p' = d + 1 is
     odd, through T^-1 of the system built at (p', a, alpha) and the
     scaling fit (:func:`fpualt.coupling.scaling_equivalence`) of its
-    modes onto that system's, when the fit is sign-consistent with the
-    same coupling pattern; this covers built, saved and loaded systems,
-    the full tables, and a subsystem whose modes fit the chain p' (the
-    p = 3 pair inside a longer chain, say).  Then come the 9^d points of
-    EQUILIBRIUM_GRID^d, the integers of [-4, 4]^d, which every other
-    system (a cartoon, a subsystem that fits no such chain, a hand-made
-    list, or one whose fit raises or does not align) starts from.  A
-    system of more than EQUILIBRIUM_MAX_DOF = 6 modes is refused.
+    modes onto that system's, however well it fits: the Bezout stop
+    below, not the fit, decides when the census is complete.  This
+    covers built, saved, loaded and edited systems, the full tables, and
+    a subsystem whose modes fit the chain p' (the p = 3 pair inside a
+    longer chain, say).  Then come the 9^d points of EQUILIBRIUM_GRID^d,
+    the integers of [-4, 4]^d, which every other system (a cartoon, a
+    subsystem that fits no such chain, a hand-made list, or one whose
+    fit raises) starts from.  A system of more than
+    EQUILIBRIUM_MAX_DOF = 6 modes is refused.
 
     Newton solves accel = 0 with the system's ``jac``, on the closed-form
     seeds and then on the grid in batches of at most 4096 seeds.  Every
@@ -593,9 +595,9 @@ def find_equilibria(system):
     points of every system here scale as 1/alpha.  The static system is
     d quadratic equations, so by Bezout's theorem it has at most 2^d
     isolated solutions, and the search stops once it has 2^d points.  So
-    the closed-form seeds of a system whose coupling is the built one
-    are all it runs, while one whose coupling differs (an edited file,
-    say), and so whose static points moved, goes on to the grid, and a
+    a system whose closed-form seeds reach 2^d points (every built one,
+    and an edited one whose points Newton still reaches from them) runs
+    no grid seed, one whose seeds find fewer goes on to the grid, and a
     census with fewer than 2^d real points runs every seed.
     The products go through BLAS, whose rounding depends on the number of
     rows, so a point can move in its last bits with the batch sizes.
@@ -655,9 +657,7 @@ def _uniform_tension_seeds(system):
         fit = scaling_equivalence(system, built)
     except (ValueError, DegenerateSpectrumError):
         return None
-    if fit.sign_consistent and not fit.pattern_mismatches:
-        return map_reference_state(fit, points @ built.basis.t_inv.T)[0]
-    return None
+    return map_reference_state(fit, points @ built.basis.t_inv.T)[0]
 
 
 def _scale(x):

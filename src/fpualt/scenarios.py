@@ -272,7 +272,7 @@ def _checked(scen: Scenario) -> Scenario:
     checked = replace(scen, kind=kind, params=params, frame=frame, **initial, **numbers,
                       outputs={key for key, flag in flags.items() if flag in _TRUE})
     try:
-        checked.config().validate()
+        checked.config()              # a config checks itself when it is made
     except ValueError as exc:         # the message starts with the field's name
         raise ScenarioError(f"{_where(scen, str(exc).split()[0])}: {exc}") from None
     return checked

@@ -41,10 +41,12 @@ where an allowed entry comes out as exactly 0, is refused, and so is an
 a so small that one underflows to 0.  So a
 coupling is present iff it is listed.  Tables read from files, extracted
 subsystems and the cartoon models of :mod:`fpualt.dynamics` are given
-their list instead.  The list is the one reader of the coupling: the
-dense tensor ``bilinear`` is a view made from it on demand, which
-nothing in the package reads and which stays because perfbench/ reads
-it.
+their list instead, as the field ``given`` (None for a built system);
+the system is a plain frozen dataclass, so ``dataclasses.replace``
+makes another of either kind.  The list is the one reader of the
+coupling: the dense tensor ``bilinear`` is a view made from it on
+demand, which nothing in the package reads and which stays because
+perfbench/ reads it.
 
 A built modal system is itself a bond-space system
 (:class:`fpualt.chain.BondSystem`): bond operator G and the modal masses
@@ -68,7 +70,7 @@ file: the header and mode lines one by one, then the entries in one
 
 import itertools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -214,18 +216,20 @@ class Monomials(NamedTuple):
     coeff: np.ndarray
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class QuasiHarmonicSystem:
     """Diagonal linear part plus a quadratic coupling,
     xdd_i = -lambda_i x_i + alpha * sum_{j<=k} c_{i,jk} x_j x_k.
 
     The coupling is the monomial list ``monomials`` (:class:`Monomials`).
-    A system is given it (``monomials=``: files, subsystems, cartoons,
-    tables built in code), which is checked and put in canonical order
-    (:func:`_checked_monomials`), or it is built by
-    :func:`to_quasi_harmonic` and forms its list from ``basis`` and
-    ``reduced`` in closed form on first use, so a system that is only
-    integrated never does.
+    A system is given it as the field ``given`` (files, subsystems,
+    cartoons, tables built in code), which is checked and put in
+    canonical order (:func:`_checked_monomials`), or it is built by
+    :func:`to_quasi_harmonic`, has ``given`` None and forms its list
+    from ``basis`` and ``reduced`` in closed form on first use, so a
+    system that is only integrated never does.  The generated
+    constructor is the only one, so ``dataclasses.replace`` makes
+    another system of either kind (the same list at another alpha, say).
 
     Every system has bond factors ``g`` and ``f`` with
     C(x, x) = F (G x)^2, formed on first use: G = D T and
@@ -258,35 +262,33 @@ class QuasiHarmonicSystem:
     basis: ModalBasis = None
     reduced: ReducedSystem = None
     name: str = ""
+    given: Monomials = None
 
-    def __init__(self, lambdas, labels, alpha, a=math.nan, p=0, basis=None,
-                 reduced=None, name="", monomials=None):
-        lambdas = np.asarray(lambdas, dtype=float)
+    def __post_init__(self):
+        lambdas = np.asarray(self.lambdas, dtype=float)
         if lambdas.ndim != 1:
             raise ValueError(f"lambdas must be one-dimensional, got shape {lambdas.shape}")
-        if not np.isfinite(np.append(alpha, lambdas)).all():    # then name the first
-            require_finite(alpha=alpha, **{f"lambda {n}": lam
-                                           for n, lam in enumerate(lambdas, start=1)})
-        alpha, a = float(alpha), float(a)
-        args = locals()
-        for fld in fields(self):
-            object.__setattr__(self, fld.name, args[fld.name])
+        if not np.isfinite(np.append(self.alpha, lambdas)).all():    # then name the first
+            require_finite(alpha=self.alpha, **{f"lambda {n}": lam
+                                                for n, lam in enumerate(lambdas, start=1)})
+        for name, value in (("lambdas", lambdas), ("alpha", float(self.alpha)),
+                            ("a", float(self.a))):
+            object.__setattr__(self, name, value)
         if not lambdas.size:
             raise ValueError("a quasi-harmonic system needs at least one mode")
-        if len(labels) != len(lambdas):
-            raise ValueError(f"{len(labels)} labels for {len(lambdas)} modes")
-        if not is_index(p):
-            raise ValueError(f"p must be an integer, got {p!r}")
-        for n, lab in enumerate(labels, start=1):     # None: an unlabelled mode
+        if len(self.labels) != len(lambdas):
+            raise ValueError(f"{len(self.labels)} labels for {len(lambdas)} modes")
+        if not is_index(self.p):
+            raise ValueError(f"p must be an integer, got {self.p!r}")
+        for n, lab in enumerate(self.labels, start=1):     # None: an unlabelled mode
             if lab is not None and not (lab.kind in ("acoustic", "optical")
                                         and is_index(lab.pair) and lab.pair >= 1):
                 raise ValueError(f"mode {n} label ({lab.kind!r}, {lab.pair!r}) is not "
                                  "acoustic or optical with a positive integer pair")
-        self.__dict__["_built"] = monomials is None
-        if monomials is not None:
-            self.__dict__["monomials"] = _checked_monomials(monomials, len(lambdas))
-        elif basis is None or reduced is None:
-            raise ValueError("a quasi-harmonic system needs monomials= or the "
+        if self.given is not None:
+            object.__setattr__(self, "given", _checked_monomials(self.given, len(lambdas)))
+        elif self.basis is None or self.reduced is None:
+            raise ValueError("a quasi-harmonic system needs given= or the "
                              "basis and reduced system it is built from")
 
     @property
@@ -296,7 +298,7 @@ class QuasiHarmonicSystem:
     @cached_property
     def _factors(self):
         """(G, F), see the class docstring."""
-        if self._built:
+        if self.given is None:
             sys, basis = self.reduced, self.basis
             return (sys.bonds @ basis.t,
                     -(basis.t_inv * (1.0 / sys.masses)[None, :]) @ sys.bonds.T)
@@ -366,7 +368,7 @@ class QuasiHarmonicSystem:
         B(x, x, x) = x . F (G x)^2.  Other lists (the printed tables) carry
         no exact invariant: None.
         """
-        if self._built:
+        if self.given is None:
             return BondSystem(masses=_modal_masses(self.reduced, self.basis),
                               bonds=self.g, alpha=self.alpha).energy
         if not _fully_symmetric(self.monomials, self.dof):
@@ -384,6 +386,8 @@ class QuasiHarmonicSystem:
     def monomials(self) -> Monomials:
         """The coupling's monomial list: the one given, or for a built
         system formed once in closed form (:func:`_closed_form_monomials`)."""
+        if self.given is not None:
+            return self.given
         return _closed_form_monomials(self.reduced, self.basis)
 
     @cached_property
@@ -657,8 +661,9 @@ def load_system(path, name: str = "") -> QuasiHarmonicSystem:
     line, and the first other line and the rest of the file make the
     entry block, which ``numpy.loadtxt`` reads in one call.  Any line
     that does not parse or holds an infinite or NaN value raises
-    ValueError naming ``path`` (only then is the file read again, to find
-    that line); the entries are then checked, cleaned of zeros and sorted
+    ValueError naming ``path``: only then is the file read again, to name
+    that line, unless it cannot seek (a pipe), when the message is
+    numpy's; the entries are then checked, cleaned of zeros and sorted
     as every given list is (:class:`QuasiHarmonicSystem`), and a refusal
     there is prefixed with ``path`` too.
     """
@@ -669,7 +674,7 @@ def load_system(path, name: str = "") -> QuasiHarmonicSystem:
     try:
         return QuasiHarmonicSystem(np.array(lams), tuple(labels), alpha, a, p,
                                    name=name or str(path),
-                                   monomials=(i - 1, j - 1, k - 1, c))
+                                   given=(i - 1, j - 1, k - 1, c))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
@@ -712,14 +717,15 @@ def _read_entries(fh, first, path):
         return np.loadtxt(itertools.chain([first[1]], fh), dtype=_ENTRY_DTYPE,
                           comments="#", ndmin=1)
     except ValueError as exc:
-        fh.seek(0)            # name the first entry line that does not parse
-        for raw in itertools.islice(fh, first[0], None):
-            line = raw.split("#", 1)[0].strip()
-            parts = line.split()
-            if parts and len(parts) != 4:
-                raise ValueError(f"{path}: unrecognised line {line!r}") from None
-            if parts and not _is_entry(parts):
-                raise ValueError(f"{path}: malformed entry line {line!r}") from None
+        if fh.seekable():     # name the first entry line that does not parse
+            fh.seek(0)
+            for raw in itertools.islice(fh, first[0], None):
+                line = raw.split("#", 1)[0].strip()
+                parts = line.split()
+                if parts and len(parts) != 4:
+                    raise ValueError(f"{path}: unrecognised line {line!r}") from None
+                if parts and not _is_entry(parts):
+                    raise ValueError(f"{path}: malformed entry line {line!r}") from None
         raise ValueError(f"{path}: {exc}") from None
 
 

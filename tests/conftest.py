@@ -85,8 +85,8 @@ def non_permutation_table():
                    for kind in ("acoustic", "optical"))
     return QuasiHarmonicSystem(lambdas=[0.01, 2.0, 0.02, 2.1], labels=labels,
                                alpha=1.0, a=0.01, p=5,
-                               monomials=[np.array(i), np.array(j), np.array(j),
-                                          np.full(8, 0.5)])
+                               given=[np.array(i), np.array(j), np.array(j),
+                                      np.full(8, 0.5)])
 
 
 # The cycle coupling table enumerator that listed every union of cycles

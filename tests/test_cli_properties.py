@@ -50,9 +50,8 @@ def calls(draw):
     for key in ("abs_tol", "rel_tol", "sample_dt"):
         if draw(st.booleans()):
             drawn[key] = draw(value(key))
-    cfg = BASE.config(drawn)
     try:
-        cfg.validate()
+        cfg = BASE.config(drawn)
     except ValueError:      # refused before a step
         pass
     else:

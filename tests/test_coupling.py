@@ -44,7 +44,7 @@ class TestSquareMap:
         qh = systems[5][2]
         b = dense_bilinear(qh)
         b[:, [0, 1], [0, 1]] = 0.0
-        missing = dataclasses.replace(qh, monomials=tensor_monomials(b))
+        missing = dataclasses.replace(qh, given=tensor_monomials(b))
         with pytest.raises(PatternViolationError,
                            match=r"squares of pair 1 occur in equations of pairs \[\]"):
             square_map(missing)
@@ -72,7 +72,7 @@ class TestSquareMap:
     def test_odd_mode_count_rejected(self, systems):
         with pytest.raises(ValueError, match="even number"):
             square_map(extract_subsystem(systems[3][2], (1, 2)).__class__(
-                lambdas=np.array([1.0]), monomials=([], [], [], []),
+                lambdas=np.array([1.0]), given=([], [], [], []),
                 labels=(None,), alpha=1.0))
 
 
@@ -232,7 +232,7 @@ class TestEnumeration:
         qh = systems[45][2]
         dense = dense_bilinear(qh)
         b = np.where(dense != 0.0, rng.choice([-2.0, -1.0, 1.0, 2.0], dense.shape), 0.0)
-        tied = dataclasses.replace(qh, monomials=tensor_monomials(b))
+        tied = dataclasses.replace(qh, given=tensor_monomials(b))
         every = brute_force_candidates(tied)
         assert len(every) == 2 ** 5 - 2
         assert table_oracle(tied) == every
@@ -316,7 +316,7 @@ class TestScalingFit:
         scaled = dense_bilinear(qh) * (s[None, None, :] * s[None, :, None]
                                        / s[:, None, None])
         ref = qh.__class__(lambdas=qh.lambdas.copy(),
-                           monomials=tensor_monomials(scaled),
+                           given=tensor_monomials(scaled),
                            labels=qh.labels, alpha=qh.alpha, a=qh.a, p=qh.p)
         fit = scaling_equivalence(qh, ref)
         assert fit.residual <= 1e-12
@@ -369,7 +369,7 @@ class TestScalingFit:
         flipped[0, 0, 0] *= -1.0
         fit = scaling_equivalence(systems[3][2],
                                   dataclasses.replace(
-                                      ref, monomials=tensor_monomials(flipped)))
+                                      ref, given=tensor_monomials(flipped)))
         assert fit.sign_consistent is False
         assert fit.residual == np.inf
         assert fit.sign_flips == ()
@@ -381,7 +381,7 @@ class TestScalingFit:
 
     def test_lambda_mismatch(self, systems):
         qh = systems[3][2]
-        ref = qh.__class__(lambdas=qh.lambdas + 0.3, monomials=qh.monomials,
+        ref = qh.__class__(lambdas=qh.lambdas + 0.3, given=qh.monomials,
                            labels=qh.labels, alpha=1.0)
         with pytest.raises(ValueError, match="matches reference"):
             scaling_equivalence(qh, ref)

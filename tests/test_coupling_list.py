@@ -118,14 +118,14 @@ def test_dense_view_reads_the_list():
 
 
 def test_a_system_without_a_coupling_is_refused():
-    with pytest.raises(ValueError, match="needs monomials= or the basis"):
+    with pytest.raises(ValueError, match="needs given= or the basis"):
         QuasiHarmonicSystem(lambdas=np.ones(2), labels=(None, None), alpha=1.0)
 
 
 def _given(*entries, labels=(None, None)):
     """A two-mode system given the 0-based entries (i, j, k, coeff)."""
     return QuasiHarmonicSystem(lambdas=np.array([1.0, 2.0]), labels=labels,
-                               alpha=1.0, monomials=list(zip(*entries)))
+                               alpha=1.0, given=list(zip(*entries)))
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -155,7 +155,7 @@ def test_malformed_lists_and_labels_are_refused():
     with pytest.raises(ValueError, match=r"^entry columns differ in shape: "
                                          r"\[\(1,\), \(2,\), \(1,\), \(1,\)\]$"):
         QuasiHarmonicSystem(lambdas=np.ones(2), labels=(None, None), alpha=1.0,
-                            monomials=([0], [0, 1], [0], [1.0]))
+                            given=([0], [0, 1], [0], [1.0]))
     with pytest.raises(ValueError, match="^3 labels for 2 modes$"):
         _given((1, 0, 0, 0.25), labels=(None,) * 3)
 

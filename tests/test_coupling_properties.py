@@ -67,7 +67,7 @@ def test_given_list_field_and_file_round_trip(case, tmp_path_factory):
         lambdas=lambdas, alpha=1.0, a=0.01,
         labels=tuple(ModeLabel(("acoustic", "optical")[n % 2], n // 2 + 1)
                      for n in range(d)),
-        monomials=[np.array(column) for column in zip(*entries)] or [[]] * 4)
+        given=[np.array(column) for column in zip(*entries)] or [[]] * 4)
     assert_field_matches_oracle(sys, x)
     assert_field_matches_oracle(sys, 1e3 * x)
     # the energy's symmetry test reads the list; a dense oracle agrees

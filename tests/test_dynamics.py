@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import math
@@ -24,27 +25,27 @@ from conftest import tensor_monomials
 
 def single_mode(lam=1.0):
     return QuasiHarmonicSystem(lambdas=np.array([lam]),
-                               monomials=([], [], [], []),
+                               given=([], [], [], []),
                                labels=(None,), alpha=0.0)
 
 
 class TestIntegratorBasics:
     def test_config_validation(self):
         with pytest.raises(ValueError, match="abs_tol"):
-            IntegratorConfig(t_end=1.0, abs_tol=1e-3).validate()
+            IntegratorConfig(t_end=1.0, abs_tol=1e-3)
         with pytest.raises(ValueError, match="sample_dt"):
-            IntegratorConfig(t_end=1.0, sample_dt=0.0).validate()
+            IntegratorConfig(t_end=1.0, sample_dt=0.0)
         with pytest.raises(ValueError, match="t_end"):
-            IntegratorConfig(t_end=-2.0).validate()
+            IntegratorConfig(t_end=-2.0)
         # an infinite t_end ran no step and reported "ok"
         with pytest.raises(ValueError, match="t_end must be a finite number"):
-            IntegratorConfig(t_end=math.inf).validate()
+            IntegratorConfig(t_end=math.inf)
         # --sample-dt 1e-9 ran for ever; --t-end 1e13 made the landing
         # tolerance 1e-12 t_end exceed sample_dt and stopped at t = 0
-        IntegratorConfig(t_end=MAX_SAMPLES * 0.5, sample_dt=0.5).validate()
+        IntegratorConfig(t_end=MAX_SAMPLES * 0.5, sample_dt=0.5)
         for t_end, sample_dt in ((200.0, 1e-9), (1e13, 1.0), (1.0, 5e-324)):
             with pytest.raises(ValueError) as err:
-                IntegratorConfig(t_end=t_end, sample_dt=sample_dt).validate()
+                IntegratorConfig(t_end=t_end, sample_dt=sample_dt)
             assert str(err.value) == (f"sample_dt {sample_dt} gives more than "
                                       f"1000000 samples up to t_end {t_end}")
 
@@ -52,8 +53,11 @@ class TestIntegratorBasics:
     @pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
     def test_config_refuses_non_positive_limits(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be positive"):
-            IntegratorConfig(**{"t_end": 1.0, field: value}).validate()
-        IntegratorConfig(**{"t_end": 1.0, field: 0.5}).validate()
+            IntegratorConfig(**{"t_end": 1.0, field: value})
+        # replace makes a config with the constructor, so it is checked too
+        with pytest.raises(ValueError, match=f"{field} must be positive"):
+            dataclasses.replace(IntegratorConfig(t_end=1.0), **{field: value})
+        IntegratorConfig(**{"t_end": 1.0, field: 0.5})
 
     def test_harmonic_oscillator_period(self):
         tr = integrate(single_mode(1.0), np.array([1.0, 0.0]),
@@ -264,7 +268,7 @@ class TestStepSizes:
 class TestActionsAndEnergy:
     def test_linear_actions_constant(self, systems):
         red, basis, qh = systems[5]
-        qh0 = QuasiHarmonicSystem(lambdas=qh.lambdas, monomials=qh.monomials,
+        qh0 = QuasiHarmonicSystem(lambdas=qh.lambdas, given=qh.monomials,
                                   labels=qh.labels, alpha=0.0,
                                   a=qh.a, p=qh.p, basis=basis, reduced=red)
         y0 = np.concatenate([[0.3, -0.2, 0.1, 0.05], np.zeros(4)])
@@ -284,7 +288,7 @@ class TestActionsAndEnergy:
         # since the alpha=1 reduced potential is not conserved at alpha=0
         _, basis, qh = systems[5]
         red0 = build_reduced(5, 0.01, alpha=0.0)
-        qh0 = QuasiHarmonicSystem(lambdas=qh.lambdas, monomials=qh.monomials,
+        qh0 = QuasiHarmonicSystem(lambdas=qh.lambdas, given=qh.monomials,
                                   labels=qh.labels, alpha=0.0,
                                   a=qh.a, p=qh.p, basis=basis, reduced=red0)
         y0 = np.concatenate([[0.3, -0.2, 0.1, 0.05], np.zeros(4)])
@@ -389,7 +393,7 @@ class TestEquilibria:
         # and the search found 0 points with RuntimeWarnings
         ref = load_reference("p3_full")
         huge = QuasiHarmonicSystem(lambdas=ref.lambdas, labels=ref.labels,
-                                   alpha=1e308, monomials=ref.monomials)
+                                   alpha=1e308, given=ref.monomials)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             reports = find_equilibria(huge)
@@ -527,21 +531,25 @@ class TestSeedRules:
         assert newton_rows == [4096]
 
     @pytest.mark.parametrize("p, a, entry, factor, batches, on_grid", [
-        (3, 1e-3, 0, 1.00001, [4], 3), (5, 0.01, 3, 0.1, [16, 4096], 16)])
+        (3, 1e-3, 0, 1.00001, [4], 3), (5, 0.01, 3, 0.1, [16, 4096], 16),
+        # factor 0 removes the entry: the fit's coupling patterns differ,
+        # which ran only the grid (batches [81] and [4096])
+        (3, 1e-3, 1, 0.0, [4], 3), (5, 0.3, 7, 0.0, [16], 16)])
     def test_an_edited_coupling_goes_on_to_the_grid(self, tmp_path, newton_rows, p, a,
                                                     entry, factor, batches, on_grid):
         # one coupling of a saved built system scaled by factor: the fit
         # still aligns its modes, so the closed-form seeds come first, but
         # its static points moved.  At p = 3 they find all 4, one of which
-        # the grid misses; at p = 5 they find 14 of 16, and the first grid
-        # batch the other 2.  Every point the full grid finds is found.
+        # the grid misses; at p = 5 they find 14 of 16 for factor 0.1, and
+        # the first grid batch the other 2.  Every point the full grid
+        # finds is found.
         save_system(to_quasi_harmonic(build_reduced(p, a, 1.0)), tmp_path / "system.txt")
         saved = load_system(tmp_path / "system.txt")
         coeff = saved.monomials.coeff.copy()
         coeff[entry] *= factor
         system = QuasiHarmonicSystem(lambdas=saved.lambdas, labels=saved.labels,
                                      alpha=saved.alpha, p=saved.p, a=saved.a,
-                                     monomials=(*saved.monomials[:3], coeff))
+                                     given=(*saved.monomials[:3], coeff))
         got = np.array([r.point for r in find_equilibria(system)])
         expected = _full_grid_equilibria(system)
         assert newton_rows == batches
@@ -553,7 +561,7 @@ class TestSeedRules:
         # x0'' = x0^2 - x0 and x_i'' = -lambda_i x_i: 2 real roots of 2^4,
         # from all 9^4 grid seeds in batches of at most 4096
         system = QuasiHarmonicSystem(lambdas=np.array([1.0, 2.0, 3.0, 4.0]),
-                                     monomials=([0], [0], [0], [1.0]),
+                                     given=([0], [0], [0], [1.0]),
                                      labels=(None,) * 4, alpha=1.0)
         expected = _full_grid_equilibria(system)
         got = np.array([r.point for r in find_equilibria(system)])
@@ -567,7 +575,7 @@ def _as_given_list(qh):
     """A built system's coupling given as a list, with p = 0: a system
     with no reduction, so its census runs the grid."""
     return QuasiHarmonicSystem(lambdas=qh.lambdas, labels=qh.labels,
-                               alpha=qh.alpha, monomials=qh.monomials)
+                               alpha=qh.alpha, given=qh.monomials)
 
 
 class TestBatchedNewton:
@@ -586,7 +594,7 @@ class TestBatchedNewton:
         # xdd = x^2 - 2x: the Jacobian 2x - 2 is singular at the seed 1,
         # which is dropped; the other seeds still find 0 and 2.
         sys = QuasiHarmonicSystem(lambdas=np.array([2.0]),
-                                  monomials=([0], [0], [0], [1.0]),
+                                  given=([0], [0], [0], [1.0]),
                                   labels=(None,), alpha=1.0)
         assert sys.jac(np.array([1.0]))[0, 0] == 0.0
         reports = find_equilibria(sys)
@@ -756,12 +764,16 @@ class TestFirstOrderResponse:
             first_order_response(load_reference("p3_full"), driven=1, driver=2,
                                  amplitude=amplitude)
 
-    def test_resonance_rejected(self):
-        sys = QuasiHarmonicSystem(lambdas=np.array([4.0, 1.0]),
-                                  monomials=tensor_monomials(np.ones((2, 2, 2))),
+    @pytest.mark.parametrize("lambdas, driven, message", [
+        ([4.0, 1.0], 1, "exact 2:1 resonance"),
+        ([4.0, 1.0], 2, "^driven/driver must be distinct modes, got 2 twice$"),
+        ([-1.0, 1.0], 1, "^response formula requires positive eigenvalues$")])
+    def test_resonance_rejected(self, lambdas, driven, message):
+        sys = QuasiHarmonicSystem(lambdas=np.array(lambdas),
+                                  given=tensor_monomials(np.ones((2, 2, 2))),
                                   labels=(None, None), alpha=1.0)
-        with pytest.raises(ValueError, match="resonance"):
-            first_order_response(sys, driven=1, driver=2, amplitude=0.1)
+        with pytest.raises(ValueError, match=message):
+            first_order_response(sys, driven=driven, driver=2, amplitude=0.1)
 
     def test_matches_integration_on_reference_system(self):
         # the published two-mode system integrated from the optical mode:

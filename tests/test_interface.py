@@ -9,6 +9,7 @@ derivative of ``accel`` at one state or at rows.  Cartoons are
 quasi-harmonic systems with fixed, fully symmetric tensors.
 """
 
+import dataclasses
 import re
 import subprocess
 import sys
@@ -17,11 +18,13 @@ import numpy as np
 import pytest
 
 from fpualt import (ChainParams, FullState, IntegratorConfig, ReducedState,
-                    ScenarioError, build_chain, cartoon_system, energy_drift,
-                    eval_accel_full, eval_accel_reduced, eval_qh_rhs,
-                    extract_subsystem, hamiltonian, integrate, load_reference,
-                    reduced_energy, run_scenario, to_quasi_harmonic)
-from fpualt.spectral import ModalBasis, QuasiHarmonicSystem
+                    ScenarioError, build_chain, build_reduced, cartoon_system,
+                    energy_drift, eval_accel_full, eval_accel_reduced,
+                    eval_qh_rhs, extract_subsystem, hamiltonian, integrate,
+                    load_reference, reduced_energy, run_scenario,
+                    scaling_equivalence, to_quasi_harmonic)
+from fpualt.dynamics import as_state_vector
+from fpualt.spectral import ModalBasis, QuasiHarmonicSystem, eigendecompose
 
 from conftest import REPO, SCENARIO_DIR, dense_bilinear
 
@@ -154,7 +157,7 @@ def test_symmetric_tensor_energy_matches_bond_energy(interface_systems, rng):
     # the pipeline tensor is fully symmetric, so the cubic-potential
     # energy of the same list, given, equals the built system's bond energy
     qh, _ = interface_systems["qh5"]
-    tensor_only = QuasiHarmonicSystem(lambdas=qh.lambdas, monomials=qh.monomials,
+    tensor_only = QuasiHarmonicSystem(lambdas=qh.lambdas, given=qh.monomials,
                                       labels=qh.labels, alpha=qh.alpha)
     states = _states(qh, rng)
     assert np.abs(tensor_only.energy(states) - qh.energy(states)).max() <= 1e-14
@@ -224,6 +227,28 @@ def test_actions_refused_without_modal_coordinates(tmp_path, monkeypatch):
     with pytest.raises(TypeError, match="inside mode_actions"):
         run_scenario(SCENARIO_DIR / "cartoon_bounded.scn", tmp_path / "out",
                      overrides={"t_end": 2.0})
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: FullState(np.zeros(3), np.zeros(2)), ValueError,
+     r"q and v must be 1-d arrays of equal length, got shapes \(3,\) and \(2,\)"),
+    (lambda: as_state_vector(cartoon_system(1), np.zeros(3)), ValueError,
+     "state vector has length 3, expected 4"),
+    (lambda: eval_qh_rhs(load_reference("p3_full"), np.zeros(3)), ValueError,
+     "state has 3 modes, system has 2"),
+    (lambda: to_quasi_harmonic(build_reduced(5, 0.01),
+                               eigendecompose(build_reduced(3, 0.01))), ValueError,
+     "basis dimension does not match the system"),
+    (lambda: scaling_equivalence(load_reference("p3_full"), dataclasses.replace(
+        load_reference("p3_full"), given=([], [], [], []))), ValueError,
+     "no common nonzero tensor entries"),
+    (lambda: load_reference("p4_full"), KeyError,
+     r"unknown reference table 'p4_full'; available: \['p3_full', "),
+], ids=["state_shape", "state_vector_length", "qh_rhs_size", "basis_size",
+        "no_common_entries", "unknown_table"])
+def test_bad_input_is_refused_by_name(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
 
 
 def test_benchmark_modules_import():

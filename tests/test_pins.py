@@ -19,6 +19,9 @@ above 1, rejected steps and a non-finite wall), for step lists of odd,
 even and one length and of integers, and for columns with -0.0,
 subnormals, +-1e308, non-finite values, integers, one row and none.  A
 y range the old SVG writer could not draw is widened instead.
+``dataclasses.replace`` at another alpha gives, bit for bit, the system
+made from the same list (or, for a built system, the same chain) at
+that alpha.
 """
 
 import dataclasses
@@ -31,8 +34,8 @@ import pytest
 
 from fpualt import (ChainParams, IntegratorConfig, QuasiHarmonicSystem,
                     ReducedState, Trajectory, build_chain, build_reduced,
-                    cartoon_system, integrate, load_reference, symmetry_residual,
-                    to_quasi_harmonic)
+                    cartoon_system, extract_subsystem, integrate, load_reference,
+                    load_system, save_system, symmetry_residual, to_quasi_harmonic)
 from fpualt.dynamics import (DIVERGENCE_NORM, _ERROR_EXPONENT, _MAX_GROWTH,
                              _MIN_SHRINK, _N_STAGES, _PI_ALPHA, _PI_BETA, _RK_A,
                              _RK_B, _RK_E3, _RK_E5, _SAFETY, _step_size_summary,
@@ -46,7 +49,7 @@ def given_at_alpha(sys, alpha):
     """The quasi-harmonic system with the given list of ``sys`` at another alpha."""
     m = sys.monomials
     return QuasiHarmonicSystem(sys.lambdas, sys.labels, alpha,
-                               monomials=(m.i, m.j, m.k, m.coeff))
+                               given=(m.i, m.j, m.k, m.coeff))
 
 
 SYSTEMS = {
@@ -108,6 +111,34 @@ def test_accel_matches_the_matmul_form(kind, rng):
         assert same_bits(sys.accel(q), old_accel(sys)(q)), q
         if q.ndim == 1:
             assert same_bits(filled(sys.accel, q), old_accel(sys)(q)), q
+
+
+def saved_subsystem(tmp_path):
+    """The (5, 6) subsystem of the built p = 9 system, through a system file."""
+    save_system(extract_subsystem(to_quasi_harmonic(build_reduced(9, 0.01)), (5, 6)),
+                tmp_path / "sub.txt")
+    return load_system(tmp_path / "sub.txt")
+
+
+@pytest.mark.parametrize("make", [
+    lambda tmp_path: load_reference("p3_full"), lambda tmp_path: cartoon_system(1),
+    saved_subsystem], ids=["p3_full", "cartoon1", "saved_p9_sub56"])
+def test_replace_matches_a_given_list_at_that_alpha(make, rng, tmp_path):
+    # dataclasses.replace was refused for every given system: the
+    # constructor had no keyword for the list it was given
+    sys = make(tmp_path)
+    replaced, expected = dataclasses.replace(sys, alpha=2.0), given_at_alpha(sys, 2.0)
+    for q in states(rng, sys.dof):
+        assert same_bits(replaced.accel(q), expected.accel(q)), q
+
+
+def test_replace_keeps_the_bond_factors_of_a_built_system(rng):
+    built = to_quasi_harmonic(build_reduced(9, 0.01))
+    replaced = dataclasses.replace(built, alpha=2.0)
+    assert same_bits(replaced.g, built.g) and same_bits(replaced.f, built.f)
+    expected = to_quasi_harmonic(build_reduced(9, 0.01, alpha=2.0))
+    for q in states(rng, built.dof):
+        assert same_bits(replaced.accel(q), expected.accel(q)), q
 
 
 PAIRS = {
@@ -232,7 +263,6 @@ def old_integrate(system, state0, cfg):
 
 
 def _old_integrate(system, state0, cfg):
-    cfg.validate()
     accel = system.accel
     d = system.dof
 

@@ -60,6 +60,20 @@ class TestScenarioParsing:
         with pytest.raises(ScenarioError, match="unknown \\[system\\] key"):
             parse_scenario(bad)
 
+    @pytest.mark.parametrize("text, message", [
+        ("[system]\nkind reduced\n", ":2: expected 'key = value', got 'kind reduced'"),
+        ("kind = reduced\n", ":1: entry before any [section]"),
+        ("[system]\nkind =\n", ":2: empty key or value"),
+        ("[system]\n= reduced\n", ":2: empty key or value"),
+        ("[system]\np = 3\n", ": [system] must set 'kind'"),
+    ])
+    def test_malformed_file_names_the_line(self, tmp_path, text, message):
+        bad = tmp_path / "s.scn"
+        bad.write_text(text)
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(bad)
+        assert str(err.value) == f"{bad}{message}"
+
     def test_reference_frame_checked_at_parse(self, tmp_path):
         bad = tmp_path / "s.scn"
         bad.write_text("[system]\nkind = reduced\np = 3\n"
@@ -212,6 +226,8 @@ class TestScenarioInCode:
          "field 'params': unknown [system] key 'beta' for kind 'reduced'"),
         ({"kind": "reduced", "outputs": {"trajectroy"}},
          "field 'outputs': unknown output 'trajectroy'"),
+        ({"kind": "reduced", "outputs": {"trajectory": "maybe"}},
+         "field 'outputs': output flags are true/false"),
         # a NaN position wrote the trajectory CSV, then failed in the SVG writer
         ({"kind": "reduced", "positions": {1: math.nan}},
          "field 'positions': not a finite number: nan"),
@@ -576,6 +592,16 @@ class TestSweep:
         row = structure_census(load_reference("p9_full"))
         assert row.squares.rho == {1: 4, 2: 2, 3: 1, 4: 3}
         assert row.formula == [] and row.failures == []
+
+    def test_formula_fails_on_swapped_pair_labels(self):
+        # the negative control of the sweep verdict: the built p = 7 system
+        # with the labels of pairs 1 and 2 swapped, its coupling unchanged
+        qh = to_quasi_harmonic(build_reduced(7, 0.01, 1.0))
+        labels = qh.labels
+        swapped = replace(qh, labels=labels[2:4] + labels[:2] + labels[4:])
+        row = structure_census(swapped)
+        assert row.formula == [1, 2, 3]
+        assert row.failures == ["rho disagrees with min(2i, p-2i) at [1, 2, 3]"]
 
     def test_census_maps_the_squares_once(self, monkeypatch):
         calls = []

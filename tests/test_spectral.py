@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import os
 import warnings
 from pathlib import Path
 
@@ -217,12 +218,12 @@ class TestQuasiHarmonic:
         with pytest.raises(ValueError, match=f"^{message}$"):
             QuasiHarmonicSystem(lambdas=lambdas, labels=pair_labels(3), alpha=alpha,
                                 a=0.01, p=3, name="hot",
-                                monomials=([0], [0], [1], [0.25]))
+                                given=([0], [0], [1], [0.25]))
 
     def test_lambdas_given_as_a_list(self):
         # a list ended in AttributeError: 'list' object has no attribute 'size'
         qh = QuasiHarmonicSystem(lambdas=[1.0, 2.0], labels=pair_labels(3), alpha=1.0,
-                                 monomials=([0], [0], [1], [0.25]))
+                                 given=([0], [0], [1], [0.25]))
         assert qh.dof == 2 and qh.lambdas.dtype == float
         assert np.array_equal(qh.accel(np.array([1.0, 1.0])), [-0.75, -2.0])
 
@@ -330,9 +331,9 @@ class TestSystemFiles:
         # subnormal, +-1e308, the smallest normal and negative coefficients
         pytest.param(lambda: QuasiHarmonicSystem(
             np.array([0.5, 1.5]), tuple(pair_labels(3)), 1.0, 0.01, 3, name="extreme",
-            monomials=([0, 0, 0, 1, 1, 1], [0, 0, 1, 0, 0, 1], [0, 1, 1, 0, 1, 1],
-                       [5e-324, -1e308, 1e308, -2.2250738585072014e-308, -4.9e-310,
-                        -0.125])), id="extreme"),
+            given=([0, 0, 0, 1, 1, 1], [0, 0, 1, 0, 0, 1], [0, 1, 1, 0, 1, 1],
+                   [5e-324, -1e308, 1e308, -2.2250738585072014e-308, -4.9e-310,
+                    -0.125])), id="extreme"),
     ])
     def test_save_matches_per_line_writer(self, make, tmp_path):
         qh = make()
@@ -406,6 +407,11 @@ class TestSystemFiles:
          "2 1 2 nan\n", r"non-finite entry \(2, 1, 2, nan\)"),
         ("3 0.01 1.0\n0.5 acoustic 1\n1.5 optical 1\n1 1 1 -inf\n",
          r"non-finite entry \(1, 1, 1, -inf\)"),
+        # every line parses as an entry, but an index overflows int64:
+        # numpy's message, as no line is malformed
+        ("3 0.01 1.0\n0.5 acoustic 1\n1.5 optical 1\n1 1 99999999999999999999 0.5\n",
+         "could not convert string '99999999999999999999' to int64 at row 0, "
+         "column 3"),
     ])
     def test_errors_name_the_file(self, text, message, tmp_path):
         path = tmp_path / "broken.txt"
@@ -413,6 +419,21 @@ class TestSystemFiles:
         with pytest.raises(ValueError, match=message) as info:
             load_system(path)
         assert str(info.value).startswith(f"{path}: ")
+
+    def test_a_malformed_pipe_names_the_file(self):
+        # the refusal seeks back to name the line, which a pipe cannot:
+        # this raised io.UnsupportedOperation: underlying stream is not seekable
+        read, write = os.pipe()
+        with os.fdopen(write, "w") as fh:
+            fh.write("3 0.01 1.0\n0.5 acoustic 1\n1.5 optical 1\n1 1 x 0.5\n")
+        path = f"/dev/fd/{read}"
+        try:
+            with pytest.raises(ValueError) as info:
+                load_system(path)
+        finally:
+            os.close(read)
+        assert str(info.value) == (f"{path}: could not convert string 'x' to int64 "
+                                   "at row 0, column 3.")
 
     @pytest.mark.parametrize("make, message", [
         # a cartoon has no mode labels and a = nan: the header "0 nan 1.0"
@@ -440,7 +461,7 @@ class TestSystemFiles:
          "positive integer pair"),
         (lambda: _p3(p=3.0), "p must be an integer, got 3.0"),
         (lambda: QuasiHarmonicSystem(np.zeros(0), (), 1.0, 0.01, 3, name="empty",
-                                     monomials=[[]] * 4),
+                                     given=[[]] * 4),
          "a quasi-harmonic system needs at least one mode"),
     ])
     def test_save_refuses_what_load_cannot_read(self, make, message, tmp_path):
