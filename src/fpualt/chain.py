@@ -50,13 +50,15 @@ def spring_potential(z, alpha, beta):
     return 0.5 * z * z + (alpha / 3.0) * z**3 + (beta / 4.0) * z**4
 
 
-@dataclass(frozen=True, kw_only=True)
+@dataclass(frozen=True, kw_only=True, eq=False)
 class BondSystem:
     """Masses joined by the springs V through the bond operator ``bonds`` (D).
 
     The maps take one state (d,) or rows (n, d).  The quartic term is
     skipped when ``beta`` is 0, so alpha-FPU systems (every reduced
-    system) neither pay for it nor change a bit.
+    system) neither pay for it nor change a bit.  Systems compare and
+    hash by identity, as every system kind does: an array field has no
+    one truth value to compare by.
     """
 
     masses: np.ndarray
@@ -129,7 +131,7 @@ class BondSystem:
         return kinetic + np.sum(spring_potential(e, self.alpha, self.beta), axis=-1)
 
 
-@dataclass(frozen=True, kw_only=True)
+@dataclass(frozen=True, kw_only=True, eq=False)
 class FullChainSystem(BondSystem):
     """A periodic alternating-mass chain, immutable after construction.
 

@@ -11,6 +11,8 @@ bond extensions are e = D q, (D q)_b = q_{b+1} - q_b for b = 0 .. p-1,
 where D is the p x (p-1) bond-difference operator.  The reduced system
 is therefore a bond-space system (:class:`fpualt.chain.BondSystem`), the
 same as the chain but for D, and takes its force and energy from there.
+It is made from (p, a, alpha) alone: the masses, D and beta = 0 are
+derived from them when the system is made, and cannot be given.
 The linear part is K = D^T D, the standard tridiagonal stiffness, which
 the system reads from D as every bond-space system does, and the cubic
 spring terms contribute the quadratic vector
@@ -27,7 +29,7 @@ D^T (e + alpha e^2) = 0 holds exactly when every bond carries one tension.
 """
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,18 +38,38 @@ from .chain import (SIZE_LIMIT, BondSystem, FullChainSystem, State,
                     is_index, require_finite)
 
 
-@dataclass(frozen=True, kw_only=True)
+@dataclass(frozen=True, kw_only=True, eq=False)
 class ReducedSystem(BondSystem):
-    """Fixed-end reduced system with p-1 particles.
+    """Fixed-end reduced system with p-1 particles, made from (p, a, alpha).
 
-    ``bonds`` is the bond-difference operator D, (p, p-1), and the
-    inherited ``stiffness`` K = D^T D is 2 on the diagonal, -1 off it.
-    Its acceleration, energy and acceleration Jacobian ``jac`` read the
-    system's ``alpha``; another alpha is another system.
+    ``p`` is an odd integer in 3..SIZE_LIMIT, ``a`` a finite mass
+    parameter > 0 with a finite 1/a, and ``alpha`` finite; anything else
+    is refused with a ValueError naming it.  ``masses`` (1, 1/a, ...),
+    ``bonds`` (the bond-difference operator D, (p, p-1)) and ``beta`` (0)
+    are derived from them when the system is made, never given, so every
+    system is one the closed-form modes of :mod:`fpualt.spectral`
+    describe, and ``dataclasses.replace`` makes another (at another
+    alpha, say).  The inherited ``stiffness`` K = D^T D is 2 on the
+    diagonal, -1 off it.  Its acceleration, energy and acceleration
+    Jacobian ``jac`` read the system's ``alpha``; another alpha is
+    another system.
     """
 
     p: int
     a: float
+    masses: np.ndarray = field(init=False)
+    bonds: np.ndarray = field(init=False)
+    beta: float = field(init=False)
+
+    def __post_init__(self):
+        p = self.p
+        if not (is_index(p) and 3 <= p <= SIZE_LIMIT and p % 2):
+            raise ValueError(f"p must be an odd integer in 3..{SIZE_LIMIT}, got {p}")
+        require_finite(a=self.a, alpha=self.alpha)
+        for name, value in (("masses", alternating_masses((p - 1) // 2, self.a)),
+                            ("bonds", np.eye(p, p - 1) - np.eye(p, p - 1, k=-1)),
+                            ("beta", 0.0)):
+            object.__setattr__(self, name, value)
 
     def jac(self, q):
         """The acceleration Jacobian -M^{-1} D^T diag(1 + 2 alpha e) D,
@@ -62,14 +84,9 @@ ReducedState = State
 
 
 def build_reduced(p: int, a: float, alpha: float = 1.0) -> ReducedSystem:
-    """Build the reduced (p-1)-dof system for an odd integer p in
-    3..SIZE_LIMIT, finite a > 0 with a finite 1/a, and finite alpha."""
-    if not (is_index(p) and 3 <= p <= SIZE_LIMIT and p % 2):
-        raise ValueError(f"p must be an odd integer in 3..{SIZE_LIMIT}, got {p}")
-    require_finite(a=a, alpha=alpha)
-    masses = alternating_masses((p - 1) // 2, a)
-    bonds = np.eye(p, p - 1) - np.eye(p, p - 1, k=-1)
-    return ReducedSystem(p=p, a=a, alpha=alpha, masses=masses, bonds=bonds)
+    """The reduced (p-1)-dof system of (p, a, alpha); see :class:`ReducedSystem`
+    for what it refuses."""
+    return ReducedSystem(p=p, a=a, alpha=alpha)
 
 
 # The equilibrium census's modes at most: 9^6 grid seeds, 2^6 closed-form points

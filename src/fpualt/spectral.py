@@ -10,9 +10,11 @@ so that every pair sums to 2 + 2a exactly.  The eigenvectors are closed
 form too: in the mass-weighted symmetric form M^{-1/2} K M^{-1/2} each is
 the sine mode sin(pi j n / p) times the block's eigenvector, one
 amplitude on the odd and one on the even sites, which avoids the small-a
-ill-conditioning of the raw eigenvector matrix.  Substituting q = T x
-into the quadratic vector N(q) = -D^T (D q)^2 and premultiplying by
-T^{-1} M^{-1} yields the quasi-harmonic system
+ill-conditioning of the raw eigenvector matrix.  A reduced system is made
+from (p, a, alpha) alone, so this closed form describes every one, and
+the basis is built from it with no dense check against that form.
+Substituting q = T x into the quadratic vector N(q) = -D^T (D q)^2 and
+premultiplying by T^{-1} M^{-1} yields the quasi-harmonic system
 
     xdd_i + lambda_i x_i = alpha * sum_{j<=k} c_{i,jk} x_j x_k
                          = alpha * (F (G x)^2)_i,
@@ -94,7 +96,7 @@ class ModeLabel:
         return f"{self.kind} {self.pair}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModalBasis:
     """Diagonalising basis of a reduced system, modes in pair order.
 
@@ -137,8 +139,7 @@ def pair_labels(p: int):
                  for kind in ("acoustic", "optical"))
 
 
-# Eigenvalues closer than 2x this collide; the closed-form basis must
-# diagonalise the system's own S to this, relative to the largest eigenvalue.
+# Eigenvalues closer than 2x this collide.
 EIGEN_MATCH_TOL = 1e-9
 
 
@@ -154,10 +155,10 @@ def eigendecompose(sys: ReducedSystem) -> ModalBasis:
     unit M-weighted columns with the dominant component positive; where
     components tie in magnitude (at composite p), the first one counts.
 
-    Raises DegenerateSpectrumError if eigenvalues collide within
-    ``EIGEN_MATCH_TOL``, or if the basis does not diagonalise the system's
-    own S to ``EIGEN_MATCH_TOL`` relative to the largest eigenvalue (a
-    system the closed form does not describe).
+    Every reduced system is made from (p, a, alpha), so the closed form
+    describes each one and the basis is not checked against S here; the
+    test suite checks it over odd p and a.  Raises DegenerateSpectrumError
+    if eigenvalues collide within ``EIGEN_MATCH_TOL``.
     """
     p, a = sys.p, sys.a
     analytic = all_pair_eigenvalues(a, p)
@@ -182,16 +183,7 @@ def eigendecompose(sys: ReducedSystem) -> ModalBasis:
     u = sines * np.where((n % 2 == 1)[:, None], amp_odd, amp_even)
     u /= np.linalg.norm(u, axis=0)
 
-    dm = 1.0 / np.sqrt(sys.masses)
-    s = dm[:, None] * sys.stiffness * dm[None, :]
-    residual = np.abs(s @ u - u * analytic).max()
-    if residual > EIGEN_MATCH_TOL * analytic.max():
-        raise DegenerateSpectrumError(
-            "the closed-form sine modes do not diagonalise this system "
-            f"(residual {residual:.3e})"
-        )
-
-    t = dm[:, None] * u                      # columns have unit M-norm
+    t = (1.0 / np.sqrt(sys.masses))[:, None] * u     # columns have unit M-norm
     mag = np.abs(t)   # first component within round-off of the column max
     dominant = np.argmax(mag >= (1.0 - 1e-12) * mag.max(axis=0), axis=0)
     signs = np.where(t[dominant, np.arange(t.shape[1])] < 0, -1.0, 1.0)
@@ -216,7 +208,7 @@ class Monomials(NamedTuple):
     coeff: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuasiHarmonicSystem:
     """Diagonal linear part plus a quadratic coupling,
     xdd_i = -lambda_i x_i + alpha * sum_{j<=k} c_{i,jk} x_j x_k.

@@ -23,6 +23,7 @@ from fpualt import (ChainParams, FullState, IntegratorConfig, ReducedState,
                     eval_qh_rhs, extract_subsystem, hamiltonian, integrate,
                     load_reference, reduced_energy, run_scenario,
                     scaling_equivalence, to_quasi_harmonic)
+from fpualt.chain import BondSystem
 from fpualt.dynamics import as_state_vector
 from fpualt.spectral import ModalBasis, QuasiHarmonicSystem, eigendecompose
 
@@ -249,6 +250,25 @@ def test_actions_refused_without_modal_coordinates(tmp_path, monkeypatch):
 def test_bad_input_is_refused_by_name(call, error, message):
     with pytest.raises(error, match=message):
         call()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: BondSystem(masses=np.ones(2), bonds=np.eye(2), alpha=1.0),
+    lambda: build_chain(ChainParams(n_pairs=3, a=0.01)),
+    lambda: build_reduced(5, 0.01),
+    lambda: eigendecompose(build_reduced(5, 0.01)),
+    lambda: to_quasi_harmonic(build_reduced(5, 0.01)),
+    lambda: load_reference("p3_full"),
+    lambda: cartoon_system(1),
+], ids=["bond", "full", "reduced", "basis", "built_qh", "loaded_qh", "cartoon"])
+def test_systems_compare_by_identity(make):
+    # Array fields have no one truth value, so every system kind keeps
+    # object identity for == and hash: two equal-valued systems differ,
+    # and each is a dict key.
+    one, other = make(), make()
+    assert one == one and one != other
+    assert hash(one) == hash(one)
+    assert {one: 1, other: 2}[one] == 1
 
 
 def test_benchmark_modules_import():

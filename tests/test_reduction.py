@@ -8,29 +8,64 @@ from fpualt import (ChainParams, FullState, IntegratorConfig, ReducedState,
                     build_chain, build_reduced, eval_accel_full,
                     eval_accel_reduced, hamiltonian, integrate, lift_symmetric,
                     reduced_energy, symmetry_residual)
+from fpualt.reduction import ReducedSystem
+
+
+def _construct(p, a, alpha=1.0):
+    return ReducedSystem(p=p, a=a, alpha=alpha)
 
 
 class TestBuild:
-    def test_validation(self):
+    # the builder and the constructor are one path with the same refusals
+    @pytest.mark.parametrize("make", [build_reduced, _construct],
+                             ids=["build_reduced", "ReducedSystem"])
+    def test_validation(self, make):
         for bad_p in (4, 2, 1, -3, 201, 100001, 3.0, np.float64(5.0), 5.5):
             with pytest.raises(ValueError, match="odd integer"):
-                build_reduced(bad_p, 0.01)
+                make(bad_p, 0.01)
         # an integral float failed inside numpy's eye, not at the guard
         with pytest.raises(ValueError, match=r"^p must be an odd integer in "
                                              r"3\.\.199, got 3\.0$"):
-            build_reduced(3.0, 0.01)
-        assert build_reduced(np.int64(5), 0.01).dof == 4
+            make(3.0, 0.01)
+        assert make(np.int64(5), 0.01).dof == 4
         with pytest.raises(ValueError, match="positive"):
-            build_reduced(5, 0.0)
+            make(5, 0.0)
         for a in (1e-320, 5e-324):
             with pytest.raises(ValueError, match=rf"^mass parameter a = {a!r} "
                                                  r"is too small: 1/a overflows$"):
-                build_reduced(5, a)
+                make(5, a)
         for a, alpha, name in ((math.inf, 1.0, "a"), (math.nan, 1.0, "a"),
                                (0.01, math.inf, "alpha"),
                                (0.01, math.nan, "alpha")):
             with pytest.raises(ValueError, match=f"^{name} must be a finite"):
-                build_reduced(5, a, alpha)
+                make(5, a, alpha)
+
+    def test_made_from_p_a_alpha(self):
+        # masses, bonds and beta are derived, never given: not by the
+        # constructor and not by dataclasses.replace
+        red = build_reduced(5, 0.01)
+        assert [f.name for f in dataclasses.fields(red) if f.init] == ["alpha", "p", "a"]
+        assert red.beta == 0.0
+        for name, value in (("masses", red.masses), ("bonds", red.bonds), ("beta", 0.5)):
+            with pytest.raises(TypeError, match=f"unexpected keyword argument '{name}'"):
+                ReducedSystem(p=5, a=0.01, alpha=1.0, **{name: value})
+            with pytest.raises(ValueError, match=f"field {name} is declared with init=False"):
+                dataclasses.replace(red, **{name: value})
+
+    @pytest.mark.parametrize("p", [3, 9, 47])
+    def test_replace_is_the_built_system(self, p, rng):
+        # replace at another alpha is, bit for bit, the system built there
+        replaced = dataclasses.replace(build_reduced(p, 0.3, 1.0), alpha=2.0)
+        built = build_reduced(p, 0.3, 2.0)
+        assert np.array_equal(replaced.masses, built.masses)
+        assert np.array_equal(replaced.bonds, built.bonds)
+        rows = rng.uniform(-0.5, 0.5, (6, 2 * (p - 1)))
+        q = rows[:, :p - 1]
+        assert np.array_equal(replaced.accel(q), built.accel(q))
+        assert np.array_equal(replaced.accel(q[0], np.empty(p - 1)),
+                              built.accel(q[0], np.empty(p - 1)))
+        assert np.array_equal(replaced.jac(q), built.jac(q))
+        assert np.array_equal(replaced.energy(rows), built.energy(rows))
 
     def test_matrices(self):
         sys = build_reduced(5, 0.01, 1.0)
