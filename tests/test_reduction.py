@@ -42,11 +42,17 @@ class TestBuild:
 
     def test_made_from_p_a_alpha(self):
         # masses, bonds and beta are derived, never given: not by the
-        # constructor and not by dataclasses.replace
+        # constructor and not by dataclasses.replace.  So neither a system
+        # with one bond 5 % stiffer (a stiffness the sine modes do not
+        # diagonalise) nor one without bonds (stiffness 0) can be made.
         red = build_reduced(5, 0.01)
         assert [f.name for f in dataclasses.fields(red) if f.init] == ["alpha", "p", "a"]
         assert red.beta == 0.0
-        for name, value in (("masses", red.masses), ("bonds", red.bonds), ("beta", 0.5)):
+        bent = red.bonds.copy()
+        bent[2] *= 1.05
+        for name, value in (("masses", red.masses), ("masses", np.ones(4)),
+                            ("bonds", red.bonds), ("bonds", bent),
+                            ("bonds", np.zeros((5, 4))), ("beta", 0.5)):
             with pytest.raises(TypeError, match=f"unexpected keyword argument '{name}'"):
                 ReducedSystem(p=5, a=0.01, alpha=1.0, **{name: value})
             with pytest.raises(ValueError, match=f"field {name} is declared with init=False"):
