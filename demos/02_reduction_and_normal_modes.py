@@ -17,8 +17,9 @@ from fpualt import (ReducedState, build_chain, build_reduced, ChainParams,
 
 p, a = 3, 0.01
 red = build_reduced(p, a, alpha=1.0)
+stiffness = red.bonds.T @ red.bonds     # K = D^T D, 2 on the diagonal, -1 off it
 print(f"reduced system for p={p}: masses {red.masses}, stiffness diag "
-      f"{np.diag(red.stiffness)}")
+      f"{np.diag(stiffness)}")
 
 # the lifted state solves the full ring exactly
 chain = build_chain(ChainParams(p, a, 1.0))

@@ -7,9 +7,9 @@ potential
 
 through a bond operator D: the bond extensions are e = D q, the force is
 -D^T V'(e), the energy is sum m v^2/2 + sum_b V(e_b) and the stiffness
-is K = D^T D.  :class:`BondSystem` owns that force, that energy and that
-stiffness, which it reads from D rather than storing beside it.  The
-periodic chain below and the fixed-end reduced system of
+is K = D^T D.  :class:`BondSystem` owns that force and that energy,
+which it reads from D rather than storing beside it.  The periodic
+chain below and the fixed-end reduced system of
 :mod:`fpualt.reduction` are bond-space systems that differ only in D,
 the masses and beta; the bond-factor energy of the quasi-harmonic
 systems of :mod:`fpualt.spectral` is that of the bond-space system with
@@ -20,7 +20,16 @@ at odd positions (1-based) and large masses ``m = 1/a`` at even
 positions.  Its bond operator is the periodic N x N matrix with
 (D q)_b = q_{b+1} - q_b and the wrap bond q_1 - q_N last.  Small ``a``
 splits the linear spectrum into a low-frequency acoustic group of size
-O(a) and a high-frequency optical group near 2.
+O(a) and a high-frequency optical group near 2.  That spectrum is the
+diatomic chain's dispersion relation (Born-von Karman)
+
+    lambda = (1 + a) -/+ sqrt((1 + a)^2 - 4 a sin^2(pi k / n)),
+    k = 0 .. n - 1,
+
+which :func:`linear_spectrum_full` evaluates in closed form, with no
+matrix; the reduced pairs of :mod:`fpualt.spectral` are the same
+relation at s = sin(pi j / p), so pair j of the reduced system p is Bloch
+mode k = j of the chain with n = p pairs.
 """
 
 import math
@@ -120,7 +129,8 @@ class BondSystem:
 
     @cached_property
     def stiffness(self):
-        """The stiffness K = D^T D of the linearisation about the origin."""
+        """The stiffness K = D^T D of the linearisation about the origin;
+        only perfbench/ reads it."""
         return self.bonds.T @ self.bonds
 
     def energy(self, states):
@@ -246,15 +256,36 @@ def total_momentum(sys: FullChainSystem, state: FullState) -> float:
     return float(np.sum(sys.masses * state.v))
 
 
+def _dispersion(a, s):
+    """The two branches (1 + a) -/+ sqrt((1 + a)^2 - 4 a s^2) of the
+    diatomic dispersion relation, (acoustic, optical).
+
+    A reduced pair j has s = sin(pi j / p) and a Bloch mode k of the
+    chain s = sin(pi k / n_pairs).  Raises ValueError when a is so large
+    that (1 + a)^2 overflows.
+    """
+    try:
+        # at s = 1 (k = n/2 of an even n) the difference below is (1 - a)^2,
+        # which it would lose to cancellation for a near 1
+        disc = abs(1.0 - a) if s == 1.0 else math.sqrt((1.0 + a) ** 2 - 4.0 * a * s ** 2)
+    except OverflowError:
+        raise ValueError(f"mass parameter a = {a!r} is too large: "
+                         "(1 + a)^2 overflows") from None
+    return (1.0 + a) - disc, (1.0 + a) + disc
+
+
 def linear_spectrum_full(sys: FullChainSystem):
     """Eigenvalues omega^2 of the linearised chain, sorted descending.
 
-    Computed by LAPACK from the symmetric matrix M^{-1/2} K M^{-1/2};
-    includes the zero eigenvalue of the momentum mode (up to round-off).
+    In closed form: the dispersion relation of the diatomic chain
+    (Born-von Karman) at the Bloch modes k = 0 .. n_pairs - 1 of the
+    chain ``sys.params`` describes, two eigenvalues each.  The momentum
+    mode, the acoustic branch at k = 0, is exactly 0.  Raises ValueError
+    when a is so large that (1 + a)^2 overflows.
     """
-    d = 1.0 / np.sqrt(sys.masses)
-    s = d[:, None] * sys.stiffness * d[None, :]
-    return np.linalg.eigvalsh(s)[::-1]
+    n, a = sys.params.n_pairs, sys.params.a
+    branches = [_dispersion(a, math.sin(math.pi * k / n)) for k in range(n)]
+    return np.sort(np.ravel(branches))[::-1]
 
 
 def embed_state(state: FullState, k: int) -> FullState:

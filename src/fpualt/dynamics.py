@@ -55,7 +55,7 @@ Which outputs a scenario kind writes is decided by the kinds table in
 import logging
 import math
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -592,9 +592,14 @@ def find_equilibria(system):
     each batch one greedy pass over the points found so far, then the
     batch's in seed order, keeps each point not within
     EQUILIBRIUM_DEDUP_TOL / max(1, |alpha|) of a kept one: the static
-    points of every system here scale as 1/alpha.  The static system is
-    d quadratic equations, so by Bezout's theorem it has at most 2^d
-    isolated solutions, and the search stops once it has 2^d points.  So
+    points of every system here scale as 1/alpha.  For the same reason a
+    system at 0 < |alpha| < 1 is solved at alpha / s, s = min(1, |alpha|)
+    (s = 1 at alpha = 0), and its points are divided by s: those of a
+    grid-seeded system would otherwise grow out of the fixed grid as
+    alpha shrinks, while at |alpha| >= 1 and at alpha = 0 nothing
+    changes.  The static system is d quadratic equations, so by
+    Bezout's theorem it has at most 2^d isolated solutions, and the
+    search stops once it has 2^d points.  So
     a system whose closed-form seeds reach 2^d points (every built one,
     and an edited one whose points Newton still reaches from them) runs
     no grid seed, one whose seeds find fewer goes on to the grid, and a
@@ -605,15 +610,17 @@ def find_equilibria(system):
     NaNs of the rows that are dropped, and one INFO line on the
     ``fpualt`` logger says how many seeds of each rule ran.
     """
-    fun, jac = _linearisation(system)
+    s = min(1.0, abs(system.alpha)) or 1.0     # solved at alpha / s, |alpha / s| >= 1
+    solved = replace(system, alpha=system.alpha / s) if s < 1.0 else system
+    fun, jac = _linearisation(solved)
     d = system.dof
     if d > EQUILIBRIUM_MAX_DOF:
         raise ValueError(
             f"the equilibrium grid search is limited to {EQUILIBRIUM_MAX_DOF} "
             f"modes; this system has {d} modes")
-    tol = EQUILIBRIUM_DEDUP_TOL / max(1.0, abs(system.alpha))   # the points scale as 1/alpha
+    tol = EQUILIBRIUM_DEDUP_TOL / max(1.0, abs(solved.alpha))   # the points scale as 1/alpha
     found, ran = [], {"uniform-tension": 0, "grid": 0}
-    for rule, seeds in _seed_batches(system):
+    for rule, seeds in _seed_batches(solved):
         if len(found) == 2 ** d:          # Bezout: 2^d isolated points at most
             break
         ran[rule] += len(seeds)
@@ -627,7 +634,7 @@ def find_equilibria(system):
             points = points[np.abs(points - points[0]).max(axis=1) > tol]
     log.info("equilibria: %d points from %d uniform-tension and %d of %d grid seeds",
              len(found), ran["uniform-tension"], ran["grid"], len(EQUILIBRIUM_GRID) ** d)
-    found.sort(key=lambda p: tuple(np.round(p, 9)))
+    found = sorted((p / s for p in found), key=lambda p: tuple(np.round(p, 9)))
     return [classify_equilibrium(system, p) for p in found]
 
 

@@ -1,11 +1,12 @@
 """Dense symmetric eigensolver (cyclic Jacobi).
 
-No module of the package calls it any more: the full chain's linear
-spectrum uses LAPACK (:func:`fpualt.chain.linear_spectrum_full`) and the
-reduced system's modal basis is closed form (:mod:`fpualt.spectral`).  It
-is kept for the benchmark's solver probe.  The eigenproblem is small
-and symmetric after mass-weighting, so a classical Jacobi iteration is
-both simple and fully deterministic across platforms.  Accuracy is at
+No module of the package calls it or any other dense eigensolver: the
+full chain's linear spectrum (:func:`fpualt.chain.linear_spectrum_full`)
+and the reduced system's modal basis (:mod:`fpualt.spectral`) are both
+closed form, from one dispersion relation.  It is kept for the
+benchmark's solver probe.  The eigenproblem is small and symmetric
+after mass-weighting, so a classical Jacobi iteration is both simple
+and fully deterministic across platforms.  Accuracy is at
 the level of machine epsilon times the matrix norm.
 """
 

@@ -13,9 +13,9 @@ is therefore a bond-space system (:class:`fpualt.chain.BondSystem`), the
 same as the chain but for D, and takes its force and energy from there.
 It is made from (p, a, alpha) alone: the masses, D and beta = 0 are
 derived from them when the system is made, and cannot be given.
-The linear part is K = D^T D, the standard tridiagonal stiffness, which
-the system reads from D as every bond-space system does, and the cubic
-spring terms contribute the quadratic vector
+The linear part is K = D^T D, the standard tridiagonal stiffness, whose
+modes :mod:`fpualt.spectral` gives in closed form, with no matrix formed
+from D, and the cubic spring terms contribute the quadratic vector
 
     N(q) = -D^T (D q)^2,   i.e.  N_i = e_i^2 - e_{i-1}^2
          = q_{i+1}^2 - 2 q_i q_{i+1} + 2 q_{i-1} q_i - q_{i-1}^2.
@@ -50,9 +50,9 @@ class ReducedSystem(BondSystem):
     system is one the closed-form modes of :mod:`fpualt.spectral`
     describe, and ``dataclasses.replace`` makes another (at another
     alpha, say).  The inherited ``stiffness`` K = D^T D is 2 on the
-    diagonal, -1 off it.  Its acceleration, energy and acceleration
-    Jacobian ``jac`` read the system's ``alpha``; another alpha is
-    another system.
+    diagonal, -1 off it; no package code reads it.  Its acceleration,
+    energy and acceleration Jacobian ``jac`` read the system's
+    ``alpha``; another alpha is another system.
     """
 
     p: int

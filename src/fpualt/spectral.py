@@ -6,7 +6,9 @@ one acoustic and one optical eigenvalue
 
     lambda = (1+a) -/+ sqrt((1+a)^2 - 4 a sin^2(pi j / p)),
 
-so that every pair sums to 2 + 2a exactly.  The eigenvectors are closed
+so that every pair sums to 2 + 2a exactly: the diatomic dispersion
+relation, which :mod:`fpualt.chain` evaluates for the periodic chain
+through the same arithmetic.  The eigenvectors are closed
 form too: in the mass-weighted symmetric form M^{-1/2} K M^{-1/2} each is
 the sine mode sin(pi j n / p) times the block's eigenvector, one
 amplitude on the odd and one on the even sites, which avoids the small-a
@@ -78,7 +80,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .chain import BondSystem, is_index, require_finite
+from .chain import BondSystem, _dispersion, is_index, require_finite
 from .reduction import ReducedSystem
 
 
@@ -119,13 +121,7 @@ def pair_eigenvalues(a: float, p: int, j: int):
     """
     if not 1 <= j <= (p - 1) // 2:
         raise ValueError(f"pair index j must be in 1..{(p - 1) // 2}, got {j}")
-    s2 = math.sin(math.pi * j / p) ** 2
-    try:
-        disc = math.sqrt((1.0 + a) ** 2 - 4.0 * a * s2)
-    except OverflowError:
-        raise ValueError(f"mass parameter a = {a!r} is too large: "
-                         "(1 + a)^2 overflows") from None
-    return (1.0 + a) - disc, (1.0 + a) + disc
+    return _dispersion(a, math.sin(math.pi * j / p))
 
 
 def all_pair_eigenvalues(a: float, p: int):

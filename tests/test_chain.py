@@ -9,6 +9,7 @@ from fpualt import (ChainParams, FullState, IntegratorConfig, ReducedState,
                     hamiltonian, integrate, linear_spectrum_full,
                     symmetry_residual, total_momentum)
 from fpualt.dynamics import relative_drift
+from fpualt.spectral import all_pair_eigenvalues
 
 
 def chain6():
@@ -150,6 +151,35 @@ class TestSpectrum:
         s = d[:, None] * sys.stiffness * d[None, :]
         ref = np.sort(np.linalg.eigvalsh(s))[::-1]
         assert np.abs(linear_spectrum_full(sys) - ref).max() <= 1e-12
+
+    @pytest.mark.parametrize("n_pairs, a", [(2, 0.01), (99, 1e-4), (199, 1e3)])
+    def test_momentum_mode_is_exactly_zero(self, n_pairs, a):
+        spec = linear_spectrum_full(build_chain(ChainParams(n_pairs, a, 1.0)))
+        assert spec[-1] == 0.0 and spec[-2] > 0.0
+
+    @pytest.mark.parametrize("a", [1e-4, 0.01, 0.3, 3.0, 1e3])
+    @pytest.mark.parametrize("p", [3, 5, 9, 47, 199])
+    def test_reduced_pairs_are_entries_of_the_chain(self, p, a):
+        # pair j of the reduced system p is Bloch mode k = j of the chain
+        # with p pairs: one dispersion relation, so the same bits
+        spec = linear_spectrum_full(build_chain(ChainParams(p, a, 1.0)))
+        assert np.isin(all_pair_eigenvalues(a, p), spec).all()
+
+    @pytest.mark.parametrize("a", [1.0 - 1e-9, 1.0 + 2.3e-5])
+    @pytest.mark.parametrize("n_pairs", [2, 198])
+    def test_zone_edge_near_equal_masses(self, n_pairs, a):
+        # mode k = n/2 of an even n is 2 and 2a; (1 + a)^2 - 4a lost it
+        # to cancellation, by 7.8e-12 at n_pairs = 2, a = 1 + 2.3e-5
+        spec = linear_spectrum_full(build_chain(ChainParams(n_pairs, a, 1.0)))
+        for lam in (2.0, 2.0 * a):
+            assert np.abs(spec - lam).min() <= 4.5e-16
+
+    def test_overflowing_a_is_refused_by_name(self):
+        # (1 + a)^2 overflows; LAPACK once answered with a zero mode of -8.8e30
+        chain = build_chain(ChainParams(5, 1e200, 1.0))
+        with pytest.raises(ValueError, match=r"^mass parameter a = 1e\+200 is too "
+                                             r"large: \(1 \+ a\)\^2 overflows$"):
+            linear_spectrum_full(chain)
 
 
 def _roll_accel(sys, q, alpha, beta):

@@ -736,6 +736,22 @@ class TestModalCensusGap:
         assert len(find_equilibria(to_quasi_harmonic(build_reduced(3, a, alpha)))) == 4
 
 
+class TestCensusAtSmallAlpha:
+    # The points of a grid-seeded system scale as 1/alpha, so at small
+    # alpha they left the grid [-4, 4]^d: at alpha = 0.03, 1e-3 and 1e-6
+    # the census found 1, 1, 1 points of cartoon 2's 5, 3, 1, 1 of
+    # cartoon 1's 3 and 1, 1, 1 of p5_sub14's and p5_sub23's 3.  It now
+    # solves at alpha / |alpha| and divides the points by |alpha|.
+    @pytest.mark.parametrize("make, count", [
+        (lambda: cartoon_system(2), 5), (lambda: cartoon_system(1), 3),
+        (lambda: load_reference("p5_sub14"), 3), (lambda: load_reference("p5_sub23"), 3)],
+        ids=["cartoon2", "cartoon1", "p5_sub14", "p5_sub23"])
+    def test_keeps_every_point(self, make, count):
+        system = make()
+        for alpha in (1.0, 0.03, 1e-3, 1e-6):
+            assert len(find_equilibria(dataclasses.replace(system, alpha=alpha))) == count
+
+
 class TestFirstOrderResponse:
     def test_reference_system_mean_level(self):
         ref = load_reference("p3_full")

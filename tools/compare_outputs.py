@@ -22,7 +22,12 @@ change of the writer shows in their bytes, and the ``fpualt
 equilibria`` report of the built p = 3, 5, 9 and 15 systems and of
 that subsystem into ``equilibria_built/`` (p = 9 and 15, of more than 6
 modes, are refused with exit 1), so that a change of the census shows
-in its digits.
+in its digits.  It also saves the ``p5_sub14`` and ``p5_sub23`` tables
+at alpha = 1e-3 (``dataclasses.replace`` on the loaded table), whose
+census starts from the grid alone, into ``systems/`` and writes their
+``fpualt equilibria`` reports into ``equilibria_small_alpha/``, so that
+a change of the census at small alpha, where its points lie far outside
+the grid, shows too.
 Every output file is then compared byte for byte, except the manifests,
 which are compared as JSON without their timing fields
 (``wall_time_s``, ``phase_s``) and with their ``outputs`` reduced to
@@ -48,7 +53,7 @@ TIMING_FIELDS = ("wall_time_s", "phase_s")
 # Runs in the subprocess: sys.argv is [src, out_dir, t_end or "",
 # number of scenarios, scenario..., table...].
 _RUNNER = """
-import contextlib, io, os, sys
+import contextlib, dataclasses, io, os, sys
 from pathlib import Path
 import fpualt
 from fpualt import (build_reduced, extract_subsystem, load_system, save_system,
@@ -76,12 +81,18 @@ for p in (3, 5, 9, 15, 99, 199):
 sub56 = extract_subsystem(to_quasi_harmonic(build_reduced(9, 0.01, 1.0)), (5, 6))
 save_system(sub56, systems / "built_p9_sub56.txt")
 built = [str(systems / f"built_{name}.txt") for name in ("p3", "p5", "p9", "p15", "p9_sub56")]
+small_alpha = []
+for t in tables:
+    if Path(t).stem in ("p5_a001_sub14", "p5_a001_sub23"):
+        small_alpha.append(str(systems / f"{Path(t).stem}_alpha1e-3.txt"))
+        save_system(dataclasses.replace(load_system(t), alpha=1e-3), small_alpha[-1])
 reports = {"sweep": [["sweep", "--pmax", "99"]],
            "sweep_a0.3": [["sweep", "--pmax", "99", "--a", "0.3"]],
            "sweep_a1": [["sweep", "--pmax", "15", "--a", "1"]],
            "analyze": [["analyze", t] for t in tables],
            "equilibria": [["equilibria", t] for t in tables],
-           "equilibria_built": [["equilibria", path] for path in built]}
+           "equilibria_built": [["equilibria", path] for path in built],
+           "equilibria_small_alpha": [["equilibria", path] for path in small_alpha]}
 for verb, jobs in reports.items():
     report_dir = Path(out) / verb
     lines = []
