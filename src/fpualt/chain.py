@@ -18,7 +18,9 @@ bond operator G = D T and the modal masses.
 The periodic chain has ``N = 2 n`` particles on a ring, with unit masses
 at odd positions (1-based) and large masses ``m = 1/a`` at even
 positions.  Its bond operator is the periodic N x N matrix with
-(D q)_b = q_{b+1} - q_b and the wrap bond q_1 - q_N last.  Small ``a``
+(D q)_b = q_{b+1} - q_b and the wrap bond q_1 - q_N last.  A chain is
+made from (n_pairs, a, alpha, beta) alone: the masses and D are derived
+from them when the chain is made, and cannot be given.  Small ``a``
 splits the linear spectrum into a low-frequency acoustic group of size
 O(a) and a high-frequency optical group near 2.  That spectrum is the
 diatomic chain's dispersion relation (Born-von Karman)
@@ -34,7 +36,7 @@ mode k = j of the chain with n = p pairs.
 
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -143,14 +145,36 @@ class BondSystem:
 
 @dataclass(frozen=True, kw_only=True, eq=False)
 class FullChainSystem(BondSystem):
-    """A periodic alternating-mass chain, immutable after construction.
+    """A periodic alternating-mass chain, made from (n_pairs, a, alpha, beta).
+
+    ``n_pairs`` is an integer in 2..SIZE_LIMIT, ``a`` a finite mass
+    parameter > 0 with a finite 1/a, and ``alpha`` and ``beta`` finite;
+    anything else is refused with a ValueError naming it.  ``masses``
+    (1, 1/a, ...) and ``bonds`` (the periodic difference operator D, wrap
+    bond last) are derived from them when the chain is made, never given,
+    so every chain is one the closed-form spectrum of
+    :func:`linear_spectrum_full` describes, and ``dataclasses.replace``
+    makes another (at another alpha, say).  A chain with other masses or
+    bonds is a plain :class:`BondSystem`.
 
     Row j of ``accel`` reads m_j qdd_j = V'(q_{j+1}-q_j) - V'(q_j-q_{j-1}).
     ``n_particles`` is the chain's name for ``dof``.
     """
 
-    params: ChainParams
+    n_pairs: int
+    a: float
+    masses: np.ndarray = field(init=False)
+    bonds: np.ndarray = field(init=False)
     n_particles = BondSystem.dof
+
+    def __post_init__(self):
+        if not (is_index(self.n_pairs) and 2 <= self.n_pairs <= SIZE_LIMIT):
+            raise ValueError(f"n_pairs must be in 2..{SIZE_LIMIT}, got {self.n_pairs}")
+        require_finite(a=self.a, alpha=self.alpha, beta=self.beta)
+        object.__setattr__(self, "masses", alternating_masses(self.n_pairs, self.a))
+        eye = np.eye(2 * self.n_pairs)
+        # (D q)_b = q_{b+1} - q_b, the wrap bond q_1 - q_N last
+        object.__setattr__(self, "bonds", np.roll(eye, 1, axis=1) - eye)
 
 
 @dataclass
@@ -214,21 +238,9 @@ def alternating_masses(n_pairs, a):
 
 
 def build_chain(params: ChainParams) -> FullChainSystem:
-    """Construct the periodic chain described by ``params``.
-
-    Raises ValueError for a non-finite parameter, a mass parameter that
-    is not positive or whose 1/a overflows, or a number of mass pairs
-    that is not an integer in 2..SIZE_LIMIT (the ring needs at least 4
-    particles).
-    """
-    if not (is_index(params.n_pairs) and 2 <= params.n_pairs <= SIZE_LIMIT):
-        raise ValueError(f"n_pairs must be in 2..{SIZE_LIMIT}, got {params.n_pairs}")
-    require_finite(a=params.a, alpha=params.alpha, beta=params.beta)
-    masses = alternating_masses(params.n_pairs, params.a)
-    n = masses.size
-    bonds = np.eye(n, k=1) - np.eye(n)
-    bonds[-1, 0] = 1.0        # the wrap bond q_1 - q_N
-    return FullChainSystem(params=params, masses=masses, bonds=bonds,
+    """The periodic chain ``params`` describes; see :class:`FullChainSystem`
+    for what it refuses."""
+    return FullChainSystem(n_pairs=params.n_pairs, a=params.a,
                            alpha=params.alpha, beta=params.beta)
 
 
@@ -279,13 +291,18 @@ def linear_spectrum_full(sys: FullChainSystem):
 
     In closed form: the dispersion relation of the diatomic chain
     (Born-von Karman) at the Bloch modes k = 0 .. n_pairs - 1 of the
-    chain ``sys.params`` describes, two eigenvalues each.  The momentum
-    mode, the acoustic branch at k = 0, is exactly 0.  Raises ValueError
-    when a is so large that (1 + a)^2 overflows.
+    chain, two eigenvalues each.  The momentum mode, the acoustic branch
+    at k = 0, is exactly 0.  Raises ValueError when a is so large that
+    (1 + a)^2 overflows.
     """
-    n, a = sys.params.n_pairs, sys.params.a
+    n, a = sys.n_pairs, sys.a
     branches = [_dispersion(a, math.sin(math.pi * k / n)) for k in range(n)]
     return np.sort(np.ravel(branches))[::-1]
+
+
+def _check_factor(k):
+    if not (is_index(k) and k >= 1):
+        raise ValueError(f"repetition factor k must be a positive integer, got {k}")
 
 
 def embed_state(state: FullState, k: int) -> FullState:
@@ -293,14 +310,15 @@ def embed_state(state: FullState, k: int) -> FullState:
 
     The tiled state lies on an invariant submanifold of the larger chain:
     its evolution there, restricted to one period, reproduces the small
-    chain's evolution.
+    chain's evolution.  The repetition factor k must be a positive
+    integer (an integral float is refused, as by every size guard).
     """
-    if not (k >= 1 and k % 1 == 0):        # false for inf and nan too
-        raise ValueError(f"repetition factor k must be a positive integer, got {k}")
-    k = int(k)
+    _check_factor(k)
     return FullState(q=np.tile(state.q, k), v=np.tile(state.v, k))
 
 
 def embed_chain(sys: FullChainSystem, k: int) -> FullChainSystem:
-    """The 2kn-particle chain with the same a, alpha, beta."""
-    return build_chain(replace(sys.params, n_pairs=k * sys.params.n_pairs))
+    """The 2kn-particle chain with the same a, alpha, beta; k as for
+    :func:`embed_state`."""
+    _check_factor(k)
+    return replace(sys, n_pairs=k * sys.n_pairs)

@@ -11,8 +11,9 @@ bond extensions are e = D q, (D q)_b = q_{b+1} - q_b for b = 0 .. p-1,
 where D is the p x (p-1) bond-difference operator.  The reduced system
 is therefore a bond-space system (:class:`fpualt.chain.BondSystem`), the
 same as the chain but for D, and takes its force and energy from there.
-It is made from (p, a, alpha) alone: the masses, D and beta = 0 are
-derived from them when the system is made, and cannot be given.
+It is made from (p, a, alpha) alone, as the chain is made from
+(n_pairs, a, alpha, beta): the masses, D and beta = 0 are derived from
+them when the system is made, and cannot be given.
 The linear part is K = D^T D, the standard tridiagonal stiffness, whose
 modes :mod:`fpualt.spectral` gives in closed form, with no matrix formed
 from D, and the cubic spring terms contribute the quadratic vector
@@ -33,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain import (SIZE_LIMIT, BondSystem, FullChainSystem, State,
+from .chain import (SIZE_LIMIT, BondSystem, State,
                     alternating_masses, eval_accel_full, hamiltonian,
                     is_index, require_finite)
 
@@ -138,18 +139,21 @@ def lift_symmetric(state: ReducedState) -> State:
     return State(q=_lift(state.q), v=_lift(state.v))
 
 
-def symmetry_residual(sys: FullChainSystem, state: ReducedState) -> float:
+def symmetry_residual(sys: BondSystem, state: ReducedState) -> float:
     """Largest violation of the symmetry relations by the lifted acceleration.
 
-    The symmetric subspace is exactly invariant, so for every reduced
-    state the full-chain acceleration of the lifted state must itself
-    satisfy acc_p = acc_{2p} = 0 and acc_{2p-i} = -acc_i, that is, equal
-    the lift of its own first p-1 entries.
+    ``sys`` is any bond-space system of 2p particles: the chain, or a
+    :class:`fpualt.chain.BondSystem` with the chain's bonds and other
+    masses.  On the chain the symmetric subspace is exactly invariant,
+    so for every reduced state the full-chain acceleration of the lifted
+    state must itself satisfy acc_p = acc_{2p} = 0 and
+    acc_{2p-i} = -acc_i, that is, equal the lift of its own first p-1
+    entries.
     """
     p = state.q.size + 1
-    if sys.n_particles != 2 * p:
+    if sys.dof != 2 * p:
         raise ValueError(
-            f"chain has {sys.n_particles} particles, expected {2 * p} for p={p}"
+            f"chain has {sys.dof} particles, expected {2 * p} for p={p}"
         )
     acc = sys.accel(_lift(state.q))
     return float(np.abs(acc - _lift(acc[: p - 1])).max())

@@ -218,6 +218,10 @@ class QuasiHarmonicSystem:
     system that is only integrated never does.  The generated
     constructor is the only one, so ``dataclasses.replace`` makes
     another system of either kind (the same list at another alpha, say).
+    A built system's ``lambdas``, ``a`` and ``p`` are those of its basis
+    and reduced system, or it is refused: its energy and its list are
+    formed from those two, so another spectrum is a system given its
+    list.  ``alpha`` and ``labels`` stay free.
 
     Every system has bond factors ``g`` and ``f`` with
     C(x, x) = F (G x)^2, formed on first use: G = D T and
@@ -278,6 +282,10 @@ class QuasiHarmonicSystem:
         elif self.basis is None or self.reduced is None:
             raise ValueError("a quasi-harmonic system needs given= or the "
                              "basis and reduced system it is built from")
+        elif not (np.array_equal(lambdas, self.basis.lambdas)
+                  and (self.a, self.p) == (self.reduced.a, self.reduced.p)):
+            raise ValueError("a built system has the lambdas, a and p of its basis and "
+                             "reduced system; give given= for another system")
 
     @property
     def dof(self):

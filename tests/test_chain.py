@@ -4,10 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from fpualt import (ChainParams, FullState, IntegratorConfig, ReducedState,
-                    build_chain, embed_chain, embed_state, eval_accel_full,
-                    hamiltonian, integrate, linear_spectrum_full,
-                    symmetry_residual, total_momentum)
+from fpualt import (ChainParams, FullChainSystem, FullState, IntegratorConfig,
+                    ReducedState, build_chain, embed_chain, embed_state,
+                    eval_accel_full, hamiltonian, integrate,
+                    linear_spectrum_full, symmetry_residual, total_momentum)
 from fpualt.dynamics import relative_drift
 from fpualt.spectral import all_pair_eigenvalues
 
@@ -44,6 +44,51 @@ class TestBuild:
         params = dataclasses.replace(ChainParams(3, 0.01), **{field: value})
         with pytest.raises(ValueError, match=f"^{field} must be a finite number"):
             build_chain(params)
+
+
+class TestMadeFromParameters:
+    """A chain is its (n_pairs, a, alpha, beta): the masses and bonds are
+    derived when it is made, never given, so the closed-form spectrum and
+    the embedding describe the chain that ``accel`` and ``energy`` read."""
+
+    def test_init_fields(self):
+        chain = chain6()
+        assert ([f.name for f in dataclasses.fields(chain) if f.init]
+                == ["alpha", "beta", "n_pairs", "a"])
+        assert not hasattr(chain, "params")
+
+    def test_masses_and_bonds_cannot_be_given(self):
+        # replace(chain, masses=ones) kept the a = 0.01 spectrum for an
+        # equal-mass chain
+        chain = chain6()
+        for name, value in (("masses", np.ones(6)), ("masses", chain.masses),
+                            ("bonds", np.eye(6)), ("bonds", chain.bonds)):
+            with pytest.raises(ValueError, match=f"field {name} is declared with init=False"):
+                dataclasses.replace(chain, **{name: value})
+            with pytest.raises(TypeError, match=f"unexpected keyword argument '{name}'"):
+                FullChainSystem(n_pairs=3, a=0.01, alpha=1.0, **{name: value})
+
+    def test_params_cannot_be_given(self):
+        # a chain of 6 particles once took the params of 5 pairs, and a
+        # chain with a = -5 and alpha = nan skipped every guard
+        with pytest.raises(TypeError, match="unexpected keyword argument 'params'"):
+            dataclasses.replace(chain6(), params=ChainParams(5, 0.3))
+        with pytest.raises(TypeError, match="unexpected keyword argument 'params'"):
+            FullChainSystem(params=ChainParams(1, -5.0), alpha=math.nan)
+
+    def test_constructor_guards(self):
+        with pytest.raises(ValueError, match=r"^n_pairs must be in 2\.\.199, got 1$"):
+            FullChainSystem(n_pairs=1, a=-5.0, alpha=math.nan)
+        with pytest.raises(ValueError, match="^alpha must be a finite number, got nan$"):
+            FullChainSystem(n_pairs=3, a=-5.0, alpha=math.nan)
+        with pytest.raises(ValueError, match="^mass parameter a must be positive, got -5.0$"):
+            FullChainSystem(n_pairs=3, a=-5.0, alpha=1.0)
+
+    def test_replace_is_another_chain(self):
+        chain = dataclasses.replace(chain6(), n_pairs=5, a=0.3)
+        assert chain.n_particles == 10
+        assert np.array_equal(linear_spectrum_full(chain),
+                              linear_spectrum_full(build_chain(ChainParams(5, 0.3))))
 
 
 class TestAcceleration:
@@ -260,11 +305,28 @@ class TestEmbedding:
         assert np.array_equal(big.q, [1, 2, 3, 4, 1, 2, 3, 4])
         assert np.array_equal(big.v, [5, 6, 7, 8, 5, 6, 7, 8])
 
-    @pytest.mark.parametrize("k", [0, 1.5, math.inf, math.nan])
+    @pytest.mark.parametrize("k", [0, 1.5, math.inf, math.nan, 2.0])
     def test_bad_factor(self, k):
         with pytest.raises(ValueError, match=rf"^repetition factor k must be a "
                                              rf"positive integer, got {k}$"):
             embed_state(FullState(np.zeros(4), np.zeros(4)), k)
+
+    @pytest.mark.parametrize("k", [0, -1, 1.5, 2.0, math.inf, math.nan,
+                                   pytest.param(np.float64(2.0), id="float64")])
+    def test_bad_chain_factor(self, k):
+        # the rule of embed_state, where 0 and 1.5 were refused as a bad
+        # n_pairs and 2.0 passed embed_state but not embed_chain
+        with pytest.raises(ValueError, match=rf"^repetition factor k must be a "
+                                             rf"positive integer, got {k}$"):
+            embed_chain(chain6(), k)
+
+    def test_embedded_chain_keeps_alpha_and_beta(self):
+        # it once rebuilt the chain from its params, at alpha = 1, beta = 0
+        big = embed_chain(dataclasses.replace(chain6(), alpha=2.0, beta=0.5), np.int64(2))
+        assert (big.n_pairs, big.a, big.alpha, big.beta) == (6, 0.01, 2.0, 0.5)
+        built = build_chain(ChainParams(6, 0.01, 2.0, 0.5))
+        q = np.linspace(-0.3, 0.3, 12)
+        assert np.array_equal(big.accel(q), built.accel(q))
 
     def test_embedded_dynamics(self, rng):
         # evolving the tiled state in the doubled chain reproduces the

@@ -36,6 +36,7 @@ from fpualt import (ChainParams, IntegratorConfig, QuasiHarmonicSystem,
                     ReducedState, Trajectory, build_chain, build_reduced,
                     cartoon_system, extract_subsystem, integrate, load_reference,
                     load_system, save_system, symmetry_residual, to_quasi_harmonic)
+from fpualt.chain import BondSystem
 from fpualt.dynamics import (DIVERGENCE_NORM, _ERROR_EXPONENT, _MAX_GROWTH,
                              _MIN_SHRINK, _N_STAGES, _PI_ALPHA, _PI_BETA, _RK_A,
                              _RK_B, _RK_E3, _RK_E5, _SAFETY, _step_size_summary,
@@ -195,10 +196,11 @@ def old_symmetry_residual(sys, state):
 def test_symmetry_residual_matches_the_three_part_max(p, rng):
     # masses perturbed by 1e-3 break the mirror relation acc_{2p-i} =
     # -acc_i, so the residual is not 0 (acc_p and acc_2p stay 0: the
-    # forces on a site between mirrored neighbours cancel for any mass)
+    # forces on a site between mirrored neighbours cancel for any mass);
+    # a chain with other masses is a plain bond system
     chain = build_chain(ChainParams(p, 0.01, beta=0.25))
-    chain = dataclasses.replace(
-        chain, masses=chain.masses * (1.0 + 1e-3 * rng.uniform(-1.0, 1.0, 2 * p)))
+    chain = BondSystem(masses=chain.masses * (1.0 + 1e-3 * rng.uniform(-1.0, 1.0, 2 * p)),
+                       bonds=chain.bonds, alpha=chain.alpha, beta=chain.beta)
     for q in states(rng, p - 1)[:24]:
         state = ReducedState(q, np.zeros(p - 1))
         new = symmetry_residual(chain, state)

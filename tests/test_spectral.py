@@ -206,6 +206,25 @@ class TestQuasiHarmonic:
                                 a=0.01, p=3, name="hot",
                                 given=([0], [0], [1], [0.25]))
 
+    @pytest.mark.parametrize("field, value", [
+        # integrated to t = 50 this reported an energy drift of 0.99: the
+        # energy was still that of the basis's lambdas
+        ("lambdas", lambda qh: 2.0 * qh.lambdas),
+        ("lambdas", lambda qh: qh.lambdas[::-1]),
+        # printed in the analysis header and written by save_system
+        ("a", lambda qh: 0.3),
+        ("p", lambda qh: 5),
+    ], ids=["lambdas-doubled", "lambdas-reversed", "a", "p"])
+    def test_built_system_keeps_its_spectrum(self, field, value):
+        qh = to_quasi_harmonic(build_reduced(3, 0.01, 1.0))
+        with pytest.raises(ValueError, match=r"^a built system has the lambdas, a and p "
+                                             r"of its basis and reduced system; give "
+                                             r"given= for another system$"):
+            dataclasses.replace(qh, **{field: value(qh)})
+        # a given list takes any spectrum
+        other = dataclasses.replace(qh, given=qh.monomials, **{field: value(qh)})
+        assert np.array_equal(getattr(other, field), value(qh))
+
     def test_lambdas_given_as_a_list(self):
         # a list ended in AttributeError: 'list' object has no attribute 'size'
         qh = QuasiHarmonicSystem(lambdas=[1.0, 2.0], labels=pair_labels(3), alpha=1.0,

@@ -5,7 +5,10 @@ diagonalises the system's own mass-weighted stiffness to the bound it
 once checked at run time, or the eigenvalue-gap check refuses the
 system.  Over n_pairs and log-uniform a, the chain's
 ``linear_spectrum_full`` is LAPACK's spectrum of M^{-1/2} D^T D M^{-1/2},
-with D^T D formed here from the bond operator."""
+with D^T D formed here from the bond operator, and ``dataclasses.replace``
+of a chain is, bit for bit, the chain built from the same parameters."""
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -49,6 +52,14 @@ def test_a_far_from_one_is_refused_by_the_gap_check(p, a):
         eigendecompose(build_reduced(p, a, 1.0))
 
 
+def assert_lapack_spectrum(chain, spec):
+    """``spec`` is LAPACK's spectrum of the chain's own masses and bonds."""
+    dm = 1.0 / np.sqrt(chain.masses)
+    k = chain.bonds.T @ chain.bonds
+    ref = np.linalg.eigvalsh(dm[:, None] * k * dm[None, :])[::-1]
+    assert np.abs(spec - ref).max() <= 2e-14 * ref.max()
+
+
 # The closed form shares the reduced pairs' arithmetic, (1 + a)^2 - 4 a s^2,
 # which loses to cancellation for a near 1 and s near 1: measured 1.4e-14
 # lambda_max against LAPACK (1.0e-14 against a 40-digit mpmath value,
@@ -61,9 +72,41 @@ def test_a_far_from_one_is_refused_by_the_gap_check(p, a):
 @given(n_pairs=st.integers(2, SIZE_LIMIT), log_a=st.floats(-4.0, 3.0))
 def test_chain_spectrum_is_the_dispersion_relation(n_pairs, log_a):
     chain = build_chain(ChainParams(n_pairs, 10.0 ** log_a, 1.0))
-    dm = 1.0 / np.sqrt(chain.masses)
-    k = chain.bonds.T @ chain.bonds
-    ref = np.linalg.eigvalsh(dm[:, None] * k * dm[None, :])[::-1]
     spec = linear_spectrum_full(chain)
     assert spec[-1] == 0.0
-    assert np.abs(spec - ref).max() <= 2e-14 * ref.max()
+    assert_lapack_spectrum(chain, spec)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+# replace once kept the stored params beside new masses or alpha, so the
+# spectrum and the embedding described another chain.  alpha and beta are
+# drawn over every finite float: where the force overflows, it does so
+# alike in both, so the comparison is of bytes, with the warnings muted.
+@settings(max_examples=30)
+@given(n_pairs=st.integers(2, SIZE_LIMIT), log_a=st.floats(-4.0, 3.0),
+       alpha=finite, beta=finite, m=st.integers(2, SIZE_LIMIT),
+       log_b=st.floats(-4.0, 3.0), seed=st.integers(0, 2**32 - 1))
+def test_replace_is_the_built_chain(n_pairs, log_a, alpha, beta, m, log_b, seed):
+    a, b = 10.0 ** log_a, 10.0 ** log_b
+    chain = build_chain(ChainParams(n_pairs, a))
+    rng = np.random.default_rng(seed)
+    for replaced, built in (
+            (dataclasses.replace(chain, alpha=alpha, beta=beta),
+             build_chain(ChainParams(n_pairs, a, alpha, beta))),
+            (dataclasses.replace(chain, n_pairs=m, a=b), build_chain(ChainParams(m, b)))):
+        d = built.dof
+        rows = rng.uniform(-0.5, 0.5, (4, 2 * d))
+        q = rows[:, :d]
+        assert replaced.masses.tobytes() == built.masses.tobytes()
+        assert replaced.bonds.tobytes() == built.bonds.tobytes()
+        with np.errstate(over="ignore", invalid="ignore"):
+            pairs = [(replaced.accel(q), built.accel(q)),
+                     (replaced.accel(q[0], np.empty(d)), built.accel(q[0], np.empty(d))),
+                     (replaced.energy(rows), built.energy(rows))]
+        for got, want in pairs:
+            assert got.tobytes() == want.tobytes()
+        spec = linear_spectrum_full(replaced)
+        assert spec.tobytes() == linear_spectrum_full(built).tobytes()
+        assert_lapack_spectrum(replaced, spec)

@@ -27,7 +27,12 @@ at alpha = 1e-3 (``dataclasses.replace`` on the loaded table), whose
 census starts from the grid alone, into ``systems/`` and writes their
 ``fpualt equilibria`` reports into ``equilibria_small_alpha/``, so that
 a change of the census at small alpha, where its points lie far outside
-the grid, shows too.
+the grid, shows too.  It also writes the chain spectrum
+``linear_spectrum_full`` (one ``repr`` per line) of the chains with
+n_pairs = 2, 3, 9, 99, 199 and a = 0.01, 0.3, 1, 3, and of the
+n_pairs = 3, a = 0.01 chain (alpha = 2, beta = 0.5) embedded three
+times, into ``spectra/``, so that a change of the closed form or of the
+chain's parameters shows in the digits.
 Every output file is then compared byte for byte, except the manifests,
 which are compared as JSON without their timing fields
 (``wall_time_s``, ``phase_s``) and with their ``outputs`` reduced to
@@ -56,8 +61,9 @@ _RUNNER = """
 import contextlib, dataclasses, io, os, sys
 from pathlib import Path
 import fpualt
-from fpualt import (build_reduced, extract_subsystem, load_system, save_system,
-                    to_quasi_harmonic)
+from fpualt import (ChainParams, build_chain, build_reduced, embed_chain,
+                    extract_subsystem, linear_spectrum_full, load_system,
+                    save_system, to_quasi_harmonic)
 from fpualt.cli import main
 src, out, t_end, n, *paths = sys.argv[1:]
 scenarios, tables = paths[:int(n)], paths[int(n):]
@@ -86,6 +92,13 @@ for t in tables:
     if Path(t).stem in ("p5_a001_sub14", "p5_a001_sub23"):
         small_alpha.append(str(systems / f"{Path(t).stem}_alpha1e-3.txt"))
         save_system(dataclasses.replace(load_system(t), alpha=1e-3), small_alpha[-1])
+spectra = {f"chain_n{pairs}_a{a!r}": build_chain(ChainParams(pairs, a))
+           for pairs in (2, 3, 9, 99, 199) for a in (0.01, 0.3, 1.0, 3.0)}
+spectra["embedded_n3_a0.01_k3"] = embed_chain(build_chain(ChainParams(3, 0.01, 2.0, 0.5)), 3)
+Path("spectra").mkdir()
+for stem, chain in spectra.items():
+    lines = [f"{float(lam)!r}\\n" for lam in linear_spectrum_full(chain)]
+    (Path("spectra") / f"{stem}.txt").write_text("".join(lines))
 reports = {"sweep": [["sweep", "--pmax", "99"]],
            "sweep_a0.3": [["sweep", "--pmax", "99", "--a", "0.3"]],
            "sweep_a1": [["sweep", "--pmax", "15", "--a", "1"]],
